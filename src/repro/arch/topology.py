@@ -13,8 +13,8 @@ Axis semantics:
 
 * ``num_chiplets`` — how many dies the monolithic two-tile system
   netlist is partitioned into (min-cut N-way partitioning, see
-  :func:`repro.partition.multiway.nway_partition`).  ``2`` reproduces
-  the paper's logic/memory split bit-identically.
+  :func:`repro.partition.multiway.nway_partition`).  ``2`` with the
+  ``grid`` arrangement is the paper's own logic/memory split.
 * ``arrangement`` — how those dies are packed on the interposer:
   ``grid`` (near-square array), ``row`` (single strip), ``hexagonal``
   (HexaMesh-style hex packing), or ``stacked`` (pairs of dies stacked
@@ -78,7 +78,8 @@ def validate_topology(num_chiplets: object,
 def is_default_topology(num_chiplets: int, arrangement: str) -> bool:
     """True for the paper's own topology (2 chiplets, grid packing).
 
-    The default pair routes through the original 2-chiplet flow
-    unchanged, which is what keeps it bit-identical.
+    For it the flow implements the paper's logic and memory chiplets
+    and places them as two tiles, instead of partitioning the
+    monolithic netlist.
     """
     return num_chiplets == 2 and arrangement == "grid"

@@ -140,7 +140,15 @@ def build_chiplet(kind: str, spec: InterposerSpec, scale: float = 1.0,
     aib_area = driver.total_area_um2(signal_count)
     plan = plan_for_design(
         spec, kind, cell_area_um2=netlist.total_cell_area_um2() + aib_area)
+    return _implement(kind, spec, netlist, plan, signal_count, aib_area,
+                      target_frequency_mhz, driver)
 
+
+def _implement(kind: str, spec: InterposerSpec, netlist: Netlist,
+               plan: BumpPlan, signal_count: int, aib_area_um2: float,
+               target_frequency_mhz: float,
+               driver: IoDriverSpec) -> ChipletResult:
+    """Floorplan, place, route and sign off a bump-planned chiplet."""
     width_um = plan.width_mm * 1000.0
     fp = floorplan(netlist, width_um, width_um)
     placement = place(netlist, fp)
@@ -158,7 +166,8 @@ def build_chiplet(kind: str, spec: InterposerSpec, scale: float = 1.0,
     return ChipletResult(kind=kind, spec=spec, netlist=netlist,
                          bump_plan=plan, floorplan=fp, placement=placement,
                          route=route, timing=timing, power=power,
-                         aib_area_um2=aib_area, aib_power_mw=aib_power_mw)
+                         aib_area_um2=aib_area_um2,
+                         aib_power_mw=aib_power_mw)
 
 
 def infer_chiplet_kind(netlist: Netlist) -> str:
@@ -190,8 +199,8 @@ def build_chiplet_from_netlist(netlist: Netlist, spec: InterposerSpec,
     The N-chiplet generalization of :func:`build_chiplet`: instead of
     generating the paper's logic or memory netlist, it takes any part
     carved out of the monolithic system by
-    :meth:`~repro.arch.netlist.Netlist.subset` and runs the same
-    bump-plan → floorplan → place → route → timing → power pipeline.
+    :meth:`~repro.arch.netlist.Netlist.subset`, plans its bumps and
+    runs the same floorplan → place → route → timing → power tail.
     The signal bump count is the part's port count — one escape per
     cut net — so the partitioner's cut quality shows up directly in
     die area and AIB power.
@@ -216,17 +225,5 @@ def build_chiplet_from_netlist(netlist: Netlist, spec: InterposerSpec,
     plan = plan_bumps(
         signal_count, spec,
         min_cell_area_um2=netlist.total_cell_area_um2() + aib_area)
-
-    width_um = plan.width_mm * 1000.0
-    fp = floorplan(netlist, width_um, width_um)
-    placement = place(netlist, fp)
-    route = global_route(placement)
-    timing = analyze_timing(route, target_frequency_mhz)
-    power = analyze_power(route, frequency_mhz=target_frequency_mhz)
-    aib_power_mw = signal_count * driver.driver_power_uw(
-        power.frequency_mhz * 1e6, activity=0.15) * 1e-3
-
-    return ChipletResult(kind=kind, spec=spec, netlist=netlist,
-                         bump_plan=plan, floorplan=fp, placement=placement,
-                         route=route, timing=timing, power=power,
-                         aib_area_um2=aib_area, aib_power_mw=aib_power_mw)
+    return _implement(kind, spec, netlist, plan, signal_count, aib_area,
+                      target_frequency_mhz, driver)

@@ -1,14 +1,23 @@
 """The chiplet/interposer co-design flow (paper Fig. 4).
 
-:func:`run_design` executes the full flow for one design point: chiplet
-implementation (both kinds), interposer die placement and RDL routing,
-PDN construction, SI (worst-net channels + eye diagrams), PI (impedance
-profile, IR drop, regulator transient), thermal analysis, and the
-full-chip roll-up.  Results are cached per
-(design, scale, seed, target_frequency_mhz, with_eyes, with_thermal)
-since every stage is
-deterministic; :func:`run_designs` adds a multi-process fan-out and a
-persistent disk cache keyed additionally on a package-source hash.
+:func:`run_design` runs one design point as a single stage pipeline
+over three things: the implemented parts, their placement on the
+interposer, and the link bundles between them.  A topology step yields
+them — the paper's logic/memory pair, two tiles placed by
+:func:`~repro.interposer.placement.place_dies` with 231 logic-to-memory
+nets per tile and 68 logic-to-logic nets between the tiles, or, for any
+other ``(num_chiplets, arrangement)``, an N-way partition of the
+monolithic netlist placed by
+:func:`~repro.interposer.placement.place_chiplets` with one bundle per
+cut die pair.  Interposer RDL routing, PDN construction, SI (worst-net
+channels + eye diagrams), PI (impedance profile, IR drop, regulator
+transient), thermal analysis, and the full-chip roll-up then run once,
+the same way for both.
+
+Every stage is deterministic, so results are cached per
+:class:`FlowTaskSpec`: in process, then on disk under
+:func:`task_disk_key`, which embeds a hash of the package source.
+:func:`run_designs` adds a multi-process fan-out.
 
 :func:`run_monolithic` implements the 2D-monolithic baseline column of
 Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
@@ -23,9 +32,10 @@ import os
 import pickle
 import time
 import traceback as traceback_module
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.generate import generate_monolithic_netlist
 from ..arch.topology import is_default_topology, validate_topology
@@ -41,7 +51,7 @@ from ..interposer.pdn import PdnStackup, build_pdn
 from ..interposer.placement import (InterposerPlacement, place_chiplets,
                                     place_dies)
 from ..interposer.routing import (InterposerRoute, PinLink,
-                                  route_interposer, route_interposer_pins)
+                                  route_interposer_pins, tile_links)
 from ..partition.multiway import nway_partition, pairwise_cut_links
 from ..pi.impedance import PdnImpedanceReport, analyze_pdn_impedance
 from ..pi.irdrop import IrDropReport, solve_plane_ir_drop
@@ -54,8 +64,7 @@ from ..tech.interconnect3d import (cascade, microbump_model,
                                    stacked_via_model, tsv_model)
 from ..tech.interposer import (IntegrationStyle, InterposerSpec, get_spec)
 from ..thermal.model import PackageThermalReport, analyze_package_thermal
-from .fullchip import (FullChipSummary, full_chip_summary,
-                       full_chip_summary_nway)
+from .fullchip import FullChipSummary, full_chip_summary_nway
 from .pool import imap_retry
 
 
@@ -92,10 +101,10 @@ class DesignResult:
     #: Per-stage solver-counter deltas (stage name → counter dict), the
     #: breakdown behind ``solver_stats``; observability only.
     stage_solver_stats: Optional[Dict[str, Dict[str, int]]] = None
-    #: All implemented parts of an N-chiplet run (``None`` on the
-    #: paper's 2-chiplet path, where ``logic``/``memory`` are the whole
-    #: story; on N-chiplet runs those two fields alias representative
-    #: parts out of this tuple).
+    #: All implemented parts of an N-chiplet run (``None`` for the
+    #: paper's topology, where ``logic``/``memory`` are the whole story;
+    #: on N-chiplet runs those two fields alias representative parts
+    #: out of this tuple).
     chiplets: Optional[Tuple[ChipletResult, ...]] = None
     #: The topology axes this point was run at (see
     #: :mod:`repro.arch.topology`).
@@ -159,13 +168,6 @@ _PROTECTED_SPEC_FIELDS = frozenset({"name", "display_name", "style",
 OverridesKey = Tuple[Tuple[str, object], ...]
 
 
-def _overrides_key(spec_overrides: Optional[Mapping[str, object]]
-                   ) -> OverridesKey:
-    if not spec_overrides:
-        return ()
-    return tuple(sorted(spec_overrides.items()))
-
-
 def _apply_overrides(spec: InterposerSpec,
                      spec_overrides: Mapping[str, object]) -> InterposerSpec:
     """A validated copy of ``spec`` with some fields replaced.
@@ -187,19 +189,8 @@ def _apply_overrides(spec: InterposerSpec,
     return out
 
 
-#: Deterministic result cache:
-#: (name, overrides, scale, seed, target_frequency_mhz, with_eyes,
-#: with_thermal) → DesignResult.  Non-default topologies append
-#: (num_chiplets, arrangement) to the key — the default pair keeps the
-#: original key shape so existing entries stay addressable.
-_CACHE: Dict[Tuple[object, ...], DesignResult] = {}
-
-
-def _topology_key(num_chiplets: int, arrangement: str) -> Tuple[object, ...]:
-    """Cache-key suffix for the topology axes (empty for the default)."""
-    if is_default_topology(num_chiplets, arrangement):
-        return ()
-    return (num_chiplets, arrangement)
+#: Deterministic in-process result cache, keyed by the task itself.
+_CACHE: Dict["FlowTaskSpec", DesignResult] = {}
 
 
 def clear_cache() -> None:
@@ -244,20 +235,6 @@ def flow_cache_dir() -> Optional[Path]:
     return Path(__file__).resolve().parents[3] / "results" / ".flow_cache"
 
 
-def _disk_key(name: str, scale: float, seed: int,
-              target_frequency_mhz: float, with_eyes: bool,
-              with_thermal: bool, overrides: OverridesKey = (),
-              num_chiplets: int = 2, arrangement: str = "grid") -> str:
-    tag = ""
-    if overrides:
-        digest = hashlib.sha1(repr(overrides).encode()).hexdigest()[:10]
-        tag = f"-o{digest}"
-    if not is_default_topology(num_chiplets, arrangement):
-        tag += f"-n{num_chiplets}-a{arrangement}"
-    return (f"{name}-s{scale}-r{seed}-f{target_frequency_mhz}"
-            f"-e{int(with_eyes)}-t{int(with_thermal)}{tag}-{code_version()}")
-
-
 def _disk_load(key: str) -> Optional[DesignResult]:
     cache_dir = flow_cache_dir()
     if cache_dir is None:
@@ -298,12 +275,40 @@ def clear_disk_cache() -> int:
     return removed
 
 
+def _lookup(task: "FlowTaskSpec") -> Optional[DesignResult]:
+    """The cached result of a task, or ``None``.
+
+    Memory first, then a full run (eyes and thermal) answering a
+    partial request, then the disk entry, which is kept in memory from
+    then on.
+    """
+    hit = _CACHE.get(task)
+    if hit is None and not (task.with_eyes and task.with_thermal):
+        hit = _CACHE.get(dataclasses.replace(task, with_eyes=True,
+                                             with_thermal=True))
+    if hit is None:
+        hit = _disk_load(task_disk_key(task))
+        if hit is not None:
+            _CACHE[task] = hit
+    return hit
+
+
+def _remember(task: "FlowTaskSpec", result: DesignResult) -> None:
+    """Cache a computed result in memory and on disk."""
+    _CACHE[task] = result
+    _disk_store(task_disk_key(task), result)
+
+
 def _channels_for(spec: InterposerSpec,
-                  route: Optional[InterposerRoute]) -> Tuple[Channel, Channel]:
-    """Worst-case L2M and L2L channels for a design.
+                  route: Optional[InterposerRoute]
+                  ) -> Tuple[Channel, Channel]:
+    """Worst-case mixed-kind (l2m) and same-kind (l2l) channels.
 
-    Lengths come from the actual routed interposer (longest net per
-    class); 3D designs use the vertical interconnect models.
+    Lengths come from the routed interposer (longest net per class).
+    A class with no lateral nets borrows the other's worst length (the
+    electrical worst case on the same interposer); l2m links that are
+    all stacked microvias (glass 3D) use the vertical via model, and
+    TSV stacks the 3D interconnect models.
     """
     if spec.style is IntegrationStyle.TSV_STACK:
         l2m = Channel(f"{spec.name}/l2m", lumped=microbump_model())
@@ -312,57 +317,15 @@ def _channels_for(spec: InterposerSpec,
         return l2m, l2l
     assert route is not None
     line = line_for_spec(spec)
-    l2l_len = route.longest_net("l2l").length_mm * 1000.0
-    l2l = Channel(f"{spec.name}/l2l", line=line,
-                  length_um=max(l2l_len, 10.0))
-    if spec.style is IntegrationStyle.EMBEDDED_STACK:
-        l2m = Channel(f"{spec.name}/l2m",
-                      lumped=stacked_via_model(
-                          via_size_um=spec.via_size_um,
-                          dielectric_thickness_um=spec.dielectric_thickness_um,
-                          num_layers=spec.metal_layers))
-    else:
-        l2m_len = route.longest_net("l2m").length_mm * 1000.0
-        l2m = Channel(f"{spec.name}/l2m", line=line,
-                      length_um=max(l2m_len, 10.0))
-    return l2m, l2l
-
-
-def _longest_um(route: InterposerRoute, kind: str) -> Optional[float]:
-    """Longest routed length of one net kind in um, or ``None``."""
-    lengths = [n.length_mm for n in route.nets if n.kind == kind]
-    if not lengths:
-        return None
-    return max(lengths) * 1000.0
-
-
-def _channels_for_nchiplet(spec: InterposerSpec,
-                           route: Optional[InterposerRoute]
-                           ) -> Tuple[Channel, Channel]:
-    """Worst-case mixed-kind (l2m) and same-kind (l2l) channels for an
-    N-chiplet point.
-
-    Same technology models as :func:`_channels_for`, but robust to
-    partitions where one link class is absent: a missing class borrows
-    the other's worst length (the electrical worst case on the same
-    interposer), and a fully stacked route falls back to the vertical
-    via model.
-    """
-    if spec.style is IntegrationStyle.TSV_STACK:
-        l2m = Channel(f"{spec.name}/l2m", lumped=microbump_model())
-        l2l = Channel(f"{spec.name}/l2l",
-                      lumped=cascade(tsv_model(), tsv_model()))
-        return l2m, l2l
-    assert route is not None
-    line = line_for_spec(spec)
-    l2m_len = _longest_um(route, "l2m")
-    l2l_len = _longest_um(route, "l2l")
-    stacked = any(n.kind == "stacked_via" for n in route.nets)
+    kinds = {n.kind for n in route.nets}
+    l2m_len, l2l_len = (
+        route.longest_net(k).length_mm * 1000.0 if k in kinds else None
+        for k in ("l2m", "l2l"))
     lateral_worst = max(l2m_len or 0.0, l2l_len or 0.0)
 
     l2l = Channel(f"{spec.name}/l2l", line=line,
                   length_um=max(l2l_len or lateral_worst, 10.0))
-    if l2m_len is None and stacked:
+    if l2m_len is None and "stacked_via" in kinds:
         l2m = Channel(f"{spec.name}/l2m",
                       lumped=stacked_via_model(
                           via_size_um=spec.via_size_um,
@@ -372,6 +335,51 @@ def _channels_for_nchiplet(spec: InterposerSpec,
         l2m = Channel(f"{spec.name}/l2m", line=line,
                       length_um=max(l2m_len or lateral_worst, 10.0))
     return l2m, l2l
+
+
+def _topology(spec: InterposerSpec, task: "FlowTaskSpec"
+              ) -> Tuple[Dict[str, ChipletResult], InterposerPlacement,
+                         List[PinLink]]:
+    """The parts, their placement and the link bundles of a task.
+
+    The parts map each placed die's name to its implementation, in
+    placement order.  The paper's topology implements one logic and one
+    memory chiplet, places them as two tiles and links them with
+    :func:`~repro.interposer.routing.tile_links`.  Any other
+    ``(num_chiplets, arrangement)`` min-cut partitions the monolithic
+    netlist N ways, implements each part, packs the dies per the
+    arrangement, and bundles the cut nets of each die pair into one
+    link.
+    """
+    if is_default_topology(task.num_chiplets, task.arrangement):
+        logic = build_chiplet("logic", spec, scale=task.scale,
+                              seed=task.seed,
+                              target_frequency_mhz=task.target_frequency_mhz)
+        memory = build_chiplet("memory", spec, scale=task.scale,
+                               seed=task.seed,
+                               target_frequency_mhz=task.target_frequency_mhz)
+        placement = place_dies(spec, logic.bump_plan, memory.bump_plan)
+        parts = {d.name: logic if d.kind == "logic" else memory
+                 for d in placement.dies}
+        return parts, placement, tile_links(placement)
+
+    system = generate_monolithic_netlist(scale=task.scale, seed=task.seed)
+    partition = nway_partition(system, task.num_chiplets, seed=task.seed)
+    chiplets = [
+        build_chiplet_from_netlist(
+            system.subset(partition.part(i), name=f"chiplet{i}"), spec,
+            target_frequency_mhz=task.target_frequency_mhz)
+        for i in range(partition.k)]
+    placement = place_chiplets(spec, [c.bump_plan for c in chiplets],
+                               [c.kind for c in chiplets], task.arrangement)
+    links = []
+    for (i, j), count in sorted(pairwise_cut_links(
+            system, partition.assignment).items()):
+        kind = "l2m" if chiplets[i].kind != chiplets[j].kind else "l2l"
+        links.append(PinLink(f"chiplet{i}", f"chiplet{j}", kind, count,
+                             f"c{i}_{j}_{kind}"))
+    parts = {d.name: chiplets[d.tile] for d in placement.dies}
+    return parts, placement, links
 
 
 def run_design(name: str, scale: float = 1.0, seed: int = 2023,
@@ -391,287 +399,122 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
         target_frequency_mhz: Chiplet timing target.
         with_eyes: Run the PRBS eye simulations (the slowest SI step).
         with_thermal: Run the FD thermal solve.
-        use_cache: Reuse/populate the in-process result cache.
+        use_cache: Reuse/populate the result caches (in process, then
+            on disk; see :func:`flow_cache_dir`).
         spec_overrides: Optional ``InterposerSpec`` field perturbations
             (e.g. ``{"microbump_pitch_um": 50.0}``) applied on top of the
             registered spec — the hook the design-space explorer sweeps
             through.  Identity fields (name/style/routing) are protected.
         num_chiplets: How many chiplets to partition the system into
-            (see :mod:`repro.arch.topology`).  The default ``2`` runs
-            the paper's logic/memory split bit-identically; other
-            values N-way-partition the monolithic netlist.
-        arrangement: Die packing for the N-chiplet path (``grid``,
+            (see :mod:`repro.arch.topology`).  The default ``2`` with
+            the ``grid`` arrangement is the paper's logic/memory split;
+            any other pair N-way-partitions the monolithic netlist.
+        arrangement: Die packing of an N-way partition (``grid``,
             ``row``, ``hexagonal``, or ``stacked``).
 
     Returns:
         A fully populated :class:`DesignResult`.
     """
-    num_chiplets, arrangement = validate_topology(num_chiplets,
-                                                  arrangement)
-    overrides = _overrides_key(spec_overrides)
-    topo = _topology_key(num_chiplets, arrangement)
-    key = (name, overrides, scale, seed, target_frequency_mhz,
-           with_eyes, with_thermal) + topo
-    if use_cache:
-        hit = _CACHE.get(key)
-        if hit is None and not (with_eyes and with_thermal):
-            # A full run supersedes any partial request at the same point.
-            hit = _CACHE.get((name, overrides, scale, seed,
-                              target_frequency_mhz, True, True) + topo)
-        if hit is not None:
-            return hit
-    if topo:
-        result = _run_design_nchiplet(
-            name, overrides, scale, seed, target_frequency_mhz,
-            with_eyes, with_thermal, num_chiplets, arrangement)
-        if use_cache:
-            _CACHE[key] = result
-        return result
+    task = FlowTaskSpec(
+        design=name, scale=scale, seed=seed,
+        target_frequency_mhz=target_frequency_mhz, with_eyes=with_eyes,
+        with_thermal=with_thermal,
+        spec_overrides=tuple((spec_overrides or {}).items()),
+        num_chiplets=num_chiplets, arrangement=arrangement)
+    hit = _lookup(task) if use_cache else None
+    if hit is not None:
+        return hit
     stage_times: Dict[str, float] = {}
     stage_solver_stats: Dict[str, Dict[str, int]] = {}
     reset_solver_counters()
 
-    def _stage_counters(stage: str, before: Dict[str, int]) -> None:
+    @contextmanager
+    def stage(label: str):
+        t0 = time.perf_counter()
+        before = solver_counters()
+        yield
+        stage_times[label] = time.perf_counter() - t0
         after = solver_counters()
-        stage_solver_stats[stage] = {k: after[k] - before.get(k, 0)
+        stage_solver_stats[label] = {k: after[k] - before.get(k, 0)
                                      for k in after}
 
     t_total = time.perf_counter()
-    spec = get_spec(name)
-    if overrides:
-        spec = _apply_overrides(spec, dict(overrides))
+    spec = get_spec(task.design)
+    if task.spec_overrides:
+        spec = _apply_overrides(spec, dict(task.spec_overrides))
 
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    logic = build_chiplet("logic", spec, scale=scale, seed=seed,
-                          target_frequency_mhz=target_frequency_mhz)
-    memory = build_chiplet("memory", spec, scale=scale, seed=seed,
-                           target_frequency_mhz=target_frequency_mhz)
-    placement = place_dies(spec, logic.bump_plan, memory.bump_plan)
-    stage_times["chiplets"] = time.perf_counter() - t0
-    _stage_counters("chiplets", c0)
+    with stage("chiplets"):
+        parts, placement, links = _topology(spec, task)
+    powers = {die: c.power.total_mw * 1e-3 for die, c in parts.items()}
 
-    route = None
-    pdn = None
-    pdn_imp = None
-    ir = None
-    transient = None
+    route = pdn = pdn_imp = ir = transient = None
     if spec.style is not IntegrationStyle.TSV_STACK:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        route = route_interposer(placement,
-                                 logic.bump_plan.signal_positions(),
-                                 memory.bump_plan.signal_positions())
-        stage_times["routing"] = time.perf_counter() - t0
-        _stage_counters("routing", c0)
-        if route.stats is not None:
-            # Sub-keys ("stage/phase") break the routing stage down;
-            # they are excluded from whole-stage accounting sums.
-            stage_times["routing/pattern"] = route.stats.pattern_time_s
-            stage_times["routing/rrr"] = route.stats.rrr_time_s
-            stage_times["routing/maze"] = route.stats.maze_time_s
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        pdn = build_pdn(placement)
-        pdn_imp = analyze_pdn_impedance(pdn)
-        powers = {d.name: (logic if d.kind == "logic"
-                           else memory).power.total_mw * 1e-3
-                  for d in placement.dies}
-        ir = solve_plane_ir_drop(placement, pdn, powers)
-        transient = analyze_power_transient(
-            pdn, sum(powers.values()))
-        stage_times["pdn"] = time.perf_counter() - t0
-        _stage_counters("pdn", c0)
+        with stage("routing"):
+            pin_map = {die: c.bump_plan.signal_positions()
+                       for die, c in parts.items()}
+            route = route_interposer_pins(placement, pin_map, links)
+        # Sub-keys ("stage/phase") break the routing stage down; they
+        # are excluded from whole-stage accounting sums.
+        stage_times["routing/pattern"] = route.stats.pattern_time_s
+        stage_times["routing/rrr"] = route.stats.rrr_time_s
+        stage_times["routing/maze"] = route.stats.maze_time_s
+        with stage("pdn"):
+            pdn = build_pdn(placement)
+            pdn_imp = analyze_pdn_impedance(pdn)
+            ir = solve_plane_ir_drop(placement, pdn, powers)
+            transient = analyze_power_transient(pdn, sum(powers.values()))
 
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    l2m_ch, l2l_ch = _channels_for(spec, route)
-    l2m_rep = measure_channel(l2m_ch, target_frequency_mhz * 1e6)
-    l2l_rep = measure_channel(l2l_ch, target_frequency_mhz * 1e6)
-    stage_times["channels"] = time.perf_counter() - t0
-    _stage_counters("channels", c0)
+    with stage("channels"):
+        channels = _channels_for(spec, route)
+        l2m_rep, l2l_rep = (measure_channel(ch, target_frequency_mhz * 1e6)
+                            for ch in channels)
 
     l2m_eye = l2l_eye = None
     if with_eyes:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        coupled = coupled_line_for_spec(spec)
-        l2m_eye = simulate_eye(line=l2m_ch.line,
-                               length_um=l2m_ch.length_um,
-                               lumped=l2m_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        l2l_eye = simulate_eye(line=l2l_ch.line,
-                               length_um=l2l_ch.length_um,
-                               lumped=l2l_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        stage_times["eyes"] = time.perf_counter() - t0
-        _stage_counters("eyes", c0)
+        with stage("eyes"):
+            coupled = coupled_line_for_spec(spec)
+            l2m_eye, l2l_eye = (
+                simulate_eye(line=ch.line, length_um=ch.length_um,
+                             lumped=ch.lumped, coupled=coupled, num_bits=64)
+                for ch in channels)
 
     thermal = None
     if with_thermal:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        powers = {d.name: (logic if d.kind == "logic"
-                           else memory).power.total_mw * 1e-3
-                  for d in placement.dies}
-        maps = {}
-        for d in placement.dies:
-            res = logic if d.kind == "logic" else memory
-            maps[d.name] = power_density_map(res.route, res.power)
-        thermal = analyze_package_thermal(placement, powers, maps)
-        stage_times["thermal"] = time.perf_counter() - t0
-        _stage_counters("thermal", c0)
+        with stage("thermal"):
+            maps = {die: power_density_map(c.route, c.power)
+                    for die, c in parts.items()}
+            thermal = analyze_package_thermal(placement, powers, maps)
 
-    fullchip = full_chip_summary(logic, memory, l2m_rep, l2l_rep)
+    tiles: Dict[int, List[ChipletResult]] = {}
+    for die in placement.dies:
+        tiles.setdefault(die.tile, []).append(parts[die.name])
+    fullchip = full_chip_summary_nway(
+        list(tiles.values()), l2m_rep, l2l_rep,
+        sum(link.count for link in links if link.kind == "l2m"),
+        sum(link.count for link in links if link.kind == "l2l"))
+
+    # Representative parts keep the 2-chiplet accessors (tables, sweep
+    # metrics) meaningful on N-chiplet results.
+    chiplets = tuple(parts.values())
+    logic = next((c for c in chiplets if c.kind == "logic"), chiplets[0])
+    memory = next((c for c in chiplets if c.kind == "memory"),
+                  chiplets[-1])
     stage_times["total"] = time.perf_counter() - t_total
-    solver_stats = solver_counters()
     result = DesignResult(
         spec=spec, logic=logic, memory=memory, placement=placement,
         route=route, pdn=pdn, pdn_impedance=pdn_imp, ir_drop=ir,
         power_transient=transient, l2m_channel=l2m_rep,
         l2l_channel=l2l_rep, l2m_eye=l2m_eye, l2l_eye=l2l_eye,
         thermal=thermal, fullchip=fullchip, stage_times=stage_times,
-        solver_stats=solver_stats, stage_solver_stats=stage_solver_stats)
+        solver_stats=solver_counters(),
+        stage_solver_stats=stage_solver_stats,
+        chiplets=(None if is_default_topology(task.num_chiplets,
+                                              task.arrangement)
+                  else chiplets),
+        num_chiplets=task.num_chiplets, arrangement=task.arrangement)
     if use_cache:
-        _CACHE[key] = result
+        _remember(task, result)
     return result
-
-
-def _run_design_nchiplet(name: str, overrides: OverridesKey, scale: float,
-                         seed: int, target_frequency_mhz: float,
-                         with_eyes: bool, with_thermal: bool,
-                         num_chiplets: int,
-                         arrangement: str) -> DesignResult:
-    """The generalized N-chiplet flow body behind :func:`run_design`.
-
-    Partitions the monolithic two-tile system netlist ``num_chiplets``
-    ways (min-cut, see :func:`repro.partition.multiway.nway_partition`),
-    implements each part with the ordinary chiplet pipeline, packs the
-    dies per ``arrangement``, derives the inter-chiplet link bundles
-    from the partition's pairwise cut counts, and then reuses every
-    downstream stage — routing, PDN, SI, PI, thermal, roll-up —
-    unchanged on the resulting multi-chiplet placement.
-    """
-    stage_times: Dict[str, float] = {}
-    stage_solver_stats: Dict[str, Dict[str, int]] = {}
-    reset_solver_counters()
-
-    def _stage_counters(stage: str, before: Dict[str, int]) -> None:
-        after = solver_counters()
-        stage_solver_stats[stage] = {k: after[k] - before.get(k, 0)
-                                     for k in after}
-
-    t_total = time.perf_counter()
-    spec = get_spec(name)
-    if overrides:
-        spec = _apply_overrides(spec, dict(overrides))
-
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    system = generate_monolithic_netlist(scale=scale, seed=seed)
-    part = nway_partition(system, num_chiplets, seed=seed)
-    chiplets = tuple(
-        build_chiplet_from_netlist(
-            system.subset(part.part(i), name=f"chiplet{i}"), spec,
-            target_frequency_mhz=target_frequency_mhz)
-        for i in range(part.k))
-    kinds = [c.kind for c in chiplets]
-    placement = place_chiplets(spec, [c.bump_plan for c in chiplets],
-                               kinds, arrangement)
-    links: List[PinLink] = []
-    for (i, j), count in sorted(pairwise_cut_links(
-            system, part.assignment).items()):
-        kind = "l2m" if kinds[i] != kinds[j] else "l2l"
-        links.append((f"chiplet{i}", f"chiplet{j}", kind, count))
-    stage_times["chiplets"] = time.perf_counter() - t0
-    _stage_counters("chiplets", c0)
-
-    route = None
-    pdn = None
-    pdn_imp = None
-    ir = None
-    transient = None
-    if spec.style is not IntegrationStyle.TSV_STACK:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        pin_map = {f"chiplet{i}": c.bump_plan.signal_positions()
-                   for i, c in enumerate(chiplets)}
-        route = route_interposer_pins(placement, pin_map, links)
-        stage_times["routing"] = time.perf_counter() - t0
-        _stage_counters("routing", c0)
-        if route.stats is not None:
-            stage_times["routing/pattern"] = route.stats.pattern_time_s
-            stage_times["routing/rrr"] = route.stats.rrr_time_s
-            stage_times["routing/maze"] = route.stats.maze_time_s
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        pdn = build_pdn(placement)
-        pdn_imp = analyze_pdn_impedance(pdn)
-        powers = {d.name: chiplets[d.tile].power.total_mw * 1e-3
-                  for d in placement.dies}
-        ir = solve_plane_ir_drop(placement, pdn, powers)
-        transient = analyze_power_transient(pdn, sum(powers.values()))
-        stage_times["pdn"] = time.perf_counter() - t0
-        _stage_counters("pdn", c0)
-
-    t0 = time.perf_counter()
-    c0 = solver_counters()
-    l2m_ch, l2l_ch = _channels_for_nchiplet(spec, route)
-    l2m_rep = measure_channel(l2m_ch, target_frequency_mhz * 1e6)
-    l2l_rep = measure_channel(l2l_ch, target_frequency_mhz * 1e6)
-    stage_times["channels"] = time.perf_counter() - t0
-    _stage_counters("channels", c0)
-
-    l2m_eye = l2l_eye = None
-    if with_eyes:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        coupled = coupled_line_for_spec(spec)
-        l2m_eye = simulate_eye(line=l2m_ch.line,
-                               length_um=l2m_ch.length_um,
-                               lumped=l2m_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        l2l_eye = simulate_eye(line=l2l_ch.line,
-                               length_um=l2l_ch.length_um,
-                               lumped=l2l_ch.lumped, coupled=coupled,
-                               num_bits=64)
-        stage_times["eyes"] = time.perf_counter() - t0
-        _stage_counters("eyes", c0)
-
-    thermal = None
-    if with_thermal:
-        t0 = time.perf_counter()
-        c0 = solver_counters()
-        powers = {d.name: chiplets[d.tile].power.total_mw * 1e-3
-                  for d in placement.dies}
-        maps = {d.name: power_density_map(chiplets[d.tile].route,
-                                          chiplets[d.tile].power)
-                for d in placement.dies}
-        thermal = analyze_package_thermal(placement, powers, maps)
-        stage_times["thermal"] = time.perf_counter() - t0
-        _stage_counters("thermal", c0)
-
-    l2m_signals = sum(c for _, _, k, c in links if k == "l2m")
-    l2l_signals = sum(c for _, _, k, c in links if k == "l2l")
-    fullchip = full_chip_summary_nway(chiplets, l2m_rep, l2l_rep,
-                                      l2m_signals, l2l_signals)
-
-    # Representative parts keep the 2-chiplet accessors (tables, sweep
-    # metrics) meaningful on N-chiplet results.
-    logic = next((c for c in chiplets if c.kind == "logic"), chiplets[0])
-    memory = next((c for c in chiplets if c.kind == "memory"),
-                  chiplets[-1])
-    stage_times["total"] = time.perf_counter() - t_total
-    solver_stats = solver_counters()
-    return DesignResult(
-        spec=spec, logic=logic, memory=memory, placement=placement,
-        route=route, pdn=pdn, pdn_impedance=pdn_imp, ir_drop=ir,
-        power_transient=transient, l2m_channel=l2m_rep,
-        l2l_channel=l2l_rep, l2m_eye=l2m_eye, l2l_eye=l2l_eye,
-        thermal=thermal, fullchip=fullchip, stage_times=stage_times,
-        solver_stats=solver_stats, stage_solver_stats=stage_solver_stats,
-        chiplets=chiplets, num_chiplets=num_chiplets,
-        arrangement=arrangement)
 
 
 # --------------------------------------------------------------------- #
@@ -705,13 +548,6 @@ class FlowTaskSpec:
         count, arr = validate_topology(self.num_chiplets, self.arrangement)
         object.__setattr__(self, "num_chiplets", count)
         object.__setattr__(self, "arrangement", arr)
-
-    def cache_key(self) -> Tuple[object, ...]:
-        """The in-process cache key this task resolves to."""
-        return (self.design, self.spec_overrides, self.scale, self.seed,
-                self.target_frequency_mhz, self.with_eyes,
-                self.with_thermal) + _topology_key(self.num_chiplets,
-                                                   self.arrangement)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe dict form (round-trips through :meth:`from_dict`).
@@ -763,13 +599,19 @@ class FlowTaskSpec:
 def task_disk_key(task: FlowTaskSpec) -> str:
     """The persistent-cache filename stem a task's result lives under.
 
+    It spells out every task field and ends in :func:`code_version`.
     Public so the serve subsystem's content-addressed store can treat
-    the existing per-task cache entries as a read-through layer.
+    the per-task cache entries as a read-through layer.
     """
-    return _disk_key(task.design, task.scale, task.seed,
-                     task.target_frequency_mhz, task.with_eyes,
-                     task.with_thermal, task.spec_overrides,
-                     task.num_chiplets, task.arrangement)
+    tag = ""
+    if task.spec_overrides:
+        digest = hashlib.sha1(
+            repr(task.spec_overrides).encode()).hexdigest()[:10]
+        tag = f"-o{digest}"
+    return (f"{task.design}-s{task.scale}-r{task.seed}"
+            f"-f{task.target_frequency_mhz}-e{int(task.with_eyes)}"
+            f"-t{int(task.with_thermal)}{tag}-n{task.num_chiplets}"
+            f"-a{task.arrangement}-{code_version()}")
 
 
 @dataclass
@@ -804,49 +646,28 @@ def run_flow_task(task: FlowTaskSpec,
                   use_cache: bool = True) -> FlowTaskResult:
     """Execute one flow task; never raises.
 
-    Consults the in-process cache, then the persistent disk cache, then
-    computes (and populates both).  Any exception — unknown design,
-    invalid override, a numerical failure deep in a flow stage — is
-    captured as a structured failure row instead of propagating, so a
-    batch of tasks always runs to completion.
+    Answers from the result caches when it can (the lookup
+    :func:`run_design` makes), otherwise computes and populates them.
+    Any exception — unknown design, invalid override, a numerical
+    failure deep in a flow stage — is captured as a structured failure
+    row instead of propagating, so a batch of tasks always runs to
+    completion.
     """
     t0 = time.perf_counter()
     try:
-        if use_cache:
-            topo = _topology_key(task.num_chiplets, task.arrangement)
-            hit = _CACHE.get(task.cache_key())
-            if hit is None and not (task.with_eyes and task.with_thermal):
-                hit = _CACHE.get((task.design, task.spec_overrides,
-                                  task.scale, task.seed,
-                                  task.target_frequency_mhz, True, True)
-                                 + topo)
-            if hit is None:
-                hit = _disk_load(_disk_key(
-                    task.design, task.scale, task.seed,
-                    task.target_frequency_mhz, task.with_eyes,
-                    task.with_thermal, task.spec_overrides,
-                    task.num_chiplets, task.arrangement))
-                if hit is not None:
-                    _CACHE[task.cache_key()] = hit
-            if hit is not None:
-                return FlowTaskResult(
-                    task=task, result=hit, cached=True,
-                    wall_s=time.perf_counter() - t0)
+        hit = _lookup(task) if use_cache else None
+        if hit is not None:
+            return FlowTaskResult(task=task, result=hit, cached=True,
+                                  wall_s=time.perf_counter() - t0)
         result = run_design(
             task.design, scale=task.scale, seed=task.seed,
             target_frequency_mhz=task.target_frequency_mhz,
             with_eyes=task.with_eyes, with_thermal=task.with_thermal,
-            use_cache=use_cache,
-            spec_overrides=dict(task.spec_overrides) or None,
+            use_cache=False, spec_overrides=dict(task.spec_overrides),
             num_chiplets=task.num_chiplets,
             arrangement=task.arrangement)
         if use_cache:
-            _disk_store(_disk_key(task.design, task.scale, task.seed,
-                                  task.target_frequency_mhz,
-                                  task.with_eyes, task.with_thermal,
-                                  task.spec_overrides,
-                                  task.num_chiplets,
-                                  task.arrangement), result)
+            _remember(task, result)
         return FlowTaskResult(task=task, result=result,
                               wall_s=time.perf_counter() - t0)
     except Exception as exc:  # noqa: BLE001 — the point is to capture
@@ -896,9 +717,8 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
     """Run several design points, optionally in parallel worker processes.
 
     Results are identical to calling :func:`run_design` per name; the
-    fan-out only changes wall-clock time.  Design points already in the
-    in-process cache or the persistent disk cache (see
-    :func:`flow_cache_dir`) are not recomputed.
+    fan-out only changes wall-clock time.  Design points the result
+    caches hold (see :func:`run_design`) are not recomputed.
 
     A failure in one worker no longer aborts the batch: every task runs
     to completion and the failures are raised afterwards as one
@@ -925,72 +745,41 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
     Raises:
         FlowBatchError: If any task failed (after all tasks finished).
     """
-    num_chiplets, arrangement = validate_topology(num_chiplets,
-                                                  arrangement)
-    topo = _topology_key(num_chiplets, arrangement)
-    ordered: List[str] = []
-    for n in names:
-        if n not in ordered:
-            ordered.append(n)
-
+    tasks = {n: FlowTaskSpec(design=n, scale=scale, seed=seed,
+                             target_frequency_mhz=target_frequency_mhz,
+                             with_eyes=with_eyes, with_thermal=with_thermal,
+                             num_chiplets=num_chiplets,
+                             arrangement=arrangement)
+             for n in names}
     results: Dict[str, DesignResult] = {}
     failures: Dict[str, FlowTaskResult] = {}
-    misses: List[str] = []
-    for n in ordered:
-        if use_cache:
-            mem_key = (n, (), scale, seed, target_frequency_mhz,
-                       with_eyes, with_thermal) + topo
-            hit = _CACHE.get(mem_key)
-            if hit is None and not (with_eyes and with_thermal):
-                hit = _CACHE.get((n, (), scale, seed,
-                                  target_frequency_mhz, True, True)
-                                 + topo)
-            if hit is None:
-                hit = _disk_load(_disk_key(n, scale, seed,
-                                           target_frequency_mhz,
-                                           with_eyes, with_thermal,
-                                           num_chiplets=num_chiplets,
-                                           arrangement=arrangement))
-                if hit is not None:
-                    _CACHE[mem_key] = hit
-            if hit is not None:
-                results[n] = hit
-                continue
-        misses.append(n)
+    misses: List[FlowTaskSpec] = []
+    for n, task in tasks.items():
+        hit = _lookup(task) if use_cache else None
+        if hit is None:
+            misses.append(task)
+        else:
+            results[n] = hit
 
-    if misses:
-        tasks = [(FlowTaskSpec(design=n, scale=scale, seed=seed,
-                               target_frequency_mhz=target_frequency_mhz,
-                               with_eyes=with_eyes,
-                               with_thermal=with_thermal,
-                               num_chiplets=num_chiplets,
-                               arrangement=arrangement), use_cache)
-                 for n in misses]
-        # The persistent pool outlives this call: later fan-outs (and
-        # every point of a DSE sweep) reuse the same warm workers.  A
-        # worker death mid-batch costs one bounded resubmit of the
-        # unfinished suffix, not the whole batch (imap_retry).
-        outcomes = list(imap_retry(_run_flow_task_args, tasks, jobs))
-        for n, out in zip(misses, outcomes):
-            if not out.ok:
-                failures[n] = out
-                continue
-            results[n] = out.result
-            if use_cache:
-                _CACHE[(n, (), scale, seed, target_frequency_mhz,
-                        with_eyes, with_thermal) + topo] = out.result
-                # Worker processes persist to disk themselves; store again
-                # here so serial in-process runs are covered too.
-                _disk_store(_disk_key(n, scale, seed,
-                                      target_frequency_mhz,
-                                      with_eyes, with_thermal,
-                                      num_chiplets=num_chiplets,
-                                      arrangement=arrangement),
-                            out.result)
+    # The persistent pool outlives this call: later fan-outs (and every
+    # point of a DSE sweep) reuse the same warm workers.  A worker death
+    # mid-batch costs one bounded resubmit of the unfinished suffix, not
+    # the whole batch (imap_retry).
+    outcomes = imap_retry(_run_flow_task_args,
+                          [(task, use_cache) for task in misses], jobs)
+    for task, out in zip(misses, outcomes):
+        if not out.ok:
+            failures[task.design] = out
+            continue
+        results[task.design] = out.result
+        if use_cache:
+            # The task stored its result on disk, in whichever process
+            # ran it; keep it in this process's memory too.
+            _CACHE[task] = out.result
 
     if failures:
         raise FlowBatchError(failures, results)
-    return {n: results[n] for n in ordered}
+    return {n: results[n] for n in tasks}
 
 
 @dataclass

@@ -2,10 +2,10 @@
 
 Four chiplets (two tiles x logic/memory) are arranged per technology:
 
-* **2.5D technologies** (glass 2.5D, silicon 2.5D, Shinko, APX): logic and
-  memory side-by-side per tile, tiles mirrored so the two logic dies face
-  each other across the inter-tile channel (the NoC routers that talk to
-  each other live in the logic chiplets).
+* **2.5D technologies** (glass 2.5D, silicon 2.5D, Shinko, APX): memory
+  left of logic in each tile, the tiles' rows stacked so the two logic
+  dies sit one above the other across the inter-tile channel (the NoC
+  routers that talk to each other live in the logic chiplets).
 * **Glass 3D**: each memory die is embedded in the glass cavity directly
   beneath its logic die; only the two logic/memory *stacks* sit side by
   side, shrinking the footprint to 1.84 x 1.02 mm.
@@ -221,11 +221,11 @@ def place_chiplets(spec: InterposerSpec, plans: List[BumpPlan],
 
 def _place_side_by_side(spec: InterposerSpec, lw: float, mw: float,
                         gap: float, num_tiles: int) -> InterposerPlacement:
-    """2.5D arrangement: per tile a logic+memory row; logic dies adjacent.
+    """2.5D arrangement: one memory+logic row per tile, rows stacked.
 
-    Tile 0 occupies the lower half with memory left of logic; tile 1 is
-    mirrored above so the two logic dies face each other across the
-    inter-tile channel (Fig. 10b rotated 90 degrees).
+    Every tile puts memory left of logic, and tile ``t + 1``'s row sits
+    directly above tile ``t``'s, so the logic dies sit one above the
+    other across the inter-tile channel (Fig. 10b rotated 90 degrees).
     """
     m = EDGE_MARGIN_25D_MM
     dies: List[PlacedDie] = []
@@ -233,20 +233,10 @@ def _place_side_by_side(spec: InterposerSpec, lw: float, mw: float,
     width = row_w + 2 * m
     y = m
     for tile in range(num_tiles):
-        if tile % 2 == 0:
-            # Memory on the left, logic on the right.
-            dies.append(PlacedDie(f"tile{tile}_memory", tile, "memory",
-                                  m, y, mw, "top"))
-            dies.append(PlacedDie(f"tile{tile}_logic", tile, "logic",
-                                  m + mw + gap, y, lw, "top"))
-        else:
-            # Mirrored: logic left, memory right — logic dies adjacent
-            # vertically to tile (tile-1)'s logic die... but side-by-side
-            # horizontally we mirror within the row instead.
-            dies.append(PlacedDie(f"tile{tile}_memory", tile, "memory",
-                                  m, y, mw, "top"))
-            dies.append(PlacedDie(f"tile{tile}_logic", tile, "logic",
-                                  m + mw + gap, y, lw, "top"))
+        dies.append(PlacedDie(f"tile{tile}_memory", tile, "memory",
+                              m, y, mw, "top"))
+        dies.append(PlacedDie(f"tile{tile}_logic", tile, "logic",
+                              m + mw + gap, y, lw, "top"))
         y += max(lw, mw) + gap
     height = y - gap + m
     return InterposerPlacement(spec=spec, dies=dies, width_mm=width,

@@ -50,7 +50,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -1508,68 +1508,49 @@ def _manhattan_mm(job) -> float:
     return abs(s[0] - d[0]) + abs(s[1] - d[1])
 
 
-def _routing_problem(placement: InterposerPlacement,
-                     logic_bumps: List[Tuple[float, float]],
-                     memory_bumps: List[Tuple[float, float]],
-                     l2m_signals: int, l2l_signals: int
-                     ) -> Tuple[RoutingGrid, List[RoutedNet],
-                                List[Tuple[str, str, Tuple[float, float],
-                                           Tuple[float, float]]]]:
-    """Shared setup: the grid, pre-routed stacked vias, and the lateral
-    net list (name, kind, src_mm, dst_mm) both router variants consume."""
-    spec = placement.spec
-    if spec.style is IntegrationStyle.TSV_STACK:
-        raise ValueError("silicon 3D has no interposer to route; use the "
-                         "3D interconnect models instead")
-    signal_layers = max(1, spec.metal_layers - 2)  # 2 reserved for PDN
-    grid = RoutingGrid(placement.width_mm, placement.height_mm,
-                       signal_layers, spec.wire_pitch_um,
-                       diagonal=spec.routing is RoutingStyle.DIAGONAL)
-    cap_under = _die_escape_capacity(spec)
-    for die in placement.dies:
-        if die.level == "top":
-            grid.derate_region(die.x_mm, die.y_mm,
-                               die.x_mm + die.width_mm,
-                               die.y_mm + die.width_mm, cap_under)
+class PinLink(NamedTuple):
+    """One bundle of ``count`` nets from die ``die_a`` to die ``die_b``.
 
-    stacked: List[RoutedNet] = []
-    todo: List[Tuple[str, str, Tuple[float, float], Tuple[float, float]]] = []
+    ``kind`` is the net class (``"l2m"``/``"l2l"``) and the nets are
+    named ``<stem>_0`` .. ``<stem>_<count-1>``.
+    """
+
+    die_a: str
+    die_b: str
+    kind: str
+    count: int
+    stem: str
+
+
+def tile_links(placement: InterposerPlacement, l2m_signals: int = 231,
+               l2l_signals: int = 68) -> List[PinLink]:
+    """The paper's link bundles on a tiled logic/memory placement.
+
+    Per tile, ``l2m_signals`` logic-to-memory nets (``t<tile>_l2m_*``);
+    between consecutive tiles, ``l2l_signals`` logic-to-logic nets
+    (``t<a><b>_l2l_*``).  The paper has 231 and 68 (post-SerDes).
+    """
     tiles = sorted({d.tile for d in placement.dies})
-    embedded = spec.style is IntegrationStyle.EMBEDDED_STACK
+    links = [PinLink(placement.die(t, "logic").name,
+                     placement.die(t, "memory").name, "l2m", l2m_signals,
+                     f"t{t}_l2m") for t in tiles]
+    links += [PinLink(placement.die(a, "logic").name,
+                      placement.die(b, "logic").name, "l2l", l2l_signals,
+                      f"t{a}{b}_l2l")
+              for a, b in zip(tiles[:-1], tiles[1:])]
+    return links
 
-    for tile in tiles:
-        logic = placement.die(tile, "logic")
-        memory = placement.die(tile, "memory")
-        if embedded:
-            # Stacked microvias straight down through the RDL.
-            stack_um = (spec.dielectric_thickness_um * spec.metal_layers
-                        + 10.0)
-            for i in range(l2m_signals):
-                stacked.append(RoutedNet(
-                    name=f"t{tile}_l2m_{i}", kind="stacked_via",
-                    length_mm=stack_um / 1000.0,
-                    vias=spec.metal_layers, layers=set()))
-            continue
-        src_sites = _facing_bumps(logic, logic_bumps, l2m_signals,
-                                  memory.center)
-        dst_sites = _facing_bumps(memory, memory_bumps, l2m_signals,
-                                  logic.center)
-        for i, (s, d) in enumerate(_pair_sites(logic, src_sites,
-                                               memory, dst_sites)):
-            todo.append((f"t{tile}_l2m_{i}", "l2m", s, d))
 
-    if len(tiles) >= 2:
-        for a, b in zip(tiles[:-1], tiles[1:]):
-            la = placement.die(a, "logic")
-            lb = placement.die(b, "logic")
-            src_sites = _facing_bumps(la, logic_bumps, l2l_signals,
-                                      lb.center)
-            dst_sites = _facing_bumps(lb, logic_bumps, l2l_signals,
-                                      la.center)
-            for i, (s, d) in enumerate(_pair_sites(la, src_sites,
-                                                   lb, dst_sites)):
-                todo.append((f"t{a}{b}_l2l_{i}", "l2l", s, d))
-    return grid, stacked, todo
+def _tile_problem(placement: InterposerPlacement,
+                  logic_bumps: List[Tuple[float, float]],
+                  memory_bumps: List[Tuple[float, float]],
+                  l2m_signals: int, l2l_signals: int):
+    """:func:`_pin_problem` of the paper's :func:`tile_links`, every die
+    of a kind sharing that kind's bump sites."""
+    pin_map = {d.name: logic_bumps if d.kind == "logic" else memory_bumps
+               for d in placement.dies}
+    return _pin_problem(placement, pin_map,
+                        tile_links(placement, l2m_signals, l2l_signals))
 
 
 def route_interposer(placement: InterposerPlacement,
@@ -1577,11 +1558,12 @@ def route_interposer(placement: InterposerPlacement,
                      memory_bumps: List[Tuple[float, float]],
                      l2m_signals: int = 231,
                      l2l_signals: int = 68) -> InterposerRoute:
-    """Route all chiplet-to-chiplet nets on the interposer.
+    """Route the paper's tile links (:func:`tile_links`) on the interposer.
 
-    Vectorized front end of the router; produces nets, overflow, and
-    layer usage bit-identical to :func:`route_interposer_scalar`, plus a
-    :class:`RouterStats` phase breakdown on the result.
+    The paper-signature form of :func:`route_interposer_pins`; produces
+    nets, overflow, and layer usage bit-identical to
+    :func:`route_interposer_scalar`, plus a :class:`RouterStats` phase
+    breakdown on the result.
 
     Args:
         placement: Die arrangement (must not be a TSV stack).
@@ -1594,10 +1576,8 @@ def route_interposer(placement: InterposerPlacement,
     Returns:
         An :class:`InterposerRoute` with per-net lengths/vias/layers.
     """
-    grid, stacked, todo = _routing_problem(placement, logic_bumps,
-                                           memory_bumps, l2m_signals,
-                                           l2l_signals)
-    return _route_with_grid(placement, grid, stacked, todo)
+    return _route_with_grid(placement, *_tile_problem(
+        placement, logic_bumps, memory_bumps, l2m_signals, l2l_signals))
 
 
 def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
@@ -1605,12 +1585,8 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
                      todo: List[Tuple[str, str, Tuple[float, float],
                                       Tuple[float, float]]]
                      ) -> InterposerRoute:
-    """Vectorized router engine over a prepared problem.
-
-    Shared by the legacy 2-chiplet entry point and the N-chiplet
-    pin-map entry point; the problem is (grid, pre-routed stacked vias,
-    lateral jobs) regardless of how many dies produced it.
-    """
+    """Vectorized router engine over a prepared problem: the grid,
+    pre-routed stacked vias and lateral jobs of :func:`_pin_problem`."""
     stats = RouterStats()
     nx = grid.nx
     plane = grid.ny * nx
@@ -1721,10 +1697,8 @@ def route_interposer_scalar(placement: InterposerPlacement,
     """Golden-reference router: per-cell candidate scoring, per-net
     overflow scans, and the scalar heap A* — the original
     implementation, kept for the equivalence suite."""
-    grid, stacked, todo = _routing_problem(placement, logic_bumps,
-                                           memory_bumps, l2m_signals,
-                                           l2l_signals)
-    return _route_with_grid_scalar(placement, grid, stacked, todo)
+    return _route_with_grid_scalar(placement, *_tile_problem(
+        placement, logic_bumps, memory_bumps, l2m_signals, l2l_signals))
 
 
 def _route_with_grid_scalar(placement: InterposerPlacement,
@@ -1774,31 +1748,23 @@ def _route_with_grid_scalar(placement: InterposerPlacement,
                            overflow_cells=grid.overflow_cells())
 
 
-#: One inter-chiplet bundle: (die_a name, die_b name, net kind, count).
-PinLink = Tuple[str, str, str, int]
-
-
 def _pin_problem(placement: InterposerPlacement,
                  pin_map: Dict[str, List[Tuple[float, float]]],
                  links: Sequence[PinLink]
                  ) -> Tuple[RoutingGrid, List[RoutedNet],
                             List[Tuple[str, str, Tuple[float, float],
                                        Tuple[float, float]]]]:
-    """Build a routing problem from multi-chiplet pin maps.
+    """Build a routing problem from die pin maps and link bundles.
 
-    The N-chiplet twin of :func:`_routing_problem`: instead of the
-    paper's fixed per-tile logic/memory bundles, it takes an explicit
-    die-name → signal-bump-site map plus a list of pairwise link
-    bundles (e.g. from
-    :func:`repro.partition.multiway.pairwise_cut_links`).  Links whose
-    endpoint dies sit at different levels (a die embedded beneath its
-    partner) become pre-routed stacked vias; lateral links become
-    pattern/maze jobs on the same grid the 2-chiplet router uses.  A
-    bundle is capped at the facing signal-site count of its smaller
-    endpoint.
+    Takes a die-name → signal-bump-site map plus pairwise link bundles
+    (the paper's :func:`tile_links`, or the bundles an N-way partition
+    cuts).  Links whose endpoint dies sit at different levels (a die
+    embedded beneath its partner) become pre-routed stacked vias;
+    lateral links become pattern/maze jobs.  A bundle is capped at the
+    facing signal-site count of its smaller endpoint.
 
     Returns:
-        ``(grid, stacked, todo)`` for the shared router engines.
+        ``(grid, stacked, todo)`` for the router engines.
     """
     spec = placement.spec
     if spec.style is IntegrationStyle.TSV_STACK:
@@ -1817,12 +1783,11 @@ def _pin_problem(placement: InterposerPlacement,
 
     stacked: List[RoutedNet] = []
     todo: List[Tuple[str, str, Tuple[float, float], Tuple[float, float]]] = []
-    for name_a, name_b, kind, count in links:
+    for name_a, name_b, kind, count, stem in links:
         if count < 1:
             continue
         die_a = placement.die_by_name(name_a)
         die_b = placement.die_by_name(name_b)
-        prefix = f"c{die_a.tile}_{die_b.tile}_{kind}"
         if die_a.level != die_b.level:
             # Vertically stacked pair: microvias through the RDL, as in
             # the glass 3D design.
@@ -1830,7 +1795,7 @@ def _pin_problem(placement: InterposerPlacement,
                         + 10.0)
             for i in range(count):
                 stacked.append(RoutedNet(
-                    name=f"{prefix}_{i}", kind="stacked_via",
+                    name=f"{stem}_{i}", kind="stacked_via",
                     length_mm=stack_um / 1000.0,
                     vias=spec.metal_layers, layers=set()))
             continue
@@ -1840,24 +1805,25 @@ def _pin_problem(placement: InterposerPlacement,
                                   die_a.center)
         for i, (s, d) in enumerate(_pair_sites(die_a, src_sites,
                                                die_b, dst_sites)):
-            todo.append((f"{prefix}_{i}", kind, s, d))
+            todo.append((f"{stem}_{i}", kind, s, d))
     return grid, stacked, todo
 
 
 def route_interposer_pins(placement: InterposerPlacement,
                           pin_map: Dict[str, List[Tuple[float, float]]],
                           links: Sequence[PinLink]) -> InterposerRoute:
-    """Route arbitrary multi-chiplet link bundles on the interposer.
+    """Route link bundles between any placed dies on the interposer.
 
-    Consumes the pin maps of any :func:`place_chiplets` arrangement
-    through the same vectorized pattern + batched rip-up/reroute engine
-    as :func:`route_interposer` — the grid does not care how many dies
-    feed it.  Bit-identical to :func:`route_interposer_pins_scalar`.
+    The flow's router for every topology: the paper's tile pairs
+    (:func:`tile_links`) or the dies of any :func:`place_chiplets`
+    arrangement go through the same vectorized pattern + batched
+    rip-up/reroute engine.  Bit-identical to
+    :func:`route_interposer_pins_scalar`.
 
     Args:
         placement: Die arrangement (must not be a TSV stack).
         pin_map: die name → die-local signal bump sites (um).
-        links: Pairwise bundles ``(die_a, die_b, kind, count)``.
+        links: The net bundles (:class:`PinLink`).
 
     Returns:
         An :class:`InterposerRoute` with per-net lengths/vias/layers.

@@ -31,6 +31,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..arch.topology import validate_topology
 from ..core.flow import (DesignResult, FlowTaskSpec, OverridesKey,
                          code_version, run_flow_task)
@@ -206,24 +208,38 @@ class ServeResult:
     def canonical(self) -> "ServeResult":
         """The deterministic portion — what the shared store persists.
 
-        Wall time and cache provenance vary run to run, so they are
-        zeroed; everything else is a pure function of the request (and
-        the code version baked into its token).
+        Wall time, cache provenance, and a flow result's record of how
+        its run went (``stage_times``, ``solver_stats``,
+        ``stage_solver_stats`` and the router's phase timers) vary run
+        to run, so they are cleared; everything else is a pure function
+        of the request (and the code version baked into its token).
         """
-        return dataclasses.replace(self, cached=False, wall_s=0.0)
+        result = self.result
+        if result is not None:
+            route = result.route
+            if route is not None and route.stats is not None:
+                route = dataclasses.replace(route, stats=dataclasses.replace(
+                    route.stats, pattern_time_s=0.0, rrr_time_s=0.0,
+                    maze_time_s=0.0))
+            result = dataclasses.replace(
+                result, route=route, stage_times=None, solver_stats=None,
+                stage_solver_stats=None)
+        return dataclasses.replace(self, result=result, cached=False,
+                                   wall_s=0.0)
 
 
 class _CanonicalPickler(pickle._Pickler):
     """Pickler whose output is a pure function of the object's *value*.
 
     Plain ``pickle.dumps`` is not: set iteration order depends on
-    insertion history, and memo-based string sharing depends on object
-    identity — so two value-equal ``DesignResult`` graphs of different
-    provenance (fresh vs. unpickled) serialize differently.  This
-    pickler sorts sets and routes every equal string through one
-    representative, making stored payloads byte-stable: the shared
-    store can promise that served results equal directly evaluated
-    ones byte for byte.
+    insertion history, and memo-based sharing of strings and numpy
+    dtypes depends on object identity — so two value-equal
+    ``DesignResult`` graphs of different provenance (fresh vs.
+    unpickled, where each array carries its own unpickled dtype)
+    serialize differently.  This pickler sorts sets and routes every
+    equal string and every equal dtype through one representative,
+    making stored payloads byte-stable: the shared store can promise
+    that served results equal directly evaluated ones byte for byte.
 
     The pure-Python pickler base is required — the C implementation
     does not consult ``reducer_override`` for builtin containers.
@@ -232,6 +248,7 @@ class _CanonicalPickler(pickle._Pickler):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._strings: Dict[str, str] = {}
+        self._dtypes: Dict[np.dtype, np.dtype] = {}
 
     def reducer_override(self, obj):
         if type(obj) in (set, frozenset):
@@ -244,6 +261,8 @@ class _CanonicalPickler(pickle._Pickler):
     def save(self, obj, save_persistent_id=True):
         if type(obj) is str:
             obj = self._strings.setdefault(obj, obj)
+        elif isinstance(obj, np.dtype):
+            obj = self._dtypes.setdefault(obj, obj)
         return super().save(obj, save_persistent_id)
 
 

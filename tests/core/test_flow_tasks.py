@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import flow
 from repro.core.flow import (FlowBatchError, FlowTaskSpec, clear_cache,
-                             run_design, run_designs, run_flow_task)
+                             run_design, run_designs, run_flow_task,
+                             task_disk_key)
 
 SCALE = 0.01
 SEED = 7
@@ -65,7 +66,8 @@ class TestRunFlowTask:
         b = FlowTaskSpec(design="glass_3d",
                          spec_overrides=(("a", 2.0), ("b", 1.0)))
         assert a == b
-        assert a.cache_key() == b.cache_key()
+        assert hash(a) == hash(b)
+        assert task_disk_key(a) == task_disk_key(b)
 
 
 class TestFrequencyKeysCaches:
@@ -73,8 +75,9 @@ class TestFrequencyKeysCaches:
     cache layer — a frequency sweep must never be served stale hits."""
 
     def test_cache_key_includes_frequency(self):
-        assert cheap_task().cache_key() \
-            != cheap_task(target_frequency_mhz=900.0).cache_key()
+        assert cheap_task() != cheap_task(target_frequency_mhz=900.0)
+        assert task_disk_key(cheap_task()) \
+            != task_disk_key(cheap_task(target_frequency_mhz=900.0))
 
     def test_frequency_misses_memory_cache(self):
         base = run_flow_task(cheap_task())

@@ -1,7 +1,7 @@
 """Vectorized-vs-scalar equivalence of multi-chiplet pin-map routing.
 
-``route_interposer_pins`` feeds arbitrary N-chiplet placements through
-the same vectorized engine the 2-chiplet router uses; its retained
+``route_interposer_pins`` feeds arbitrary N-chiplet placements and
+``PinLink`` bundles through the vectorized engine; its retained
 ``route_interposer_pins_scalar`` golden twin must stay bit-identical —
 same nets, same paths, same overflow counts — across arrangements and
 technologies, exactly like the ``route_interposer`` equivalence gate.
@@ -11,7 +11,7 @@ import pytest
 
 from repro.chiplet.bumps import plan_for_design
 from repro.interposer.placement import place_chiplets
-from repro.interposer.routing import (route_interposer_pins,
+from repro.interposer.routing import (PinLink, route_interposer_pins,
                                       route_interposer_pins_scalar)
 from repro.tech.interposer import IntegrationStyle, get_spec
 
@@ -37,8 +37,10 @@ def _problem(design, n, arrangement):
     for i in range(n):
         j = (i + 1) % n
         kind = "l2m" if kinds[i] != kinds[j] else "l2l"
-        links.append((f"chiplet{i}", f"chiplet{j}", kind, 20 + 5 * i))
-    links.append(("chiplet0", f"chiplet{n // 2}", "l2l", 10))
+        links.append(PinLink(f"chiplet{i}", f"chiplet{j}", kind,
+                             20 + 5 * i, f"c{i}_{j}_{kind}"))
+    links.append(PinLink("chiplet0", f"chiplet{n // 2}", "l2l", 10,
+                         f"c0_{n // 2}_l2l"))
     return placement, pin_map, links
 
 
@@ -92,5 +94,6 @@ def test_tsv_stack_rejected():
     pin_map = {f"chiplet{i}": plans[i].signal_positions()
                for i in range(2)}
     with pytest.raises(ValueError):
-        route_interposer_pins(placement, pin_map,
-                              [("chiplet0", "chiplet1", "l2m", 5)])
+        route_interposer_pins(
+            placement, pin_map,
+            [PinLink("chiplet0", "chiplet1", "l2m", 5, "c0_1_l2m")])

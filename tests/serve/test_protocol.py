@@ -1,10 +1,15 @@
 """Wire-type tests: request canonicalization, tokens, execution."""
 
+import pickle
+
 import pytest
 
-from repro.core.flow import FlowTaskSpec, code_version, run_flow_task
-from repro.serve.protocol import (EvalRequest, execute_request,
-                                  request_for_point)
+from repro.arch.generate import clear_netlist_memo
+from repro.core.flow import (FlowTaskSpec, clear_cache, code_version,
+                             run_flow_task)
+from repro.serve.protocol import (EvalRequest, canonical_dumps,
+                                  execute_request, request_for_point)
+from repro.si import channel
 
 
 class TestEvalRequestCanonicalization:
@@ -91,6 +96,28 @@ class TestExecuteRequest:
         assert out.result.fullchip.total_power_mw == \
             direct.result.fullchip.total_power_mw
         assert out.result.logic.fmax_mhz == direct.result.logic.fmax_mhz
+
+    def test_flow_canonical_is_a_pure_function_of_the_request(
+            self, monkeypatch):
+        # Two fresh evaluations, every cache cleared in between, differ
+        # only in how their runs went; canonical() must drop all of it.
+        # The second reaches canonical_dumps unpickled, as a pool
+        # worker's result reaches the store.
+        monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
+        req = EvalRequest(design="glass_3d", scale=0.012,
+                          with_eyes=False, with_thermal=False)
+        payloads = []
+        for unpickled in (False, True):
+            clear_cache()
+            clear_netlist_memo()
+            channel._CHANNEL_SIM_CACHE.clear()
+            channel._PADS_REF_CACHE.clear()
+            out = execute_request(req)
+            assert out.ok and not out.cached
+            if unpickled:
+                out = pickle.loads(pickle.dumps(out))
+            payloads.append(canonical_dumps(out.canonical()))
+        assert payloads[0] == payloads[1]
 
     def test_error_is_structured_not_raised(self):
         req = EvalRequest(kind="geometry")
