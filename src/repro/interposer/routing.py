@@ -32,19 +32,24 @@ references, which stay available as ``path_cost_scalar``,
   their costs are replayed with ``np.add.accumulate`` over the exact
   increment sequence of the scalar loop instead.
 * The rip-up maze search on Manhattan grids is solved as a *distance
-  field*: one scipy Dijkstra sweep over the A*-reweighted edge graph
-  (edge ``w' = w + h(v) - h(u)``, non-negative because the Manhattan
-  heuristic is consistent), restricted to a y-window + cost ``limit``
-  derived from the ripped net's old-path cost.  The A* path *and* its
-  expansion count are reconstructed exactly from the distance field
-  (see :class:`_DistanceFieldOracle`), so results — including node-budget
-  exhaustion — are bit-identical to the scalar A*.  Any anomaly falls
-  back to the scalar search.
+  field*: one Dijkstra sweep over the A*-reweighted edge graph (edge
+  ``w' = w + h(v) - h(u)``, non-negative because the Manhattan
+  heuristic is consistent), run by the compiled dial kernel of
+  :mod:`repro.interposer._mazekernel` (scipy's Dijkstra, windowed by a
+  cost ``limit`` from the ripped net's old-path cost, when no compiler
+  is available).  The A* path *and* its expansion count are
+  reconstructed exactly from the distance field (see
+  :class:`_DistanceFieldOracle`), so results — including node-budget
+  exhaustion — are bit-identical to the scalar A*.
+* Every other maze search — diagonal (organic) grids, and Manhattan
+  grids whose cost constants are not integers — runs the scalar A*
+  ported to C (``maze_astar`` in the same kernel), which pops the same
+  states in the same order and so returns the same path and expansion
+  count.  Only a machine without a C compiler runs the scalar A* itself.
 """
 
 from __future__ import annotations
 
-import ctypes
 import heapq
 import logging
 import math
@@ -82,11 +87,6 @@ MAZE_NODE_BUDGET = 120000
 #: Maximum rip-up/reroute passes.
 RRR_ROUNDS = 2
 
-#: State-count ceiling for the numpy wavefront engine on diagonal
-#: grids; larger grids keep the scalar A*, whose search ellipse beats
-#: full-grid relaxation passes.
-WAVEFRONT_MAX_STATES = 20000
-
 
 def _integer_costs() -> bool:
     """Whether the cost constants are integer-valued (enables the
@@ -109,9 +109,13 @@ class RouterStats:
             up in both RRR rounds counts twice).
         rrr_rounds: Rip-up/reroute rounds that found victims.
         maze_calls: Maze searches issued (== ``nets_rerouted``).
-        maze_nodes: Total A* node expansions across maze searches (as
-            reported by the distance-field engine; scalar-engine calls
-            contribute 0).
+        maze_nodes: Total A* node expansions across maze searches, on
+            Manhattan and organic grids alike.  A call that exhausts its
+            node budget counts more than the budget: ``max_nodes + 1``
+            (the pops the compiled A* made before it stopped) or the
+            full count the distance-field oracle predicted.  Only the
+            scalar A*, which runs when no C compiler is available,
+            contributes 0.
         maze_fallbacks: Reroutes whose maze search failed (node budget
             exhausted or no path) so the net kept its overflowing
             pattern route — previously swallowed silently.
@@ -122,7 +126,8 @@ class RouterStats:
             after validating it against the occupancy-flip log — the
             shared-field reuse path.
         maze_nodes_per_call_p50: Median A* expansion count per maze
-            call (cached calls report their stored count).
+            call, organic grids included (cached calls report their
+            stored count).
         maze_nodes_per_call_p99: 99th-percentile expansion count per
             maze call.
     """
@@ -280,6 +285,11 @@ class RoutingGrid:
                                 dtype=np.int32)
         self.occupancy = np.zeros_like(self.capacity)
         self._oracle: Optional[_DistanceFieldOracle] = None
+        # Scratch arrays of the compiled A* and their addresses, made
+        # on its first call (see _maze_astar); a kernel failure is
+        # logged once per grid.
+        self._astar_buf: Optional[Tuple[tuple, List[int]]] = None
+        self._astar_failure_logged = False
 
     # ------------------------------------------------------------------ #
     # Setup.
@@ -630,10 +640,12 @@ class RoutingGrid:
         On Manhattan grids with integer cost constants the search is
         solved by the distance-field engine (:class:`_DistanceFieldOracle`),
         windowed by ``cost_ub`` — a known upper bound on the optimal path
-        cost, e.g. the cost of the path the net held before rip-up.  The
-        result (path, or ``None`` on node-budget exhaustion) is
-        bit-identical to :meth:`maze_route_scalar`; diagonal grids and
-        any engine anomaly fall back to the scalar search.
+        cost, e.g. the cost of the path the net held before rip-up.  All
+        other searches (diagonal grids, non-integer costs) run the
+        compiled port of the scalar A*; without a C compiler, or if the
+        compiled search fails, the scalar A* itself.  The result (path,
+        or ``None`` on node-budget exhaustion) is bit-identical to
+        :meth:`maze_route_scalar` on every engine.
         """
         path, _nodes, _engine = self._maze_route_info(src, dst, max_nodes,
                                                       cost_ub)
@@ -644,7 +656,11 @@ class RoutingGrid:
                          cost_ub: Optional[float] = None
                          ) -> Tuple[Optional[List[Tuple[int, int, int]]],
                                     int, str]:
-        """:meth:`maze_route` plus (node count, engine) for stats."""
+        """:meth:`maze_route` plus (node count, engine) for stats.
+
+        The engine is ``"oracle"``, ``"astar"`` (the compiled A*) or
+        ``"scalar"``; the scalar A* reports 0 nodes.
+        """
         if _HAVE_SCIPY and not self.diagonal and _integer_costs():
             oracle = self._oracle
             if oracle is None or not oracle.valid():
@@ -655,140 +671,58 @@ class RoutingGrid:
             except Exception:  # pragma: no cover — safety fallback
                 _LOG.exception("distance-field maze engine failed; "
                                "falling back to scalar A*")
-        if (self.diagonal and VIA_COST >= 0 and OVERFLOW_COST >= 0
-                and self.layers * self.ny * self.nx
-                <= WAVEFRONT_MAX_STATES):
+        kernel = _load_maze_kernel()
+        if kernel is not None:
             try:
-                path, nodes = self._maze_wavefront(src, dst, max_nodes)
-                return path, nodes, "wavefront"
-            except Exception:  # pragma: no cover — safety fallback
-                _LOG.exception("wavefront maze engine failed; "
-                               "falling back to scalar A*")
+                path, nodes = self._maze_astar(kernel, src, dst, max_nodes)
+                return path, nodes, "astar"
+            except RuntimeError as exc:
+                if not self._astar_failure_logged:
+                    self._astar_failure_logged = True
+                    _LOG.warning("%s; falling back to scalar A*", exc)
         return self.maze_route_scalar(src, dst, max_nodes), 0, "scalar"
 
-    def _maze_wavefront(self, src: Tuple[int, int], dst: Tuple[int, int],
-                        max_nodes: int
-                        ) -> Tuple[Optional[List[Tuple[int, int, int]]],
-                                   int]:
-        """Numpy-frontier wavefront maze search for diagonal grids.
+    def _maze_astar(self, kernel, src: Tuple[int, int],
+                    dst: Tuple[int, int], max_nodes: int
+                    ) -> Tuple[Optional[List[Tuple[int, int, int]]], int]:
+        """:meth:`maze_route_scalar` run by the compiled ``maze_astar``.
 
-        Synchronous Bellman-Ford relaxation passes over dense
-        ``(layer, y, x)`` arrays until the distance field reaches its
-        fixpoint.  Both this and the scalar Dijkstra compute, per state,
-        the *minimum over all paths of the left-to-right float path
-        sum* (Dijkstra by the greedy argument — float addition of
-        non-negative weights is monotone — and Bellman-Ford by
-        definition of its fixpoint), so the fields agree bit for bit
-        and the scalar A*'s result can be reconstructed from the field
-        exactly, the same way the Manhattan oracle does it.
+        Returns (path or ``None``, expansions); raises ``RuntimeError``
+        when the kernel reports a failure.  The kernel's scratch arrays
+        live on the grid and come back reset from every call.
         """
         sy, sx = src
         ty, tx = dst
-        L, ny, nx = self.layers, self.ny, self.nx
-        over = self.occupancy >= self.capacity
-        sq2 = math.sqrt(2.0)
-        # Entering-cost per cell and move class, matching the scalar
-        # search's ``step + over_cost`` evaluation order exactly.
-        w_card = np.where(over, 1.0 + OVERFLOW_COST, 1.0)
-        w_diag = np.where(over, sq2 + OVERFLOW_COST, sq2)
-        w_via = np.where(over, VIA_COST + OVERFLOW_COST,
-                         float(VIA_COST))
-        dist = np.full((L, ny, nx), np.inf)
-        dist[0, sy, sx] = 0.0
-        lateral = (((0, 1), w_card), ((0, -1), w_card),
-                   ((1, 0), w_card), ((-1, 0), w_card),
-                   ((1, 1), w_diag), ((1, -1), w_diag),
-                   ((-1, 1), w_diag), ((-1, -1), w_diag))
-
-        def _shift(dy: int, dx: int):
-            """dest/src slicing index pairs for a (dy, dx) move."""
-            d_y = slice(max(dy, 0), ny + min(dy, 0))
-            s_y = slice(max(-dy, 0), ny + min(-dy, 0))
-            d_x = slice(max(dx, 0), nx + min(dx, 0))
-            s_x = slice(max(-dx, 0), nx + min(-dx, 0))
-            return (slice(None), d_y, d_x), (slice(None), s_y, s_x)
-
-        slices = [(_shift(dy, dx), w) for (dy, dx), w in lateral]
-        for _ in range(L * ny * nx + 2):
-            nd = dist.copy()
-            for (di, si), w in slices:
-                np.minimum(nd[di], dist[si] + w[di], out=nd[di])
-            if L > 1:
-                np.minimum(nd[1:], dist[:-1] + w_via[1:], out=nd[1:])
-                np.minimum(nd[:-1], dist[1:] + w_via[:-1], out=nd[:-1])
-            if np.array_equal(nd, dist):
-                break
-            dist = nd
-        else:  # pragma: no cover — fixpoint is reached within n passes
-            raise RuntimeError("wavefront did not converge")
-
-        s = dist[0, ty, tx]
-        if not np.isfinite(s):
-            return None, 0
-        yy, xx = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-        ay = np.abs(yy - ty)
-        ax = np.abs(xx - tx)
-        h = np.maximum(ay, ax) + 0.41421 * np.minimum(ay, ax)
-        f = dist + h[None, :, :]
-        # Expansions: pops strictly keyed before the goal, plus the goal.
-        # Key is (f, g, flat index); f == s ties with g == s have h == 0,
-        # i.e. the goal column, where the goal (layer 0) pops first.
-        n_before = (int(np.count_nonzero(f < s))
-                    + int(np.count_nonzero(f == s))
-                    - int(np.count_nonzero(f[:, ty, tx] == s)))
-        expansions = n_before + 1
-        if expansions > max_nodes:
-            return None, expansions
-        return self._wavefront_reconstruct(dist, h, over, sy, sx, ty,
-                                           tx), expansions
-
-    def _wavefront_reconstruct(self, dist: np.ndarray, h: np.ndarray,
-                               over: np.ndarray, sy: int, sx: int,
-                               ty: int, tx: int
-                               ) -> List[Tuple[int, int, int]]:
-        """Walk the wavefront field backwards along scalar prev links.
-
-        Among parents ``p`` with ``D[p] + w(p, cur) == D[cur]`` (exact
-        float compare — both sides are the same left-to-right path sum)
-        the scalar A*'s ``prev`` is the one finalized earliest, i.e.
-        with the smallest pop key ``(f, g, flat index)``.
-        """
-        L, ny, nx = self.layers, self.ny, self.nx
-        plane = ny * nx
-        sq2 = math.sqrt(2.0)
-        cl, cy, cx = 0, ty, tx
-        rev = [(0, ty, tx)]
-        while (cl, cy, cx) != (0, sy, sx):
-            enter = OVERFLOW_COST if over[cl, cy, cx] else 0.0
-            target = dist[cl, cy, cx]
-            cand = []
-            for dy, dx in ((0, 1), (0, -1), (1, 0), (-1, 0),
-                           (1, 1), (1, -1), (-1, 1), (-1, -1)):
-                py, px = cy - dy, cx - dx
-                if 0 <= py < ny and 0 <= px < nx:
-                    step = sq2 if (dy and dx) else 1.0
-                    cand.append((cl, py, px, step + enter))
-            if cl > 0:
-                cand.append((cl - 1, cy, cx, VIA_COST + enter))
-            if cl < L - 1:
-                cand.append((cl + 1, cy, cx, VIA_COST + enter))
-            best_key = None
-            best = None
-            for pl, py, px, w in cand:
-                dp = dist[pl, py, px]
-                if np.isfinite(dp) and dp + w == target:
-                    key = (dp + h[py, px], dp,
-                           pl * plane + py * nx + px)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (pl, py, px)
-            if best is None:
-                raise RuntimeError("wavefront reconstruction found no "
-                                   "optimal parent")
-            cl, cy, cx = best
-            rev.append(best)
-        rev.reverse()
-        return rev
+        ny, nx = self.ny, self.nx
+        if not (0 <= sy < ny and 0 <= sx < nx
+                and 0 <= ty < ny and 0 <= tx < nx):
+            raise ValueError(f"maze endpoints {src}, {dst} lie outside "
+                             f"the {ny}x{nx} grid")
+        if self._astar_buf is None:
+            n = self.layers * ny * nx
+            arrays = (np.empty(self.capacity.shape, dtype=bool),  # over
+                      np.full(n, np.inf),                      # dist
+                      np.full(n, -1, dtype=np.int32),          # prev
+                      np.zeros(n, dtype=np.uint8),             # visited
+                      np.empty(n, dtype=np.int32),             # touched
+                      np.empty(n, dtype=np.int32),             # path
+                      np.zeros(2, dtype=np.int64))             # out
+            self._astar_buf = (arrays, [a.ctypes.data for a in arrays])
+        (over, _dist, _prev, _visited, _touched, chain, out), addr = \
+            self._astar_buf
+        np.greater_equal(self.occupancy, self.capacity, out=over)
+        status = kernel.astar(
+            addr[0], addr[1], addr[2], addr[3], addr[4],
+            self.layers, ny, nx, self.diagonal,
+            int(sy), int(sx), int(ty), int(tx), max_nodes,
+            VIA_COST, OVERFLOW_COST, math.sqrt(2.0), addr[5], addr[6])
+        if status < 0:
+            raise RuntimeError(f"compiled maze A* failed (code {status})")
+        if status == 0:
+            return None, int(out[0])
+        l, rem = np.divmod(chain[:out[1]], ny * nx)
+        y, x = np.divmod(rem, nx)
+        return list(zip(l.tolist(), y.tolist(), x.tolist())), int(out[0])
 
     def maze_route_scalar(self, src: Tuple[int, int],
                           dst: Tuple[int, int],
@@ -1344,18 +1278,13 @@ class _DistanceFieldOracle:
     def _kernel_sweep(self, start: int, ty: int, tx: int
                       ) -> Tuple[int, int]:
         """One dial-Dijkstra sweep; returns (goal distance, finalized)."""
-        i32p = ctypes.POINTER(ctypes.c_int32)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
-        self._kernel(
-            self.over.view(np.uint8).ctypes.data_as(u8p),
-            self._kdist.ctypes.data_as(i32p),
-            self._kdone.ctypes.data_as(u8p),
-            self._knxt.ctypes.data_as(i32p),
-            self._kprv.ctypes.data_as(i32p),
-            self._ktouched.ctypes.data_as(i32p),
+        self._kernel.dial(
+            self.over.ctypes.data, self._kdist.ctypes.data,
+            self._kdone.ctypes.data, self._knxt.ctypes.data,
+            self._kprv.ctypes.data, self._ktouched.ctypes.data,
             self._nt_prev, self.n, self.L, self.ny, self.nx,
             start, ty, tx, self.via, self.over_cost,
-            self._kout.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)))
+            self._kout.ctypes.data)
         self._nt_prev = int(self._kout[2])
         return int(self._kout[0]), int(self._kout[1])
 

@@ -1,4 +1,4 @@
-"""Batched maze engine: dial kernel, field cache, wavefront fallback.
+"""Maze engines: dial kernel, field cache, compiled A*, compile gate.
 
 Property tests for the PR that retired the maze-routing hot spot:
 
@@ -10,12 +10,16 @@ Property tests for the PR that retired the maze-routing hot spot:
 * the per-(src, dst) distance-field result cache must answer repeat
   calls without a fresh sweep (``fields_patched``), and must invalidate
   when overflow flags inside the cached bounding box change;
-* the numpy wavefront engine must serve small diagonal grids and match
-  the scalar search exactly;
-* with ``REPRO_NO_CCOMPILE=1`` the kernel must refuse to load and the
-  scipy fallback chain must still be bit-identical.
+* the compiled A* must serve every diagonal grid and every grid with
+  non-integer cost constants, and match the scalar search exactly —
+  path, expansion count and node-budget exhaustion — across calls that
+  reuse its scratch arrays;
+* with ``REPRO_NO_CCOMPILE=1`` the kernel must refuse to load, silently,
+  and the scipy / scalar fallback chain must still be bit-identical; a
+  kernel that fails to build must say so once.
 """
 
+import logging
 import random
 
 import numpy as np
@@ -180,49 +184,120 @@ class TestFieldCache:
         assert oracle.fields_patched == 1
 
 
-class TestWavefront:
-    """Numpy-frontier wavefront engine for small diagonal grids."""
+class TestAstarKernel:
+    """The compiled port of the scalar A* vs the scalar reference."""
 
-    def test_wavefront_selected_and_identical(self):
+    @pytest.fixture(autouse=True)
+    def _need_kernel(self):
+        if mazekernel.load_kernel() is None:
+            pytest.skip("no C compiler available — kernel path untestable")
+
+    def test_astar_selected_on_diagonal_grids(self):
         rng = random.Random(500)
-        engines = set()
         for _ in range(20):
             g = _random_grid(rng, diagonal=True, layers=rng.choice([1, 2]))
-            if g.layers * g.ny * g.nx > routing.WAVEFRONT_MAX_STATES:
-                continue
             src, dst = _random_pair(rng, g)
             path, _nodes, engine = g._maze_route_info(
                 src, dst, routing.MAZE_NODE_BUDGET)
-            engines.add(engine)
+            assert engine == "astar"
             assert path == g.maze_route_scalar(src, dst)
-        assert engines == {"wavefront"}
 
-    def test_wavefront_budget_exhaustion_matches_scalar(self):
-        rng = random.Random(501)
-        hits = 0
-        for _ in range(15):
-            g = _random_grid(rng, diagonal=True, layers=1)
-            if g.layers * g.ny * g.nx > routing.WAVEFRONT_MAX_STATES:
-                continue
-            src, dst = _random_pair(rng, g)
-            for budget in (1, 64):
-                a = g.maze_route(src, dst, max_nodes=budget)
-                b = g.maze_route_scalar(src, dst, max_nodes=budget)
-                assert a == b
-                hits += a is None
-        assert hits > 0
-
-    def test_oversized_diagonal_grid_uses_scalar(self):
+    def test_oversized_diagonal_grid_uses_kernel(self):
         g = RoutingGrid(2.0, 2.0, layers=4, wire_pitch_um=4.0,
                         diagonal=True)
-        assert g.layers * g.ny * g.nx > routing.WAVEFRONT_MAX_STATES
-        _path, _nodes, engine = g._maze_route_info(
+        path, _nodes, engine = g._maze_route_info(
             (1, 1), (5, 5), routing.MAZE_NODE_BUDGET)
-        assert engine == "scalar"
+        assert engine == "astar"
+        assert path == g.maze_route_scalar((1, 1), (5, 5))
+
+    def test_budgets_match_scalar_on_random_diagonal_grids(self):
+        rng = random.Random(501)
+        hits = 0
+        for _ in range(24):
+            g = _random_grid(rng, diagonal=True, layers=rng.randint(1, 6))
+            src, dst = _random_pair(rng, g)
+            for budget in (1, 64, 500):
+                path, _nodes, engine = g._maze_route_info(src, dst, budget)
+                assert engine == "astar"
+                assert path == g.maze_route_scalar(src, dst,
+                                                   max_nodes=budget)
+                hits += path is None
+        assert hits > 0
+
+    def test_occupancy_flip_sequences(self):
+        """The kernel's dist/prev/visited scratch lives on the grid and
+        is reset through a touched list; a stale reset would corrupt
+        the next call after the congestion changes."""
+        rng = random.Random(502)
+        for _ in range(4):
+            g = _random_grid(rng, diagonal=True)
+            pairs = [_random_pair(rng, g) for _ in range(4)]
+            for step in range(5):
+                for src, dst in pairs:
+                    assert g.maze_route(src, dst) \
+                        == g.maze_route_scalar(src, dst), (
+                            f"diverged after {step} flip batches")
+                _flip_cells(rng, g, rng.randrange(1, 40))
+
+    @pytest.mark.parametrize("diagonal", [True, False])
+    @pytest.mark.parametrize("via, over", [(2.5, 7.25), (3, 0.5)])
+    def test_non_integer_costs(self, monkeypatch, diagonal, via, over):
+        """Non-integer costs take Manhattan grids off the oracle too."""
+        monkeypatch.setattr(routing, "VIA_COST", via)
+        monkeypatch.setattr(routing, "OVERFLOW_COST", over)
+        rng = random.Random(503)
+        for _ in range(10):
+            g = _random_grid(rng, diagonal=diagonal)
+            src, dst = _random_pair(rng, g)
+            path, _nodes, engine = g._maze_route_info(
+                src, dst, routing.MAZE_NODE_BUDGET)
+            assert engine == "astar"
+            assert path == g.maze_route_scalar(src, dst)
+
+    def test_expansion_count_is_exact(self):
+        """The reported count is the scalar search's: with exactly that
+        budget it succeeds, with one less it gives up — and the kernel
+        then reports the budget plus the pop that exceeded it."""
+        rng = random.Random(504)
+        checked = 0
+        for _ in range(20):
+            g = _random_grid(rng, diagonal=True)
+            src, dst = _random_pair(rng, g)
+            path, nodes, _engine = g._maze_route_info(
+                src, dst, routing.MAZE_NODE_BUDGET)
+            if path is None or nodes < 2:
+                continue
+            assert g.maze_route_scalar(src, dst, max_nodes=nodes) == path
+            assert g.maze_route_scalar(src, dst,
+                                       max_nodes=nodes - 1) is None
+            assert g._maze_route_info(src, dst, nodes - 1)[:2] \
+                == (None, nodes)
+            checked += 1
+        assert checked > 10
+
+    def test_kernel_failure_falls_back_to_scalar(self, monkeypatch,
+                                                 caplog):
+        """An error code from the kernel (heap allocation failure) is
+        logged once per grid and the search reruns on the scalar A*."""
+        kernel = mazekernel.load_kernel()
+        failing = kernel._replace(astar=lambda *args: -1)
+        monkeypatch.setattr(routing, "_load_maze_kernel", lambda: failing)
+        rng = random.Random(505)
+        g = _random_grid(rng, diagonal=True)
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.interposer.routing"):
+            for _ in range(3):
+                src, dst = _random_pair(rng, g)
+                path, nodes, engine = g._maze_route_info(
+                    src, dst, routing.MAZE_NODE_BUDGET)
+                assert (engine, nodes) == ("scalar", 0)
+                assert path == g.maze_route_scalar(src, dst)
+        assert len(caplog.records) == 1
 
 
 class TestCompileGate:
-    """``REPRO_NO_CCOMPILE`` must pin the scipy fallback chain."""
+    """``REPRO_NO_CCOMPILE`` must pin the scipy / scalar fallback chain,
+    and an accidental build failure must not pass silently."""
 
     @pytest.fixture
     def no_ccompile(self, monkeypatch):
@@ -231,8 +306,42 @@ class TestCompileGate:
         yield
         mazekernel._reset_for_tests()  # let later tests re-load it
 
-    def test_kernel_refuses_to_load(self, no_ccompile):
-        assert mazekernel.load_kernel() is None
+    def test_kernel_refuses_to_load(self, no_ccompile, caplog):
+        with caplog.at_level(logging.DEBUG, logger=mazekernel.__name__):
+            assert mazekernel.load_kernel() is None
+        assert not caplog.records  # a deliberate fallback is silent
+
+    def test_failed_compile_warns_once(self, monkeypatch, caplog):
+        monkeypatch.delenv(mazekernel.ENV_DISABLE, raising=False)
+        monkeypatch.setenv("CC", "/nonexistent")
+        mazekernel._reset_for_tests()
+        try:
+            with caplog.at_level(logging.WARNING,
+                                 logger=mazekernel.__name__):
+                assert mazekernel.load_kernel() is None
+                assert mazekernel.load_kernel() is None  # memoized
+        finally:
+            mazekernel._reset_for_tests()
+        assert len(caplog.records) == 1
+        assert "/nonexistent" in caplog.records[0].getMessage()
+
+    def test_object_path_keys_on_compiler_and_flags(self, monkeypatch):
+        paths = {mazekernel._object_path("gcc"),
+                 mazekernel._object_path("clang")}
+        monkeypatch.setattr(mazekernel, "_FLAGS",
+                            mazekernel._FLAGS + ("-g",))
+        paths.add(mazekernel._object_path("gcc"))
+        assert len(paths) == 3
+
+    def test_diagonal_grids_fall_back_to_scalar(self, no_ccompile):
+        rng = random.Random(506)
+        for _ in range(6):
+            g = _random_grid(rng, diagonal=True)
+            src, dst = _random_pair(rng, g)
+            path, nodes, engine = g._maze_route_info(
+                src, dst, routing.MAZE_NODE_BUDGET)
+            assert (engine, nodes) == ("scalar", 0)
+            assert path == g.maze_route_scalar(src, dst)
 
     def test_scipy_fallback_is_identical(self, no_ccompile):
         rng = random.Random(321)

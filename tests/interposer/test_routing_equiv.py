@@ -13,6 +13,7 @@ import random
 import numpy as np
 import pytest
 
+import repro.interposer._mazekernel as mazekernel
 import repro.interposer.routing as routing
 from repro.chiplet.bumps import plan_for_design
 from repro.interposer.placement import place_dies
@@ -80,6 +81,24 @@ class TestRouteEquivalence:
         design, vec, _ = pair
         if design in ("glass_25d", "glass_3d", "apx", "shinko"):
             assert vec.stats.nets_rerouted > 0
+
+    @pytest.mark.parametrize("design", ["apx", "shinko"])
+    def test_organic_designs_never_run_scalar_maze(self, design,
+                                                   monkeypatch):
+        """The organic (diagonal) interposers reroute on the compiled
+        A*, which also makes their maze work visible in the stats."""
+        if mazekernel.load_kernel() is None:
+            pytest.skip("no C compiler available")
+
+        def _refuse(*_args, **_kwargs):
+            raise AssertionError("scalar A* ran in the production router")
+
+        monkeypatch.setattr(RoutingGrid, "maze_route_scalar", _refuse)
+        placement, lb, mb = _problem(design)
+        vec = route_interposer(placement, lb, mb,
+                               l2m_signals=L2M, l2l_signals=L2L)
+        assert vec.stats.maze_calls > 0
+        assert vec.stats.maze_nodes > 0
 
     def test_silicon_3d_raises_in_both(self):
         placement, lb, mb = _problem("silicon_3d")
