@@ -39,8 +39,8 @@ _LOG = logging.getLogger(__name__)
 #: squares.  ``transient_factorizations``/``transient_solves`` are the
 #: same two quantities for the trapezoidal transient engine (see
 #: :class:`repro.circuit.transient.TransientBlockFactor`): one cached
-#: companion-matrix LU per (topology, dt), one solve per (block,
-#: column) back-substitution per step.  Flows call
+#: companion-matrix LU per (topology, dt), one solve per
+#: right-hand-side column back-substitution per step.  Flows call
 #: :func:`reset_solver_counters` per run and snapshot the totals into
 #: their diagnostics.
 SOLVER_COUNTERS: Dict[str, int] = {

@@ -12,36 +12,23 @@ Companion models (trapezoidal):
 * Inductor:  ``(v1-v2)_new - (2L/dt) i_new = -(2L/dt) i_old - v_old``,
   with mutual terms ``-(2M/dt)`` coupling branch currents.
 
-The default engine is fully vectorized: the companion matrix comes from
-the cached :class:`~repro.circuit.mna.CircuitStamps` structure
-(``G + (2/dt) B``), source waveforms are sampled over the whole time
-grid up front, the per-step RHS is built from precomputed sparse
-incidence matrices, the state update is pure array arithmetic, and
-recording is fancy indexing.  A straightforward per-element reference
-implementation is kept as :func:`simulate_scalar`; equivalence between
-the two is covered by golden tests.
+The engine is fully vectorized: the companion matrix comes from the
+cached :class:`~repro.circuit.mna.CircuitStamps` structure
+(``G + (2/dt) B``) and is factored once per (topology, dt)
+(:class:`TransientBlockFactor`), source waveforms are sampled over the
+whole time grid up front, the per-step RHS is built from precomputed
+sparse incidence matrices, the state update is pure array arithmetic,
+and recording is fancy indexing.  The test suite keeps a
+straightforward per-element reference implementation
+(``tests/oracles``) and pins the two together at 1e-9.
 
-Three batching layers sit on top of the single-circuit engine:
-
-* :class:`TransientBlockFactor` — one dense LU covering the companion
-  matrices of several circuits at one timestep (the transient twin of
-  :class:`~repro.circuit.mna.AcBlockFactor`).
-* :func:`simulate_batch` — steps any number of circuits through one
-  shared block LU: one factorization and one multi-block
-  back-substitution per step instead of one factorization per circuit.
-  A batch of one is operation-for-operation the historical
-  single-circuit loop (bit-identical); larger batches agree with
-  per-circuit runs to machine precision but not bitwise — LAPACK
-  selects different kernel blockings for different system sizes — so
-  callers that pin byte-stable outputs (the flow's channel stage, the
-  sweep stores) must keep using per-circuit :func:`simulate`.
-* :func:`pulse_response_bank` — for a linear circuit, one multi-column
-  run computes every source's Kronecker-delta response and unit-DC-init
-  relaxation response; :meth:`PulseResponseBank.synthesize` then
-  reconstructs the response to *arbitrary* source waveforms by discrete
-  convolution, with no further stepping.  Banks are cached on the
-  circuit's stamp structure keyed by (dt, recorded nodes), exactly like
-  the AC block factors.
+:func:`pulse_response_bank` sits on top of the stepping engine: for a
+linear circuit, one multi-column run computes every source's
+Kronecker-delta response and unit-DC-init relaxation response;
+:meth:`PulseResponseBank.synthesize` then reconstructs the response to
+*arbitrary* source waveforms by discrete convolution, with no further
+stepping.  Banks are cached on the circuit's stamp structure keyed by
+(dt, recorded nodes), exactly like the AC block factors.
 
 Transient LU factorizations and per-step back-substitutions are counted
 under ``transient_factorizations``/``transient_solves`` in
@@ -53,15 +40,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg
 import scipy.signal
 
 from .elements import Circuit
-from .mna import (SOLVER_COUNTERS, CircuitStamps, MnaStructure, Solution,
-                  _robust_solve, _stamp_conductance, assemble_dc)
+from .mna import SOLVER_COUNTERS, CircuitStamps, MnaStructure, _robust_solve
 
 
 @dataclass
@@ -144,44 +130,25 @@ def circuit_is_linear(circuit: Circuit) -> bool:
 
 
 class TransientBlockFactor:
-    """One dense LU covering the trapezoidal systems of several circuits.
+    """The LU of one circuit's trapezoidal companion matrix at one dt.
 
     The transient twin of :class:`~repro.circuit.mna.AcBlockFactor`:
-    the companion matrices ``G_i + (2/dt) B_i`` of all circuits are
-    stacked block-diagonally and factored once, so a batch of channels
-    sharing one timestep pays one factorization and one multi-block
-    back-substitution per step.  Partial pivoting never crosses a block
-    boundary (the off-block candidates are exactly zero), so each
-    block's solution matches a per-circuit solve to machine precision —
-    but not bitwise, because LAPACK picks different kernel blockings
-    for different system sizes.  Byte-stability-pinned callers stay on
-    per-circuit solves; equivalence is covered at 1e-9 by tests.
-
-    Single-circuit factors are cached per (topology, dt) through
-    :func:`transient_block_factor`; multi-circuit factors are built per
-    batch.
+    ``G + (2/dt) B`` from the circuit's :class:`CircuitStamps`, factored
+    once and shared by every transient run of that topology at that
+    timestep (see :func:`transient_block_factor`).
     """
 
-    def __init__(self, stamps_list: Sequence[CircuitStamps], dt: float):
-        if not stamps_list:
-            raise ValueError("need at least one circuit to factor")
+    def __init__(self, stamps: CircuitStamps, dt: float):
         self.dt = float(dt)
-        self.sizes = [s.structure.size for s in stamps_list]
-        self.n_blocks = len(stamps_list)
-        if self.n_blocks == 1:
-            A = stamps_list[0].transient_matrix(dt)
-        else:
-            A = scipy.linalg.block_diag(
-                *[s.transient_matrix(dt) for s in stamps_list])
         #: Raw ``lu_factor`` pair for hot loops that bulk-count solves.
-        self.lu = scipy.linalg.lu_factor(A)
+        self.lu = scipy.linalg.lu_factor(stamps.transient_matrix(dt))
         SOLVER_COUNTERS["transient_factorizations"] += 1
 
     def solve(self, Z: np.ndarray) -> np.ndarray:
-        """Back-substitute stacked right-hand sides (counts per block)."""
+        """Back-substitute right-hand sides (counts one per column)."""
         x = scipy.linalg.lu_solve(self.lu, Z)
         n_rhs = 1 if Z.ndim == 1 else Z.shape[1]
-        SOLVER_COUNTERS["transient_solves"] += self.n_blocks * n_rhs
+        SOLVER_COUNTERS["transient_solves"] += n_rhs
         return x
 
 
@@ -201,168 +168,9 @@ def transient_block_factor(circuit: Circuit,
     key = np.float64(dt).tobytes()
     hit = stamps._transient_factors.get(key)
     if hit is None:
-        hit = TransientBlockFactor([stamps], dt)
+        hit = TransientBlockFactor(stamps, dt)
         stamps._transient_factors[key] = hit
     return hit
-
-
-class _TransientSystem:
-    """Per-circuit stepping state inside a (possibly batched) run.
-
-    Holds exactly the arrays the single-circuit vectorized engine used,
-    so the one-circuit batch is operation-for-operation identical to
-    the historical ``simulate`` loop.
-    """
-
-    def __init__(self, circuit: Circuit, dt: float, steps: int,
-                 record: Optional[Sequence[str]],
-                 record_currents: Optional[Sequence[str]],
-                 use_ic: bool):
-        stamps = CircuitStamps.of(circuit)
-        st = stamps.structure
-        if st.size == 0:
-            raise ValueError("cannot simulate an empty circuit")
-        self.stamps = stamps
-        self.size = st.size
-        self.n_cap = len(circuit.capacitors)
-        self.n_ind = len(circuit.inductors)
-        self.n_vsrc = len(circuit.vsources)
-        self.n_isrc = len(circuit.isources)
-
-        # Batched source sampling over the full time grid.
-        times = np.arange(steps) * dt
-        self.vsrc_samples = stamps.sample_waveforms(stamps.vsrc_waves,
-                                                    times)
-        self.isrc_samples = (stamps.sample_waveforms(stamps.isrc_waves,
-                                                     times)
-                             if self.n_isrc else None)
-
-        # Initial state.
-        if use_ic:
-            x = _robust_solve(stamps.dc_matrix(), stamps.source_rhs(0.0))
-        else:
-            x = np.zeros(self.size)
-        self.cap_g = 2.0 * stamps.cap_c / dt
-        self.ind_g = 2.0 * stamps.ind_l / dt
-        self.mut_g = (stamps.mutual_pattern * (2.0 / dt)
-                      if stamps.mutual_pattern is not None else None)
-        self.cap_v = stamps.cap_diff @ x
-        self.cap_i = np.zeros(self.n_cap)
-        self.ind_i = x[st.ind_offset:st.ind_offset + self.n_ind].copy()
-        self.ind_v = np.zeros(self.n_ind)
-
-        # Recording.  Ground (-1) indices read the guaranteed-zero slot
-        # past the end of the augmented solution vector.
-        node_names, node_idx, cur_names, cur_rows = _recording_plan(
-            circuit, st, record, record_currents)
-        self.node_names = node_names
-        self.cur_names = cur_names
-        self.rec_idx = np.array([self.size if k < 0 else k
-                                 for k in node_idx], dtype=int)
-        self.cur_idx = np.array(cur_rows, dtype=int)
-        self.xa = np.zeros(self.size + 1)
-        self.v_out = np.zeros((steps, len(node_idx)))
-        self.i_out = np.zeros((steps, len(cur_rows)))
-        self.xa[:self.size] = x
-        self.v_out[0] = self.xa[self.rec_idx]
-        self.i_out[0] = x[self.cur_idx]
-
-    def rhs(self, step: int) -> np.ndarray:
-        """The trapezoidal RHS for one step (sources + history terms)."""
-        stamps = self.stamps
-        z = np.zeros(self.size)
-        if self.n_vsrc:
-            z[stamps.vsrc_rows] = self.vsrc_samples[:, step]
-        if self.n_isrc:
-            z += stamps.isrc_incidence @ self.isrc_samples[:, step]
-        if self.n_cap:
-            z += stamps.cap_incidence @ (self.cap_g * self.cap_v
-                                         + self.cap_i)
-        if self.n_ind:
-            zl = -self.ind_g * self.ind_i - self.ind_v
-            if self.mut_g is not None:
-                zl += self.mut_g @ self.ind_i
-            z[stamps.ind_rows] = zl
-        return z
-
-    def update(self, x: np.ndarray, step: int) -> None:
-        """Advance companion-model state and record one solved step."""
-        st = self.stamps.structure
-        if self.n_cap:
-            v_new = self.stamps.cap_diff @ x
-            self.cap_i = self.cap_g * (v_new - self.cap_v) - self.cap_i
-            self.cap_v = v_new
-        if self.n_ind:
-            self.ind_v = self.stamps.ind_diff @ x
-            self.ind_i = x[st.ind_offset:st.ind_offset
-                           + self.n_ind].copy()
-        self.xa[:self.size] = x
-        self.v_out[step] = self.xa[self.rec_idx]
-        self.i_out[step] = x[self.cur_idx]
-
-    def result(self, times: np.ndarray) -> TransientResult:
-        return TransientResult(
-            time=times,
-            voltages={n: self.v_out[:, c]
-                      for c, n in enumerate(self.node_names)},
-            vsource_currents={n: self.i_out[:, c]
-                              for c, n in enumerate(self.cur_names)})
-
-
-def simulate_batch(circuits: Sequence[Circuit], t_stop: float, dt: float,
-                   records: Optional[Sequence[Optional[Sequence[str]]]]
-                   = None,
-                   record_currents:
-                   Optional[Sequence[Optional[Sequence[str]]]] = None,
-                   use_ic: bool = True) -> List[TransientResult]:
-    """Step several circuits together through one block LU.
-
-    All circuits share the timebase (``t_stop``, ``dt``) and initial-
-    condition mode; per-circuit record lists line up with ``circuits``
-    (``None`` entries record every node of that circuit).  Each step
-    concatenates the per-circuit RHS vectors and performs one
-    multi-block back-substitution: one LU and one solve stream for the
-    whole batch.  Results match per-circuit :func:`simulate` runs to
-    machine precision (bitwise for a batch of one; see
-    :class:`TransientBlockFactor` for why larger batches differ in the
-    last ulp).
-    """
-    if dt <= 0 or t_stop <= dt:
-        raise ValueError("need 0 < dt < t_stop")
-    if not circuits:
-        return []
-    n = len(circuits)
-    recs = list(records) if records is not None else [None] * n
-    curs = (list(record_currents) if record_currents is not None
-            else [None] * n)
-    if len(recs) != n or len(curs) != n:
-        raise ValueError("records/record_currents must line up with "
-                         "circuits")
-    steps = int(round(t_stop / dt)) + 1
-    systems = [_TransientSystem(c, dt, steps, r, rc, use_ic)
-               for c, r, rc in zip(circuits, recs, curs)]
-    if n == 1:
-        factor = transient_block_factor(circuits[0], dt)
-    else:
-        factor = TransientBlockFactor([s.stamps for s in systems], dt)
-    lu = factor.lu
-    times = np.arange(steps) * dt
-    lu_solve = scipy.linalg.lu_solve
-    if n == 1:
-        system = systems[0]
-        for step in range(1, steps):
-            system.update(lu_solve(lu, system.rhs(step)), step)
-    else:
-        bounds = np.concatenate([[0], np.cumsum(factor.sizes)])
-        slices = [slice(int(bounds[k]), int(bounds[k + 1]))
-                  for k in range(n)]
-        for step in range(1, steps):
-            Z = np.concatenate([s.rhs(step) for s in systems])
-            X = lu_solve(lu, Z)
-            for s, sl in zip(systems, slices):
-                s.update(X[sl], step)
-    SOLVER_COUNTERS["transient_solves"] += n * (steps - 1)
-    return [s.result(times) for s in systems]
 
 
 def simulate(circuit: Circuit, t_stop: float, dt: float,
@@ -384,9 +192,85 @@ def simulate(circuit: Circuit, t_stop: float, dt: float,
     Returns:
         A :class:`TransientResult` with one sample per step including t=0.
     """
-    return simulate_batch([circuit], t_stop, dt, records=[record],
-                          record_currents=[record_currents],
-                          use_ic=use_ic)[0]
+    if dt <= 0 or t_stop <= dt:
+        raise ValueError("need 0 < dt < t_stop")
+    steps = int(round(t_stop / dt)) + 1
+    stamps = CircuitStamps.of(circuit)
+    st = stamps.structure
+    if st.size == 0:
+        raise ValueError("cannot simulate an empty circuit")
+    size = st.size
+    n_cap = len(circuit.capacitors)
+    n_ind = len(circuit.inductors)
+    n_vsrc = len(circuit.vsources)
+    n_isrc = len(circuit.isources)
+
+    # Batched source sampling over the full time grid.
+    times = np.arange(steps) * dt
+    vsrc_samples = stamps.sample_waveforms(stamps.vsrc_waves, times)
+    isrc_samples = (stamps.sample_waveforms(stamps.isrc_waves, times)
+                    if n_isrc else None)
+
+    # Initial state.
+    if use_ic:
+        x = _robust_solve(stamps.dc_matrix(), stamps.source_rhs(0.0))
+    else:
+        x = np.zeros(size)
+    cap_g = 2.0 * stamps.cap_c / dt
+    ind_g = 2.0 * stamps.ind_l / dt
+    mut_g = (stamps.mutual_pattern * (2.0 / dt)
+             if stamps.mutual_pattern is not None else None)
+    cap_v = stamps.cap_diff @ x
+    cap_i = np.zeros(n_cap)
+    ind_i = x[st.ind_offset:st.ind_offset + n_ind].copy()
+    ind_v = np.zeros(n_ind)
+
+    # Recording.  Ground (-1) indices read the guaranteed-zero slot past
+    # the end of the augmented solution vector.
+    node_names, node_idx, cur_names, cur_rows = _recording_plan(
+        circuit, st, record, record_currents)
+    rec_idx = np.array([size if k < 0 else k for k in node_idx], dtype=int)
+    cur_idx = np.array(cur_rows, dtype=int)
+    xa = np.zeros(size + 1)
+    v_out = np.zeros((steps, len(node_idx)))
+    i_out = np.zeros((steps, len(cur_rows)))
+    xa[:size] = x
+    v_out[0] = xa[rec_idx]
+    i_out[0] = x[cur_idx]
+
+    lu = transient_block_factor(circuit, dt).lu
+    lu_solve = scipy.linalg.lu_solve
+    for step in range(1, steps):
+        # Trapezoidal RHS: sources plus companion history terms.
+        z = np.zeros(size)
+        if n_vsrc:
+            z[stamps.vsrc_rows] = vsrc_samples[:, step]
+        if n_isrc:
+            z += stamps.isrc_incidence @ isrc_samples[:, step]
+        if n_cap:
+            z += stamps.cap_incidence @ (cap_g * cap_v + cap_i)
+        if n_ind:
+            zl = -ind_g * ind_i - ind_v
+            if mut_g is not None:
+                zl += mut_g @ ind_i
+            z[stamps.ind_rows] = zl
+        x = lu_solve(lu, z)
+        # Advance the companion-model state and record the step.
+        if n_cap:
+            v_new = stamps.cap_diff @ x
+            cap_i = cap_g * (v_new - cap_v) - cap_i
+            cap_v = v_new
+        if n_ind:
+            ind_v = stamps.ind_diff @ x
+            ind_i = x[st.ind_offset:st.ind_offset + n_ind].copy()
+        xa[:size] = x
+        v_out[step] = xa[rec_idx]
+        i_out[step] = x[cur_idx]
+    SOLVER_COUNTERS["transient_solves"] += steps - 1
+    return TransientResult(
+        time=times,
+        voltages={n: v_out[:, c] for c, n in enumerate(node_names)},
+        vsource_currents={n: i_out[:, c] for c, n in enumerate(cur_names)})
 
 
 # --------------------------------------------------------------------- #
@@ -660,121 +544,3 @@ def _build_pulse_bank(circuit: Circuit, stamps: CircuitStamps, dt: float,
         init_resp=np.ascontiguousarray(out[:, :, :n_src]),
         impulse_resp=np.ascontiguousarray(out[:, :, n_src:]))
 
-
-def simulate_scalar(circuit: Circuit, t_stop: float, dt: float,
-                    record: Optional[Sequence[str]] = None,
-                    record_currents: Optional[Sequence[str]] = None,
-                    use_ic: bool = True) -> TransientResult:
-    """Per-element reference implementation of :func:`simulate`.
-
-    Walks the element lists every step the way the original engine did.
-    Kept as the golden reference for the vectorized engine's equivalence
-    tests; results agree to well below 1e-9 relative error.
-    """
-    if dt <= 0 or t_stop <= dt:
-        raise ValueError("need 0 < dt < t_stop")
-    steps = int(round(t_stop / dt)) + 1
-    st = MnaStructure.of(circuit)
-    if st.size == 0:
-        raise ValueError("cannot simulate an empty circuit")
-
-    # --- constant system matrix -------------------------------------- #
-    _, A, _ = assemble_dc(circuit, 0.0)
-    cap_g = []
-    for cap in circuit.capacitors:
-        g = 2.0 * cap.capacitance / dt
-        _stamp_conductance(A, st.node(cap.n1), st.node(cap.n2), g)
-        cap_g.append(g)
-    ind_g = []
-    for idx, ind in enumerate(circuit.inductors):
-        row = st.ind_offset + idx
-        g = 2.0 * ind.inductance / dt
-        A[row, row] -= g
-        ind_g.append(g)
-    mut_g = []
-    for mut in circuit.mutuals:
-        p1 = circuit.inductor_position(mut.l1)
-        p2 = circuit.inductor_position(mut.l2)
-        l1 = circuit.inductors[p1].inductance
-        l2 = circuit.inductors[p2].inductance
-        gm = 2.0 * mut.k * np.sqrt(l1 * l2) / dt
-        A[st.ind_offset + p1, st.ind_offset + p2] -= gm
-        A[st.ind_offset + p2, st.ind_offset + p1] -= gm
-        mut_g.append((p1, p2, gm))
-    lu = scipy.linalg.lu_factor(A)
-
-    # --- initial state ------------------------------------------------ #
-    if use_ic:
-        _, A0, z0 = assemble_dc(circuit, 0.0)
-        x = _robust_solve(A0, z0)
-    else:
-        x = np.zeros(st.size)
-    sol = Solution(st, x)
-    cap_v = np.array([sol.voltage(c.n1) - sol.voltage(c.n2)
-                      for c in circuit.capacitors], dtype=float)
-    cap_i = np.zeros(len(circuit.capacitors))
-    ind_i = np.array([x[st.ind_offset + k]
-                      for k in range(len(circuit.inductors))], dtype=float)
-    ind_v = np.zeros(len(circuit.inductors))
-
-    # --- recording ---------------------------------------------------- #
-    node_names, node_idx, cur_names, cur_rows = _recording_plan(
-        circuit, st, record, record_currents)
-
-    times = np.arange(steps) * dt
-    v_out = np.zeros((steps, len(node_names)))
-    i_out = np.zeros((steps, len(cur_names)))
-    v_out[0] = [0.0 if k < 0 else x[k] for k in node_idx]
-    i_out[0] = [x[r] for r in cur_rows]
-
-    # Precompute element node indices once.
-    cap_nodes = [(st.node(c.n1), st.node(c.n2)) for c in circuit.capacitors]
-    isrc_nodes = [(st.node(s.n1), st.node(s.n2)) for s in circuit.isources]
-    vsrc_rows = [(st.vsrc_offset + i, v.waveform)
-                 for i, v in enumerate(circuit.vsources)]
-
-    for step in range(1, steps):
-        t = times[step]
-        z = np.zeros(st.size)
-        for row, wave in vsrc_rows:
-            z[row] = wave(t)
-        for (i, j), src in zip(isrc_nodes, circuit.isources):
-            val = src.waveform(t)
-            if i >= 0:
-                z[i] -= val
-            if j >= 0:
-                z[j] += val
-        for k, (i, j) in enumerate(cap_nodes):
-            ihist = cap_g[k] * cap_v[k] + cap_i[k]
-            if i >= 0:
-                z[i] += ihist
-            if j >= 0:
-                z[j] -= ihist
-        for k in range(len(circuit.inductors)):
-            row = st.ind_offset + k
-            z[row] = -ind_g[k] * ind_i[k] - ind_v[k]
-        for p1, p2, gm in mut_g:
-            z[st.ind_offset + p1] += -gm * ind_i[p2]
-            z[st.ind_offset + p2] += -gm * ind_i[p1]
-
-        x = scipy.linalg.lu_solve(lu, z)
-
-        # State update.
-        for k, (i, j) in enumerate(cap_nodes):
-            v_new = (x[i] if i >= 0 else 0.0) - (x[j] if j >= 0 else 0.0)
-            cap_i[k] = cap_g[k] * (v_new - cap_v[k]) - cap_i[k]
-            cap_v[k] = v_new
-        new_ind_i = x[st.ind_offset:st.ind_offset + len(circuit.inductors)]
-        for k, ind in enumerate(circuit.inductors):
-            i_n, j_n = st.node(ind.n1), st.node(ind.n2)
-            ind_v[k] = ((x[i_n] if i_n >= 0 else 0.0)
-                        - (x[j_n] if j_n >= 0 else 0.0))
-        ind_i = np.array(new_ind_i, dtype=float)
-
-        v_out[step] = [0.0 if k < 0 else x[k] for k in node_idx]
-        i_out[step] = [x[r] for r in cur_rows]
-
-    return TransientResult(
-        time=times,
-        voltages={n: v_out[:, c] for c, n in enumerate(node_names)},
-        vsource_currents={n: i_out[:, c] for c, n in enumerate(cur_names)})

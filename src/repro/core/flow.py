@@ -261,20 +261,6 @@ def _disk_store(key: str, result: DesignResult) -> None:
         pass  # cache is best-effort; never fail the flow over it
 
 
-def clear_disk_cache() -> int:
-    """Delete all persisted results; returns the number removed."""
-    cache_dir = flow_cache_dir()
-    removed = 0
-    if cache_dir is not None and cache_dir.is_dir():
-        for path in cache_dir.glob("*.pkl"):
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-    return removed
-
-
 def _lookup(task: "FlowTaskSpec") -> Optional[DesignResult]:
     """The cached result of a task, or ``None``.
 
@@ -548,52 +534,6 @@ class FlowTaskSpec:
         count, arr = validate_topology(self.num_chiplets, self.arrangement)
         object.__setattr__(self, "num_chiplets", count)
         object.__setattr__(self, "arrangement", arr)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-safe dict form (round-trips through :meth:`from_dict`).
-
-        This is the wire format the evaluation service
-        (:mod:`repro.serve`) submits tasks in; ``spec_overrides``
-        becomes a plain mapping, everything else stays scalar.
-        """
-        return {
-            "design": self.design,
-            "scale": float(self.scale),
-            "seed": int(self.seed),
-            "target_frequency_mhz": float(self.target_frequency_mhz),
-            "with_eyes": bool(self.with_eyes),
-            "with_thermal": bool(self.with_thermal),
-            "spec_overrides": dict(self.spec_overrides),
-            "num_chiplets": int(self.num_chiplets),
-            "arrangement": str(self.arrangement),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "FlowTaskSpec":
-        """Build a task from the dict form; unknown keys raise."""
-        known = {"design", "scale", "seed", "target_frequency_mhz",
-                 "with_eyes", "with_thermal", "spec_overrides",
-                 "num_chiplets", "arrangement"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(
-                f"unknown flow task keys: {', '.join(sorted(unknown))}")
-        if "design" not in data:
-            raise ValueError("flow task needs a 'design'")
-        overrides = data.get("spec_overrides", ())
-        if hasattr(overrides, "items"):
-            overrides = tuple(sorted(overrides.items()))
-        return cls(
-            design=str(data["design"]),
-            scale=float(data.get("scale", 1.0)),
-            seed=int(data.get("seed", 2023)),
-            target_frequency_mhz=float(
-                data.get("target_frequency_mhz", 700.0)),
-            with_eyes=bool(data.get("with_eyes", True)),
-            with_thermal=bool(data.get("with_thermal", True)),
-            spec_overrides=tuple(overrides),
-            num_chiplets=data.get("num_chiplets", 2),
-            arrangement=data.get("arrangement", "grid"))
 
 
 def task_disk_key(task: FlowTaskSpec) -> str:

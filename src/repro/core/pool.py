@@ -19,7 +19,7 @@ from __future__ import annotations
 import atexit
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, Sequence, Tuple, TypeVar
 
 _POOL = None
 _POOL_SIZE = 0
@@ -111,12 +111,6 @@ def imap_retry(fn: Callable[[_T], _R], tasks: Sequence[_T], jobs: int,
             if attempt:
                 raise
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def run_tasks(fn: Callable[[_T], _R], tasks: Sequence[_T],
-              jobs: int, chunksize: int = 1) -> List[_R]:
-    """Eager list form of :func:`imap_retry`."""
-    return list(imap_retry(fn, tasks, jobs, chunksize=chunksize))
 
 
 atexit.register(shutdown_pool)

@@ -36,11 +36,11 @@ name hashes the source, the compiler and the flags, so an object built
 differently is never reused.  ``-ffp-contract=off`` keeps the compiler
 from fusing the A* heuristic's multiply-add, which would change its
 rounding on targets with FMA.  When the kernel cannot be built or
-loaded, :func:`load_kernel` logs one warning and returns ``None``; the
-router then falls back to its scipy sweep and the scalar A*, several
-times slower on organic grids.  Set ``REPRO_NO_CCOMPILE=1`` to disable
-the kernel on purpose (no warning; tests use this to pin the fallback
-chain).
+loaded, :func:`load_kernel` logs one warning and returns ``None``; every
+maze search then runs the scalar A*
+(:meth:`~repro.interposer.routing.RoutingGrid.maze_route_scalar`),
+several times slower.  Set ``REPRO_NO_CCOMPILE=1`` to disable the
+kernel on purpose (no warning; tests use this to pin the fallback).
 """
 
 from __future__ import annotations
@@ -502,7 +502,7 @@ def load_kernel() -> Optional[MazeKernel]:
     memoizes the result for the process, and returns ``None`` — never
     raises — when the kernel is unavailable.  Unless
     ``REPRO_NO_CCOMPILE`` disabled it, an unavailable kernel logs one
-    warning per process, since the fallbacks are much slower.
+    warning per process, since the fallback is much slower.
     """
     global _kernel, _kernel_tried
     if _kernel_tried:
@@ -522,9 +522,8 @@ def load_kernel() -> Optional[MazeKernel]:
             reason = str(exc)
     if reason is not None:
         _LOG.warning("maze kernel unavailable (%s with %s): %s; the "
-                     "router falls back to its much slower scipy and "
-                     "scalar searches", compiler, " ".join(_FLAGS),
-                     reason)
+                     "router falls back to its much slower scalar A*",
+                     compiler, " ".join(_FLAGS), reason)
     return _kernel
 
 

@@ -19,9 +19,10 @@ Routing runs in two phases, the way production global routers do:
    detours and higher-layer escapes that give Table IV its per-technology
    layer usage and wirelength character.
 
-Both phases are vectorized but bit-identical to their per-cell
-references, which stay available as ``path_cost_scalar``,
-``maze_route_scalar``, and ``route_interposer_scalar``:
+Both phases are vectorized but bit-identical to the per-cell golden
+references in the test suite's ``tests/oracles`` package, which keep
+the original implementations (per-cell path cost, per-net overflow
+scans, the scalar heap A*):
 
 * Pattern candidates are scored from *segment arithmetic* (via-column
   prefix sums + run sums over ``occupancy >= capacity``) without ever
@@ -35,17 +36,17 @@ references, which stay available as ``path_cost_scalar``,
   field*: one Dijkstra sweep over the A*-reweighted edge graph (edge
   ``w' = w + h(v) - h(u)``, non-negative because the Manhattan
   heuristic is consistent), run by the compiled dial kernel of
-  :mod:`repro.interposer._mazekernel` (scipy's Dijkstra, windowed by a
-  cost ``limit`` from the ripped net's old-path cost, when no compiler
-  is available).  The A* path *and* its expansion count are
-  reconstructed exactly from the distance field (see
-  :class:`_DistanceFieldOracle`), so results — including node-budget
-  exhaustion — are bit-identical to the scalar A*.
+  :mod:`repro.interposer._mazekernel`.  The A* path *and* its
+  expansion count are reconstructed exactly from the distance field
+  (see :class:`_DistanceFieldOracle`), so results — including
+  node-budget exhaustion — are bit-identical to the scalar A*.
 * Every other maze search — diagonal (organic) grids, and Manhattan
   grids whose cost constants are not integers — runs the scalar A*
   ported to C (``maze_astar`` in the same kernel), which pops the same
   states in the same order and so returns the same path and expansion
-  count.  Only a machine without a C compiler runs the scalar A* itself.
+  count.
+* Without a C compiler every maze search runs
+  :meth:`RoutingGrid.maze_route_scalar`, the one portable fallback.
 """
 
 from __future__ import annotations
@@ -58,13 +59,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
-
-try:
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover — scipy ships with the package
-    _HAVE_SCIPY = False
 
 from ..tech.interposer import InterposerSpec, IntegrationStyle, RoutingStyle
 from ._mazekernel import load_kernel as _load_maze_kernel
@@ -203,7 +197,8 @@ class InterposerRoute:
         overflow_cells: Cells where demand still exceeds capacity after
             rip-up/reroute (small residuals model local track sharing).
         stats: Phase timing / search counters (:class:`RouterStats`);
-            ``None`` for results produced by the scalar reference.
+            ``None`` when the result was built by another engine (the
+            test suite's scalar reference router).
     """
 
     placement: InterposerPlacement
@@ -341,13 +336,6 @@ class RoutingGrid:
         """Number of cells whose demand exceeds capacity."""
         return int((self.occupancy > self.capacity).sum())
 
-    def path_overflows(self, path: Sequence[Tuple[int, int, int]]) -> bool:
-        """Whether any cell of the path is over capacity."""
-        arr = np.asarray(path, dtype=np.intp)
-        li, yi, xi = arr[:, 0], arr[:, 1], arr[:, 2]
-        return bool((self.occupancy[li, yi, xi]
-                     > self.capacity[li, yi, xi]).any())
-
     # ------------------------------------------------------------------ #
     # Path cost.
     # ------------------------------------------------------------------ #
@@ -355,11 +343,12 @@ class RoutingGrid:
     def path_cost(self, path: Sequence[Tuple[int, int, int]]) -> float:
         """Cost of a candidate path against current occupancy.
 
-        Vectorized, but bit-identical to :meth:`path_cost_scalar`: the
-        per-cell increments (step/via, then overflow penalty) are laid
-        out in the scalar loop's order and reduced with
-        ``np.add.accumulate``, whose strictly left-to-right evaluation
-        reproduces every intermediate rounding of the Python loop.
+        Vectorized, but bit-identical to the per-cell reference loop
+        (``tests/oracles``): the per-cell increments (step/via, then
+        overflow penalty) are laid out in the scalar loop's order and
+        reduced with ``np.add.accumulate``, whose strictly left-to-right
+        evaluation reproduces every intermediate rounding of the Python
+        loop.
         """
         arr = np.asarray(path, dtype=np.intp)
         return self._path_cost_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
@@ -384,35 +373,6 @@ class RoutingGrid:
         inc[1::2] = steps
         inc[2::2] = np.where(over[1:], OVERFLOW_COST, 0.0)
         return float(np.add.accumulate(inc)[-1])
-
-    def path_cost_scalar(self,
-                         path: Sequence[Tuple[int, int, int]]) -> float:
-        """Golden-reference per-cell cost loop (original implementation).
-
-        The over-capacity flags are gathered in one vectorized read; the
-        cost itself accumulates in path order with the same operations as
-        the original per-cell loop, so candidate comparisons (and thus
-        routing results) are bit-identical.
-        """
-        arr = np.asarray(path, dtype=np.intp)
-        over = (self.occupancy[arr[:, 0], arr[:, 1], arr[:, 2]]
-                >= self.capacity[arr[:, 0], arr[:, 1], arr[:, 2]]).tolist()
-        sq2 = math.sqrt(2.0)
-        cost = 0.0
-        prev = None
-        for k, state in enumerate(path):
-            l, y, x = state
-            if prev is not None:
-                pl, py, px = prev
-                if pl != l:
-                    cost += VIA_COST
-                else:
-                    dy, dx = abs(y - py), abs(x - px)
-                    cost += sq2 if (dy and dx) else 1.0
-            if over[k]:
-                cost += OVERFLOW_COST
-            prev = state
-        return cost
 
     # ------------------------------------------------------------------ #
     # Phase 1: pattern routing.
@@ -445,8 +405,8 @@ class RoutingGrid:
         """Costs of every pattern candidate, in candidate order.
 
         Segment-based: no candidate is materialized.  Entry ``i`` equals
-        ``path_cost_scalar(pattern_candidates(src, dst)[i])`` bit-exactly
-        (see :meth:`_pattern_costs_manhattan` /
+        the per-cell cost of ``pattern_candidates(src, dst)[i]``
+        bit-exactly (see :meth:`_pattern_costs_manhattan` /
         :meth:`_line_path_arrays` for why).
         """
         sy, sx = src
@@ -632,28 +592,23 @@ class RoutingGrid:
         return ((1, 0), (-1, 0))
 
     def maze_route(self, src: Tuple[int, int], dst: Tuple[int, int],
-                   max_nodes: int = MAZE_NODE_BUDGET,
-                   cost_ub: Optional[float] = None
+                   max_nodes: int = MAZE_NODE_BUDGET
                    ) -> Optional[List[Tuple[int, int, int]]]:
         """Congestion-aware A* from src to dst (both enter on layer 0).
 
         On Manhattan grids with integer cost constants the search is
-        solved by the distance-field engine (:class:`_DistanceFieldOracle`),
-        windowed by ``cost_ub`` — a known upper bound on the optimal path
-        cost, e.g. the cost of the path the net held before rip-up.  All
-        other searches (diagonal grids, non-integer costs) run the
-        compiled port of the scalar A*; without a C compiler, or if the
-        compiled search fails, the scalar A* itself.  The result (path,
+        solved by the distance-field engine (:class:`_DistanceFieldOracle`).
+        All other searches (diagonal grids, non-integer costs) run the
+        compiled port of the scalar A*.  Without a C compiler, or if the
+        compiled A* fails, the scalar A* itself runs.  The result (path,
         or ``None`` on node-budget exhaustion) is bit-identical to
         :meth:`maze_route_scalar` on every engine.
         """
-        path, _nodes, _engine = self._maze_route_info(src, dst, max_nodes,
-                                                      cost_ub)
+        path, _nodes, _engine = self._maze_route_info(src, dst, max_nodes)
         return path
 
     def _maze_route_info(self, src: Tuple[int, int], dst: Tuple[int, int],
-                         max_nodes: int,
-                         cost_ub: Optional[float] = None
+                         max_nodes: int
                          ) -> Tuple[Optional[List[Tuple[int, int, int]]],
                                     int, str]:
         """:meth:`maze_route` plus (node count, engine) for stats.
@@ -661,25 +616,26 @@ class RoutingGrid:
         The engine is ``"oracle"``, ``"astar"`` (the compiled A*) or
         ``"scalar"``; the scalar A* reports 0 nodes.
         """
-        if _HAVE_SCIPY and not self.diagonal and _integer_costs():
+        kernel = _load_maze_kernel()
+        if kernel is None:
+            return self.maze_route_scalar(src, dst, max_nodes), 0, "scalar"
+        if not self.diagonal and _integer_costs():
             oracle = self._oracle
             if oracle is None or not oracle.valid():
-                oracle = self._oracle = _DistanceFieldOracle(self)
+                oracle = self._oracle = _DistanceFieldOracle(self, kernel)
             try:
-                path, nodes = oracle.route(src, dst, max_nodes, cost_ub)
+                path, nodes = oracle.route(src, dst, max_nodes)
                 return path, nodes, "oracle"
             except Exception:  # pragma: no cover — safety fallback
                 _LOG.exception("distance-field maze engine failed; "
-                               "falling back to scalar A*")
-        kernel = _load_maze_kernel()
-        if kernel is not None:
-            try:
-                path, nodes = self._maze_astar(kernel, src, dst, max_nodes)
-                return path, nodes, "astar"
-            except RuntimeError as exc:
-                if not self._astar_failure_logged:
-                    self._astar_failure_logged = True
-                    _LOG.warning("%s; falling back to scalar A*", exc)
+                               "falling back to the compiled A*")
+        try:
+            path, nodes = self._maze_astar(kernel, src, dst, max_nodes)
+            return path, nodes, "astar"
+        except RuntimeError as exc:
+            if not self._astar_failure_logged:
+                self._astar_failure_logged = True
+                _LOG.warning("%s; falling back to scalar A*", exc)
         return self.maze_route_scalar(src, dst, max_nodes), 0, "scalar"
 
     def _maze_astar(self, kernel, src: Tuple[int, int],
@@ -728,15 +684,17 @@ class RoutingGrid:
                           dst: Tuple[int, int],
                           max_nodes: int = MAZE_NODE_BUDGET
                           ) -> Optional[List[Tuple[int, int, int]]]:
-        """Golden-reference A* (original heap-based implementation).
+        """The scalar heap A*: the reference every maze engine matches.
 
-        States are flat grid indices ``(l * ny + y) * nx + x``.  Flat
-        indices order exactly like ``(l, y, x)`` tuples, so the heap's
-        tie-breaking — and therefore the returned path — is identical to
-        the tuple-keyed implementation, at a fraction of the per-node
-        cost: the over-capacity map is one snapshot bytes lookup instead
-        of two numpy scalar reads per neighbor, and dict/set/heap keys
-        are small ints.
+        It is also the router's one portable search, run when no C
+        compiler is available.  States are flat grid indices
+        ``(l * ny + y) * nx + x``.  Flat indices order exactly like
+        ``(l, y, x)`` tuples, so the heap's tie-breaking — and therefore
+        the returned path — is identical to the tuple-keyed
+        implementation, at a fraction of the per-node cost: the
+        over-capacity map is one snapshot bytes lookup instead of two
+        numpy scalar reads per neighbor, and dict/set/heap keys are
+        small ints.
         """
         sy, sx = src
         ty, tx = dst
@@ -974,39 +932,17 @@ class _DistanceFieldOracle:
       goal (layer 0) has the smallest flat index of its zero-heuristic
       column — so node-budget exhaustion is predicted exactly.
 
-    ``D`` itself comes from scipy's C Dijkstra over the A*-reweighted
-    edge graph (``w' = w + h(v) - h(u)`` ≥ 0 by consistency), where it
-    returns ``Dp = D + h - h0``.  Per-call cost is kept near the size
-    of the A* search ellipse rather than the grid:
-
-    * the adjacency structure (CSR indices), base move weights, edge
-      endpoint coordinates, and the congestion term of every edge
-      weight are built once; rip-up/commit between calls only flips a
-      handful of over-capacity cells, so the congestion term is
-      patched through a CSC edge map instead of rebuilt;
-    * the heuristic shift ``h(v) - h(u)`` is Manhattan, so per edge it
-      is ``|xv-tx| - |xu-tx| + |yv-ty| - |yu-ty|`` over precomputed
-      int32 endpoint coordinates — no per-state heuristic field and no
-      edge gathers;
-    * ``limit = cost_ub - h0`` confines the sweep to the A* ellipse
-      ``f <= cost_ub``: with a valid upper bound on the optimal cost
-      (the ripped net's previous path), states beyond it can never be
-      popped before the goal, so they need no distances.  Because the
-      bound carries the old path's overflow penalties it is usually
-      loose, so the solve *iteratively deepens*: it first sweeps a
-      small ellipse (seeded by a running estimate of recent reroute
-      slacks) and only widens toward the full bound when the goal was
-      not finalized.  A goal finalized within ANY limit proves every
-      state with a smaller pop key was finalized exactly, so early
-      successes are exact; failures cost one extra (cheaper) Dijkstra
-      on the already-built graph.
-
-    If the goal is never finalized (bad bound, or ``cost_ub=None`` on
-    a disconnected pair) the final sweep runs without a limit, which
-    is exact unconditionally.
+    ``D`` itself comes from the compiled dial Dijkstra
+    (:mod:`repro.interposer._mazekernel`) over the A*-reweighted edge
+    graph (``w' = w + h(v) - h(u)`` ≥ 0 by consistency), which returns
+    ``Dp = D + h - h0`` and stops once the goal's distance level has
+    drained, so one sweep costs about the size of the A* search
+    ellipse rather than the grid.  The kernel's int32 distance, done
+    and bucket-link scratch persists across calls and is reset through
+    its touched list.
     """
 
-    def __init__(self, grid: RoutingGrid):
+    def __init__(self, grid: RoutingGrid, kernel):
         self.grid = grid
         self.via = int(VIA_COST)
         self.over_cost = int(OVERFLOW_COST)
@@ -1014,91 +950,29 @@ class _DistanceFieldOracle:
         self.L, self.ny, self.nx = L, ny, nx
         n = L * ny * nx
         self.n = n
-        idx = np.arange(n, dtype=np.int64)
-        x = idx % nx
-        l = (idx // nx) % L
-        y = idx // (nx * L)
-        rows_l, cols_l, base_l = [], [], []
-        # Moves (dl, dy, dx, weight) per _layer_dirs: even layers route
-        # in x, odd in y, single-layer grids in both; vias both ways.
-        for dl, dy, dx, w in ((0, 0, 1, 1.0), (0, 0, -1, 1.0),
-                              (0, 1, 0, 1.0), (0, -1, 0, 1.0),
-                              (1, 0, 0, float(self.via)),
-                              (-1, 0, 0, float(self.via))):
-            if dl == 0:
-                if L == 1:
-                    ok = np.ones(n, dtype=bool)
-                elif dx != 0:
-                    ok = l % 2 == 0
-                else:
-                    ok = l % 2 == 1
-            else:
-                ok = (l + dl >= 0) & (l + dl < L)
-            ok &= ((y + dy >= 0) & (y + dy < ny)
-                   & (x + dx >= 0) & (x + dx < nx))
-            src = idx[ok]
-            rows_l.append(src)
-            cols_l.append(src + (dy * L + dl) * nx + dx)
-            base_l.append(np.full(len(src), w))
-        rows = np.concatenate(rows_l)
-        order = np.argsort(rows, kind="stable")
-        self.rows = rows[order]
-        self.cols = np.concatenate(cols_l)[order]
-        self.base = np.concatenate(base_l)[order]
-        self.indptr = np.searchsorted(self.rows, np.arange(n + 1))
-        self.indices32 = self.cols.astype(np.int32)
-        self.indptr32 = self.indptr.astype(np.int32)
-        # Edge endpoint coordinates for the O(1)-per-edge heuristic
-        # shift (via edges keep equal coords and shift by zero).
-        nxL = nx * L
-        self.xr = (self.rows % nx).astype(np.int32)
-        self.xc = (self.cols % nx).astype(np.int32)
-        self.yr = (self.rows // nxL).astype(np.int32)
-        self.yc = (self.cols // nxL).astype(np.int32)
-        # Congestion-dependent edge weights, patched incrementally as
-        # occupancy changes; CSC map finds the edges entering a cell.
-        csc = np.argsort(self.cols, kind="stable")
-        self.csc_order = csc
-        self.csc_indptr = np.searchsorted(self.cols[csc],
-                                          np.arange(n + 1))
         self.over = self._over_now()
-        self.data_cong = (self.base
-                          + self.over_cost * self.over[self.cols])
-        # The solve graph is built once; route() rewrites self.G.data
-        # in place with this call's reweighted edge costs.
-        ne = len(self.cols)
-        self._data = np.empty(ne, dtype=np.float64)
-        self._ibuf_a = np.empty(ne, dtype=np.int32)
-        self._ibuf_b = np.empty(ne, dtype=np.int32)
-        self.G = csr_array((self._data, self.indices32, self.indptr32),
-                           shape=(n, n))
-        self._slack_ema = 96.0  # running reroute-slack estimate
-        # Compiled dial-Dijkstra kernel (None → scipy sweeps).  The
-        # kernel owns int32 distance / done / bucket-link scratch, reset
-        # incrementally via the touched list between calls.
-        self._kernel = _load_maze_kernel()
-        if self._kernel is not None:
-            self._kdist = np.full(n, -1, dtype=np.int32)
-            self._kdone = np.zeros(n, dtype=np.uint8)
-            self._knxt = np.empty(n, dtype=np.int32)
-            self._kprv = np.empty(n, dtype=np.int32)
-            self._ktouched = np.empty(n, dtype=np.int32)
-            self._kout = np.empty(3, dtype=np.int64)
-            self._nt_prev = 0
+        self._kernel = kernel
+        self._kdist = np.full(n, -1, dtype=np.int32)
+        self._kdone = np.zeros(n, dtype=np.uint8)
+        self._knxt = np.empty(n, dtype=np.int32)
+        self._kprv = np.empty(n, dtype=np.int32)
+        self._ktouched = np.empty(n, dtype=np.int32)
+        self._kout = np.empty(3, dtype=np.int64)
+        self._nt_prev = 0
         # Exact result cache: (sy, sx, ty, tx) -> mutable entry
         # [path, expansions, s, y0, y1, x0, x1, epoch, over_snapshot].
         # An entry stays valid while the overflow flags inside its
         # (y, x) bounding box — the search's finalized set plus a
         # one-cell halo (see route()) — match the snapshot taken when
         # it was solved; the epoch skips the comparison entirely when
-        # no flip batch has been patched since the entry was last seen.
+        # the flags have not changed since the entry was last seen.
         self._results: Dict[Tuple[int, int, int, int], list] = {}
         self._epoch = 0
         self.fields_built = 0
         self.fields_patched = 0
 
     def valid(self) -> bool:
-        """Whether the cached graph still matches the cost constants."""
+        """Whether the oracle still matches the cost constants."""
         return (self.via == int(VIA_COST)
                 and self.over_cost == int(OVERFLOW_COST))
 
@@ -1109,27 +983,14 @@ class _DistanceFieldOracle:
             .reshape(-1)
 
     def _refresh_congestion(self) -> None:
-        """Patch edge weights for cells whose overflow flag flipped."""
+        """Re-read the overflow flags; any change starts a new epoch."""
         over_now = self._over_now()
-        changed = over_now != self.over
-        if changed.any():
-            flips = np.nonzero(changed)[0]
-            lo = self.csc_indptr[flips]
-            hi = self.csc_indptr[flips + 1]
-            counts = hi - lo
-            total = int(counts.sum())
-            # Concatenated aranges [lo_i, hi_i) without a Python loop:
-            # hi_i - cumsum_i == lo_i - (elements emitted before i).
-            flat = np.repeat(hi - np.cumsum(counts), counts) \
-                + np.arange(total)
-            ids = self.csc_order[flat]
-            self.data_cong[ids] = (self.base[ids] + self.over_cost
-                                   * over_now[self.cols[ids]])
+        if not np.array_equal(over_now, self.over):
             self.over = over_now
             self._epoch += 1
 
     def route(self, src: Tuple[int, int], dst: Tuple[int, int],
-              max_nodes: int, cost_ub: Optional[float]
+              max_nodes: int
               ) -> Tuple[Optional[List[Tuple[int, int, int]]], int]:
         """Exact maze result: (path or None, A* expansion count).
 
@@ -1145,8 +1006,8 @@ class _DistanceFieldOracle:
         outside the box can create a cheaper path or pull a new state
         into the pop set.  Unreachable results (s = -1) never
         invalidate — overflow changes weights, not connectivity.  The
-        node budget and cost bound only limit *work*, never the result,
-        so they are applied to the cached numbers on every hit.
+        node budget only limits *work*, never the result, so it is
+        applied to the cached numbers on every hit.
         """
         sy, sx = src
         ty, tx = dst
@@ -1156,7 +1017,7 @@ class _DistanceFieldOracle:
         if ent is not None and self._entry_fresh(ent):
             self.fields_patched += 1
         else:
-            ent = self._solve(sy, sx, ty, tx, cost_ub)
+            ent = self._solve(sy, sx, ty, tx)
             self._results[key] = ent
             self.fields_built += 1
         path, expansions, s = ent[0], ent[1], ent[2]
@@ -1180,94 +1041,34 @@ class _DistanceFieldOracle:
             ent[7] = self._epoch
         return True
 
-    def _solve(self, sy: int, sx: int, ty: int, tx: int,
-               cost_ub: Optional[float]) -> list:
+    def _solve(self, sy: int, sx: int, ty: int, tx: int) -> list:
         """Run one exact sweep and package it as a cache entry."""
         nx, L, ny = self.nx, self.L, self.ny
         nxL = nx * L
         epoch = self._epoch
-        start = (sy * L) * nx + sx
-        goal = (ty * L) * nx + tx
-        if self._kernel is not None:
-            s, nfin = self._kernel_sweep(start, ty, tx)
-            if s < 0:
-                return [None, 0, -1, 0, 0, 0, 0, epoch, None]
-            Dp = self._kdist
-            # The dial drains the goal's whole distance level before
-            # stopping, so the finalized set is exactly {Dp <= s} and
-            # nfin already equals count(Dp < s) + count(Dp == s).
-            goal_col = Dp[ty * nxL + tx::nx][:L]
-            expansions = nfin - int(np.count_nonzero(goal_col == s)) + 1
-            self._slack_ema += 0.125 * (float(s) - self._slack_ema)
-            path = self._reconstruct(Dp, sy, sx, ty, tx)
-            # Touched = finalized ∪ frontier = F ∪ N⁺(F): exactly the
-            # sensitivity region (the ±1 halo is belt and braces).
-            t = self._ktouched[:self._nt_prev]
-            ys = t // nxL
-            xs = t % nx
-            return self._entry(path, expansions, int(s),
-                               max(int(ys.min()) - 1, 0),
-                               min(int(ys.max()) + 1, ny - 1),
-                               max(int(xs.min()) - 1, 0),
-                               min(int(xs.max()) + 1, nx - 1), epoch)
-        # scipy fallback: reweight every edge by the Manhattan heuristic
-        # delta toward this call's target, written in place into the
-        # persistent graph's data array; deepening attempts reuse it and
-        # only re-run the C Dijkstra.
-        h0 = abs(sy - ty) + abs(sx - tx)
-        a, b = self._ibuf_a, self._ibuf_b
-        np.subtract(self.xc, tx, out=a)
-        np.abs(a, out=a)
-        np.subtract(self.xr, tx, out=b)
-        np.abs(b, out=b)
-        a -= b
-        np.subtract(self.yc, ty, out=b)
-        np.abs(b, out=b)
-        a += b
-        np.subtract(self.yr, ty, out=b)
-        np.abs(b, out=b)
-        a -= b
-        np.add(self.data_cong, a, out=self._data)
-        G = self.G
-        Dp = None
-        if cost_ub is not None:
-            lim = max(0.0, float(cost_ub) - h0)
-            attempt = min(lim, max(32.0, 1.2 * self._slack_ema))
-            while True:
-                Dp = _csgraph_dijkstra(G, directed=True, indices=start,
-                                       min_only=True, limit=attempt)
-                if np.isfinite(Dp[goal]):
-                    break
-                if attempt >= lim:
-                    # Bad bound (should not happen for a rippable
-                    # net): fall through to the unbounded solve.
-                    Dp = None
-                    break
-                attempt = min(lim, attempt * 2.0)
-        if Dp is None:
-            Dp = _csgraph_dijkstra(G, directed=True, indices=start,
-                                   min_only=True)
-        s = Dp[goal]
-        if not np.isfinite(s):
+        s, nfin = self._kernel_sweep((sy * L) * nx + sx, ty, tx)
+        if s < 0:
             return [None, 0, -1, 0, 0, 0, 0, epoch, None]
-        self._slack_ema += 0.125 * (float(s) - self._slack_ema)
+        Dp = self._kdist
         # Expansions = finalized states popped up to and including the
         # goal.  The goal's zero-heuristic column ((l, ty, tx) states)
         # ties the goal key in f and g but never precedes it in index.
-        fin = Dp <= s
+        # The dial drains the goal's whole distance level before
+        # stopping, so the finalized set is exactly {Dp <= s} and nfin
+        # already equals count(Dp < s) + count(Dp == s).
         goal_col = Dp[ty * nxL + tx::nx][:L]
-        n_before = (int(np.count_nonzero(fin))
-                    - int(np.count_nonzero(goal_col == s)))
-        expansions = n_before + 1
+        expansions = nfin - int(np.count_nonzero(goal_col == s)) + 1
         path = self._reconstruct(Dp, sy, sx, ty, tx)
-        m = fin.reshape(ny, L, nx)
-        yr = np.nonzero(m.any(axis=(1, 2)))[0]
-        xr = np.nonzero(m.any(axis=(0, 1)))[0]
+        # Touched = finalized ∪ frontier = F ∪ N⁺(F): exactly the
+        # sensitivity region (the ±1 halo is belt and braces).
+        t = self._ktouched[:self._nt_prev]
+        ys = t // nxL
+        xs = t % nx
         return self._entry(path, expansions, int(s),
-                           max(int(yr[0]) - 1, 0),
-                           min(int(yr[-1]) + 1, ny - 1),
-                           max(int(xr[0]) - 1, 0),
-                           min(int(xr[-1]) + 1, nx - 1), epoch)
+                           max(int(ys.min()) - 1, 0),
+                           min(int(ys.max()) + 1, ny - 1),
+                           max(int(xs.min()) - 1, 0),
+                           min(int(xs.max()) + 1, nx - 1), epoch)
 
     def _entry(self, path, expansions, s, y0, y1, x0, x1, epoch) -> list:
         """Package a solved sweep with its box's overflow snapshot."""
@@ -1394,30 +1195,16 @@ def _pair_sites(die_a: PlacedDie, sites_a: List[Tuple[float, float]],
     return out
 
 
-def _path_to_net(name: str, kind: str, path: List[Tuple[int, int, int]],
-                 cell_um: float) -> RoutedNet:
-    length_cells = 0.0
-    vias = 2  # bump pad vias at both ends
-    layers: Set[int] = {path[0][0]}
-    for (l0, y0, x0), (l1, y1, x1) in zip(path, path[1:]):
-        if l0 != l1:
-            vias += 1
-        else:
-            dy, dx = abs(y1 - y0), abs(x1 - x0)
-            length_cells += math.sqrt(2.0) if (dy and dx) else 1.0
-        layers.add(l1)
-    return RoutedNet(name=name, kind=kind,
-                     length_mm=length_cells * cell_um / 1000.0,
-                     vias=vias, layers=layers, path=path)
-
-
 def _path_to_net_arrays(name: str, kind: str,
                         path: List[Tuple[int, int, int]],
                         li: np.ndarray, yi: np.ndarray, xi: np.ndarray,
                         cell_um: float) -> RoutedNet:
-    """:func:`_path_to_net` from pre-split index arrays (bit-identical:
-    the lateral step lengths are re-accumulated left to right, and via
-    steps contribute exact 0.0 terms)."""
+    """A :class:`RoutedNet` from a path and its pre-split index arrays.
+
+    The length is bit-identical to the per-step scalar sum: the lateral
+    step lengths are accumulated left to right, and via steps
+    contribute exact 0.0 terms.
+    """
     if len(li) == 1:
         return RoutedNet(name=name, kind=kind, length_mm=0.0, vias=2,
                          layers={int(li[0])}, path=path)
@@ -1489,10 +1276,10 @@ def route_interposer(placement: InterposerPlacement,
                      l2l_signals: int = 68) -> InterposerRoute:
     """Route the paper's tile links (:func:`tile_links`) on the interposer.
 
-    The paper-signature form of :func:`route_interposer_pins`; produces
-    nets, overflow, and layer usage bit-identical to
-    :func:`route_interposer_scalar`, plus a :class:`RouterStats` phase
-    breakdown on the result.
+    The paper-signature form of :func:`route_interposer_pins`; its
+    nets, overflow and layer usage are bit-identical to the scalar
+    golden router of the test suite, and the result carries a
+    :class:`RouterStats` phase breakdown.
 
     Args:
         placement: Die arrangement (must not be a TSV stack).
@@ -1525,10 +1312,9 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
     # ---- phase 1: pattern route, shortest first ----------------------- #
     t0 = time.perf_counter()
     routed: Dict[str, RoutedNet] = {}
-    # Per-net path index arrays, kept for incremental occupancy commits
+    # Per-net flat cell indices, kept for incremental occupancy commits
     # and the batched overflow scan of phase 2.
-    paths: Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray,
-                           np.ndarray]] = {}
+    paths: Dict[str, np.ndarray] = {}
     for name, kind, s_mm, d_mm in sorted(todo, key=_manhattan_mm):
         src = grid.to_grid(*s_mm)
         dst = grid.to_grid(*d_mm)
@@ -1539,7 +1325,7 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
         np.add.at(occ_flat, flat, 1)
         routed[name] = _path_to_net_arrays(name, kind, path, li, yi, xi,
                                            grid.cell_um)
-        paths[name] = (flat, li, yi, xi)
+        paths[name] = flat
     stats.nets_pattern_routed = len(routed)
     stats.pattern_time_s = time.perf_counter() - t0
 
@@ -1547,11 +1333,11 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
     t0 = time.perf_counter()
     maze_node_counts: List[int] = []
     for _round in range(RRR_ROUNDS if routed else 0):
-        # One batched gather over every routed cell replaces the
-        # per-net path_overflows scans: segment-reduce the strict
-        # overflow flags back to per-net "any" bits.
+        # One batched gather over every routed cell replaces per-net
+        # overflow scans: segment-reduce the strict overflow flags back
+        # to per-net "any" bits.
         names = list(routed)
-        flats = [paths[nm][0] for nm in names]
+        flats = [paths[nm] for nm in names]
         offsets = np.zeros(len(flats), dtype=np.intp)
         np.cumsum([f.size for f in flats[:-1]], out=offsets[1:])
         all_idx = np.concatenate(flats)
@@ -1564,17 +1350,12 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
         stats.rrr_rounds += 1
         victims.sort(key=lambda n: -n.length_mm)
         for net in victims:
-            flat, li, yi, xi = paths[net.name]
-            np.add.at(occ_flat, flat, -1)
+            np.add.at(occ_flat, paths[net.name], -1)
             src = (net.path[0][1], net.path[0][2])
             dst = (net.path[-1][1], net.path[-1][2])
-            # The net's previous path still routes under the post-rip
-            # occupancy, so its cost bounds the optimal maze cost and
-            # windows the search.
-            cost_ub = grid._path_cost_arrays(li, yi, xi)
             t_m = time.perf_counter()
             path, nodes, _engine = grid._maze_route_info(
-                src, dst, MAZE_NODE_BUDGET, cost_ub)
+                src, dst, MAZE_NODE_BUDGET)
             stats.maze_time_s += time.perf_counter() - t_m
             stats.maze_calls += 1
             stats.nets_rerouted += 1
@@ -1589,7 +1370,7 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
             np.add.at(occ_flat, flat, 1)
             routed[net.name] = _path_to_net_arrays(
                 net.name, net.kind, path, li, yi, xi, grid.cell_um)
-            paths[net.name] = (flat, li, yi, xi)
+            paths[net.name] = flat
     stats.rrr_time_s = time.perf_counter() - t0
     if maze_node_counts:
         stats.maze_nodes_per_call_p50 = float(
@@ -1616,65 +1397,6 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
                            signal_layers_used=len(layers_used),
                            overflow_cells=stats.overflow_cells,
                            stats=stats)
-
-
-def route_interposer_scalar(placement: InterposerPlacement,
-                            logic_bumps: List[Tuple[float, float]],
-                            memory_bumps: List[Tuple[float, float]],
-                            l2m_signals: int = 231,
-                            l2l_signals: int = 68) -> InterposerRoute:
-    """Golden-reference router: per-cell candidate scoring, per-net
-    overflow scans, and the scalar heap A* — the original
-    implementation, kept for the equivalence suite."""
-    return _route_with_grid_scalar(placement, *_tile_problem(
-        placement, logic_bumps, memory_bumps, l2m_signals, l2l_signals))
-
-
-def _route_with_grid_scalar(placement: InterposerPlacement,
-                            grid: RoutingGrid, stacked: List[RoutedNet],
-                            todo: List[Tuple[str, str, Tuple[float, float],
-                                             Tuple[float, float]]]
-                            ) -> InterposerRoute:
-    """Scalar (golden-reference) router engine over a prepared problem."""
-    # ---- phase 1: pattern route, shortest first ----------------------- #
-    routed: Dict[str, RoutedNet] = {}
-    for name, kind, s_mm, d_mm in sorted(todo, key=_manhattan_mm):
-        src = grid.to_grid(*s_mm)
-        dst = grid.to_grid(*d_mm)
-        best, best_cost = None, math.inf
-        for cand in grid.pattern_candidates(src, dst):
-            c = grid.path_cost_scalar(cand)
-            if c < best_cost:
-                best, best_cost = cand, c
-        assert best is not None
-        grid.commit(best)
-        routed[name] = _path_to_net(name, kind, best, grid.cell_um)
-
-    # ---- phase 2: rip-up and reroute overflowing nets ------------------ #
-    for _round in range(RRR_ROUNDS):
-        victims = [n for n in routed.values()
-                   if n.path and grid.path_overflows(n.path)]
-        if not victims:
-            break
-        victims.sort(key=lambda n: -n.length_mm)
-        for net in victims:
-            grid.rip_up(net.path)
-            src = (net.path[0][1], net.path[0][2])
-            dst = (net.path[-1][1], net.path[-1][2])
-            path = grid.maze_route_scalar(src, dst, MAZE_NODE_BUDGET)
-            if path is None:
-                path = net.path  # keep the pattern route
-            grid.commit(path)
-            routed[net.name] = _path_to_net(net.name, net.kind, path,
-                                            grid.cell_um)
-
-    nets = stacked + list(routed.values())
-    layers_used: Set[int] = set()
-    for n in nets:
-        layers_used |= n.layers
-    return InterposerRoute(placement=placement, nets=nets,
-                           signal_layers_used=len(layers_used),
-                           overflow_cells=grid.overflow_cells())
 
 
 def _pin_problem(placement: InterposerPlacement,
@@ -1746,8 +1468,8 @@ def route_interposer_pins(placement: InterposerPlacement,
     The flow's router for every topology: the paper's tile pairs
     (:func:`tile_links`) or the dies of any :func:`place_chiplets`
     arrangement go through the same vectorized pattern + batched
-    rip-up/reroute engine.  Bit-identical to
-    :func:`route_interposer_pins_scalar`.
+    rip-up/reroute engine, bit-identical to the scalar golden router of
+    the test suite.
 
     Args:
         placement: Die arrangement (must not be a TSV stack).
@@ -1760,12 +1482,3 @@ def route_interposer_pins(placement: InterposerPlacement,
     grid, stacked, todo = _pin_problem(placement, pin_map, links)
     return _route_with_grid(placement, grid, stacked, todo)
 
-
-def route_interposer_pins_scalar(placement: InterposerPlacement,
-                                 pin_map: Dict[str,
-                                               List[Tuple[float, float]]],
-                                 links: Sequence[PinLink]
-                                 ) -> InterposerRoute:
-    """Golden-reference scalar twin of :func:`route_interposer_pins`."""
-    grid, stacked, todo = _pin_problem(placement, pin_map, links)
-    return _route_with_grid_scalar(placement, grid, stacked, todo)

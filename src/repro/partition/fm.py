@@ -99,11 +99,6 @@ class _GainBuckets:
         if slot > self.best[part]:
             self.best[part] = slot
 
-    def remove(self, name: str, part: int) -> None:
-        """Remove a cell from the buckets."""
-        gain = self.gain_of.pop(name)
-        self.buckets[part][self._slot(gain)].pop(name, None)
-
     def update(self, name: str, part: int, delta: int) -> None:
         """Shift a cell's gain by delta."""
         old = self.gain_of[name]

@@ -26,6 +26,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import pickle
 import time
 from dataclasses import dataclass
@@ -87,11 +88,12 @@ class EvalRequest:
             raise ValueError(f"unknown request kind {self.kind!r}; "
                              f"valid: {', '.join(KINDS)}")
         get_spec(self.design)  # KeyError on unknown designs
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.length_um <= 0:
-            raise ValueError(
-                f"length_um must be > 0, got {self.length_um}")
+        for name in ("scale", "length_um", "target_frequency_mhz"):
+            value = getattr(self, name)
+            # NaN fails both comparisons, so it is rejected here too.
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be > 0 and finite, got {value}")
         validate_topology(self.num_chiplets, self.arrangement)
 
     def to_dict(self) -> Dict[str, object]:

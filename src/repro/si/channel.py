@@ -6,20 +6,23 @@ transmission-line ladder, a TSV/micro-bump lumped network, or a stacked
 via) → AIB receiver load — then measures propagation delay and power
 from transient simulation, exactly the quantities the paper extracts with
 HSPICE.
+
+Each measurement is one per-circuit transient run, memoized by the
+channel's physical definition (``_CHANNEL_SIM_CACHE``) rather than its
+name, so identical links at different sweep points reuse one
+simulation bit-exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..chiplet.iodriver import AIB_DRIVER, IoDriverSpec
 from ..circuit import Circuit, simulate
-from ..circuit.transient import TransientResult, simulate_batch
 from ..circuit.waveforms import pulse
 from ..tech.interconnect3d import LumpedRLC
 from .tline import RlgcLine, add_tline_ladder
@@ -205,53 +208,6 @@ def _channel_sim_key(channel: Channel, frequency_hz: float,
             dt) + inter
 
 
-def measure_channels(channels: Sequence[Channel], frequency_hz: float = 7e8,
-                     activity: float = 1.0) -> List[ChannelReport]:
-    """Measure several channels through one block transient solve.
-
-    All raw channel circuits are stepped together via
-    :func:`repro.circuit.transient.simulate_batch` — one stacked LU and
-    one multi-column back-substitution per timestep instead of one
-    factorization and solve stream per channel.  Pads-only de-embedding
-    references go through the same memoized per-circuit path as
-    :func:`measure_channel` (they are shared across channels anyway).
-
-    Per-channel numbers agree with :func:`measure_channel` to machine
-    precision but are **not bitwise identical** for batches larger than
-    one (LAPACK picks different blocked kernels for stacked operands —
-    see ``TransientBlockFactor``).  Callers that pin byte-stable outputs
-    (the flow's sweep stores) use :func:`measure_channel`.
-    """
-    period = 1.0 / frequency_hz
-    dt = period / 700.0
-    circuits = []
-    for channel in channels:
-        ckt, _tx, _rx = build_channel_circuit(channel, frequency_hz)
-        circuits.append(ckt)
-    results = simulate_batch(circuits, t_stop=4.0 * period, dt=dt,
-                             records=[["src", "txpad", "rxpad"]] * len(circuits),
-                             record_currents=[["Vtx"]] * len(circuits))
-    reports = []
-    for channel, result in zip(channels, results):
-        raw_delay, raw_power = _extract_delay_power(channel, result, "rxpad",
-                                                    period, dt)
-        base_delay, base_power = _pads_only_reference(channel, frequency_hz,
-                                                      dt)
-        interconnect_delay_ps = max(0.0, raw_delay - base_delay)
-        interconnect_power_uw = max(0.0, raw_power - base_power) * activity
-        drv_delay = channel.driver.driver_delay_ps(0.0)
-        drv_power = channel.driver.driver_power_uw(frequency_hz, activity)
-        reports.append(ChannelReport(
-            name=channel.name,
-            driver_delay_ps=drv_delay,
-            interconnect_delay_ps=interconnect_delay_ps,
-            total_delay_ps=drv_delay + interconnect_delay_ps,
-            driver_power_uw=drv_power,
-            interconnect_power_uw=interconnect_power_uw,
-            total_power_uw=drv_power + interconnect_power_uw))
-    return reports
-
-
 def _simulate_delay_power(channel: Channel, frequency_hz: float,
                           dt: float) -> Tuple[float, float]:
     """(delay_ps src→rx, avg power W→uW) of one channel simulation."""
@@ -259,12 +215,6 @@ def _simulate_delay_power(channel: Channel, frequency_hz: float,
     period = 1.0 / frequency_hz
     result = simulate(ckt, t_stop=4.0 * period, dt=dt,
                       record=["src", tx, rx], record_currents=["Vtx"])
-    return _extract_delay_power(channel, result, rx, period, dt)
-
-
-def _extract_delay_power(channel: Channel, result: TransientResult, rx: str,
-                         period: float, dt: float) -> Tuple[float, float]:
-    """Pull (delay_ps, power_uw) out of a finished channel transient."""
     vmid = channel.vdd / 2.0
     t_src = _first_crossing(result.time, result.voltage("src"), vmid)
     t_rx = _first_crossing(result.time, result.voltage(rx), vmid)

@@ -9,17 +9,14 @@ the sampling phase — are extracted.
 The paper simulates at 0.7 Gbps with two aggressors on the worst-case
 victim; those are the defaults here.
 
-Two engines produce the received waveform:
-
-* ``engine="auto"`` (default) — the channels this flow builds are linear,
-  so one cached pulse-response bank per (topology, timestep) determines
-  the response to *every* bit pattern by shifted superposition (see
-  :func:`repro.circuit.transient.pulse_response_bank`); no per-pattern
-  re-stepping.  Circuits the bank cannot carry (nonlinear elements,
-  singular DC) automatically fall back to full stepping.
-* ``engine="step"`` — the historical step-every-bit path, kept as the
-  golden reference and exposed as :func:`simulate_eye_scalar`; the two
-  agree to ≤1e-9 on all the designs' channels (covered by tests).
+The channels this flow builds are linear, so one cached pulse-response
+bank per (topology, timestep) determines the received waveform for
+*every* bit pattern by shifted superposition (see
+:func:`repro.circuit.transient.pulse_response_bank`); no per-pattern
+re-stepping.  Circuits the bank cannot carry (nonlinear elements,
+singular DC) automatically fall back to full trapezoidal stepping.  The
+test suite pins the superposition result to a forced-stepping reference
+at ≤1e-9 on every design's channels.
 """
 
 from __future__ import annotations
@@ -245,8 +242,7 @@ def simulate_eye(line: Optional[RlgcLine] = None,
                  driver: IoDriverSpec = AIB_DRIVER,
                  vdd: float = 0.9,
                  samples_per_ui: int = 64,
-                 seed: int = 11,
-                 engine: str = "auto") -> EyeResult:
+                 seed: int = 11) -> EyeResult:
     """Run a PRBS eye simulation on a channel.
 
     Exactly one of ``line`` (+ ``length_um``) or ``lumped`` selects the
@@ -254,6 +250,9 @@ def simulate_eye(line: Optional[RlgcLine] = None,
     victim runs inside a coupled bundle with ``aggressors`` neighbours
     carrying independent PRBS streams; lumped channels couple a fraction
     of each aggressor's swing capacitively (adjacent via/bump coupling).
+    The waveform is synthesized from the circuit's cached
+    pulse-response bank; a circuit the bank cannot carry is stepped in
+    full instead.
 
     Args:
         line: Distributed line parameters.
@@ -267,33 +266,24 @@ def simulate_eye(line: Optional[RlgcLine] = None,
         vdd: Swing.
         samples_per_ui: Eye phase resolution.
         seed: Aggressor PRBS seed base.
-        engine: ``"auto"`` synthesizes the waveform from the cached
-            pulse-response bank when the channel is linear (falling back
-            to stepping otherwise); ``"step"`` forces the full
-            trapezoidal run (the :func:`simulate_eye_scalar` reference).
 
     Returns:
         An :class:`EyeResult`.
     """
-    if engine not in ("auto", "step"):
-        raise ValueError(f"unknown engine {engine!r}; "
-                         "expected 'auto' or 'step'")
     ckt, vic_bits, ui, dt = _build_eye_circuit(
         line, length_um, lumped, coupled, data_rate_gbps, num_bits,
         aggressors, driver, vdd, samples_per_ui, seed)
     t_stop = num_bits * ui
     steps = int(round(t_stop / dt)) + 1
 
-    time = wave = None
-    if engine == "auto":
-        bank = pulse_response_bank(ckt, dt, steps, record=("vrx",))
-        if bank is not None and (bank.settled or bank.length >= steps):
-            stamps = CircuitStamps.of(ckt)
-            time = np.arange(steps) * dt
-            samples = stamps.sample_waveforms(
-                stamps.vsrc_waves + stamps.isrc_waves, time)
-            wave = bank.synthesize(samples)["vrx"]
-    if wave is None:
+    bank = pulse_response_bank(ckt, dt, steps, record=("vrx",))
+    if bank is not None and (bank.settled or bank.length >= steps):
+        stamps = CircuitStamps.of(ckt)
+        time = np.arange(steps) * dt
+        samples = stamps.sample_waveforms(
+            stamps.vsrc_waves + stamps.isrc_waves, time)
+        wave = bank.synthesize(samples)["vrx"]
+    else:
         result = simulate(ckt, t_stop=t_stop, dt=dt,
                           record=["vtx", "vrx"])
         time, wave = result.time, result.voltage("vrx")
@@ -303,19 +293,6 @@ def simulate_eye(line: Optional[RlgcLine] = None,
     high_min, low_max = fold_eye(time, wave, vic_bits[:usable], ui,
                                  latency, samples_per_ui)
     return eye_metrics(high_min, low_max, ui, vdd)
-
-
-def simulate_eye_scalar(*args, **kwargs) -> EyeResult:
-    """Step-every-bit reference for :func:`simulate_eye`.
-
-    Same signature as :func:`simulate_eye` (minus ``engine``); always
-    runs the full trapezoidal simulation.  The superposition engine is
-    pinned to this reference at ≤1e-9 by the equivalence tests.
-    """
-    if "engine" in kwargs:
-        raise TypeError("simulate_eye_scalar always uses the stepping "
-                        "engine; it takes no 'engine' argument")
-    return simulate_eye(*args, engine="step", **kwargs)
 
 
 def _offset_wave(wave, offset_s: float):

@@ -1,4 +1,4 @@
-"""Batched transient solves and pulse-response banks."""
+"""The cached transient factor and pulse-response banks."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,8 @@ import pytest
 from repro.circuit.elements import Circuit
 from repro.circuit.mna import (SOLVER_COUNTERS, CircuitStamps,
                                reset_solver_counters)
-from repro.circuit.transient import (PulseResponseBank,
-                                     TransientBlockFactor,
-                                     circuit_is_linear,
+from repro.circuit.transient import (circuit_is_linear,
                                      pulse_response_bank, simulate,
-                                     simulate_batch, simulate_scalar,
                                      transient_block_factor)
 from repro.circuit.waveforms import dc, pulse, step
 
@@ -43,60 +40,6 @@ def isrc_circuit():
     return ckt
 
 
-class TestSimulateBatch:
-    def test_single_circuit_bit_identical_to_simulate(self):
-        a = simulate(rlc_circuit(), 2e-6, 1e-9, record=["a", "b"])
-        b = simulate_batch([rlc_circuit()], 2e-6, 1e-9,
-                           records=[["a", "b"]])[0]
-        for node in ("a", "b"):
-            assert np.array_equal(a.voltage(node), b.voltage(node))
-
-    def test_batch_matches_per_circuit_runs(self):
-        circuits = [rc_circuit(), rlc_circuit(), isrc_circuit()]
-        records = [["out"], ["b"], ["n"]]
-        batched = simulate_batch(circuits, 2e-6, 1e-9, records=records)
-        for ckt, rec, res in zip([rc_circuit(), rlc_circuit(),
-                                  isrc_circuit()], records, batched):
-            solo = simulate(ckt, 2e-6, 1e-9, record=rec)
-            scale = max(np.max(np.abs(solo.voltage(rec[0]))), 1e-12)
-            diff = np.max(np.abs(res.voltage(rec[0])
-                                 - solo.voltage(rec[0])))
-            assert diff / scale < 1e-9
-
-    def test_batch_matches_scalar_reference(self):
-        batched = simulate_batch([rlc_circuit(), rc_circuit()], 2e-6,
-                                 1e-9, records=[["b"], ["out"]])
-        ref = simulate_scalar(rlc_circuit(), 2e-6, 1e-9, record=["b"])
-        diff = np.max(np.abs(batched[0].voltage("b") - ref.voltage("b")))
-        assert diff < 1e-9
-
-    def test_counters(self):
-        reset_solver_counters()
-        steps = int(round(2e-6 / 1e-9)) + 1
-        simulate_batch([rc_circuit(), rlc_circuit()], 2e-6, 1e-9)
-        assert SOLVER_COUNTERS["transient_factorizations"] == 1
-        assert SOLVER_COUNTERS["transient_solves"] == 2 * (steps - 1)
-
-    def test_empty_batch(self):
-        assert simulate_batch([], 1e-6, 1e-9) == []
-
-    def test_mismatched_records_rejected(self):
-        with pytest.raises(ValueError, match="line up"):
-            simulate_batch([rc_circuit()], 1e-6, 1e-9,
-                           records=[["out"], ["out"]])
-
-    def test_record_currents(self):
-        solo = simulate(rc_circuit(), 1e-6, 1e-9, record=["out"],
-                        record_currents=["V"])
-        batched = simulate_batch([rc_circuit(), rc_circuit()], 1e-6,
-                                 1e-9, records=[["out"], ["out"]],
-                                 record_currents=[["V"], ["V"]])
-        i_solo = solo.vsource_currents["V"]
-        i_batch = batched[0].vsource_currents["V"]
-        assert np.max(np.abs(i_solo - i_batch)) < 1e-9 * np.max(
-            np.abs(i_solo))
-
-
 class TestBlockFactorCache:
     def test_factor_cached_per_dt(self):
         ckt = rc_circuit()
@@ -112,10 +55,27 @@ class TestBlockFactorCache:
         simulate(ckt, 1e-6, 1e-9)
         simulate(ckt, 2e-6, 1e-9)
         assert SOLVER_COUNTERS["transient_factorizations"] == 1
+        # One back-substitution per step after t=0.
+        assert SOLVER_COUNTERS["transient_solves"] == 1000 + 2000
 
     def test_empty_factor_rejected(self):
-        with pytest.raises(ValueError):
-            TransientBlockFactor([], 1e-9)
+        with pytest.raises(ValueError, match="empty circuit"):
+            transient_block_factor(Circuit(), 1e-9)
+
+
+class TestSimulateBatch:
+    """A batch of different circuits stepped one after another through
+    :func:`simulate`."""
+
+    def test_counters(self):
+        # Each topology costs its own factorization and one
+        # back-substitution per step after t=0.
+        reset_solver_counters()
+        steps = int(round(2e-6 / 1e-9)) + 1
+        for ckt in (rc_circuit(), rlc_circuit()):
+            simulate(ckt, 2e-6, 1e-9)
+        assert SOLVER_COUNTERS["transient_factorizations"] == 2
+        assert SOLVER_COUNTERS["transient_solves"] == 2 * (steps - 1)
 
 
 class TestCircuitIsLinear:

@@ -1,16 +1,18 @@
 """Vectorized transient engine vs the scalar reference implementation.
 
 The vectorized :func:`simulate` must be numerically interchangeable with
-:func:`simulate_scalar` (the original per-element engine, kept as a
-golden reference): same companion models, same trapezoidal update, so
-agreement is expected at solver-roundoff level, well below 1e-9.
+``simulate_scalar`` (the original per-element engine, kept as a golden
+reference in ``tests/oracles``): same companion models, same
+trapezoidal update, so agreement is expected at solver-roundoff level,
+well below 1e-9.
 """
 
 import numpy as np
 
 from repro.circuit.elements import Circuit
-from repro.circuit.transient import simulate, simulate_scalar
+from repro.circuit.transient import simulate
 from repro.circuit.waveforms import dc, pulse, step
+from tests.oracles import simulate_scalar
 
 REL_TOL = 1e-9
 

@@ -6,6 +6,7 @@ reduced netlists (a few thousand cells) so the whole suite stays fast.
 
 import pytest
 
+import repro.interposer._mazekernel as mazekernel
 from repro.arch.generate import (generate_chiplet_netlist,
                                  generate_monolithic_netlist,
                                  generate_tile_netlist)
@@ -61,3 +62,13 @@ def glass3d_design():
 def silicon_design():
     from repro.core.flow import run_design
     return run_design("silicon_25d", scale=SMALL, seed=7)
+
+
+@pytest.fixture
+def no_ccompile(monkeypatch):
+    """Run the test as on a machine without a C compiler: the maze
+    kernel refuses to load, so every search takes the scalar A*."""
+    monkeypatch.setenv(mazekernel.ENV_DISABLE, "1")
+    mazekernel._reset_for_tests()
+    yield
+    mazekernel._reset_for_tests()  # let later tests re-load it

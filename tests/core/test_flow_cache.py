@@ -10,8 +10,8 @@ entry, never the reverse.
 import pytest
 
 from repro.core import flow
-from repro.core.flow import (clear_cache, clear_disk_cache, code_version,
-                             run_design, run_designs)
+from repro.core.flow import (clear_cache, code_version, run_design,
+                             run_designs)
 
 SCALE = 0.015
 SEED = 9
@@ -99,11 +99,12 @@ class TestRunDesigns:
         # Results actually came off disk (new objects, not cache hits).
         assert second[self.NAMES[0]] is not first[self.NAMES[0]]
 
-    def test_disk_cache_disabled_by_env(self, monkeypatch):
+    def test_disk_cache_disabled_by_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
+        monkeypatch.chdir(tmp_path)  # catch writes to a relative "0"
         assert flow.flow_cache_dir() is None
         self._run(jobs=1)
-        assert clear_disk_cache() == 0
+        assert list(tmp_path.rglob("*.pkl")) == []
 
     def test_duplicates_deduplicated(self):
         got = run_designs(["glass_3d", "glass_3d"], scale=SCALE,

@@ -15,8 +15,7 @@ import pytest
 
 from concurrent.futures.process import BrokenProcessPool
 
-from repro.core.pool import (imap_retry, pool_health, run_tasks,
-                             shutdown_pool)
+from repro.core.pool import imap_retry, pool_health, shutdown_pool
 
 #: Env var carrying the per-test sentinel path into forked workers.
 SENTINEL_ENV = "REPRO_TEST_POOL_BOMB"
@@ -50,21 +49,21 @@ def fresh_pool(tmp_path, monkeypatch):
 
 class TestImapRetry:
     def test_recovers_from_one_worker_death(self, fresh_pool):
-        out = run_tasks(_bomb_once, [0, 1, 2, 3, 4], jobs=2)
+        out = list(imap_retry(_bomb_once, [0, 1, 2, 3, 4], jobs=2))
         assert out == [0, 10, 20, 30, 40]
 
     def test_second_death_propagates(self, fresh_pool):
         with pytest.raises(BrokenProcessPool):
-            run_tasks(_bomb_always, [0, 1, 2, 3], jobs=2)
+            list(imap_retry(_bomb_always, [0, 1, 2, 3], jobs=2))
 
     def test_serial_path_untouched(self, fresh_pool):
         # jobs=1 never builds a pool: the bomb runs in-process, so it
         # must not be armed — use benign inputs only.
-        assert run_tasks(_bomb_once, [0, 1], jobs=1) == [0, 10]
+        assert list(imap_retry(_bomb_once, [0, 1], jobs=1)) == [0, 10]
         assert list(imap_retry(_bomb_once, [], jobs=4)) == []
 
     def test_pool_health_reports_respawned_pool(self, fresh_pool):
-        run_tasks(_bomb_once, [0, 1, 2, 3], jobs=2)
+        list(imap_retry(_bomb_once, [0, 1, 2, 3], jobs=2))
         health = pool_health()
         assert health["active"] is True
         assert health["broken"] is False

@@ -15,7 +15,8 @@ Property tests for the PR that retired the maze-routing hot spot:
   path, expansion count and node-budget exhaustion — across calls that
   reuse its scratch arrays;
 * with ``REPRO_NO_CCOMPILE=1`` the kernel must refuse to load, silently,
-  and the scipy / scalar fallback chain must still be bit-identical; a
+  and every search — Manhattan or diagonal — must fall back to the
+  scalar A*, with the compiled engines' paths and budget thresholds; a
   kernel that fails to build must say so once.
 """
 
@@ -45,6 +46,12 @@ def _random_pair(rng, g):
             (rng.randrange(g.ny), rng.randrange(g.nx)))
 
 
+@pytest.fixture
+def need_kernel():
+    if mazekernel.load_kernel() is None:
+        pytest.skip("no C compiler available — kernel path untestable")
+
+
 def _flip_cells(rng, g, count):
     """Flip ``count`` random cells between saturated and free."""
     npr = np.random.default_rng(rng.randrange(1 << 30))
@@ -55,13 +62,9 @@ def _flip_cells(rng, g, count):
     g.occupancy[li, yi, xi] = np.where(over, 0, g.capacity[li, yi, xi] + 1)
 
 
+@pytest.mark.usefixtures("need_kernel")
 class TestDialKernel:
     """The compiled kernel vs the scalar golden reference."""
-
-    @pytest.fixture(autouse=True)
-    def _need_kernel(self):
-        if mazekernel.load_kernel() is None:
-            pytest.skip("no C compiler available — kernel path untestable")
 
     def test_kernel_selected_on_manhattan_grids(self):
         rng = random.Random(1)
@@ -100,17 +103,13 @@ class TestDialKernel:
                 _flip_cells(rng, g, rng.randrange(1, 40))
 
     def test_budget_and_bound_semantics_preserved(self):
+        """Node budgets bound the oracle's work exactly as they bound
+        the scalar search: same path, or the same exhaustion."""
         rng = random.Random(99)
         hits = 0
         for _ in range(30):
             g = _random_grid(rng)
             src, dst = _random_pair(rng, g)
-            ref_full = g.maze_route_scalar(src, dst)
-            if ref_full is not None:
-                ub = g.path_cost(ref_full)
-                path, _n, _e = g._maze_route_info(
-                    src, dst, routing.MAZE_NODE_BUDGET, ub)
-                assert path == ref_full
             for budget in (1, 64):
                 a = g.maze_route(src, dst, max_nodes=budget)
                 b = g.maze_route_scalar(src, dst, max_nodes=budget)
@@ -119,6 +118,7 @@ class TestDialKernel:
         assert hits > 0
 
 
+@pytest.mark.usefixtures("need_kernel")
 class TestFieldCache:
     """The per-(src, dst) result cache behind ``fields_patched``."""
 
@@ -184,13 +184,9 @@ class TestFieldCache:
         assert oracle.fields_patched == 1
 
 
+@pytest.mark.usefixtures("need_kernel")
 class TestAstarKernel:
     """The compiled port of the scalar A* vs the scalar reference."""
-
-    @pytest.fixture(autouse=True)
-    def _need_kernel(self):
-        if mazekernel.load_kernel() is None:
-            pytest.skip("no C compiler available — kernel path untestable")
 
     def test_astar_selected_on_diagonal_grids(self):
         rng = random.Random(500)
@@ -256,24 +252,29 @@ class TestAstarKernel:
 
     def test_expansion_count_is_exact(self):
         """The reported count is the scalar search's: with exactly that
-        budget it succeeds, with one less it gives up — and the kernel
-        then reports the budget plus the pop that exceeded it."""
-        rng = random.Random(504)
-        checked = 0
-        for _ in range(20):
-            g = _random_grid(rng, diagonal=True)
-            src, dst = _random_pair(rng, g)
-            path, nodes, _engine = g._maze_route_info(
-                src, dst, routing.MAZE_NODE_BUDGET)
-            if path is None or nodes < 2:
-                continue
-            assert g.maze_route_scalar(src, dst, max_nodes=nodes) == path
-            assert g.maze_route_scalar(src, dst,
-                                       max_nodes=nodes - 1) is None
-            assert g._maze_route_info(src, dst, nodes - 1)[:2] \
-                == (None, nodes)
-            checked += 1
-        assert checked > 10
+        budget it succeeds, with one less it gives up — and the engine
+        then reports the budget plus the pop that exceeded it.  Diagonal
+        grids pin the compiled A*; Manhattan grids pin the dial
+        oracle's predicted count."""
+        for diagonal, engine in ((True, "astar"), (False, "oracle")):
+            rng = random.Random(504)
+            checked = 0
+            for _ in range(20):
+                g = _random_grid(rng, diagonal=diagonal)
+                src, dst = _random_pair(rng, g)
+                path, nodes, used = g._maze_route_info(
+                    src, dst, routing.MAZE_NODE_BUDGET)
+                assert used == engine
+                if path is None or nodes < 2:
+                    continue
+                assert g.maze_route_scalar(src, dst,
+                                           max_nodes=nodes) == path
+                assert g.maze_route_scalar(src, dst,
+                                           max_nodes=nodes - 1) is None
+                assert g._maze_route_info(src, dst, nodes - 1)[:2] \
+                    == (None, nodes)
+                checked += 1
+            assert checked > 10
 
     def test_kernel_failure_falls_back_to_scalar(self, monkeypatch,
                                                  caplog):
@@ -295,16 +296,33 @@ class TestAstarKernel:
         assert len(caplog.records) == 1
 
 
-class TestCompileGate:
-    """``REPRO_NO_CCOMPILE`` must pin the scipy / scalar fallback chain,
-    and an accidental build failure must not pass silently."""
-
-    @pytest.fixture
-    def no_ccompile(self, monkeypatch):
+def _set_kernel(monkeypatch, enabled):
+    """Switch the ``REPRO_NO_CCOMPILE`` gate mid-test; skips when the
+    kernel is asked for and no C compiler is available."""
+    if enabled:
+        monkeypatch.delenv(mazekernel.ENV_DISABLE, raising=False)
+    else:
         monkeypatch.setenv(mazekernel.ENV_DISABLE, "1")
-        mazekernel._reset_for_tests()
-        yield
-        mazekernel._reset_for_tests()  # let later tests re-load it
+    mazekernel._reset_for_tests()
+    if enabled and mazekernel.load_kernel() is None:
+        pytest.skip("no C compiler available")
+
+
+def _grid_cases(rng, per_kind):
+    """``per_kind`` random (grid, src, dst) searches of each grid kind."""
+    cases = []
+    for diagonal in (False, True):
+        for _ in range(per_kind):
+            g = _random_grid(rng, diagonal=diagonal)
+            cases.append((g, *_random_pair(rng, g)))
+    return cases
+
+
+class TestCompileGate:
+    """``REPRO_NO_CCOMPILE`` must pin the scalar fallback, and an
+    accidental build failure must not pass silently.  Two test names
+    keep the word scipy from the fallback the scalar A* replaced; they
+    check that the fallback and the compiled engines agree."""
 
     def test_kernel_refuses_to_load(self, no_ccompile, caplog):
         with caplog.at_level(logging.DEBUG, logger=mazekernel.__name__):
@@ -334,49 +352,61 @@ class TestCompileGate:
         assert len(paths) == 3
 
     def test_diagonal_grids_fall_back_to_scalar(self, no_ccompile):
-        rng = random.Random(506)
-        for _ in range(6):
-            g = _random_grid(rng, diagonal=True)
-            src, dst = _random_pair(rng, g)
+        """Without the kernel every grid runs the scalar A*: diagonal
+        grids and, with no distance-field oracle, Manhattan ones too."""
+        for diagonal in (True, False):
+            rng = random.Random(506)
+            for _ in range(6):
+                g = _random_grid(rng, diagonal=diagonal)
+                src, dst = _random_pair(rng, g)
+                path, nodes, engine = g._maze_route_info(
+                    src, dst, routing.MAZE_NODE_BUDGET)
+                assert (engine, nodes) == ("scalar", 0)
+                assert g._oracle is None
+                assert path == g.maze_route_scalar(src, dst)
+
+    def test_scipy_fallback_is_identical(self, no_ccompile, monkeypatch):
+        """Searched once with the kernel refused and once with it
+        loaded, the same grids give the same paths, at the default
+        budget and at budgets that run out."""
+        cases = _grid_cases(random.Random(321), 5)
+        budgets = (routing.MAZE_NODE_BUDGET, 64, 1)
+        fallback = []
+        for g, src, dst in cases:
+            for budget in budgets:
+                path, nodes, engine = g._maze_route_info(src, dst, budget)
+                assert (engine, nodes) == ("scalar", 0)
+                fallback.append(path)
+        _set_kernel(monkeypatch, True)
+        compiled = []
+        for g, src, dst in cases:
+            for budget in budgets:
+                path, _nodes, engine = g._maze_route_info(src, dst, budget)
+                assert engine == ("astar" if g.diagonal else "oracle")
+                compiled.append(path)
+        assert compiled == fallback
+        assert any(p is None for p in fallback)
+        assert any(p is not None for p in fallback)
+
+    def test_kernel_and_scipy_report_same_expansions(self, no_ccompile,
+                                                     monkeypatch):
+        """The node count a compiled engine reports is the fallback's
+        exact budget threshold (the budget semantics depend on it): with
+        that budget the fallback finds the same path, with one less it
+        gives up."""
+        cases = _grid_cases(random.Random(654), 8)
+        _set_kernel(monkeypatch, True)
+        counted = []
+        for g, src, dst in cases:
             path, nodes, engine = g._maze_route_info(
                 src, dst, routing.MAZE_NODE_BUDGET)
-            assert (engine, nodes) == ("scalar", 0)
-            assert path == g.maze_route_scalar(src, dst)
-
-    def test_scipy_fallback_is_identical(self, no_ccompile):
-        rng = random.Random(321)
-        for _ in range(10):
-            g = _random_grid(rng)
-            src, dst = _random_pair(rng, g)
-            path, _nodes, engine = g._maze_route_info(
-                src, dst, routing.MAZE_NODE_BUDGET)
-            assert engine == "oracle"
-            assert g._oracle._kernel is None
-            assert path == g.maze_route_scalar(src, dst)
-
-    def test_kernel_and_scipy_report_same_expansions(self, no_ccompile):
-        """Both oracle backends must predict the same A* node counts
-        (the budget semantics depend on them)."""
-        rng = random.Random(654)
-        scipy_counts = []
-        grids = []
-        for _ in range(8):
-            g = _random_grid(rng)
-            src, dst = _random_pair(rng, g)
-            _p, nodes, engine = g._maze_route_info(
-                src, dst, routing.MAZE_NODE_BUDGET)
-            assert engine == "oracle"
-            scipy_counts.append(nodes)
-            grids.append((g, src, dst))
-        import os
-        os.environ.pop(mazekernel.ENV_DISABLE, None)
-        mazekernel._reset_for_tests()
-        if mazekernel.load_kernel() is None:
-            pytest.skip("no C compiler available")
-        for (g, src, dst), ref_nodes in zip(grids, scipy_counts):
-            g._oracle = None  # force a fresh oracle with the kernel
-            _p, nodes, engine = g._maze_route_info(
-                src, dst, routing.MAZE_NODE_BUDGET)
-            assert engine == "oracle"
-            assert g._oracle._kernel is not None
-            assert nodes == ref_nodes
+            assert engine == ("astar" if g.diagonal else "oracle")
+            if path is not None and nodes >= 2:
+                counted.append((g, src, dst, path, nodes))
+        assert len(counted) > 8
+        _set_kernel(monkeypatch, False)
+        for g, src, dst, path, nodes in counted:
+            assert g._maze_route_info(src, dst, nodes) \
+                == (path, 0, "scalar")
+            assert g._maze_route_info(src, dst, nodes - 1) \
+                == (None, 0, "scalar")

@@ -1,8 +1,9 @@
 """Vectorized-vs-scalar equivalence of multi-chiplet pin-map routing.
 
 ``route_interposer_pins`` feeds arbitrary N-chiplet placements and
-``PinLink`` bundles through the vectorized engine; its retained
-``route_interposer_pins_scalar`` golden twin must stay bit-identical —
+``PinLink`` bundles through the vectorized engine; its
+``route_interposer_pins_scalar`` golden twin in ``tests/oracles`` must
+stay bit-identical —
 same nets, same paths, same overflow counts — across arrangements and
 technologies, exactly like the ``route_interposer`` equivalence gate.
 """
@@ -11,9 +12,9 @@ import pytest
 
 from repro.chiplet.bumps import plan_for_design
 from repro.interposer.placement import place_chiplets
-from repro.interposer.routing import (PinLink, route_interposer_pins,
-                                      route_interposer_pins_scalar)
+from repro.interposer.routing import PinLink, route_interposer_pins
 from repro.tech.interposer import IntegrationStyle, get_spec
+from tests.oracles import route_interposer_pins_scalar
 
 #: (design, num_chiplets, arrangement) points covering grid, row, hex
 #: packing and an embedded (mixed-level) stacked case.

@@ -1,0 +1,26 @@
+"""Golden references for the production engines' equivalence tests.
+
+Each reference keeps the original, straightforward implementation of a
+kernel that production now runs vectorized or compiled:
+
+* :mod:`.routing` — the per-cell interposer router: per-candidate
+  path-cost loops, per-net overflow scans and the scalar heap A*
+  (``RoutingGrid.maze_route_scalar``);
+* :mod:`.transient` — the per-element trapezoidal transient loop;
+* :mod:`.eye` — the PRBS eye with its waveform stepped in full, never
+  synthesized from a pulse-response bank.
+
+They live beside the tests rather than in ``src/repro`` so that editing
+a reference never changes :func:`repro.core.flow.code_version` and so
+never invalidates a cached result.
+"""
+
+from .eye import simulate_eye_stepped
+from .routing import (path_cost_scalar, route_interposer_pins_scalar,
+                      route_interposer_scalar)
+from .transient import simulate_scalar
+
+__all__ = [
+    "path_cost_scalar", "route_interposer_pins_scalar",
+    "route_interposer_scalar", "simulate_eye_stepped", "simulate_scalar",
+]

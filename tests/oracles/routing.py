@@ -1,0 +1,143 @@
+"""Scalar golden references for the interposer router.
+
+The original per-cell implementation: every pattern candidate is
+materialized and costed cell by cell, every rip-up round scans each
+net's cells for overflow, and every reroute runs the scalar heap A*
+(``RoutingGrid.maze_route_scalar``).  The cost constants and budgets
+are read from :mod:`repro.interposer.routing` at call time, so tests
+that monkeypatch them there steer these references too.
+"""
+
+import math
+from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
+
+import repro.interposer.routing as routing
+from repro.interposer.placement import InterposerPlacement
+from repro.interposer.routing import (InterposerRoute, PinLink, RoutedNet,
+                                      RoutingGrid)
+
+GridPath = Sequence[Tuple[int, int, int]]
+
+
+def path_cost_scalar(grid: RoutingGrid, path: GridPath) -> float:
+    """Per-cell cost loop of a candidate path against current occupancy.
+
+    The over-capacity flags are gathered in one vectorized read; the
+    cost itself accumulates in path order, one step/via term and one
+    overflow term per cell.
+    """
+    arr = np.asarray(path, dtype=np.intp)
+    over = (grid.occupancy[arr[:, 0], arr[:, 1], arr[:, 2]]
+            >= grid.capacity[arr[:, 0], arr[:, 1], arr[:, 2]]).tolist()
+    sq2 = math.sqrt(2.0)
+    cost = 0.0
+    prev = None
+    for k, state in enumerate(path):
+        l, y, x = state
+        if prev is not None:
+            pl, py, px = prev
+            if pl != l:
+                cost += routing.VIA_COST
+            else:
+                dy, dx = abs(y - py), abs(x - px)
+                cost += sq2 if (dy and dx) else 1.0
+        if over[k]:
+            cost += routing.OVERFLOW_COST
+        prev = state
+    return cost
+
+
+def path_overflows(grid: RoutingGrid, path: GridPath) -> bool:
+    """Whether any cell of the path is over capacity."""
+    arr = np.asarray(path, dtype=np.intp)
+    li, yi, xi = arr[:, 0], arr[:, 1], arr[:, 2]
+    return bool((grid.occupancy[li, yi, xi]
+                 > grid.capacity[li, yi, xi]).any())
+
+
+def _path_to_net(name: str, kind: str, path: List[Tuple[int, int, int]],
+                 cell_um: float) -> RoutedNet:
+    """A :class:`RoutedNet` from a grid path, summed step by step."""
+    length_cells = 0.0
+    vias = 2  # bump pad vias at both ends
+    layers: Set[int] = {path[0][0]}
+    for (l0, y0, x0), (l1, y1, x1) in zip(path, path[1:]):
+        if l0 != l1:
+            vias += 1
+        else:
+            dy, dx = abs(y1 - y0), abs(x1 - x0)
+            length_cells += math.sqrt(2.0) if (dy and dx) else 1.0
+        layers.add(l1)
+    return RoutedNet(name=name, kind=kind,
+                     length_mm=length_cells * cell_um / 1000.0,
+                     vias=vias, layers=layers, path=path)
+
+
+def _route_with_grid_scalar(placement: InterposerPlacement,
+                            grid: RoutingGrid, stacked: List[RoutedNet],
+                            todo: List[Tuple[str, str, Tuple[float, float],
+                                             Tuple[float, float]]]
+                            ) -> InterposerRoute:
+    """Scalar router engine over a prepared problem (``_pin_problem``)."""
+    # ---- phase 1: pattern route, shortest first ----------------------- #
+    routed: Dict[str, RoutedNet] = {}
+    for name, kind, s_mm, d_mm in sorted(todo, key=routing._manhattan_mm):
+        src = grid.to_grid(*s_mm)
+        dst = grid.to_grid(*d_mm)
+        best, best_cost = None, math.inf
+        for cand in grid.pattern_candidates(src, dst):
+            c = path_cost_scalar(grid, cand)
+            if c < best_cost:
+                best, best_cost = cand, c
+        assert best is not None
+        grid.commit(best)
+        routed[name] = _path_to_net(name, kind, best, grid.cell_um)
+
+    # ---- phase 2: rip-up and reroute overflowing nets ------------------ #
+    for _round in range(routing.RRR_ROUNDS):
+        victims = [n for n in routed.values()
+                   if n.path and path_overflows(grid, n.path)]
+        if not victims:
+            break
+        victims.sort(key=lambda n: -n.length_mm)
+        for net in victims:
+            grid.rip_up(net.path)
+            src = (net.path[0][1], net.path[0][2])
+            dst = (net.path[-1][1], net.path[-1][2])
+            path = grid.maze_route_scalar(src, dst,
+                                          routing.MAZE_NODE_BUDGET)
+            if path is None:
+                path = net.path  # keep the pattern route
+            grid.commit(path)
+            routed[net.name] = _path_to_net(net.name, net.kind, path,
+                                            grid.cell_um)
+
+    nets = stacked + list(routed.values())
+    layers_used: Set[int] = set()
+    for n in nets:
+        layers_used |= n.layers
+    return InterposerRoute(placement=placement, nets=nets,
+                           signal_layers_used=len(layers_used),
+                           overflow_cells=grid.overflow_cells())
+
+
+def route_interposer_scalar(placement: InterposerPlacement,
+                            logic_bumps: List[Tuple[float, float]],
+                            memory_bumps: List[Tuple[float, float]],
+                            l2m_signals: int = 231,
+                            l2l_signals: int = 68) -> InterposerRoute:
+    """Scalar twin of :func:`repro.interposer.routing.route_interposer`."""
+    return _route_with_grid_scalar(placement, *routing._tile_problem(
+        placement, logic_bumps, memory_bumps, l2m_signals, l2l_signals))
+
+
+def route_interposer_pins_scalar(placement: InterposerPlacement,
+                                 pin_map: Dict[str,
+                                               List[Tuple[float, float]]],
+                                 links: Sequence[PinLink]
+                                 ) -> InterposerRoute:
+    """Scalar twin of :func:`repro.interposer.routing.route_interposer_pins`."""
+    grid, stacked, todo = routing._pin_problem(placement, pin_map, links)
+    return _route_with_grid_scalar(placement, grid, stacked, todo)

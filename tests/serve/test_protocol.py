@@ -58,6 +58,24 @@ class TestEvalRequestCanonicalization:
         with pytest.raises(ValueError, match="scale must be > 0"):
             EvalRequest.from_dict({"scale": 0})
 
+    @pytest.mark.parametrize("data", [
+        {"kind": "flow", "scale": float("nan")},
+        {"kind": "flow", "scale": float("inf")},
+        {"kind": "link", "length_um": float("nan")},
+        {"kind": "link", "length_um": float("inf")},
+        {"kind": "flow", "target_frequency_mhz": -700.0},
+        {"kind": "link", "target_frequency_mhz": 0.0},
+        {"kind": "flow", "target_frequency_mhz": float("nan")},
+        {"kind": "flow", "target_frequency_mhz": float("inf")},
+    ])
+    def test_non_finite_or_nonpositive_values_rejected(self, data):
+        # None is a usable value; several used to be queued and fail
+        # only later, inside a pool worker.
+        field_name = next(k for k in data if k != "kind")
+        with pytest.raises(ValueError,
+                           match=f"{field_name} must be > 0 and finite"):
+            EvalRequest.from_dict(data)
+
     def test_flow_task_mapping(self):
         req = EvalRequest(scale=0.02, seed=11, with_eyes=False,
                           with_thermal=False)

@@ -188,6 +188,15 @@ class TestHttpEdges:
         assert exc.value.status == 400
         assert "fr4" in str(exc.value)
 
+    def test_nan_length_400_serverside(self, client):
+        # Python's json module reads the NaN literal; the server must
+        # reject the value instead of queueing a job that can only fail.
+        with pytest.raises(ServeError) as exc:
+            client._json("POST", "/v1/tasks",
+                         body={"kind": "link", "length_um": float("nan")})
+        assert exc.value.status == 400
+        assert "length_um must be > 0 and finite" in str(exc.value)
+
     def test_unknown_request_key_400_serverside(self, client):
         with pytest.raises(ServeError) as exc:
             client._json("POST", "/v1/tasks",

@@ -122,34 +122,3 @@ class TestSimCache:
         k2 = _channel_sim_key(
             Channel("x", line=line, length_um=2000), 7e8, 1e-12)
         assert k1 != k2
-
-
-class TestMeasureChannels:
-    def test_matches_per_channel_measurements(self):
-        from repro.si.channel import measure_channels
-
-        channels = [
-            Channel("bump", lumped=microbump_model()),
-            Channel("tsv2", lumped=cascade(tsv_model(), tsv_model())),
-            Channel("rdl", line=line_for_spec(GLASS_25D),
-                    length_um=1500.0),
-        ]
-        batched = measure_channels(channels)
-        for ch, rep in zip(channels, batched):
-            solo = measure_channel(ch)
-            assert rep.name == solo.name
-            assert rep.interconnect_delay_ps == pytest.approx(
-                solo.interconnect_delay_ps, abs=1e-6)
-            assert rep.interconnect_power_uw == pytest.approx(
-                solo.interconnect_power_uw, rel=1e-9, abs=1e-9)
-            assert rep.total_delay_ps == pytest.approx(
-                solo.total_delay_ps, rel=1e-9)
-
-    def test_activity_threaded(self):
-        from repro.si.channel import measure_channels
-        full = measure_channels([Channel("b", lumped=microbump_model())],
-                                activity=1.0)[0]
-        half = measure_channels([Channel("b", lumped=microbump_model())],
-                                activity=0.5)[0]
-        assert half.interconnect_power_uw == pytest.approx(
-            full.interconnect_power_uw * 0.5, rel=1e-12)
