@@ -15,8 +15,8 @@ and 37,091 cells memory, before I/O driver insertion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 #: Which chiplet a module is assigned to by the hierarchical partitioning.
 LOGIC_CHIPLET = "logic"

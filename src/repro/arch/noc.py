@@ -11,9 +11,8 @@ architecture section implies but does not evaluate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..partition.serdes import SerDesConfig
 

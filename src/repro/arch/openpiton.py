@@ -8,14 +8,14 @@ logic-to-memory.  This is the object the co-design flow starts from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..tech.stdcell import CellLibrary, N28_LIB
 from .generate import generate_chiplet_netlist
-from .modules import (INTER_TILE_BUSES, INTRA_TILE_BUSES, LOGIC_CHIPLET,
-                      MEMORY_CHIPLET, chiplet_instance_count,
-                      inter_tile_signal_count, intra_tile_signal_count)
+from .modules import (INTER_TILE_BUSES, LOGIC_CHIPLET, MEMORY_CHIPLET,
+                      chiplet_instance_count, inter_tile_signal_count,
+                      intra_tile_signal_count)
 from .netlist import Netlist
 
 

@@ -10,7 +10,7 @@ generation-index order, preserving the netlist's built-in locality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from ..arch.netlist import Netlist

@@ -12,7 +12,6 @@ actually consume.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 

@@ -15,7 +15,6 @@ at the full 167k-cell scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 

@@ -14,7 +14,7 @@ All computation is vectorized over numpy arrays built once per netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 import numpy as np
 

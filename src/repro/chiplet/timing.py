@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from ..arch.netlist import Netlist
 from ..tech.stdcell import CellKind
 from .route import GlobalRoute
 

@@ -8,13 +8,12 @@ This module provides that sweep plus generic transfer-function sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .elements import Circuit
-from .mna import (CircuitStamps, MnaStructure, Solution, ac_block_factor,
-                  assemble_ac, _robust_solve)
+from .mna import CircuitStamps, ac_block_factor, assemble_ac, _robust_solve
 
 
 @dataclass

@@ -12,8 +12,8 @@ Node names are strings; ``"0"`` and ``"gnd"`` are ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, List, Union
 
 from .waveforms import Waveform, dc
 

@@ -6,7 +6,7 @@ out, so benchmark logs read side-by-side against the published numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 
 def format_table(headers: Sequence[str],

@@ -17,8 +17,8 @@ Fig. 4 flow, made explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..cost.model import CostReport, package_cost
 from ..io.drc import DrcReport, check_cell

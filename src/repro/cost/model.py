@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..interposer.placement import InterposerPlacement
 from ..tech.interposer import IntegrationStyle, InterposerSpec

@@ -1,6 +1,6 @@
-"""Runtime-compiled C kernels for the maze router's searches.
+"""Runtime-compiled C kernels: the maze router's searches and FM passes.
 
-One C source holds two entry points, compiled together into one shared
+One C source holds three entry points, compiled together into one shared
 object and loaded through :mod:`ctypes`:
 
 ``maze_dial``
@@ -30,17 +30,36 @@ object and loaded through :mod:`ctypes`:
     the path, the expansion count and node-budget exhaustion are
     bit-identical to the Python reference.
 
+``fm_run``
+    Every pass of one Fiduccia–Mattheyses start for
+    :mod:`repro.partition.fm`, over the CSR arrays of a
+    :class:`~repro.partition.fm.Hypergraph`, ported line for line from
+    the dict-based pass loop that ``tests/oracles/fm.py`` keeps as the
+    reference.  Its output is exact because nothing in it depends on
+    an order or a rounding the reference does not fix: gain slots are
+    doubly linked lists with tail append, unlink and LIFO pop from the
+    tail, the order of the insertion-ordered dict buckets; a gain tie
+    between the two sides' candidates breaks on the instance name's
+    rank, as sorting ``(gain, name, side)`` tuples does; the part areas
+    are summed in instance order with the same additions and
+    subtractions; and the balance bounds and the random start arrive
+    from Python, never re-summed here.  The assignment, the cut, the
+    pass count and the cut history equal the reference's.
+
 The source is compiled once per toolchain with the system C compiler
 (``$CC``, default ``cc``) into ``<repo>/.build_cache/``; the object's
 name hashes the source, the compiler and the flags, so an object built
 differently is never reused.  ``-ffp-contract=off`` keeps the compiler
 from fusing the A* heuristic's multiply-add, which would change its
-rounding on targets with FMA.  When the kernel cannot be built or
-loaded, :func:`load_kernel` logs one warning and returns ``None``; every
-maze search then runs the scalar A*
+rounding on targets with FMA (FM's float work is additions and
+comparisons, in the reference's order).  When the kernel cannot be
+built or loaded, :func:`load_kernel` logs one warning and returns
+``None``; every maze search then runs the scalar A*
 (:meth:`~repro.interposer.routing.RoutingGrid.maze_route_scalar`),
-several times slower.  Set ``REPRO_NO_CCOMPILE=1`` to disable the
-kernel on purpose (no warning; tests use this to pin the fallback).
+several times slower, and FM runs its portable pass
+(``repro.partition.fm._passes_portable``), the same loop in Python.
+Set ``REPRO_NO_CCOMPILE=1`` to disable the kernel on purpose (no
+warning; tests use this to pin the fallbacks).
 """
 
 from __future__ import annotations
@@ -410,14 +429,294 @@ finish:
     free(heap);
     return result;
 }
+
+/* FM bipartitioning: the pass loop of repro.partition.fm, ported line
+ * for line (the portable pass there runs the same loop in Python).
+ *
+ * The hypergraph is CSR.  Instance i's unique nets, sorted by net
+ * name, are inst_nets[inst_ptr[i] .. inst_ptr[i + 1]); net e's pins
+ * (driver first, then sinks, duplicates kept) are pins[pin_ptr[e] ..
+ * pin_ptr[e + 1]).  area[i] is instance i's cell area and rank[i] the
+ * rank of its name, which breaks a gain tie between the two sides'
+ * candidates.  Gains are clamped to [-max_deg, max_deg]; each gain
+ * slot of each side is a doubly linked list with tail append, unlink
+ * and pop from the tail.
+ *
+ * side[] (0/1) is the start on entry and the rolled-forward assignment
+ * on return.  best_side[] holds the assignment with the fewest cut
+ * nets seen and out[1] its cut; out[1] = -1 on entry means "none yet":
+ * the cut of side[] is counted and side[] copied.  Runs up to
+ * max_passes passes, writing each pass's cut to history[]; out[0] =
+ * passes run, out[2] = 1 when a pass applied no move (converged).
+ * Returns 0, or -1 when scratch memory cannot be allocated.
+ */
+typedef struct {
+    int32_t *head, *tail;   /* [2 * nslot]: side-major gain slots */
+    int32_t *nxt, *prv;     /* [n] list links */
+    int32_t *gain;          /* [n] clamped gain */
+    int64_t nslot;
+    int32_t max_deg;
+    int64_t best[2];        /* highest possibly non-empty slot */
+} fm_buckets;
+
+static void fm_append(fm_buckets *b, int32_t u, int p, int64_t slot)
+{
+    const int64_t k = p * b->nslot + slot;
+    b->prv[u] = b->tail[k];
+    b->nxt[u] = -1;
+    if (b->tail[k] >= 0)
+        b->nxt[b->tail[k]] = u;
+    else
+        b->head[k] = u;
+    b->tail[k] = u;
+    if (slot > b->best[p])
+        b->best[p] = slot;
+}
+
+static void fm_unlink(fm_buckets *b, int32_t u, int p, int64_t slot)
+{
+    const int64_t k = p * b->nslot + slot;
+    if (b->prv[u] >= 0)
+        b->nxt[b->prv[u]] = b->nxt[u];
+    else
+        b->head[k] = b->nxt[u];
+    if (b->nxt[u] >= 0)
+        b->prv[b->nxt[u]] = b->prv[u];
+    else
+        b->tail[k] = b->prv[u];
+}
+
+static int32_t fm_clamp(int64_t g, int32_t m)
+{
+    return g > m ? m : (g < -m ? -m : (int32_t)g);
+}
+
+static void fm_insert(fm_buckets *b, int32_t u, int p, int64_t g)
+{
+    b->gain[u] = fm_clamp(g, b->max_deg);
+    fm_append(b, u, p, b->gain[u] + b->max_deg);
+}
+
+static void fm_update(fm_buckets *b, int32_t u, int p, int32_t delta)
+{
+    const int32_t old = b->gain[u];
+    const int32_t g = fm_clamp((int64_t)old + delta, b->max_deg);
+    if (g == old)
+        return;
+    fm_unlink(b, u, p, old + b->max_deg);
+    b->gain[u] = g;
+    fm_append(b, u, p, g + b->max_deg);
+}
+
+static int32_t fm_pop_best(fm_buckets *b, int p)
+{
+    int32_t u;
+    while (b->best[p] >= 0 && b->tail[p * b->nslot + b->best[p]] < 0)
+        b->best[p]--;
+    if (b->best[p] < 0)
+        return -1;
+    u = b->tail[p * b->nslot + b->best[p]];
+    fm_unlink(b, u, p, b->best[p]);
+    return u;
+}
+
+/* Pins of every net per side into cnt[2 e + s]; returns the cut. */
+static int64_t fm_count(int64_t m, const int64_t *pin_ptr,
+                        const int32_t *pins, const int8_t *side,
+                        int32_t *cnt)
+{
+    int64_t e, t, cut = 0;
+    for (e = 0; e < m; e++) {
+        int32_t c[2] = {0, 0};
+        for (t = pin_ptr[e]; t < pin_ptr[e + 1]; t++)
+            c[side[pins[t]]]++;
+        cnt[2 * e] = c[0];
+        cnt[2 * e + 1] = c[1];
+        if (c[0] > 0 && c[1] > 0)
+            cut++;
+    }
+    return cut;
+}
+
+int64_t fm_run(int64_t n, int64_t m,
+               const double *area, const int32_t *rank,
+               const int64_t *inst_ptr, const int32_t *inst_nets,
+               const int64_t *pin_ptr, const int32_t *pins,
+               int32_t max_deg, double lo, double hi, int64_t max_passes,
+               int8_t *side, int8_t *best_side, int64_t *history,
+               int64_t *out)
+{
+    fm_buckets b;
+    const int64_t nslot = 2 * (int64_t)max_deg + 1;
+    int32_t *cnt = (int32_t *)malloc((size_t)(2 * m + 1) * sizeof *cnt);
+    int32_t *moves = (int32_t *)malloc((size_t)(n + 1) * sizeof *moves);
+    int8_t *cur = (int8_t *)malloc((size_t)(n + 1));
+    uint8_t *locked = (uint8_t *)malloc((size_t)(n + 1));
+    int64_t best_cut = out[1], passes = 0, pass, result = 0, i, j, k;
+
+    b.head = (int32_t *)malloc((size_t)(2 * nslot) * sizeof(int32_t));
+    b.tail = (int32_t *)malloc((size_t)(2 * nslot) * sizeof(int32_t));
+    b.nxt = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+    b.prv = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+    b.gain = (int32_t *)malloc((size_t)(n + 1) * sizeof(int32_t));
+    b.nslot = nslot;
+    b.max_deg = max_deg;
+    out[2] = 0;
+    if (cnt == NULL || moves == NULL || cur == NULL || locked == NULL
+            || b.head == NULL || b.tail == NULL || b.nxt == NULL
+            || b.prv == NULL || b.gain == NULL) {
+        result = -1;
+        goto finish;
+    }
+    if (best_cut < 0) {
+        best_cut = fm_count(m, pin_ptr, pins, side, cnt);
+        for (i = 0; i < n; i++)
+            best_side[i] = side[i];
+    }
+
+    for (pass = 0; pass < max_passes; pass++) {
+        double part_area[2] = {0.0, 0.0};
+        int64_t nlocked = 0, nmoves = 0, best_len = 0, cur_cut, best_in_pass,
+                pass_cut;
+        passes++;
+        cur_cut = fm_count(m, pin_ptr, pins, side, cnt);
+        for (i = 0; i < n; i++)
+            part_area[side[i]] += area[i];
+        for (k = 0; k < 2 * nslot; k++)
+            b.head[k] = b.tail[k] = -1;
+        b.best[0] = b.best[1] = -1;
+        for (i = 0; i < n; i++) {
+            const int s = side[i];
+            int64_t g = 0;
+            for (j = inst_ptr[i]; j < inst_ptr[i + 1]; j++) {
+                const int32_t *c = cnt + 2 * (int64_t)inst_nets[j];
+                if (c[1 - s] == 0)
+                    g--;
+                if (c[s] == 1)
+                    g++;
+            }
+            fm_insert(&b, (int32_t)i, s, g);
+            locked[i] = 0;
+            cur[i] = side[i];
+        }
+        best_in_pass = cur_cut;
+
+        while (nlocked < n) {
+            int32_t cv[2], cg[2], v, g;
+            int cp[2], nc = 0, q, src, dst;
+            for (q = 0; q < 2; q++) {
+                const int32_t u = fm_pop_best(&b, q);
+                double dst_area, src_area;
+                if (u < 0)
+                    continue;
+                dst_area = part_area[1 - q] + area[u];
+                src_area = part_area[q] - area[u];
+                if (dst_area <= hi && src_area >= lo) {
+                    cv[nc] = u;
+                    cg[nc] = b.gain[u];
+                    cp[nc] = q;
+                    nc++;
+                } else {
+                    fm_insert(&b, u, q, b.gain[u]);
+                }
+            }
+            if (nc == 0)
+                break;
+            /* candidates.sort(reverse=True) on (gain, name, side) */
+            k = nc == 2 && (cg[1] > cg[0]
+                            || (cg[1] == cg[0] && rank[cv[1]] > rank[cv[0]]));
+            if (nc == 2)
+                fm_insert(&b, cv[1 - k], cp[1 - k], cg[1 - k]);
+            v = cv[k];
+            g = cg[k];
+            src = cp[k];
+            dst = 1 - src;
+            locked[v] = 1;
+            nlocked++;
+            moves[nmoves++] = v;
+            part_area[src] -= area[v];
+            part_area[dst] += area[v];
+            cur_cut -= g;
+            for (j = inst_ptr[v]; j < inst_ptr[v + 1]; j++) {
+                const int64_t e = inst_nets[j];
+                int32_t *c = cnt + 2 * e;
+                const int64_t t0 = pin_ptr[e], t1 = pin_ptr[e + 1];
+                int64_t t;
+                if (c[dst] == 0) {
+                    for (t = t0; t < t1; t++) {
+                        const int32_t u = pins[t];
+                        if (!locked[u])
+                            fm_update(&b, u, cur[u], +1);
+                    }
+                } else if (c[dst] == 1) {
+                    for (t = t0; t < t1; t++) {
+                        const int32_t u = pins[t];
+                        if (!locked[u] && cur[u] == dst)
+                            fm_update(&b, u, dst, -1);
+                    }
+                }
+                c[src]--;
+                c[dst]++;
+                if (c[src] == 0) {
+                    for (t = t0; t < t1; t++) {
+                        const int32_t u = pins[t];
+                        if (!locked[u])
+                            fm_update(&b, u, cur[u], -1);
+                    }
+                } else if (c[src] == 1) {
+                    for (t = t0; t < t1; t++) {
+                        const int32_t u = pins[t];
+                        if (!locked[u] && cur[u] == src)
+                            fm_update(&b, u, src, +1);
+                    }
+                }
+            }
+            cur[v] = (int8_t)dst;
+            if (cur_cut < best_in_pass) {
+                best_in_pass = cur_cut;
+                best_len = nmoves;
+            }
+        }
+
+        /* Roll forward the prefix of moves that reached the best cut. */
+        for (k = 0; k < best_len; k++)
+            side[moves[k]] ^= 1;
+        pass_cut = fm_count(m, pin_ptr, pins, side, cnt);
+        history[pass] = pass_cut;
+        if (pass_cut < best_cut) {
+            best_cut = pass_cut;
+            for (i = 0; i < n; i++)
+                best_side[i] = side[i];
+        }
+        if (best_len == 0) {
+            out[2] = 1;
+            break;
+        }
+    }
+
+finish:
+    out[0] = passes;
+    out[1] = best_cut;
+    free(cnt);
+    free(moves);
+    free(cur);
+    free(locked);
+    free(b.head);
+    free(b.tail);
+    free(b.nxt);
+    free(b.prv);
+    free(b.gain);
+    return result;
+}
 """
 
 
 class MazeKernel(NamedTuple):
-    """The two loaded entry points of the compiled source."""
+    """The three loaded entry points of the compiled source."""
 
     dial: Callable[..., int]
     astar: Callable[..., int]
+    fm: Callable[..., int]
 
 
 _kernel: Optional[MazeKernel] = None
@@ -491,12 +790,23 @@ def _bind(lib: ctypes.CDLL) -> MazeKernel:
         ctypes.c_double,          # sq2
         ptr, ptr,                 # path, out
     ]
-    return MazeKernel(dial, astar)
+    fm = lib.fm_run
+    fm.restype = i64
+    fm.argtypes = [
+        i64, i64,                 # n, m
+        ptr, ptr,                 # area, rank
+        ptr, ptr, ptr, ptr,       # inst_ptr, inst_nets, pin_ptr, pins
+        i32,                      # max_deg
+        ctypes.c_double, ctypes.c_double,  # lo, hi
+        i64,                      # max_passes
+        ptr, ptr, ptr, ptr,       # side, best_side, history, out
+    ]
+    return MazeKernel(dial, astar, fm)
 
 
 def load_kernel() -> Optional[MazeKernel]:
-    """The compiled entry points (``maze_dial``, ``maze_astar``), or
-    ``None``.
+    """The compiled entry points (``maze_dial``, ``maze_astar``,
+    ``fm_run``), or ``None``.
 
     Compiles on first use (cached under ``<repo>/.build_cache/``),
     memoizes the result for the process, and returns ``None`` — never
@@ -521,8 +831,9 @@ def load_kernel() -> Optional[MazeKernel]:
         except (OSError, AttributeError) as exc:
             reason = str(exc)
     if reason is not None:
-        _LOG.warning("maze kernel unavailable (%s with %s): %s; the "
-                     "router falls back to its much slower scalar A*",
+        _LOG.warning("compiled kernel unavailable (%s with %s): %s; the "
+                     "router falls back to its much slower scalar A* and "
+                     "FM to its portable pass",
                      compiler, " ".join(_FLAGS), reason)
     return _kernel
 

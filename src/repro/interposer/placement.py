@@ -16,8 +16,8 @@ Four chiplets (two tiles x logic/memory) are arranged per technology:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from ..chiplet.bumps import BumpPlan
 from ..chiplet.floorplan import arrange_outlines

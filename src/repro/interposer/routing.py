@@ -322,16 +322,6 @@ class RoutingGrid:
     # Occupancy bookkeeping.
     # ------------------------------------------------------------------ #
 
-    def commit(self, path: Sequence[Tuple[int, int, int]]) -> None:
-        """Record a routed path in the occupancy map."""
-        arr = np.asarray(path, dtype=np.intp)
-        np.add.at(self.occupancy, (arr[:, 0], arr[:, 1], arr[:, 2]), 1)
-
-    def rip_up(self, path: Sequence[Tuple[int, int, int]]) -> None:
-        """Remove a committed path from the occupancy map."""
-        arr = np.asarray(path, dtype=np.intp)
-        np.add.at(self.occupancy, (arr[:, 0], arr[:, 1], arr[:, 2]), -1)
-
     def overflow_cells(self) -> int:
         """Number of cells whose demand exceeds capacity."""
         return int((self.occupancy > self.capacity).sum())

@@ -20,7 +20,7 @@ Layer map (GDSII layer numbers):
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..chiplet.design import ChipletResult
 from ..interposer.routing import InterposerRoute

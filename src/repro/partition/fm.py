@@ -9,15 +9,49 @@ cut nets under an area-balance constraint.
 On the OpenPiton tile the expected behaviour — asserted by tests — is that
 FM rediscovers a cut close to the L3 interface, because the synthetic
 netlist has the same locality structure as the real design.
+
+FM runs on the netlist as integer arrays (:class:`Hypergraph`, built
+once per netlist): instance areas in instance order, each net's pins
+(driver, then sinks, duplicates kept), and each instance's unique nets
+sorted by net name.  :mod:`repro.partition.multiway` carves its
+bisection and pair sub-problems out of the same arrays
+(:func:`carve`).  The pass loop of one start — gain buckets, move
+selection, incremental gain updates and the roll-forward to the best
+prefix — runs in the compiled ``fm_run`` of
+:mod:`repro.interposer._mazekernel`, or, without a C compiler, in
+:func:`_passes_portable`, the same loop in Python over the same arrays.
+Both reproduce the original dict-based implementation (kept as the
+golden reference in ``tests/oracles/fm.py``) exactly, which rests on:
+
+* each gain slot of each side is a doubly linked list with tail
+  append, unlink and LIFO pop from the tail — the order of the
+  insertion-ordered dict buckets (a gain update that the clamp to
+  ``±max_deg`` leaves unchanged does not move the cell);
+* a gain tie between the two sides' candidates breaks on the rank of
+  the instance name, as ``candidates.sort(reverse=True)`` did on names;
+* ``part_area`` is summed in instance order, and moves subtract and add
+  the one cell area;
+* ``total_area`` (Python's float ``sum``, compensated since 3.12),
+  ``lo``, ``hi`` and the ``random.Random(seed).shuffle`` start are
+  computed in Python and handed over, never re-summed; the kernel is
+  compiled with ``-ffp-contract=off``.
 """
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from ..arch.netlist import Netlist
+
+_LOG = logging.getLogger(__name__)
+
+#: Passes per ``fm_run`` call (the size of its history buffer).
+_CHUNK = 64
 
 
 @dataclass
@@ -28,7 +62,7 @@ class PartitionResult:
         assignment: instance name → partition id (0 or 1).
         cut_nets: Names of nets with pins in both partitions.
         passes: Number of FM passes executed.
-        cut_history: Cut size after each pass (monotone non-increasing).
+        cut_history: Cut size after each pass.
     """
 
     assignment: Dict[str, int]
@@ -46,84 +80,178 @@ class PartitionResult:
         return [n for n, p in self.assignment.items() if p == partition]
 
 
-def _net_distribution(netlist: Netlist,
-                      assignment: Dict[str, int]) -> Dict[str, List[int]]:
-    """For each net: [pins in partition 0, pins in partition 1]."""
-    dist: Dict[str, List[int]] = {}
-    for net in netlist.nets.values():
-        counts = [0, 0]
-        endpoints = ([net.driver] if net.driver else []) + net.sinks
-        for e in endpoints:
-            counts[assignment[e]] += 1
-        dist[net.name] = counts
-    return dist
-
-
 def cut_nets(netlist: Netlist, assignment: Dict[str, int]) -> Set[str]:
-    """Nets with endpoints on both sides of the given assignment."""
+    """Nets whose pins lie in more than one part of the assignment."""
     out: Set[str] = set()
-    for net, (c0, c1) in _net_distribution(netlist, assignment).items():
-        if c0 > 0 and c1 > 0:
-            out.add(net)
+    for net in netlist.nets.values():
+        parts = {assignment[e] for e in net.sinks}
+        if net.driver:
+            parts.add(assignment[net.driver])
+        if len(parts) > 1:
+            out.add(net.name)
     return out
 
 
-def _areas(netlist: Netlist) -> Dict[str, float]:
-    return {name: netlist.cell(name).area_um2 for name in netlist.instances}
+class Hypergraph(NamedTuple):
+    """A netlist's connectivity as CSR integer arrays, the form FM runs on.
 
-
-class _GainBuckets:
-    """FM gain-bucket structure with O(1) best-gain retrieval.
-
-    Buckets are insertion-ordered (dicts used as ordered sets), so
-    equal-gain ties break by insertion order and the whole partitioner
-    is reproducible regardless of ``PYTHONHASHSEED``.
+    Instances are numbered ``0..n-1`` and nets ``0..m-1``.
     """
 
-    def __init__(self, max_gain: int):
-        self.max_gain = max_gain
-        self.buckets: List[List[Dict[str, None]]] = [
-            [{} for _ in range(2 * max_gain + 1)] for _ in range(2)]
-        self.gain_of: Dict[str, int] = {}
-        self.best: List[int] = [-1, -1]
+    #: float64 [n]: cell area per instance.
+    area: np.ndarray
+    #: int32 [n]: rank of the instance name among all names.
+    rank: np.ndarray
+    #: int64 [n + 1] / int32: each instance's unique nets, by net name.
+    inst_ptr: np.ndarray
+    inst_nets: np.ndarray
+    #: int64 [m + 1] / int32: each net's pins, driver then sinks.
+    pin_ptr: np.ndarray
+    pins: np.ndarray
 
-    def _slot(self, gain: int) -> int:
-        return gain + self.max_gain
 
-    def insert(self, name: str, part: int, gain: int) -> None:
-        """Insert a cell at a gain into its side's buckets."""
-        gain = max(-self.max_gain, min(self.max_gain, gain))
-        self.gain_of[name] = gain
-        slot = self._slot(gain)
-        self.buckets[part][slot][name] = None
-        if slot > self.best[part]:
-            self.best[part] = slot
+def hypergraph(netlist: Netlist) -> Tuple[Hypergraph, List[str],
+                                          List[str]]:
+    """The netlist as a :class:`Hypergraph`, with its instance and net
+    names (the index order of the arrays)."""
+    names = list(netlist.instances)
+    index = {name: i for i, name in enumerate(names)}
+    net_names = list(netlist.nets)
+    n, m = len(names), len(net_names)
+    flat: List[int] = []
+    sizes: List[int] = []
+    for net in netlist.nets.values():
+        start = len(flat)
+        if net.driver:
+            flat.append(index[net.driver])
+        flat.extend([index[s] for s in net.sinks])
+        sizes.append(len(flat) - start)
+    pins = np.array(flat, dtype=np.int32)
+    pin_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.array(sizes, dtype=np.int64), out=pin_ptr[1:])
+    # Each instance's unique nets in net-name order: one sort of
+    # (instance, net-name rank) keys over all pins.
+    by_name = np.array(sorted(range(m), key=net_names.__getitem__),
+                       dtype=np.int64)
+    net_rank = np.empty(m, dtype=np.int64)
+    net_rank[by_name] = np.arange(m)
+    width = max(m, 1)
+    keys = np.unique(pins.astype(np.int64) * width
+                     + net_rank[np.repeat(np.arange(m), sizes)])
+    inst_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=n), out=inst_ptr[1:])
+    rank = np.empty(n, dtype=np.int32)
+    rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
+    area = np.array([netlist.cell(name).area_um2 for name in names],
+                    dtype=np.float64)
+    graph = Hypergraph(area=area, rank=rank, inst_ptr=inst_ptr,
+                       inst_nets=by_name[keys % width].astype(np.int32),
+                       pin_ptr=pin_ptr, pins=pins)
+    return graph, names, net_names
 
-    def update(self, name: str, part: int, delta: int) -> None:
-        """Shift a cell's gain by delta."""
-        old = self.gain_of[name]
-        new = max(-self.max_gain, min(self.max_gain, old + delta))
-        if new == old:
-            return
-        self.buckets[part][self._slot(old)].pop(name, None)
-        self.gain_of[name] = new
-        slot = self._slot(new)
-        self.buckets[part][slot][name] = None
-        if slot > self.best[part]:
-            self.best[part] = slot
 
-    def pop_best(self, part: int) -> Optional[Tuple[str, int]]:
-        """Pop the highest-gain unlocked cell of one side."""
-        while self.best[part] >= 0 and not self.buckets[part][self.best[part]]:
-            self.best[part] -= 1
-        if self.best[part] < 0:
-            return None
-        slot = self.best[part]
-        # LIFO tie-breaking (classic FM): most recently touched first.
-        name = next(reversed(self.buckets[part][slot]))
-        del self.buckets[part][slot][name]
-        gain = self.gain_of.pop(name)
-        return name, gain
+def carve(graph: Hypergraph, keep: np.ndarray) -> Hypergraph:
+    """The sub-problem ``Netlist.subset`` would hand FM, as arrays.
+
+    ``keep`` lists instance indices in ascending (parent) order.  The
+    sub-problem keeps them in that order, keeps every net with a kept
+    pin (in parent order), cut down to its kept pins, and keeps each
+    kept instance's nets in net-name order.
+    """
+    local = np.full(len(graph.area), -1, dtype=np.int32)
+    local[keep] = np.arange(len(keep), dtype=np.int32)
+    pin_local = local[graph.pins]
+    kept = pin_local >= 0
+    before = np.zeros(len(kept) + 1, dtype=np.int64)
+    np.cumsum(kept, out=before[1:])
+    per_net = before[graph.pin_ptr[1:]] - before[graph.pin_ptr[:-1]]
+    live = per_net > 0
+    net_id = (np.cumsum(live) - 1).astype(np.int32)
+    pin_ptr = np.zeros(int(live.sum()) + 1, dtype=np.int64)
+    np.cumsum(per_net[live], out=pin_ptr[1:])
+    starts = graph.inst_ptr[keep]
+    degree = graph.inst_ptr[keep + 1] - starts
+    inst_ptr = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(degree, out=inst_ptr[1:])
+    rows = np.repeat(starts - inst_ptr[:-1], degree) + np.arange(inst_ptr[-1])
+    return Hypergraph(area=graph.area[keep], rank=graph.rank[keep],
+                      inst_ptr=inst_ptr,
+                      inst_nets=net_id[graph.inst_nets[rows]],
+                      pin_ptr=pin_ptr, pins=pin_local[kept])
+
+
+def cut_mask(graph: Hypergraph, part: np.ndarray) -> np.ndarray:
+    """Per net, whether its pins span more than one part of ``part``
+    (a part id per instance)."""
+    sizes = np.diff(graph.pin_ptr)
+    live = sizes > 0
+    cut = np.zeros(len(sizes), dtype=bool)
+    if live.any():
+        at = part[graph.pins]
+        starts = graph.pin_ptr[:-1][live]
+        cut[live] = (np.maximum.reduceat(at, starts)
+                     != np.minimum.reduceat(at, starts))
+    return cut
+
+
+class _Start(NamedTuple):
+    """The passes of one FM start."""
+
+    side: np.ndarray      # int8 [n]: best assignment seen
+    cut: int              # its cut
+    history: List[int]    # cut after each pass
+
+
+def _balance(graph: Hypergraph,
+             balance_tolerance: float) -> Tuple[float, float, float]:
+    """``(total_area, lo, hi)`` of a sub-problem, after the size and
+    tolerance checks."""
+    if len(graph.area) < 2:
+        raise ValueError("need at least two instances to bipartition")
+    if not 0 < balance_tolerance < 0.5:
+        raise ValueError("balance_tolerance must be in (0, 0.5)")
+    total_area = sum(graph.area.tolist())
+    return (total_area, (0.5 - balance_tolerance) * total_area,
+            (0.5 + balance_tolerance) * total_area)
+
+
+def _random_start(area: np.ndarray, total_area: float,
+                  seed: int) -> Tuple[List[int], np.ndarray]:
+    """The shuffled instance order and the start it fills: part 0 takes
+    instances in that order until its area reaches half the total."""
+    order = list(range(len(area)))
+    random.Random(seed).shuffle(order)
+    # Part 0's running area before each instance; once it reaches half
+    # the total it stops growing, so every later instance is part 1.
+    before = np.concatenate(([0.0], np.cumsum(area[order])[:-1]))
+    full = np.logical_or.accumulate(~(before < total_area / 2))
+    side = np.empty(len(area), dtype=np.int8)
+    side[order] = full
+    return order, side
+
+
+def _best_of_starts(graph: Hypergraph, balance_tolerance: float,
+                    max_passes: int, seed: int,
+                    restarts: int) -> Tuple[List[int], _Start]:
+    """FM from ``restarts`` random starts (seeds ``seed + 7919 r``; one
+    start at ``seed`` when ``restarts <= 1``); the first start with the
+    fewest cut nets, with its shuffled instance order."""
+    total_area, lo, hi = _balance(graph, balance_tolerance)
+    best: Optional[Tuple[List[int], _Start]] = None
+    for r in range(max(restarts, 1)):
+        order, side = _random_start(graph.area, total_area,
+                                    seed + 7919 * r)
+        run = _run_passes(graph, side, lo, hi, max_passes)
+        if best is None or run.cut < best[1].cut:
+            best = (order, run)
+    return best
+
+
+def _refine(graph: Hypergraph, side: np.ndarray, balance_tolerance: float,
+            max_passes: int) -> _Start:
+    """FM from a given 0/1 start."""
+    _total, lo, hi = _balance(graph, balance_tolerance)
+    return _run_passes(graph, side, lo, hi, max_passes)
 
 
 def fm_bipartition(netlist: Netlist,
@@ -139,7 +267,8 @@ def fm_bipartition(netlist: Netlist,
 
     Args:
         netlist: Flat netlist to partition.
-        initial: Optional starting assignment; random balanced otherwise.
+        initial: Optional starting assignment (0 or 1 for every
+            instance); random balanced otherwise.
         balance_tolerance: Each side must hold within
             ``(0.5 ± tolerance)`` of the total cell area.  The paper's
             logic/memory split is area-asymmetric, so the default is loose.
@@ -148,170 +277,265 @@ def fm_bipartition(netlist: Netlist,
         restarts: Random restarts (ignored when ``initial`` is given).
 
     Returns:
-        The best assignment found; ``cut_history`` never increases.
+        The best assignment found, keyed in the start's order (the
+        shuffled instance order of a random start, ``initial``'s order
+        otherwise).
     """
-    if initial is None and restarts > 1:
-        best: Optional[PartitionResult] = None
-        for r in range(restarts):
-            cand = fm_bipartition(netlist, initial=None,
-                                  balance_tolerance=balance_tolerance,
-                                  max_passes=max_passes,
-                                  seed=seed + 7919 * r, restarts=1)
-            if best is None or cand.cut_size < best.cut_size:
-                best = cand
-        return best
-    names = list(netlist.instances)
-    if len(names) < 2:
-        raise ValueError("need at least two instances to bipartition")
-    if not 0 < balance_tolerance < 0.5:
-        raise ValueError("balance_tolerance must be in (0, 0.5)")
-    rng = random.Random(seed)
-    areas = _areas(netlist)
-    total_area = sum(areas.values())
-    lo = (0.5 - balance_tolerance) * total_area
-    hi = (0.5 + balance_tolerance) * total_area
-
+    graph, names, net_names = hypergraph(netlist)
     if initial is None:
-        assignment = {}
-        shuffled = names[:]
-        rng.shuffle(shuffled)
-        acc = 0.0
-        for name in shuffled:
-            part = 0 if acc < total_area / 2 else 1
-            assignment[name] = part
-            if part == 0:
-                acc += areas[name]
+        order, run = _best_of_starts(graph, balance_tolerance, max_passes,
+                                     seed, restarts)
+        best = run.side.tolist()
+        assignment = {names[i]: best[i] for i in order}
     else:
-        assignment = dict(initial)
-        missing = [n for n in names if n not in assignment]
+        _total, lo, hi = _balance(graph, balance_tolerance)
+        missing = [n for n in names if n not in initial]
         if missing:
             raise ValueError(f"initial assignment missing {len(missing)} "
                              f"instances, e.g. {missing[0]!r}")
+        values = [initial[n] for n in names]
+        for name, value in zip(names, values):
+            if value not in (0, 1):
+                raise ValueError(f"initial assignment must be 0 or 1, got "
+                                 f"{value!r} for {name!r}")
+        run = _run_passes(graph, np.array(values, dtype=np.int8), lo, hi,
+                          max_passes)
+        assignment = dict(initial)
+        assignment.update(zip(names, run.side.tolist()))
+    cut = cut_mask(graph, run.side)
+    return PartitionResult(
+        assignment=assignment,
+        cut_nets={net_names[e] for e in np.flatnonzero(cut).tolist()},
+        passes=len(run.history), cut_history=run.history)
 
-    # Sorted so neighbour-update order (and hence tie-breaking) is
-    # independent of set iteration order / PYTHONHASHSEED.
-    nets_of = {n: sorted(netlist.nets_of(n)) for n in names}
-    max_deg = max((len(v) for v in nets_of.values()), default=1)
-    endpoints = {net.name: ([net.driver] if net.driver else []) + net.sinks
-                 for net in netlist.nets.values()}
 
+# ---------------------------------------------------------------------- #
+# The pass loop: compiled, or portable.
+# ---------------------------------------------------------------------- #
+
+_alloc_failure_logged = False
+
+
+def _max_deg(graph: Hypergraph) -> int:
+    return int(np.diff(graph.inst_ptr).max())
+
+
+def _run_passes(graph: Hypergraph, side: np.ndarray, lo: float, hi: float,
+                max_passes: int) -> _Start:
+    """Up to ``max_passes`` FM passes from the 0/1 start ``side``, on
+    the compiled kernel when it loads, else on the portable pass."""
+    # Imported here: repro.interposer imports the chiplet builders,
+    # which import this package.
+    from ..interposer._mazekernel import load_kernel
+    kernel = load_kernel()
+    if kernel is not None:
+        run = _passes_compiled(kernel, graph, side, lo, hi, max_passes)
+        if run is not None:
+            return run
+    return _passes_portable(graph, side, lo, hi, max_passes)
+
+
+def _passes_compiled(kernel, graph: Hypergraph, side: np.ndarray,
+                     lo: float, hi: float,
+                     max_passes: int) -> Optional[_Start]:
+    """The passes on ``fm_run``, :data:`_CHUNK` at a time; ``None`` if
+    the kernel could not allocate its scratch memory."""
+    global _alloc_failure_logged
+    g = graph
+    current = np.array(side, dtype=np.int8)
+    best = np.empty_like(current)
+    chunk = np.empty(_CHUNK, dtype=np.int64)
+    out = np.array([0, -1, 0], dtype=np.int64)
     history: List[int] = []
-    best_assignment = dict(assignment)
-    best_cut = len(cut_nets(netlist, assignment))
-    passes_done = 0
+    left = max_passes
+    while True:
+        status = kernel.fm(
+            len(g.area), len(g.pin_ptr) - 1,
+            g.area.ctypes.data, g.rank.ctypes.data,
+            g.inst_ptr.ctypes.data, g.inst_nets.ctypes.data,
+            g.pin_ptr.ctypes.data, g.pins.ctypes.data,
+            _max_deg(g), lo, hi, min(max(left, 0), _CHUNK),
+            current.ctypes.data, best.ctypes.data, chunk.ctypes.data,
+            out.ctypes.data)
+        if status != 0:
+            if not _alloc_failure_logged:
+                _alloc_failure_logged = True
+                _LOG.warning("compiled FM failed (code %d); running the "
+                             "portable pass", status)
+            return None
+        history.extend(chunk[:out[0]].tolist())
+        left -= int(out[0])
+        if out[2] or left <= 0:
+            return _Start(side=best, cut=int(out[1]), history=history)
 
+
+def _passes_portable(graph: Hypergraph, side: np.ndarray, lo: float,
+                     hi: float, max_passes: int) -> _Start:
+    """The pass loop of ``fm_run`` in Python, statement for statement."""
+    n = len(graph.area)
+    area = graph.area.tolist()
+    rank = graph.rank.tolist()
+    inst_ptr = graph.inst_ptr.tolist()
+    inst_nets = graph.inst_nets.tolist()
+    nets_of = [inst_nets[inst_ptr[i]:inst_ptr[i + 1]] for i in range(n)]
+    pin_ptr = graph.pin_ptr.tolist()
+    flat = graph.pins.tolist()
+    pins_of = [flat[pin_ptr[e]:pin_ptr[e + 1]]
+               for e in range(len(pin_ptr) - 1)]
+    max_deg = _max_deg(graph)
+    nslot = 2 * max_deg + 1
+    side = side.tolist()
+
+    def count() -> Tuple[List[List[int]], int]:
+        """Pins of every net per side, and the cut."""
+        cnt = []
+        cut = 0
+        for pins in pins_of:
+            c = [0, 0]
+            for u in pins:
+                c[side[u]] += 1
+            cnt.append(c)
+            if c[0] > 0 and c[1] > 0:
+                cut += 1
+        return cnt, cut
+
+    best_side = side[:]
+    best_cut = count()[1]
+    history: List[int] = []
     for _pass in range(max_passes):
-        passes_done += 1
-        dist = _net_distribution(netlist, assignment)
+        cnt, cur_cut = count()
         part_area = [0.0, 0.0]
-        for n in names:
-            part_area[assignment[n]] += areas[n]
+        for i in range(n):
+            part_area[side[i]] += area[i]
+        # Gain slots: doubly linked lists, side-major; see fm_run.
+        head = [-1] * (2 * nslot)
+        tail = [-1] * (2 * nslot)
+        nxt = [-1] * n
+        prv = [-1] * n
+        gain = [0] * n
+        best = [-1, -1]
 
-        buckets = _GainBuckets(max_deg)
-        for n in names:
-            buckets.insert(n, assignment[n], _gain(n, assignment, dist,
-                                                   nets_of))
-        locked: Set[str] = set()
-        current = dict(assignment)
-        cur_cut = len(cut_nets(netlist, current))
+        def append(u: int, p: int, slot: int) -> None:
+            k = p * nslot + slot
+            prv[u] = tail[k]
+            nxt[u] = -1
+            if tail[k] >= 0:
+                nxt[tail[k]] = u
+            else:
+                head[k] = u
+            tail[k] = u
+            if slot > best[p]:
+                best[p] = slot
+
+        def unlink(u: int, p: int, slot: int) -> None:
+            k = p * nslot + slot
+            if prv[u] >= 0:
+                nxt[prv[u]] = nxt[u]
+            else:
+                head[k] = nxt[u]
+            if nxt[u] >= 0:
+                prv[nxt[u]] = prv[u]
+            else:
+                tail[k] = prv[u]
+
+        def insert(u: int, p: int, g: int) -> None:
+            g = max(-max_deg, min(max_deg, g))
+            gain[u] = g
+            append(u, p, g + max_deg)
+
+        def update(u: int, p: int, delta: int) -> None:
+            old = gain[u]
+            g = max(-max_deg, min(max_deg, old + delta))
+            if g != old:
+                unlink(u, p, old + max_deg)
+                gain[u] = g
+                append(u, p, g + max_deg)
+
+        def pop_best(p: int) -> int:
+            while best[p] >= 0 and tail[p * nslot + best[p]] < 0:
+                best[p] -= 1
+            if best[p] < 0:
+                return -1
+            u = tail[p * nslot + best[p]]
+            unlink(u, p, best[p])
+            return u
+
+        for i in range(n):
+            s = side[i]
+            g = 0
+            for e in nets_of[i]:
+                c = cnt[e]
+                if c[1 - s] == 0:
+                    g -= 1
+                if c[s] == 1:
+                    g += 1
+            insert(i, s, g)
+        locked = [False] * n
+        cur = side[:]
+        nlocked = 0
+        moves: List[int] = []
+        best_len = 0
         best_in_pass = cur_cut
-        best_moves: List[str] = []
-        moves: List[str] = []
 
-        while len(locked) < len(names):
-            move = _select_move(buckets, part_area, areas, lo, hi)
-            if move is None:
+        while nlocked < n:
+            cands = []
+            for q in (0, 1):
+                u = pop_best(q)
+                if u < 0:
+                    continue
+                if (part_area[1 - q] + area[u] <= hi
+                        and part_area[q] - area[u] >= lo):
+                    cands.append((gain[u], rank[u], q, u))
+                else:
+                    insert(u, q, gain[u])
+            if not cands:
                 break
-            name, gain, src = move
+            cands.sort(reverse=True)
+            for g2, _r2, q2, u2 in cands[1:]:
+                insert(u2, q2, g2)
+            g, _r, src, v = cands[0]
             dst = 1 - src
-            locked.add(name)
-            moves.append(name)
-            part_area[src] -= areas[name]
-            part_area[dst] += areas[name]
-            cur_cut -= gain
-            # Incremental gain updates for neighbours on touched nets.
-            for net_name in nets_of[name]:
-                counts = dist[net_name]
-                pins = endpoints[net_name]
-                # Before the move.
-                if counts[dst] == 0:
-                    for other in pins:
-                        if other not in locked:
-                            buckets.update(other, current[other], +1)
-                elif counts[dst] == 1:
-                    for other in pins:
-                        if other not in locked and current[other] == dst:
-                            buckets.update(other, dst, -1)
-                counts[src] -= 1
-                counts[dst] += 1
-                # After the move.
-                if counts[src] == 0:
-                    for other in pins:
-                        if other not in locked:
-                            buckets.update(other, current[other], -1)
-                elif counts[src] == 1:
-                    for other in pins:
-                        if other not in locked and current[other] == src:
-                            buckets.update(other, src, +1)
-            current[name] = dst
+            locked[v] = True
+            nlocked += 1
+            moves.append(v)
+            part_area[src] -= area[v]
+            part_area[dst] += area[v]
+            cur_cut -= g
+            for e in nets_of[v]:
+                c = cnt[e]
+                pins = pins_of[e]
+                if c[dst] == 0:
+                    for u in pins:
+                        if not locked[u]:
+                            update(u, cur[u], +1)
+                elif c[dst] == 1:
+                    for u in pins:
+                        if not locked[u] and cur[u] == dst:
+                            update(u, dst, -1)
+                c[src] -= 1
+                c[dst] += 1
+                if c[src] == 0:
+                    for u in pins:
+                        if not locked[u]:
+                            update(u, cur[u], -1)
+                elif c[src] == 1:
+                    for u in pins:
+                        if not locked[u] and cur[u] == src:
+                            update(u, src, +1)
+            cur[v] = dst
             if cur_cut < best_in_pass:
                 best_in_pass = cur_cut
-                best_moves = moves[:]
+                best_len = len(moves)
 
-        # Roll forward only the prefix of moves that reached the best cut.
-        applied = set(best_moves)
-        for name in applied:
-            assignment[name] = 1 - assignment[name]
-        pass_cut = len(cut_nets(netlist, assignment))
+        # Roll forward the prefix of moves that reached the best cut.
+        for v in moves[:best_len]:
+            side[v] ^= 1
+        pass_cut = count()[1]
         history.append(pass_cut)
         if pass_cut < best_cut:
             best_cut = pass_cut
-            best_assignment = dict(assignment)
-        if not applied:
+            best_side = side[:]
+        if not best_len:
             break
-
-    return PartitionResult(assignment=best_assignment,
-                           cut_nets=cut_nets(netlist, best_assignment),
-                           passes=passes_done, cut_history=history)
-
-
-def _gain(name: str, assignment: Dict[str, int],
-          dist: Dict[str, List[int]], nets_of: Dict[str, Set[str]]) -> int:
-    """FM gain of moving one cell: cut nets removed minus created."""
-    src = assignment[name]
-    dst = 1 - src
-    g = 0
-    for net in nets_of[name]:
-        counts = dist[net]
-        if counts[dst] == 0:
-            g -= 1
-        if counts[src] == 1:
-            g += 1
-    return g
-
-
-def _select_move(buckets: _GainBuckets, part_area: List[float],
-                 areas: Dict[str, float], lo: float,
-                 hi: float) -> Optional[Tuple[str, int, int]]:
-    """Pick the highest-gain legal move from either side."""
-    candidates = []
-    for part in (0, 1):
-        # Peek: pop then maybe push back.
-        got = buckets.pop_best(part)
-        if got is None:
-            continue
-        name, gain = got
-        dst_area = part_area[1 - part] + areas[name]
-        src_area = part_area[part] - areas[name]
-        if dst_area <= hi and src_area >= lo:
-            candidates.append((gain, name, part))
-        else:
-            buckets.insert(name, part, gain)
-    if not candidates:
-        return None
-    candidates.sort(reverse=True)
-    gain, name, part = candidates[0]
-    # Push back the unused candidate.
-    for g2, n2, p2 in candidates[1:]:
-        buckets.insert(n2, p2, g2)
-    return name, gain, part
+    return _Start(side=np.array(best_side, dtype=np.int8), cut=best_cut,
+                  history=history)

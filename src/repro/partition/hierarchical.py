@@ -10,10 +10,9 @@ two chiplet sub-netlists, and reports the cut (which should equal the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
-from ..arch.modules import (LOGIC_CHIPLET, MEMORY_CHIPLET, TILE_MODULES,
-                            modules_for_chiplet)
+from ..arch.modules import LOGIC_CHIPLET, MEMORY_CHIPLET, modules_for_chiplet
 from ..arch.netlist import Netlist
 from .fm import PartitionResult, cut_nets
 

@@ -4,16 +4,29 @@ The paper splits each tile two ways (logic/memory); finer chipletization
 — its natural follow-on — needs k-way partitioning.  This module builds
 k-way partitions by recursive FM bisection with area balancing, the
 standard production approach (hMETIS-style without the multilevel
-coarsening).
+coarsening), and refines them pair by pair.
+
+Both steps run on one :class:`~repro.partition.fm.Hypergraph` of the
+netlist, built once.  Each bisection and pair sub-problem is carved out
+of it as an instance mask (:func:`~repro.partition.fm.carve`), exactly
+the instances, nets and pins ``Netlist.subset`` would keep, and every
+candidate cut is counted with a vectorized part-span test
+(:func:`~repro.partition.fm.cut_mask`), so the partitioner copies no
+netlist and no assignment dict.  The results are byte-identical to the
+original per-``subset`` implementation (the golden reference in
+``tests/oracles/fm.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
+
+import numpy as np
 
 from ..arch.netlist import Netlist
-from .fm import cut_nets, fm_bipartition
+from .fm import (Hypergraph, carve, cut_mask, cut_nets, hypergraph,
+                 _best_of_starts, _refine)
 
 
 @dataclass
@@ -47,16 +60,61 @@ class MultiwayResult:
         return areas
 
 
-def multiway_cut_nets(netlist: Netlist,
-                      assignment: Dict[str, int]) -> Set[str]:
-    """Nets whose pins span two or more parts."""
-    out: Set[str] = set()
-    for net in netlist.nets.values():
-        endpoints = ([net.driver] if net.driver else []) + net.sinks
-        parts = {assignment[e] for e in endpoints}
-        if len(parts) > 1:
-            out.add(net.name)
-    return out
+#: Nets whose pins span two or more parts (:func:`~repro.partition.fm.
+#: cut_nets` counts parts, not sides).
+multiway_cut_nets = cut_nets
+
+
+def _bisect(graph: Hypergraph, k: int, balance_tolerance: float, seed: int,
+            max_passes: int) -> np.ndarray:
+    """Part id per instance after recursive bisection into ``k`` parts.
+
+    Raises ``ValueError`` when a side runs out of instances before it
+    is split into all the parts it should hold.
+    """
+    n = len(graph.area)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n:
+        raise ValueError("more parts than instances")
+    part = np.zeros(n, dtype=np.int64)
+    next_id = [1]
+
+    def split(keep: np.ndarray, parts: int, part_id: int,
+              depth: int) -> None:
+        if parts <= 1 or len(keep) < 2:
+            return
+        left_parts = parts // 2
+        right_parts = parts - left_parts
+        _order, run = _best_of_starts(
+            carve(graph, keep), balance_tolerance, max_passes,
+            seed + 31 * depth + part_id, restarts=3)
+        side0 = keep[run.side == 0]
+        side1 = keep[run.side == 1]
+        # Keep the larger side where more parts are needed.
+        if (len(side1) > len(side0)) != (right_parts > left_parts):
+            side0, side1 = side1, side0
+        new_id = next_id[0]
+        next_id[0] += 1
+        part[side1] = new_id
+        split(side0, left_parts, part_id, depth + 1)
+        split(side1, right_parts, new_id, depth + 1)
+
+    split(np.arange(n), k, 0, 0)
+    produced = len(np.unique(part))
+    if produced != k:
+        raise ValueError(f"recursive bisection produced {produced} parts "
+                         f"of the {k} requested: a side ran out of "
+                         f"instances before its last split")
+    return part
+
+
+def _result(names: List[str], net_names: List[str], graph: Hypergraph,
+            part: np.ndarray, k: int) -> MultiwayResult:
+    """The result of a part id per instance, keyed in instance order."""
+    cut = np.flatnonzero(cut_mask(graph, part)).tolist()
+    return MultiwayResult(assignment=dict(zip(names, part.tolist())), k=k,
+                          cut_nets={net_names[e] for e in cut})
 
 
 def recursive_bisection(netlist: Netlist, k: int,
@@ -78,45 +136,15 @@ def recursive_bisection(netlist: Netlist, k: int,
 
     Returns:
         A :class:`MultiwayResult`; part ids are dense in [0, k).
+
+    Raises:
+        ValueError: ``k`` is out of range, or the bisection produced
+            fewer than ``k`` non-empty parts (a side ran out of
+            instances).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > len(netlist.instances):
-        raise ValueError("more parts than instances")
-
-    assignment: Dict[str, int] = {n: 0 for n in netlist.instances}
-    next_id = [1]
-
-    def split(names: List[str], parts: int, part_id: int,
-              depth: int) -> None:
-        if parts <= 1 or len(names) < 2:
-            return
-        left_parts = parts // 2
-        right_parts = parts - left_parts
-        sub = netlist.subset(names, name=f"part{part_id}")
-        result = fm_bipartition(sub,
-                                balance_tolerance=balance_tolerance,
-                                max_passes=max_passes,
-                                seed=seed + 31 * depth + part_id)
-        side0 = result.side(0)
-        side1 = result.side(1)
-        # Keep the larger side where more parts are needed.
-        if (len(side1) > len(side0)) != (right_parts > left_parts):
-            side0, side1 = side1, side0
-        new_id = next_id[0]
-        next_id[0] += 1
-        for n in side1:
-            assignment[n] = new_id
-        split(side0, left_parts, part_id, depth + 1)
-        split(side1, right_parts, new_id, depth + 1)
-
-    split(list(netlist.instances), k, 0, 0)
-    # Densify part ids.
-    used = sorted({p for p in assignment.values()})
-    remap = {old: new for new, old in enumerate(used)}
-    assignment = {n: remap[p] for n, p in assignment.items()}
-    return MultiwayResult(assignment=assignment, k=len(used),
-                          cut_nets=multiway_cut_nets(netlist, assignment))
+    graph, names, net_names = hypergraph(netlist)
+    part = _bisect(graph, k, balance_tolerance, seed, max_passes)
+    return _result(names, net_names, graph, part, k)
 
 
 def nway_partition(netlist: Netlist, k: int,
@@ -145,36 +173,28 @@ def nway_partition(netlist: Netlist, k: int,
 
     Returns:
         A :class:`MultiwayResult` with dense part ids in ``[0, k)``.
+
+    Raises:
+        ValueError: as :func:`recursive_bisection`.
     """
-    base = recursive_bisection(netlist, k,
-                               balance_tolerance=balance_tolerance,
-                               seed=seed, max_passes=max_passes)
-    assignment = dict(base.assignment)
-    best_cut = base.cut_size
-    for i in range(base.k):
-        for j in range(i + 1, base.k):
-            union = [n for n in netlist.instances
-                     if assignment[n] in (i, j)]
-            if len(union) < 2:
+    graph, names, net_names = hypergraph(netlist)
+    part = _bisect(graph, k, balance_tolerance, seed, max_passes)
+    best_cut = int(cut_mask(graph, part).sum())
+    for i in range(k):
+        for j in range(i + 1, k):
+            union = np.flatnonzero((part == i) | (part == j))
+            side = (part[union] == j).astype(np.int8)
+            if len(union) < 2 or side.all() or not side.any():
                 continue
-            if not any(assignment[n] == i for n in union) or \
-                    not any(assignment[n] == j for n in union):
-                continue
-            sub = netlist.subset(union, name=f"pair{i}_{j}")
-            initial = {n: 0 if assignment[n] == i else 1 for n in union}
-            refined = fm_bipartition(sub, initial=initial,
-                                     balance_tolerance=balance_tolerance,
-                                     max_passes=max_passes,
-                                     seed=seed + 101 * i + j)
-            candidate = dict(assignment)
-            for n in union:
-                candidate[n] = i if refined.assignment[n] == 0 else j
-            cand_cut = len(multiway_cut_nets(netlist, candidate))
+            refined = _refine(carve(graph, union), side,
+                              balance_tolerance, max_passes)
+            candidate = part.copy()
+            candidate[union] = np.where(refined.side == 1, j, i)
+            cand_cut = int(cut_mask(graph, candidate).sum())
             if cand_cut < best_cut:
-                assignment = candidate
+                part = candidate
                 best_cut = cand_cut
-    return MultiwayResult(assignment=assignment, k=base.k,
-                          cut_nets=multiway_cut_nets(netlist, assignment))
+    return _result(names, net_names, graph, part, k)
 
 
 def pairwise_cut_links(netlist: Netlist, assignment: Dict[str, int]

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from ..circuit import Circuit, driving_point_impedance, log_frequencies
 from ..circuit.ac import AcSweepResult
 from ..interposer.pdn import PdnStackup

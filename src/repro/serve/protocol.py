@@ -30,7 +30,7 @@ import math
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 

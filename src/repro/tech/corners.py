@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict
 
-from .stdcell import CellLibrary, N28_LIB, StdCell
+from .stdcell import CellLibrary, N28_LIB
 
 #: Threshold-voltage proxy for the alpha-power delay model (V).
 _VT = 0.35

@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .materials import (COPPER_RESISTIVITY, EPS0, MU0,
-                        effective_resistance_per_m)
+from .materials import COPPER_RESISTIVITY, EPS0, MU0
 
 #: SiO2 liner relative permittivity.
 _EPS_OX = 3.9

@@ -13,7 +13,7 @@ distinct specs here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 from .materials import Dielectric, DIELECTRICS

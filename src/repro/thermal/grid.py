@@ -11,7 +11,7 @@ stacks), and the resulting sparse linear system is solved directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 import scipy.sparse

@@ -11,7 +11,7 @@ from repro.arch.generate import (generate_chiplet_netlist,
                                  generate_monolithic_netlist,
                                  generate_tile_netlist)
 from repro.chiplet.design import build_chiplet
-from repro.tech.interposer import GLASS_25D, GLASS_3D, SILICON_25D
+from repro.tech.interposer import GLASS_25D, SILICON_25D
 
 #: Scale used by most integration-ish tests.
 SMALL = 0.03
@@ -66,8 +66,9 @@ def silicon_design():
 
 @pytest.fixture
 def no_ccompile(monkeypatch):
-    """Run the test as on a machine without a C compiler: the maze
-    kernel refuses to load, so every search takes the scalar A*."""
+    """Run the test as on a machine without a C compiler: the compiled
+    kernel refuses to load, so every maze search takes the scalar A*
+    and FM its portable pass."""
     monkeypatch.setenv(mazekernel.ENV_DISABLE, "1")
     mazekernel._reset_for_tests()
     yield

@@ -249,6 +249,14 @@ class TestTopologyValidation:
         with pytest.raises(ValueError):
             FlowTaskSpec(design="glass_25d", arrangement="ring")
 
+    def test_run_design_rejects_part_count_shortfall(self):
+        # The netlist is too small to bisect into 64 parts: the flow
+        # used to finish with 62 dies while reporting num_chiplets=64.
+        with pytest.raises(ValueError, match="62 parts of the 64"):
+            run_design("glass_25d", scale=0.005, seed=7, num_chiplets=64,
+                       arrangement="grid", with_eyes=False,
+                       with_thermal=False, use_cache=False)
+
     def test_stacked_needs_cavity_interposer(self):
         with pytest.raises(ValueError, match="embed"):
             run_design("silicon_25d", scale=SCALE, num_chiplets=4,

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.chiplet.timing import MAX_UPSIZE, SIZING_THRESHOLD_PS
 from repro.interposer.routing import RoutingGrid
 from repro.io.drc import _point_seg, _seg_distance, _segments_intersect
+from tests.oracles.routing import commit
 
 
 class TestTimingSizing:
@@ -55,7 +56,7 @@ class TestRipUpReroute:
         for k in range(4):
             cands = g.pattern_candidates((5 + k, 2), (5 + k, 20))
             best = min(cands, key=g.path_cost)
-            g.commit(best)
+            commit(g, best)
             paths.append(best)
         layers_used = {l for p in paths for (l, y, x) in p}
         assert len(layers_used) >= 2
@@ -82,7 +83,7 @@ class TestRipUpReroute:
             g.occupancy[0, y, 10] = g.capacity[0, y, 10]
         path = g.maze_route((2, 2), (2, 20))
         assert path is not None
-        g.commit(path)
+        commit(g, path)
         assert g.overflow_cells() >= 1
 
 

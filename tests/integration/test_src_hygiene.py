@@ -1,11 +1,16 @@
-"""Golden references stay in ``tests/oracles``, out of the package.
+"""Source hygiene guards over ``src/repro``'s syntax trees.
 
-``code_version()`` hashes every source file under ``src/repro``, so a
-reference implementation kept there would invalidate every cached
-result whenever it is edited, and would ship code that only tests
-call.  This guard scans the package's syntax trees (nothing is
-imported) and fails on any function or method named ``*_scalar``
-except the router's portable maze search.
+Nothing is imported; each guard scans the parsed sources.
+
+* Golden references stay in ``tests/oracles``, out of the package.
+  ``code_version()`` hashes every source file under ``src/repro``, so a
+  reference implementation kept there would invalidate every cached
+  result whenever it is edited, and would ship code that only tests
+  call.  The scan fails on any function or method named ``*_scalar``
+  except the router's portable maze search.
+* No module-level import goes unused.  Package ``__init__.py`` files
+  (which import to re-export), names listed in a module's ``__all__``
+  and ``from __future__`` imports are exempt.
 """
 
 import ast
@@ -49,3 +54,34 @@ def test_golden_references_live_in_tests_oracles():
              if (rel, name) not in ALLOWED]
     assert not extra, ("golden references belong in tests/oracles, not "
                        "src/: " + ", ".join(extra))
+
+
+def _unused_imports():
+    """(file, name) of every unused module-level import."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, exported = [], set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0]
+                             for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported |= set(ast.literal_eval(node.value))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        rel = path.relative_to(SRC.parent).as_posix()
+        found += [(rel, name) for name in imported
+                  if name not in used and name not in exported]
+    return found
+
+
+def test_no_unused_module_imports():
+    unused = [f"{rel}: {name}" for rel, name in _unused_imports()]
+    assert not unused, "unused imports: " + ", ".join(unused)

@@ -5,10 +5,13 @@ kernel that production now runs vectorized or compiled:
 
 * :mod:`.routing` — the per-cell interposer router: per-candidate
   path-cost loops, per-net overflow scans and the scalar heap A*
-  (``RoutingGrid.maze_route_scalar``);
+  (``RoutingGrid.maze_route_scalar``), with the grid occupancy helpers
+  ``commit`` and ``rip_up`` that only it and the tests call;
 * :mod:`.transient` — the per-element trapezoidal transient loop;
 * :mod:`.eye` — the PRBS eye with its waveform stepped in full, never
-  synthesized from a pulse-response bank.
+  synthesized from a pulse-response bank;
+* :mod:`.fm` — FM bipartitioning over dict gain buckets and N-way
+  partitioning over per-part ``Netlist.subset`` copies.
 
 They live beside the tests rather than in ``src/repro`` so that editing
 a reference never changes :func:`repro.core.flow.code_version` and so

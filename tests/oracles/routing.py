@@ -49,6 +49,18 @@ def path_cost_scalar(grid: RoutingGrid, path: GridPath) -> float:
     return cost
 
 
+def commit(grid: RoutingGrid, path: GridPath) -> None:
+    """Record a routed path in the grid's occupancy map."""
+    arr = np.asarray(path, dtype=np.intp)
+    np.add.at(grid.occupancy, (arr[:, 0], arr[:, 1], arr[:, 2]), 1)
+
+
+def rip_up(grid: RoutingGrid, path: GridPath) -> None:
+    """Remove a committed path from the grid's occupancy map."""
+    arr = np.asarray(path, dtype=np.intp)
+    np.add.at(grid.occupancy, (arr[:, 0], arr[:, 1], arr[:, 2]), -1)
+
+
 def path_overflows(grid: RoutingGrid, path: GridPath) -> bool:
     """Whether any cell of the path is over capacity."""
     arr = np.asarray(path, dtype=np.intp)
@@ -92,7 +104,7 @@ def _route_with_grid_scalar(placement: InterposerPlacement,
             if c < best_cost:
                 best, best_cost = cand, c
         assert best is not None
-        grid.commit(best)
+        commit(grid, best)
         routed[name] = _path_to_net(name, kind, best, grid.cell_um)
 
     # ---- phase 2: rip-up and reroute overflowing nets ------------------ #
@@ -103,14 +115,14 @@ def _route_with_grid_scalar(placement: InterposerPlacement,
             break
         victims.sort(key=lambda n: -n.length_mm)
         for net in victims:
-            grid.rip_up(net.path)
+            rip_up(grid, net.path)
             src = (net.path[0][1], net.path[0][2])
             dst = (net.path[-1][1], net.path[-1][2])
             path = grid.maze_route_scalar(src, dst,
                                           routing.MAZE_NODE_BUDGET)
             if path is None:
                 path = net.path  # keep the pattern route
-            grid.commit(path)
+            commit(grid, path)
             routed[net.name] = _path_to_net(net.name, net.kind, path,
                                             grid.cell_um)
 

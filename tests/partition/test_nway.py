@@ -95,6 +95,17 @@ class TestNwayPartition:
         with pytest.raises(ValueError):
             nway_partition(tile, 0)
 
+    def test_part_count_shortfall_raises(self):
+        # At seed 7, scale 0.005 a side runs out of instances before
+        # its last split: the bisection used to return 62 parts for 64
+        # without a word.
+        small = generate_monolithic_netlist(scale=0.005, seed=7)
+        for partition in (recursive_bisection, nway_partition):
+            with pytest.raises(ValueError,
+                               match="produced 62 parts of the 64 "
+                                     "requested"):
+                partition(small, 64)
+
 
 class TestPairwiseCutLinks:
     def test_links_account_for_every_cut_net(self, system, nway4):

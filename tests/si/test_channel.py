@@ -6,7 +6,7 @@ from repro.si.channel import Channel, measure_channel
 from repro.si.tline import line_for_spec
 from repro.tech.interconnect3d import (cascade, microbump_model,
                                        stacked_via_model, tsv_model)
-from repro.tech.interposer import APX, GLASS_25D, SILICON_25D
+from repro.tech.interposer import GLASS_25D, SILICON_25D
 
 
 class TestChannelValidation:
