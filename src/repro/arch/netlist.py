@@ -12,15 +12,21 @@ with the hierarchical module path it came from (``"tile0/l3"`` etc.), plus
 objects.  Hierarchy is a labelling, not a containment tree — which is
 exactly how physical design tools see a flattened design, and what the
 hierarchical partitioner needs.
+
+:meth:`Netlist.arrays` gives the sign-off engines (floorplan, place,
+global route, STA, power) and the FM partitioner one integer view of
+the same netlist, built once per netlist (:class:`NetlistArrays`).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
-from ..tech.stdcell import CellLibrary, StdCell
+import numpy as np
+
+from ..tech.stdcell import CellKind, CellLibrary, StdCell
 
 
 class PortDirection(enum.Enum):
@@ -98,6 +104,103 @@ class Port:
     bus: str = ""
 
 
+def sequential_sum(values: np.ndarray):
+    """``values`` summed left to right, as a Python ``for`` loop adds.
+
+    ``np.cumsum`` accumulates strictly in order, where ``ndarray.sum``
+    and ``np.add.reduce`` add pairwise and builtin ``sum`` over floats
+    is compensated from CPython 3.12 on.  Returns a ``numpy.float64``,
+    or the Python float ``0.0`` when there is nothing to add.
+    """
+    return np.cumsum(values)[-1] if len(values) else 0.0
+
+
+class NetlistArrays(NamedTuple):
+    """A netlist as integer arrays (see :meth:`Netlist.arrays`).
+
+    Instance id ``i`` is the ``i``-th entry of ``Netlist.instances`` and
+    net id ``e`` the ``e``-th of ``Netlist.nets``; cells and module
+    paths are numbered in order of first appearance over the instances.
+    A net's pins are its driver, when it has one (a truthy ``driver``,
+    as :meth:`Netlist.add_net` reads it), then its sinks in order,
+    repeats kept.  The arrays are read-only.
+    """
+
+    #: int32 [n]: each instance's cell id; ``cells`` holds the library
+    #: records, resolved through ``CellLibrary.get``.
+    cell: np.ndarray
+    cells: Tuple[StdCell, ...]
+    #: int32 [n]: each instance's module id; ``modules`` holds the paths.
+    module: np.ndarray
+    modules: Tuple[str, ...]
+    #: int64 [m + 1] / int32 [p]: each net's pins, driver then sinks.
+    pin_ptr: np.ndarray
+    pins: np.ndarray
+    #: int32 [m]: each net's driving instance, -1 when it has none.
+    driver: np.ndarray
+    #: bool [m]: clock nets.
+    clock: np.ndarray
+
+    @property
+    def pin_net(self) -> np.ndarray:
+        """int32 [p]: the net of each pin."""
+        return np.repeat(np.arange(len(self.driver), dtype=np.int32),
+                         np.diff(self.pin_ptr))
+
+    @property
+    def sink(self) -> np.ndarray:
+        """bool [p]: whether each pin is a sink (every pin but a
+        driver)."""
+        sink = np.ones(len(self.pins), dtype=bool)
+        sink[self.pin_ptr[:-1][self.driver >= 0]] = False
+        return sink
+
+    def cell_attr(self, attr: str) -> np.ndarray:
+        """float64 [n]: the :class:`StdCell` field ``attr`` (such as
+        ``"area_um2"``) of each instance's cell."""
+        table = np.array([getattr(c, attr) for c in self.cells],
+                         dtype=np.float64)
+        return table[self.cell]
+
+    def cell_kind_in(self, *kinds: CellKind) -> np.ndarray:
+        """bool [n]: whether each instance's cell is of one of ``kinds``."""
+        table = np.array([c.kind in kinds for c in self.cells], dtype=bool)
+        return table[self.cell]
+
+
+def _build_arrays(netlist: "Netlist") -> NetlistArrays:
+    """One pass over the instance and net records."""
+    records = netlist.instances.values()
+    index = {name: i for i, name in enumerate(netlist.instances)}
+    cell_names = [inst.cell_name for inst in records]
+    paths = [inst.module_path for inst in records]
+    cell_id = {c: i for i, c in enumerate(dict.fromkeys(cell_names))}
+    module_id = {p: i for i, p in enumerate(dict.fromkeys(paths))}
+    nets = netlist.nets.values()
+    endpoints: List[str] = []
+    ptr = [0]
+    for net in nets:
+        if net.driver:
+            endpoints.append(net.driver)
+        endpoints += net.sinks
+        ptr.append(len(endpoints))
+    view = NetlistArrays(
+        cell=np.array([cell_id[c] for c in cell_names], dtype=np.int32),
+        cells=tuple(netlist.library.get(c) for c in cell_id),
+        module=np.array([module_id[p] for p in paths], dtype=np.int32),
+        modules=tuple(module_id),
+        pin_ptr=np.array(ptr, dtype=np.int64),
+        pins=np.fromiter(map(index.__getitem__, endpoints), dtype=np.int32,
+                         count=len(endpoints)),
+        driver=np.array([index[net.driver] if net.driver else -1
+                         for net in nets], dtype=np.int32),
+        clock=np.array([net.is_clock for net in nets], dtype=bool))
+    for field_value in view:
+        if isinstance(field_value, np.ndarray):
+            field_value.setflags(write=False)
+    return view
+
+
 class Netlist:
     """A flat gate-level netlist with hierarchy labels.
 
@@ -117,9 +220,13 @@ class Netlist:
         # cell names already validated against the library, so repeated
         # add_instance calls skip the library lookup.
         self._known_cells: Set[str] = set()
-        # instance name -> resolved StdCell, filled lazily by cell();
-        # timing/power/route resolve cells per edge, so this lookup is hot.
+        # instance name -> resolved StdCell, filled lazily by cell().
+        # It is pickled with the netlist, so the array view never
+        # fills it.
         self._cell_memo: Dict[str, StdCell] = {}
+        # The array view (arrays()), dropped by every add_* call and
+        # left out of the pickled state.
+        self._arrays: Optional[NetlistArrays] = None
 
     # ------------------------------------------------------------------ #
     # Construction.
@@ -135,6 +242,7 @@ class Netlist:
             self._known_cells.add(cell_name)
         inst = Instance(name=name, cell_name=cell_name,
                         module_path=module_path)
+        self._arrays = None
         self._instances[name] = inst
         self._pins[name] = set()
         return inst
@@ -155,6 +263,7 @@ class Netlist:
                                f"{endpoint!r}")
         net = Net(name=name, driver=driver, sinks=sink_list,
                   is_clock=is_clock)
+        self._arrays = None
         self._nets[name] = net
         if driver:
             self._pins[driver].add(name)
@@ -170,6 +279,7 @@ class Netlist:
         if net not in self._nets:
             raise KeyError(f"port {name!r} references unknown net {net!r}")
         port = Port(name=name, direction=direction, net=net, bus=bus)
+        self._arrays = None
         self._ports[name] = port
         return port
 
@@ -213,6 +323,25 @@ class Netlist:
             self._cell_memo[instance_name] = cell
         return cell
 
+    def arrays(self) -> NetlistArrays:
+        """The netlist as integer arrays (:class:`NetlistArrays`).
+
+        Built on first use and kept until the next ``add_instance``,
+        ``add_net`` or ``add_port``; ``clone`` starts without one, and
+        pickling leaves it out.  A record edited in place rather than
+        through those methods is not seen until one of them runs.
+        """
+        if self._arrays is None:
+            self._arrays = _build_arrays(self)
+        return self._arrays
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "_arrays"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._arrays = None
+
     def __len__(self) -> int:
         return len(self._instances)
 
@@ -225,8 +354,10 @@ class Netlist:
         return sum(self.cell(n).area_um2 for n in self._instances)
 
     def total_leakage_mw(self) -> float:
-        """Sum of cell leakage power in milliwatts."""
-        return sum(self.cell(n).leakage_nw for n in self._instances) * 1e-6
+        """Sum of cell leakage power in milliwatts, added in instance
+        order."""
+        leakage = self.arrays().cell_attr("leakage_nw")
+        return float(sequential_sum(leakage)) * 1e-6
 
     def cell_histogram(self) -> Dict[str, int]:
         """Instance count per library cell name."""

@@ -9,8 +9,7 @@ from .place import Placement, hex_spiral, place, placement_stats
 from .power import PowerReport, analyze_power, power_density_map
 from .repeaters import (RepeaterPlan, WireRc, critical_length_um,
                         plan_repeaters)
-from .route import (GlobalRoute, RoutedNet, WIRE_CAP_FF_PER_UM,
-                    congestion_map, global_route)
+from .route import GlobalRoute, RoutedNet, WIRE_CAP_FF_PER_UM, global_route
 from .timing import TimingReport, analyze_timing
 
 __all__ = [
@@ -19,7 +18,7 @@ __all__ = [
     "Rect", "RepeaterPlan", "RoutedNet", "TimingReport",
     "WIRE_CAP_FF_PER_UM", "WireRc",
     "analyze_power", "analyze_timing", "arrange_outlines",
-    "build_chiplet", "build_chiplet_from_netlist", "congestion_map",
+    "build_chiplet", "build_chiplet_from_netlist",
     "critical_length_um", "floorplan", "global_route", "hex_spiral",
     "infer_chiplet_kind", "place",
     "placement_stats", "plan_bumps", "plan_repeaters",

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..arch.netlist import Netlist
+import numpy as np
+
+from ..arch.netlist import Netlist, sequential_sum
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,13 @@ def floorplan(netlist: Netlist, width_um: float, height_um: float,
                 width_um - 2 * core_margin_um,
                 height_um - 2 * core_margin_um)
 
-    module_area: Dict[str, float] = {}
-    for name in netlist.instances:
-        path = netlist.instance(name).module_path
-        module_area[path] = module_area.get(path, 0.0) + \
-            netlist.cell(name).area_um2
-    total = sum(module_area.values())
+    # Each module's area is added in instance order, and the modules
+    # are listed in order of first appearance.
+    view = netlist.arrays()
+    areas = np.bincount(view.module, weights=view.cell_attr("area_um2"),
+                        minlength=len(view.modules))
+    module_area = dict(zip(view.modules, areas.tolist()))
+    total = float(sequential_sum(areas))
     if total > core.area:
         raise ValueError(f"cell area {total:.0f} um^2 exceeds core "
                          f"{core.area:.0f} um^2 (utilization > 100%)")

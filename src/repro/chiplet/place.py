@@ -102,29 +102,25 @@ def place(netlist: Netlist, floorplan: Floorplan) -> Placement:
     Returns:
         A :class:`Placement`; every instance is inside its region.
     """
-    names = list(netlist.instances)
-    index_of = {n: i for i, n in enumerate(names)}
-    x = np.zeros(len(names))
-    y = np.zeros(len(names))
-
-    by_module: Dict[str, List[str]] = {}
-    for n in names:
-        by_module.setdefault(netlist.instance(n).module_path, []).append(n)
-
-    for module_path, members in by_module.items():
-        region = floorplan.region_of(module_path)
-        _fill_hilbert(members, region, index_of, x, y)
+    view = netlist.arrays()
+    x = np.zeros(len(view.cell))
+    y = np.zeros(len(view.cell))
+    # Each module's rows in instance order, modules in order of first
+    # appearance.
+    by_module = np.argsort(view.module, kind="stable")
+    ends = np.cumsum(np.bincount(view.module, minlength=len(view.modules)))
+    for path, rows in zip(view.modules, np.split(by_module, ends[:-1])):
+        _fill_hilbert(rows, floorplan.region_of(path), x, y)
     return Placement(netlist=netlist, floorplan=floorplan,
-                     index_of=index_of, x_um=x, y_um=y)
+                     index_of={n: i for i, n in enumerate(netlist.instances)},
+                     x_um=x, y_um=y)
 
 
-def _fill_hilbert(members: List[str], region: Rect,
-                  index_of: Dict[str, int], x: np.ndarray,
+def _fill_hilbert(rows: np.ndarray, region: Rect, x: np.ndarray,
                   y: np.ndarray) -> None:
-    """Lay ``members`` along a subsampled Hilbert curve over ``region``."""
-    n = len(members)
-    if n == 0:
-        return
+    """Lay the instances at ``rows`` along a subsampled Hilbert curve
+    over ``region``."""
+    n = len(rows)
     side = 1
     while side * side < n:
         side *= 2
@@ -134,7 +130,6 @@ def _fill_hilbert(members: List[str], region: Rect,
     gx, gy = hilbert_d2xy(side, dists)
     px = region.x + (gx + 0.5) * (region.w / side)
     py = region.y + (gy + 0.5) * (region.h / side)
-    rows = np.array([index_of[m] for m in members], dtype=np.int64)
     x[rows] = px
     y[rows] = py
 

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..arch.modules import get_module
-from ..arch.netlist import Netlist
+from ..arch.netlist import Netlist, sequential_sum
 from ..tech.stdcell import CellKind
 from .route import GlobalRoute
 
@@ -80,46 +80,38 @@ def analyze_power(route: GlobalRoute, frequency_mhz: float = 700.0,
     if frequency_mhz <= 0:
         raise ValueError("frequency must be positive")
     netlist = route.placement.netlist
+    view = route.arrays()
     v = vdd if vdd is not None else netlist.library.vdd
     f_hz = frequency_mhz * 1e6
 
-    activity_of: Dict[str, float] = {}
-    for path in netlist.module_paths():
-        activity_of[path] = _module_activity(netlist, path)
+    # Each instance's toggle rate: its module's activity, calibrated.
+    activity = np.array([_module_activity(netlist, path) * ACTIVITY_SCALE
+                         for path in view.modules])
+    alpha = activity[view.module]
 
     # ---- leakage ------------------------------------------------------ #
     leakage_mw = netlist.total_leakage_mw()
 
     # ---- internal ------------------------------------------------------ #
-    internal_w = 0.0
-    for name, inst in netlist.instances.items():
-        cell = netlist.cell(name)
-        alpha = activity_of.get(inst.module_path, 0.10) * ACTIVITY_SCALE
-        if cell.kind is CellKind.SEQUENTIAL:
-            rate = 1.0  # clocked every cycle
-        elif cell.kind is CellKind.SRAM_MACRO:
-            rate = min(1.0, alpha * SRAM_ACTIVITY_SCALE)
-        else:
-            rate = min(1.0, alpha)
-        internal_w += cell.internal_energy_fj * 1e-15 * rate * f_hz
+    # Sequential cells are clocked every cycle; SRAM slices run at a
+    # multiple of their module's activity.  Summed in instance order.
+    rate = np.minimum(1.0, np.where(view.cell_kind_in(CellKind.SRAM_MACRO),
+                                    alpha * SRAM_ACTIVITY_SCALE, alpha))
+    rate[view.cell_kind_in(CellKind.SEQUENTIAL)] = 1.0
+    internal_w = float(sequential_sum(
+        view.cell_attr("internal_energy_fj") * 1e-15 * rate * f_hz))
     internal_mw = internal_w * 1e3
 
     # ---- switching ------------------------------------------------------ #
-    loads = route.wire_cap_ff + route.pin_cap_ff  # fF per net
-    switching_w = 0.0
-    for i, net_name in enumerate(route.net_names):
-        net = netlist.net(net_name)
-        c_f = loads[i] * 1e-15
-        if net.is_clock:
-            toggle = 2.0
-        else:
-            driver = net.driver
-            if driver is None:
-                toggle = 0.2 * ACTIVITY_SCALE  # port-driven input nets
-            else:
-                path = netlist.instance(driver).module_path
-                toggle = activity_of.get(path, 0.10) * ACTIVITY_SCALE
-        switching_w += 0.5 * toggle * c_f * v * v * f_hz
+    # Clock nets toggle twice per cycle, port-driven input nets at a
+    # fixed rate, the rest at their driver's rate.  Summed in net order;
+    # the result is a numpy float64, as it has always been.
+    driven = view.driver >= 0
+    toggle = np.full(len(view.driver), 0.2 * ACTIVITY_SCALE)
+    toggle[driven] = alpha[view.driver[driven]]
+    toggle[view.clock] = 2.0
+    c_f = (route.wire_cap_ff + route.pin_cap_ff) * 1e-15  # F per net
+    switching_w = sequential_sum(0.5 * toggle * c_f * v * v * f_hz)
     switching_mw = switching_w * 1e3
 
     return PowerReport(
@@ -151,7 +143,7 @@ def power_density_map(route: GlobalRoute, power: PowerReport,
     per_cell_w = power.total_mw * 1e-3 / total_cells
 
     # Weight by cell area so SRAM regions (denser energy) show up.
-    areas = np.array([netlist.cell(n).area_um2 for n in netlist.instances])
+    areas = netlist.arrays().cell_attr("area_um2")
     weights = areas / areas.mean()
     xs = placement.x_um
     ys = placement.y_um

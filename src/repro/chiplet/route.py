@@ -14,11 +14,11 @@ All computation is vectorized over numpy arrays built once per netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from ..arch.netlist import Netlist
+from ..arch.netlist import NetlistArrays
 from .place import Placement
 
 #: Interconnect capacitance per micron of routed wire (28nm mid-layer,
@@ -88,10 +88,19 @@ class GlobalRoute:
         """Total sink pin capacitance in pF (Table III row)."""
         return float(self.pin_cap_ff.sum()) * 1e-3
 
-    def net_load_ff(self) -> Dict[str, float]:
-        """Per-net total load (wire + pins) in fF, keyed by net name."""
-        loads = self.wire_cap_ff + self.pin_cap_ff
-        return {n: float(loads[i]) for i, n in enumerate(self.net_names)}
+    def arrays(self) -> NetlistArrays:
+        """The routed netlist's :meth:`~repro.arch.netlist.Netlist.arrays`;
+        its net ids index this route's per-net arrays.
+
+        Raises:
+            ValueError: If the netlist gained nets after it was routed.
+        """
+        view = self.placement.netlist.arrays()
+        if len(view.driver) != len(self.net_names):
+            raise ValueError(f"the netlist has {len(view.driver)} nets "
+                             f"but its route {len(self.net_names)}: route "
+                             f"it again after changing it")
+        return view
 
     def net(self, name: str) -> RoutedNet:
         """Routing summary of one net by name."""
@@ -114,40 +123,22 @@ def global_route(placement: Placement,
         placement: The placement to route.
         wire_cap_ff_per_um: Extraction coefficient.
     """
-    netlist = placement.netlist
-    names: List[str] = []
-    flat_idx: List[int] = []
-    offsets: List[int] = [0]
-    pin_caps: List[float] = []
-    index_of = placement.index_of
-
-    for net in netlist.nets.values():
-        endpoints = ([net.driver] if net.driver else []) + net.sinks
-        if len(endpoints) < 2:
-            # Port nets / singletons have no on-die routing.
-            names.append(net.name)
-            flat_idx.append(index_of[endpoints[0]] if endpoints else 0)
-            offsets.append(len(flat_idx))
-            pin_caps.append(_sink_pin_cap(netlist, net.sinks))
-            continue
-        names.append(net.name)
-        flat_idx.extend(index_of[e] for e in endpoints)
-        offsets.append(len(flat_idx))
-        pin_caps.append(_sink_pin_cap(netlist, net.sinks))
-
-    flat = np.asarray(flat_idx, dtype=np.int64)
-    starts = np.asarray(offsets[:-1], dtype=np.int64)
-    xs = placement.x_um[flat]
-    ys = placement.y_um[flat]
-    x_min = np.minimum.reduceat(xs, starts)
-    x_max = np.maximum.reduceat(xs, starts)
-    y_min = np.minimum.reduceat(ys, starts)
-    y_max = np.maximum.reduceat(ys, starts)
-    hpwl = (x_max - x_min) + (y_max - y_min)
+    # The placement's rows are instance ids.  Nets with fewer than two
+    # pins (port nets, singletons) get zero HPWL: no on-die routing.
+    view = placement.netlist.arrays()
+    sizes = np.diff(view.pin_ptr)
+    live = sizes > 0
+    xs = placement.x_um[view.pins]
+    ys = placement.y_um[view.pins]
+    starts = view.pin_ptr[:-1][live]
+    hpwl = np.zeros(len(sizes))
+    hpwl[live] = ((np.maximum.reduceat(xs, starts)
+                   - np.minimum.reduceat(xs, starts))
+                  + (np.maximum.reduceat(ys, starts)
+                     - np.minimum.reduceat(ys, starts)))
 
     # Multi-pin nets route as Steiner trees, slightly above HPWL.
-    counts = np.diff(offsets)
-    steiner = 1.0 + 0.12 * np.maximum(counts - 3, 0) ** 0.5
+    steiner = 1.0 + 0.12 * np.maximum(sizes - 3, 0) ** 0.5
     base_len = hpwl * steiner
 
     fp = placement.floorplan
@@ -159,43 +150,18 @@ def global_route(placement: Placement,
 
     length = base_len * detour
     wire_cap = length * wire_cap_ff_per_um
-    pin_cap = np.asarray(pin_caps)
+    # Each net's sink pin caps, added in pin order.
+    sink = view.sink
+    sink_cap = view.cell_attr("input_cap_ff")[view.pins[sink]]
+    pin_cap = np.bincount(view.pin_net[sink], weights=sink_cap,
+                          minlength=len(sizes))
+    if len(sizes) and not len(sink_cap):
+        # Python's sum over no sinks is the int 0, on every net.
+        pin_cap = pin_cap.astype(np.int64)
 
-    return GlobalRoute(placement=placement, net_names=names,
+    return GlobalRoute(placement=placement,
+                       net_names=list(placement.netlist.nets),
                        hpwl_um=hpwl, length_um=length,
                        wire_cap_ff=wire_cap, pin_cap_ff=pin_cap,
                        detour_factor=detour,
                        track_utilization=utilization)
-
-
-def _sink_pin_cap(netlist: Netlist, sinks: List[str]) -> float:
-    """Sum of sink input-pin capacitances in fF."""
-    return sum(netlist.cell(s).input_cap_ff for s in sinks)
-
-
-def congestion_map(placement: Placement, route: GlobalRoute,
-                   bins: int = 16) -> np.ndarray:
-    """Coarse routing-demand heat map (wire-µm per bin), bins x bins.
-
-    Demand of each net is deposited at its bounding-box center — a
-    standard probabilistic congestion estimate, used by tests and the
-    thermal power-map builder.
-    """
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    fp = placement.floorplan
-    netlist = placement.netlist
-    grid = np.zeros((bins, bins))
-    index_of = placement.index_of
-    for i, name in enumerate(route.net_names):
-        net = netlist.net(name)
-        endpoints = ([net.driver] if net.driver else []) + net.sinks
-        if not endpoints:
-            continue
-        idx = [index_of[e] for e in endpoints]
-        cx = float(np.mean(placement.x_um[idx]))
-        cy = float(np.mean(placement.y_um[idx]))
-        bx = min(bins - 1, max(0, int((cx - fp.die.x) / fp.die.w * bins)))
-        by = min(bins - 1, max(0, int((cy - fp.die.y) / fp.die.h * bins)))
-        grid[by, bx] += route.length_um[i]
-    return grid

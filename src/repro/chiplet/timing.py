@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
+
+import numpy as np
 
 from ..tech.stdcell import CellKind
 from .route import GlobalRoute
@@ -74,124 +76,103 @@ def analyze_timing(route: GlobalRoute,
         A :class:`TimingReport`.
 
     Raises:
-        ValueError: If the combinational graph contains a cycle.
+        ValueError: If the combinational graph contains a cycle, or the
+            netlist gained nets after it was routed.
     """
-    netlist = route.placement.netlist
-    loads = route.net_load_ff()
-
-    # Resolve each instance's library cell once up front — is_seq and
-    # stage_delay run per *edge*, and the per-call library lookup used to
-    # dominate STA runtime on full-scale netlists.
-    cell_of = {n: netlist.cell(n) for n in netlist.instances}
+    view = route.arrays()
+    n = len(view.cell)
     # SRAM macros are synchronous (clocked) and bound pipeline stages
     # exactly like flops.
-    seq = {n for n, c in cell_of.items()
-           if c.kind in (CellKind.SEQUENTIAL, CellKind.SRAM_MACRO)}
+    seq = view.cell_kind_in(CellKind.SEQUENTIAL, CellKind.SRAM_MACRO)
 
-    def is_seq(name: str) -> bool:
-        return name in seq
+    # Timing arcs run from the driver of each non-clock net to each of
+    # its sink pins, in net then pin order.  A driver's output load is
+    # its nets' loads (wire + pins) added in net order.
+    arc_net = ~view.clock & (view.driver >= 0)
+    loads = route.wire_cap_ff + route.pin_cap_ff
+    out_load = np.bincount(view.driver[arc_net], weights=loads[arc_net],
+                           minlength=n)
+    pin_net = view.pin_net
+    arc_pin = arc_net[pin_net] & view.sink
+    src = view.driver[pin_net[arc_pin]]
+    dst = view.pins[arc_pin]
+    to_comb = ~seq[dst]
+    comb_src, comb_dst = src[to_comb], dst[to_comb]
+    indeg = np.bincount(comb_dst, minlength=n)
+    # Stage delay per instance: intrinsic + drive resistance x load,
+    # with the sizing emulation on heavy loads.
+    drive = view.cell_attr("drive_res_ohm")
+    rc = drive * out_load * 1e-3
+    upsized = np.maximum(SIZING_THRESHOLD_PS,
+                         drive / MAX_UPSIZE * out_load * 1e-3)
+    delay = (view.cell_attr("intrinsic_delay_ps")
+             + np.where(rc > SIZING_THRESHOLD_PS, upsized, rc)).tolist()
+    # Each instance's combinational fanout in arc order (CSR), and
+    # whether a combinational instance drives a sequential sink (a path
+    # end point).
+    fanout = comb_dst[np.argsort(comb_src, kind="stable")].tolist()
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(comb_src, minlength=n), out=ptr[1:])
+    ptr = ptr.tolist()
+    ends_at_seq = np.zeros(n, dtype=bool)
+    ends_at_seq[src[~to_comb]] = True
+    ends_at_seq = (ends_at_seq & ~seq).tolist()
 
-    # Per-instance output load: sum over driven (non-clock) nets.
-    out_load: Dict[str, float] = {}
-    fanout_edges: Dict[str, List[str]] = {n: [] for n in netlist.instances}
-    indeg: Dict[str, int] = {n: 0 for n in netlist.instances}
-
-    for net in netlist.nets.values():
-        if net.is_clock or net.driver is None:
-            continue
-        out_load[net.driver] = out_load.get(net.driver, 0.0) \
-            + loads.get(net.name, 0.0)
-        for sink in net.sinks:
-            fanout_edges[net.driver].append(sink)
-            if sink not in seq:
-                indeg[sink] += 1
-
-    _delay_memo: Dict[str, float] = {}
-
-    def stage_delay(name: str) -> float:
-        d = _delay_memo.get(name)
-        if d is not None:
-            return d
-        cell = cell_of[name]
-        load = out_load.get(name, 0.0)
-        rc = cell.drive_res_ohm * load * 1e-3
-        if rc > SIZING_THRESHOLD_PS:
-            rc = max(SIZING_THRESHOLD_PS,
-                     cell.drive_res_ohm / MAX_UPSIZE * load * 1e-3)
-        d = cell.intrinsic_delay_ps + rc
-        _delay_memo[name] = d
-        return d
-
-    # Kahn traversal over combinational nodes; flops are sources/sinks.
-    arrival: Dict[str, float] = {}
-    pred: Dict[str, Optional[str]] = {}
-    ready: deque = deque()
-    comb_nodes = 0
-    for name in netlist.instances:
-        if is_seq(name):
-            arrival[name] = stage_delay(name)  # clock-to-Q + its net RC
-            pred[name] = None
-        else:
-            comb_nodes += 1
-            if indeg[name] == 0:
-                arrival[name] = stage_delay(name)
-                pred[name] = None
-                ready.append(name)
-
-    # Seed flop fanouts.
-    for name in netlist.instances:
-        if not is_seq(name):
-            continue
-        for sink in fanout_edges[name]:
-            if is_seq(sink):
-                continue
-            base = arrival[name]
-            if base + stage_delay(sink) > arrival.get(sink, -1.0):
-                arrival[sink] = base + stage_delay(sink)
-                pred[sink] = name
-            indeg[sink] -= 1
-            if indeg[sink] == 0:
-                ready.append(sink)
-
-    visited = 0
+    # FIFO Kahn traversal: flops launch paths at clock-to-Q (plus their
+    # net RC), then combinational nodes join the queue in instance
+    # order, and the rest as their last input arrives.  A tie keeps the
+    # first strictly greater arrival.  pred -1 starts a path, -2 marks
+    # no arrival yet; ``order`` lists nodes as they first got one.
+    arrival = [-1.0] * n
+    pred = [-2] * n
+    starts = np.flatnonzero(seq | (indeg == 0)).tolist()
+    for i in starts:
+        arrival[i] = delay[i]
+        pred[i] = -1
+    order = list(starts)
+    ready = deque(np.flatnonzero(seq).tolist())
+    ready.extend(np.flatnonzero(~seq & (indeg == 0)).tolist())
+    indeg = indeg.tolist()
     end_arrival = -1.0
-    end_node: Optional[str] = None
+    end_node = -1
     while ready:
         node = ready.popleft()
-        visited += 1
         node_arr = arrival[node]
-        for sink in fanout_edges[node]:
-            if is_seq(sink):
-                total = node_arr + SETUP_PS
-                if total > end_arrival:
-                    end_arrival = total
-                    end_node = node
-                continue
-            cand = node_arr + stage_delay(sink)
-            if cand > arrival.get(sink, -1.0):
+        if ends_at_seq[node]:
+            total = node_arr + SETUP_PS
+            if total > end_arrival:
+                end_arrival = total
+                end_node = node
+        for sink in fanout[ptr[node]:ptr[node + 1]]:
+            cand = node_arr + delay[sink]
+            if cand > arrival[sink]:
+                if pred[sink] == -2:
+                    order.append(sink)
                 arrival[sink] = cand
                 pred[sink] = node
             indeg[sink] -= 1
             if indeg[sink] == 0:
                 ready.append(sink)
 
-    if visited < comb_nodes:
-        stuck = [n for n in netlist.instances
-                 if not is_seq(n) and indeg.get(n, 0) > 0]
+    names = list(route.placement.netlist.instances)
+    stuck = np.flatnonzero(~seq & (np.array(indeg) > 0)).tolist()
+    if stuck:
         raise ValueError(f"combinational cycle detected involving "
-                         f"{len(stuck)} nodes, e.g. {stuck[:3]}")
+                         f"{len(stuck)} nodes, e.g. "
+                         f"{[names[i] for i in stuck[:3]]}")
 
-    # Nodes that end at output ports (no flop sink) also end paths.
-    for name, arr in arrival.items():
-        if arr > end_arrival:
-            end_arrival = arr
-            end_node = name
+    # Nodes that end at output ports (no flop sink) also end paths;
+    # they are scanned in the order they first got an arrival time.
+    for node in order:
+        if arrival[node] > end_arrival:
+            end_arrival = arrival[node]
+            end_node = node
 
     path: List[str] = []
     node = end_node
-    while node is not None:
-        path.append(node)
-        node = pred.get(node)
+    while node >= 0:
+        path.append(names[node])
+        node = pred[node]
     path.reverse()
 
     target_period = 1e6 / target_frequency_mhz

@@ -11,13 +11,13 @@ FM rediscovers a cut close to the L3 interface, because the synthetic
 netlist has the same locality structure as the real design.
 
 FM runs on the netlist as integer arrays (:class:`Hypergraph`, built
-once per netlist): instance areas in instance order, each net's pins
-(driver, then sinks, duplicates kept), and each instance's unique nets
-sorted by net name.  :mod:`repro.partition.multiway` carves its
-bisection and pair sub-problems out of the same arrays
-(:func:`carve`).  The pass loop of one start — gain buckets, move
-selection, incremental gain updates and the roll-forward to the best
-prefix — runs in the compiled ``fm_run`` of
+once per netlist on :meth:`~repro.arch.netlist.Netlist.arrays`):
+instance areas in instance order, each net's pins (driver, then sinks,
+duplicates kept), and each instance's unique nets sorted by net name.
+:mod:`repro.partition.multiway` carves its bisection and pair
+sub-problems out of the same arrays (:func:`carve`).  The pass loop of
+one start — gain buckets, move selection, incremental gain updates and
+the roll-forward to the best prefix — runs in the compiled ``fm_run`` of
 :mod:`repro.interposer._mazekernel`, or, without a C compiler, in
 :func:`_passes_portable`, the same loop in Python over the same arrays.
 Both reproduce the original dict-based implementation (kept as the
@@ -113,22 +113,14 @@ class Hypergraph(NamedTuple):
 def hypergraph(netlist: Netlist) -> Tuple[Hypergraph, List[str],
                                           List[str]]:
     """The netlist as a :class:`Hypergraph`, with its instance and net
-    names (the index order of the arrays)."""
-    names = list(netlist.instances)
-    index = {name: i for i, name in enumerate(names)}
-    net_names = list(netlist.nets)
+    names (the index order of the arrays).
+
+    The pins and their offsets are those of
+    :meth:`~repro.arch.netlist.Netlist.arrays`, shared read-only.
+    """
+    view = netlist.arrays()
+    names, net_names = list(netlist.instances), list(netlist.nets)
     n, m = len(names), len(net_names)
-    flat: List[int] = []
-    sizes: List[int] = []
-    for net in netlist.nets.values():
-        start = len(flat)
-        if net.driver:
-            flat.append(index[net.driver])
-        flat.extend([index[s] for s in net.sinks])
-        sizes.append(len(flat) - start)
-    pins = np.array(flat, dtype=np.int32)
-    pin_ptr = np.zeros(m + 1, dtype=np.int64)
-    np.cumsum(np.array(sizes, dtype=np.int64), out=pin_ptr[1:])
     # Each instance's unique nets in net-name order: one sort of
     # (instance, net-name rank) keys over all pins.
     by_name = np.array(sorted(range(m), key=net_names.__getitem__),
@@ -136,17 +128,16 @@ def hypergraph(netlist: Netlist) -> Tuple[Hypergraph, List[str],
     net_rank = np.empty(m, dtype=np.int64)
     net_rank[by_name] = np.arange(m)
     width = max(m, 1)
-    keys = np.unique(pins.astype(np.int64) * width
-                     + net_rank[np.repeat(np.arange(m), sizes)])
+    keys = np.unique(view.pins.astype(np.int64) * width
+                     + net_rank[view.pin_net])
     inst_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // width, minlength=n), out=inst_ptr[1:])
     rank = np.empty(n, dtype=np.int32)
     rank[sorted(range(n), key=names.__getitem__)] = np.arange(n)
-    area = np.array([netlist.cell(name).area_um2 for name in names],
-                    dtype=np.float64)
-    graph = Hypergraph(area=area, rank=rank, inst_ptr=inst_ptr,
+    graph = Hypergraph(area=view.cell_attr("area_um2"), rank=rank,
+                       inst_ptr=inst_ptr,
                        inst_nets=by_name[keys % width].astype(np.int32),
-                       pin_ptr=pin_ptr, pins=pins)
+                       pin_ptr=view.pin_ptr, pins=view.pins)
     return graph, names, net_names
 
 

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.generate import (LOGIC_DEPTH, SRAM_DEPTH,
-                                 generate_chiplet_netlist,
+from repro.arch.generate import (generate_chiplet_netlist,
                                  generate_monolithic_netlist,
                                  generate_tile_netlist)
 from repro.tech.stdcell import CellKind

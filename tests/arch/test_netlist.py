@@ -1,9 +1,11 @@
 """Unit tests for the netlist data structures."""
 
+import pickle
+
 import pytest
 
 from repro.arch.netlist import Netlist, PortDirection
-from repro.tech.stdcell import N28_LIB
+from repro.tech.stdcell import CellKind, N28_LIB
 
 
 @pytest.fixture
@@ -142,3 +144,56 @@ class TestSubset:
     def test_subset_unknown_instance_rejected(self, small):
         with pytest.raises(KeyError):
             small.subset(["a", "nope"])
+
+
+class TestArrays:
+    def test_layout(self, small):
+        view = small.arrays()
+        assert view.cells == tuple(N28_LIB.get(c) for c in
+                                   ("INV_X1", "NAND2_X1", "DFF_X1"))
+        assert view.cell.tolist() == [0, 1, 2]
+        assert view.modules == ("top/m1", "top/m2")
+        assert view.module.tolist() == [0, 0, 1]
+        # n1: a -> b; n2: b -> c, c; clk: port -> c.
+        assert view.pin_ptr.tolist() == [0, 2, 5, 6]
+        assert view.pins.tolist() == [0, 1, 1, 2, 2, 2]
+        assert view.driver.tolist() == [0, 1, -1]
+        assert view.clock.tolist() == [False, False, True]
+        assert view.pin_net.tolist() == [0, 0, 1, 1, 1, 2]
+        assert view.sink.tolist() == [False, True, False, True, True, True]
+        assert view.cell_attr("area_um2").tolist() == [
+            N28_LIB.get(c).area_um2 for c in ("INV_X1", "NAND2_X1",
+                                              "DFF_X1")]
+        assert view.cell_kind_in(CellKind.SEQUENTIAL).tolist() == [
+            False, False, True]
+
+    def test_read_only(self, small):
+        with pytest.raises(ValueError):
+            small.arrays().pins[0] = 1
+
+    def test_built_once_and_dropped_by_every_add(self, small):
+        view = small.arrays()
+        assert small.arrays() is view
+        small.add_instance("d", "INV_X2", "top/m3")
+        assert small.arrays() is not view
+        assert small.arrays().modules[-1] == "top/m3"
+        view = small.arrays()
+        small.add_net("n3", "d", ["a"])
+        assert small.arrays() is not view
+        assert small.arrays().pins.tolist()[-2:] == [3, 0]
+        view = small.arrays()
+        small.add_port("p", PortDirection.OUTPUT, "n3")
+        assert small.arrays() is not view
+
+    def test_clone_starts_without_one(self, small):
+        view = small.arrays()
+        twin = small.clone()
+        assert twin.arrays() is not view
+        assert twin.arrays().pins.tolist() == view.pins.tolist()
+
+    def test_left_out_of_the_pickle(self, small):
+        before = pickle.dumps(small)
+        small.arrays()
+        assert pickle.dumps(small) == before
+        back = pickle.loads(before)
+        assert back.arrays().pins.tolist() == small.arrays().pins.tolist()

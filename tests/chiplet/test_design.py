@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chiplet.design import build_chiplet
-from repro.tech.interposer import APX, GLASS_25D, SILICON_25D
+from repro.tech.interposer import GLASS_25D
 
 
 class TestBuildChiplet:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chiplet.iodriver import AIB_DRIVER, AIB_DRIVER_X64, IoDriverSpec
+from repro.chiplet.iodriver import AIB_DRIVER, AIB_DRIVER_X64
 
 
 class TestAibSpec:

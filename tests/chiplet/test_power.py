@@ -1,6 +1,5 @@
 """Power analysis tests."""
 
-import numpy as np
 import pytest
 
 from repro.chiplet.power import analyze_power, power_density_map

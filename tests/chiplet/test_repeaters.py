@@ -1,11 +1,8 @@
 """Repeater-insertion theory tests."""
 
-import math
-
 import pytest
 
-from repro.chiplet.repeaters import (RepeaterPlan, WireRc,
-                                     critical_length_um, plan_repeaters)
+from repro.chiplet.repeaters import WireRc, critical_length_um, plan_repeaters
 
 
 class TestRepeaterTheory:

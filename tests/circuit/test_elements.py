@@ -3,7 +3,6 @@
 import pytest
 
 from repro.circuit.elements import Circuit, is_ground
-from repro.circuit.waveforms import dc
 
 
 class TestGround:

@@ -1,6 +1,5 @@
 """Two-port network parameter tests: conversions, cascade, passivity."""
 
-import cmath
 import math
 
 import numpy as np

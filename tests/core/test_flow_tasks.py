@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import flow
 from repro.core.flow import (FlowBatchError, FlowTaskSpec, clear_cache,
                              run_design, run_designs, run_flow_task,
                              task_disk_key)

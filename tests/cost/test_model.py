@@ -7,8 +7,7 @@ from repro.cost.model import (GLASS_PANEL, ORGANIC_PANEL, SILICON_WAFER,
                               economics_for, interconnect_yield,
                               package_cost, units_per_format)
 from repro.interposer.placement import place_dies
-from repro.tech.interposer import (ALL_SPECS, GLASS_25D, GLASS_3D,
-                                   SILICON_25D, SILICON_3D, get_spec)
+from repro.tech.interposer import ALL_SPECS, GLASS_25D, SILICON_25D, get_spec
 
 
 def placement_for(name):

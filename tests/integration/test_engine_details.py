@@ -1,13 +1,9 @@
 """Focused tests on engine internals: sizing, rip-up/reroute, DRC math."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chiplet.timing import MAX_UPSIZE, SIZING_THRESHOLD_PS
 from repro.interposer.routing import RoutingGrid
 from repro.io.drc import _point_seg, _seg_distance, _segments_intersect
 from tests.oracles.routing import commit

@@ -10,8 +10,6 @@ study uses.
 
 import filecmp
 
-import pytest
-
 from repro.__main__ import main
 from repro.dse.runner import SweepRunner
 from repro.dse.space import Axis, SweepSpec

@@ -1,4 +1,5 @@
-"""Source hygiene guards over ``src/repro``'s syntax trees.
+"""Source hygiene guards over the syntax trees of ``src/repro`` and
+``tests``.
 
 Nothing is imported; each guard scans the parsed sources.
 
@@ -8,15 +9,20 @@ Nothing is imported; each guard scans the parsed sources.
   result whenever it is edited, and would ship code that only tests
   call.  The scan fails on any function or method named ``*_scalar``
   except the router's portable maze search.
-* No module-level import goes unused.  Package ``__init__.py`` files
-  (which import to re-export), names listed in a module's ``__all__``
-  and ``from __future__`` imports are exempt.
+* No module-level import goes unused, in ``src/repro`` or in
+  ``tests``.  Package ``__init__.py`` files (which import to
+  re-export), names listed in a module's ``__all__`` and ``from
+  __future__`` imports are exempt.  In ``tests``, a name that a test
+  takes as a parameter counts as used: pytest resolves an imported
+  fixture by that name.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src" / "repro"
+TESTS = ROOT / "tests"
 
 #: The one ``*_scalar`` definition production keeps: the scalar A* that
 #: every maze search runs when no C compiler is available.
@@ -56,10 +62,11 @@ def test_golden_references_live_in_tests_oracles():
                        "src/: " + ", ".join(extra))
 
 
-def _unused_imports():
-    """(file, name) of every unused module-level import."""
+def _unused_imports(root, params_count=False):
+    """(file, name) of every unused module-level import under ``root``;
+    with ``params_count``, function parameter names count as uses."""
     found = []
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -76,12 +83,19 @@ def _unused_imports():
                     for t in node.targets):
                 exported |= set(ast.literal_eval(node.value))
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-        rel = path.relative_to(SRC.parent).as_posix()
+        if params_count:
+            used |= {a.arg for n in ast.walk(tree)
+                     if isinstance(n, (ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                     for a in (n.args.posonlyargs + n.args.args
+                               + n.args.kwonlyargs)}
+        rel = path.relative_to(ROOT).as_posix()
         found += [(rel, name) for name in imported
                   if name not in used and name not in exported]
     return found
 
 
 def test_no_unused_module_imports():
-    unused = [f"{rel}: {name}" for rel, name in _unused_imports()]
+    unused = [f"{rel}: {name}" for rel, name in
+              _unused_imports(SRC) + _unused_imports(TESTS, True)]
     assert not unused, "unused imports: " + ", ".join(unused)

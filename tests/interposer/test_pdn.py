@@ -1,7 +1,5 @@
 """PDN stackup construction tests."""
 
-import pytest
-
 from repro.chiplet.bumps import plan_for_design
 from repro.interposer.pdn import build_pdn, pdn_summary
 from repro.interposer.placement import place_dies

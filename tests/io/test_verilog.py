@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.arch.generate import generate_chiplet_netlist
-from repro.arch.netlist import Netlist, PortDirection
+from repro.arch.netlist import Netlist
 from repro.io.verilog import verilog_stats, write_verilog
 from repro.tech.stdcell import N28_LIB
 

@@ -11,7 +11,10 @@ kernel that production now runs vectorized or compiled:
 * :mod:`.eye` — the PRBS eye with its waveform stepped in full, never
   synthesized from a pulse-response bank;
 * :mod:`.fm` — FM bipartitioning over dict gain buckets and N-way
-  partitioning over per-part ``Netlist.subset`` copies.
+  partitioning over per-part ``Netlist.subset`` copies;
+* :mod:`.signoff` — chiplet floorplan, placement, global route, STA,
+  power and power map, and FM's hypergraph, walking the netlist
+  records by name.
 
 They live beside the tests rather than in ``src/repro`` so that editing
 a reference never changes :func:`repro.core.flow.code_version` and so

@@ -1,7 +1,5 @@
 """Unit tests for hierarchical chipletization."""
 
-import pytest
-
 from repro.partition.fm import fm_bipartition
 from repro.partition.hierarchical import (chipletize, compare_with_fm,
                                           hierarchical_assignment,

@@ -1,6 +1,5 @@
 """PDN impedance analysis tests (Table IV / Fig. 15)."""
 
-import numpy as np
 import pytest
 
 from repro.chiplet.bumps import plan_for_design

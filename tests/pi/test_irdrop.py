@@ -1,6 +1,5 @@
 """IR-drop solver tests."""
 
-import numpy as np
 import pytest
 
 from repro.chiplet.bumps import plan_for_design

@@ -1,7 +1,5 @@
 """Statistical eye analysis tests."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, simulate, solve_ac
+from repro.circuit import Circuit, simulate
 from repro.circuit.waveforms import step
-from repro.si.tline import (RlgcLine, add_tline_ladder, line_for_spec,
-                            microstrip_rlgc)
+from repro.si.tline import add_tline_ladder, line_for_spec, microstrip_rlgc
 from repro.tech.interposer import APX, GLASS_25D, GLASS_3D, SILICON_25D
 
 

@@ -1,7 +1,5 @@
 """Unit tests for material property models."""
 
-import math
-
 import pytest
 
 from repro.tech import materials as mat

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.tech.stdcell import CellKind, CellLibrary, N28_LIB, StdCell
+from repro.tech.stdcell import CellKind, CellLibrary, N28_LIB
 
 
 class TestLibraryLookup:
