@@ -3,8 +3,7 @@
 The circuits in this reproduction are linear (drivers are modelled as
 Thevenin sources), so the MNA matrix with trapezoidal companion models is
 constant for a fixed time step: it is factored once and each step costs
-one RHS build plus one triangular solve.  That makes PRBS eye-diagram runs
-(thousands of steps over a few hundred nodes) essentially instantaneous.
+one RHS build plus one triangular solve.
 
 Companion models (trapezoidal):
 
@@ -12,15 +11,32 @@ Companion models (trapezoidal):
 * Inductor:  ``(v1-v2)_new - (2L/dt) i_new = -(2L/dt) i_old - v_old``,
   with mutual terms ``-(2M/dt)`` coupling branch currents.
 
-The engine is fully vectorized: the companion matrix comes from the
-cached :class:`~repro.circuit.mna.CircuitStamps` structure
-(``G + (2/dt) B``) and is factored once per (topology, dt)
-(:class:`TransientBlockFactor`), source waveforms are sampled over the
-whole time grid up front, the per-step RHS is built from precomputed
-sparse incidence matrices, the state update is pure array arithmetic,
-and recording is fancy indexing.  The test suite keeps a
-straightforward per-element reference implementation
-(``tests/oracles``) and pins the two together at 1e-9.
+The companion matrix comes from the cached
+:class:`~repro.circuit.mna.CircuitStamps` structure (``G + (2/dt) B``)
+and is factored once per (topology, dt) (:class:`TransientBlockFactor`),
+and source waveforms are sampled over the whole time grid up front.
+The steps then run on one of two engines:
+
+* the compiled loop, ``transient_run`` in :mod:`repro._kernel`, which
+  runs every step in one call.  It is used whenever the kernel loads
+  and scipy's ``dgetrs`` can be read, unless the circuit has mutual
+  inductors.  The production circuits have at most a few dozen
+  unknowns, so a step is about a microsecond of arithmetic, which the
+  numpy loop buries under tens of microseconds of Python and scipy
+  dispatch;
+* the numpy loop, which builds each RHS from the precomputed sparse
+  incidence matrices, solves it with ``scipy.linalg.lu_solve`` and
+  updates the state with array arithmetic.  It runs without a C
+  compiler (or under ``REPRO_NO_CCOMPILE``) and for mutual inductors,
+  whose ``mut_g @ ind_i`` goes through numpy's BLAS.
+
+The two give the same bits: the C loop performs the numpy loop's
+floating-point operations in the same order, raises the same
+``ValueError`` on a non-finite RHS, and solves through the very LAPACK
+``dgetrs`` that ``lu_solve`` calls (:mod:`repro._kernel` states the
+rules).  ``tests/circuit/test_transient_kernel.py`` pins them together
+byte for byte, and the test suite keeps a straightforward per-element
+reference implementation (``tests/oracles``) that both match at 1e-9.
 
 :func:`pulse_response_bank` sits on top of the stepping engine: for a
 linear circuit, one multi-column run computes every source's
@@ -32,8 +48,9 @@ stepping.  Banks are cached on the circuit's stamp structure keyed by
 
 Transient LU factorizations and per-step back-substitutions are counted
 under ``transient_factorizations``/``transient_solves`` in
-:data:`~repro.circuit.mna.SOLVER_COUNTERS`; ``mna_*`` stays reserved
-for DC and AC solves.
+:data:`~repro.circuit.mna.SOLVER_COUNTERS`, alike on both engines
+(``steps - 1`` solves per run); ``mna_*`` stays reserved for DC and AC
+solves.
 """
 
 from __future__ import annotations
@@ -46,6 +63,7 @@ import numpy as np
 import scipy.linalg
 import scipy.signal
 
+from .._kernel import lapack_dgetrs, load_kernel
 from .elements import Circuit
 from .mna import SOLVER_COUNTERS, CircuitStamps, MnaStructure, _robust_solve
 
@@ -142,6 +160,10 @@ class TransientBlockFactor:
         self.dt = float(dt)
         #: Raw ``lu_factor`` pair for hot loops that bulk-count solves.
         self.lu = scipy.linalg.lu_factor(stamps.transient_matrix(dt))
+        #: The same factor as LAPACK's ``dgetrs`` reads it, for the
+        #: compiled loop: the column-major LU and 1-based pivots.
+        self.lu_f = np.asfortranarray(self.lu[0])
+        self.piv1 = (self.lu[1] + 1).astype(np.int32)
         SOLVER_COUNTERS["transient_factorizations"] += 1
 
     def solve(self, Z: np.ndarray) -> np.ndarray:
@@ -238,39 +260,104 @@ def simulate(circuit: Circuit, t_stop: float, dt: float,
     v_out[0] = xa[rec_idx]
     i_out[0] = x[cur_idx]
 
-    lu = transient_block_factor(circuit, dt).lu
-    lu_solve = scipy.linalg.lu_solve
-    for step in range(1, steps):
-        # Trapezoidal RHS: sources plus companion history terms.
-        z = np.zeros(size)
-        if n_vsrc:
-            z[stamps.vsrc_rows] = vsrc_samples[:, step]
-        if n_isrc:
-            z += stamps.isrc_incidence @ isrc_samples[:, step]
-        if n_cap:
-            z += stamps.cap_incidence @ (cap_g * cap_v + cap_i)
-        if n_ind:
-            zl = -ind_g * ind_i - ind_v
-            if mut_g is not None:
-                zl += mut_g @ ind_i
-            z[stamps.ind_rows] = zl
-        x = lu_solve(lu, z)
-        # Advance the companion-model state and record the step.
-        if n_cap:
-            v_new = stamps.cap_diff @ x
-            cap_i = cap_g * (v_new - cap_v) - cap_i
-            cap_v = v_new
-        if n_ind:
-            ind_v = stamps.ind_diff @ x
-            ind_i = x[st.ind_offset:st.ind_offset + n_ind].copy()
-        xa[:size] = x
-        v_out[step] = xa[rec_idx]
-        i_out[step] = x[cur_idx]
+    factor = transient_block_factor(circuit, dt)
+    engine = _compiled_engine() if mut_g is None else None
+    if engine is not None:
+        _step_compiled(engine, factor, stamps, steps, vsrc_samples,
+                       isrc_samples, cap_g, cap_v, cap_i, ind_g, ind_i,
+                       ind_v, rec_idx, cur_idx, v_out, i_out, xa)
+    else:
+        lu = factor.lu
+        lu_solve = scipy.linalg.lu_solve
+        for step in range(1, steps):
+            # Trapezoidal RHS: sources plus companion history terms.
+            z = np.zeros(size)
+            if n_vsrc:
+                z[stamps.vsrc_rows] = vsrc_samples[:, step]
+            if n_isrc:
+                z += stamps.isrc_incidence @ isrc_samples[:, step]
+            if n_cap:
+                z += stamps.cap_incidence @ (cap_g * cap_v + cap_i)
+            if n_ind:
+                zl = -ind_g * ind_i - ind_v
+                if mut_g is not None:
+                    zl += mut_g @ ind_i
+                z[stamps.ind_rows] = zl
+            x = lu_solve(lu, z)
+            # Advance the companion-model state and record the step.
+            if n_cap:
+                v_new = stamps.cap_diff @ x
+                cap_i = cap_g * (v_new - cap_v) - cap_i
+                cap_v = v_new
+            if n_ind:
+                ind_v = stamps.ind_diff @ x
+                ind_i = x[st.ind_offset:st.ind_offset + n_ind].copy()
+            xa[:size] = x
+            v_out[step] = xa[rec_idx]
+            i_out[step] = x[cur_idx]
     SOLVER_COUNTERS["transient_solves"] += steps - 1
     return TransientResult(
         time=times,
         voltages={n: v_out[:, c] for c, n in enumerate(node_names)},
         vsource_currents={n: i_out[:, c] for c, n in enumerate(cur_names)})
+
+
+def _compiled_engine():
+    """The kernel's ``transient_run`` and the address of scipy's
+    ``dgetrs``, or ``None`` when either is unavailable."""
+    kernel = load_kernel()
+    if kernel is None:
+        return None
+    dgetrs = lapack_dgetrs()
+    return None if dgetrs is None else (kernel.transient, dgetrs)
+
+
+def _step_compiled(engine, factor: TransientBlockFactor,
+                   stamps: CircuitStamps, steps: int,
+                   vsrc_samples: np.ndarray,
+                   isrc_samples: Optional[np.ndarray],
+                   cap_g: np.ndarray, cap_v: np.ndarray,
+                   cap_i: np.ndarray, ind_g: np.ndarray,
+                   ind_i: np.ndarray, ind_v: np.ndarray,
+                   rec_idx: np.ndarray, cur_idx: np.ndarray,
+                   v_out: np.ndarray, i_out: np.ndarray,
+                   xa: np.ndarray) -> None:
+    """Steps 1 .. ``steps - 1`` of :func:`simulate` in one
+    ``transient_run`` call: advances the state arrays and fills rows
+    1 on of ``v_out`` and ``i_out`` in place."""
+    run, dgetrs = engine
+    st = stamps.structure
+    keep = []  # the converted arguments, alive until the call returns
+
+    def arr(a, dtype=np.float64):
+        a = np.ascontiguousarray(a, dtype=dtype)
+        keep.append(a)
+        return a.ctypes.data
+
+    def csr(m):
+        return (arr(m.indptr, np.int32), arr(m.indices, np.int32),
+                arr(m.data))
+
+    status = run(
+        dgetrs, factor.lu_f.ctypes.data, factor.piv1.ctypes.data,
+        st.size, steps,
+        len(stamps.vsrc_waves), st.vsrc_offset, arr(vsrc_samples),
+        len(stamps.isrc_waves),
+        None if isrc_samples is None else arr(isrc_samples),
+        *csr(stamps.isrc_incidence),
+        len(cap_g), arr(cap_g), cap_v.ctypes.data, cap_i.ctypes.data,
+        *csr(stamps.cap_incidence), *csr(stamps.cap_diff),
+        len(ind_g), st.ind_offset,
+        arr(ind_g), ind_i.ctypes.data, ind_v.ctypes.data,
+        *csr(stamps.ind_diff),
+        len(rec_idx), arr(rec_idx, np.int64), v_out.ctypes.data,
+        len(cur_idx), arr(cur_idx, np.int64), i_out.ctypes.data,
+        xa.ctypes.data, arr(np.empty(len(cap_g))))
+    if status > 0:  # what lu_solve's check_finite raises
+        raise ValueError("array must not contain infs or NaNs")
+    if status < 0:
+        raise ValueError(f"illegal value in {-status}th argument of "
+                         "internal gesv|posv")
 
 
 # --------------------------------------------------------------------- #

@@ -36,7 +36,7 @@ scans, the scalar heap A*):
   field*: one Dijkstra sweep over the A*-reweighted edge graph (edge
   ``w' = w + h(v) - h(u)``, non-negative because the Manhattan
   heuristic is consistent), run by the compiled dial kernel of
-  :mod:`repro.interposer._mazekernel`.  The A* path *and* its
+  :mod:`repro._kernel`.  The A* path *and* its
   expansion count are reconstructed exactly from the distance field
   (see :class:`_DistanceFieldOracle`), so results — including
   node-budget exhaustion — are bit-identical to the scalar A*.
@@ -61,7 +61,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..tech.interposer import InterposerSpec, IntegrationStyle, RoutingStyle
-from ._mazekernel import load_kernel as _load_maze_kernel
+from .._kernel import load_kernel as _load_maze_kernel
 from .placement import InterposerPlacement, PlacedDie
 
 _LOG = logging.getLogger(__name__)
@@ -923,8 +923,8 @@ class _DistanceFieldOracle:
       column — so node-budget exhaustion is predicted exactly.
 
     ``D`` itself comes from the compiled dial Dijkstra
-    (:mod:`repro.interposer._mazekernel`) over the A*-reweighted edge
-    graph (``w' = w + h(v) - h(u)`` ≥ 0 by consistency), which returns
+    (:mod:`repro._kernel`) over the A*-reweighted edge graph
+    (``w' = w + h(v) - h(u)`` ≥ 0 by consistency), which returns
     ``Dp = D + h - h0`` and stops once the goal's distance level has
     drained, so one sweep costs about the size of the A* search
     ellipse rather than the grid.  The kernel's int32 distance, done

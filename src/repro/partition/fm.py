@@ -18,7 +18,7 @@ duplicates kept), and each instance's unique nets sorted by net name.
 sub-problems out of the same arrays (:func:`carve`).  The pass loop of
 one start — gain buckets, move selection, incremental gain updates and
 the roll-forward to the best prefix — runs in the compiled ``fm_run`` of
-:mod:`repro.interposer._mazekernel`, or, without a C compiler, in
+:mod:`repro._kernel`, or, without a C compiler, in
 :func:`_passes_portable`, the same loop in Python over the same arrays.
 Both reproduce the original dict-based implementation (kept as the
 golden reference in ``tests/oracles/fm.py``) exactly, which rests on:
@@ -46,6 +46,7 @@ from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
+from .._kernel import load_kernel
 from ..arch.netlist import Netlist
 
 _LOG = logging.getLogger(__name__)
@@ -315,9 +316,6 @@ def _run_passes(graph: Hypergraph, side: np.ndarray, lo: float, hi: float,
                 max_passes: int) -> _Start:
     """Up to ``max_passes`` FM passes from the 0/1 start ``side``, on
     the compiled kernel when it loads, else on the portable pass."""
-    # Imported here: repro.interposer imports the chiplet builders,
-    # which import this package.
-    from ..interposer._mazekernel import load_kernel
     kernel = load_kernel()
     if kernel is not None:
         run = _passes_compiled(kernel, graph, side, lo, hi, max_passes)

@@ -267,6 +267,27 @@ class _CanonicalPickler(pickle._Pickler):
             obj = self._dtypes.setdefault(obj, obj)
         return super().save(obj, save_persistent_id)
 
+    def save_picklebuffer(self, obj):
+        # The base class writes an array's buffer in band and memoizes
+        # the bytes ``tobytes()`` returned; CPython returns one shared
+        # object for every empty buffer, so a second empty array failed
+        # memoize's assertion, and a later ``b''`` pickled as a memo
+        # reference to the first array's bytearray.  A fresh copy writes
+        # the same opcodes and data under a memo key nothing else has.
+        with obj.raw() as m:
+            if m.contiguous:
+                data = bytearray(m)
+                if m.readonly:
+                    self.save_bytes(data)
+                else:
+                    self.save_bytearray(data)
+                return
+        super().save_picklebuffer(obj)  # raises on the layout
+
+    # ``save`` looks its savers up in this table, not on the instance.
+    dispatch = {**pickle._Pickler.dispatch,
+                pickle.PickleBuffer: save_picklebuffer}
+
 
 def canonical_dumps(obj) -> bytes:
     """Deterministically pickle ``obj`` (see :class:`_CanonicalPickler`)."""

@@ -6,7 +6,7 @@ reduced netlists (a few thousand cells) so the whole suite stays fast.
 
 import pytest
 
-import repro.interposer._mazekernel as mazekernel
+import repro._kernel as kernel
 from repro.arch.generate import (generate_chiplet_netlist,
                                  generate_monolithic_netlist,
                                  generate_tile_netlist)
@@ -67,9 +67,9 @@ def silicon_design():
 @pytest.fixture
 def no_ccompile(monkeypatch):
     """Run the test as on a machine without a C compiler: the compiled
-    kernel refuses to load, so every maze search takes the scalar A*
-    and FM its portable pass."""
-    monkeypatch.setenv(mazekernel.ENV_DISABLE, "1")
-    mazekernel._reset_for_tests()
+    kernel refuses to load, so every maze search takes the scalar A*,
+    FM its portable pass and transients the numpy loop."""
+    monkeypatch.setenv(kernel.ENV_DISABLE, "1")
+    kernel._reset_for_tests()
     yield
-    mazekernel._reset_for_tests()  # let later tests re-load it
+    kernel._reset_for_tests()  # let later tests re-load it

@@ -15,6 +15,10 @@ Nothing is imported; each guard scans the parsed sources.
   __future__`` imports are exempt.  In ``tests``, a name that a test
   takes as a parameter counts as used: pytest resolves an imported
   fixture by that name.
+* The import graph keeps its layers: ``repro/_kernel.py``, the compiled
+  kernel's loader, imports no ``repro`` module, and nothing under
+  ``repro/circuit`` or ``repro/partition`` imports from
+  ``repro.interposer``, at module level or inside a function.
 """
 
 import ast
@@ -99,3 +103,45 @@ def test_no_unused_module_imports():
     unused = [f"{rel}: {name}" for rel, name in
               _unused_imports(SRC) + _unused_imports(TESTS, True)]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _imports(path):
+    """(line, dotted name) of every name a source file imports, at
+    module level or inside a function; relative imports are resolved
+    against the file's package, and ``from m import n`` gives ``m.n``."""
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    package = parts if path.name == "__init__.py" else parts[:-1]
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] \
+                if node.level else ()
+            module = ".".join(base + ((node.module,) if node.module
+                                      else ()))
+            found += [(node.lineno, f"{module}.{a.name}")
+                      for a in node.names]
+    return found
+
+
+def _within(name, package):
+    return name == package or name.startswith(package + ".")
+
+
+def test_kernel_loader_imports_no_repro_module():
+    bad = [f"_kernel.py:{line}: {name}"
+           for line, name in _imports(SRC / "_kernel.py")
+           if _within(name, "repro")]
+    assert not bad, "the kernel loader must stay a leaf: " + ", ".join(bad)
+
+
+def test_circuit_and_partition_do_not_import_the_interposer():
+    bad = []
+    for package in ("circuit", "partition"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            rel = path.relative_to(SRC.parent).as_posix()
+            bad += [f"{rel}:{line}: {name}"
+                    for line, name in _imports(path)
+                    if _within(name, "repro.interposer")]
+    assert not bad, "imports from repro.interposer: " + ", ".join(bad)

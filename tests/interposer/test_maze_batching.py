@@ -26,7 +26,7 @@ import random
 import numpy as np
 import pytest
 
-import repro.interposer._mazekernel as mazekernel
+import repro._kernel as mazekernel
 import repro.interposer.routing as routing
 from repro.interposer.routing import RoutingGrid
 

@@ -21,7 +21,7 @@ import pytest
 from repro.arch.generate import (generate_monolithic_netlist,
                                  generate_tile_netlist)
 from repro.arch.netlist import Netlist
-from repro.interposer import _mazekernel as mazekernel
+from repro import _kernel as mazekernel
 from repro.partition import fm, multiway
 from repro.partition.fm import fm_bipartition
 from repro.tech.stdcell import N28_LIB

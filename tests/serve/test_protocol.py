@@ -2,14 +2,19 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.arch.generate import clear_netlist_memo
+from repro.arch.netlist import Netlist
+from repro.chiplet.floorplan import floorplan
+from repro.chiplet.place import place
 from repro.core.flow import (FlowTaskSpec, clear_cache, code_version,
                              run_flow_task)
 from repro.serve.protocol import (EvalRequest, canonical_dumps,
                                   execute_request, request_for_point)
 from repro.si import channel
+from repro.tech.stdcell import N28_LIB
 
 
 class TestEvalRequestCanonicalization:
@@ -197,3 +202,29 @@ class TestTopologyProtocol:
         a = EvalRequest(kind="flow", num_chiplets=4)
         b = EvalRequest(kind="flow", num_chiplets=6)
         assert a.cache_token() != b.cache_token()
+
+
+class TestCanonicalDumpsBuffers:
+    """Arrays pickle their buffers in band; CPython shares one object
+    among all empty buffers, which must not become a shared memo
+    entry."""
+
+    def test_two_empty_arrays(self):
+        back = pickle.loads(canonical_dumps([np.zeros(0), np.zeros(0)]))
+        assert [(a.dtype, a.shape) for a in back] == \
+            [(np.dtype(float), (0,))] * 2
+
+    def test_empty_bytes_after_an_empty_array_stays_bytes(self):
+        graph = [np.zeros(0), b""]
+        back = pickle.loads(canonical_dumps(graph))
+        assert type(back[1]) is bytes
+        assert back[1] == b""
+        assert canonical_dumps(graph) == pickle.dumps(graph, protocol=5)
+
+    def test_placement_of_an_empty_netlist(self):
+        netlist = Netlist("empty", N28_LIB)
+        placement = place(netlist, floorplan(netlist, 100.0, 100.0))
+        payload = canonical_dumps(placement)
+        back = pickle.loads(payload)
+        assert back.x_um.shape == back.y_um.shape == (0,)
+        assert canonical_dumps(back) == payload
