@@ -168,6 +168,25 @@ class NetlistArrays(NamedTuple):
         return table[self.cell]
 
 
+#: Each ``PortDirection`` by its code in a pickled netlist.
+_DIRECTIONS = tuple(PortDirection)
+
+
+def _pack(strings: Iterable[str]) -> Tuple[str, np.ndarray]:
+    """``strings`` as one joined string and an int64 array of their
+    lengths: two objects to pickle, however many strings."""
+    strings = list(strings)
+    return "".join(strings), np.fromiter(map(len, strings), dtype=np.int64,
+                                         count=len(strings))
+
+
+def _unpack(packed: Tuple[str, np.ndarray]) -> List[str]:
+    """The strings :func:`_pack` joined, in order."""
+    joined, lengths = packed
+    ends = np.cumsum(lengths).tolist()
+    return [joined[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def _build_arrays(netlist: "Netlist") -> NetlistArrays:
     """One pass over the instance and net records."""
     records = netlist.instances.values()
@@ -221,11 +240,8 @@ class Netlist:
         # add_instance calls skip the library lookup.
         self._known_cells: Set[str] = set()
         # instance name -> resolved StdCell, filled lazily by cell().
-        # It is pickled with the netlist, so the array view never
-        # fills it.
         self._cell_memo: Dict[str, StdCell] = {}
-        # The array view (arrays()), dropped by every add_* call and
-        # left out of the pickled state.
+        # The array view (arrays()), dropped by every add_* call.
         self._arrays: Optional[NetlistArrays] = None
 
     # ------------------------------------------------------------------ #
@@ -327,20 +343,80 @@ class Netlist:
         """The netlist as integer arrays (:class:`NetlistArrays`).
 
         Built on first use and kept until the next ``add_instance``,
-        ``add_net`` or ``add_port``; ``clone`` starts without one, and
-        pickling leaves it out.  A record edited in place rather than
-        through those methods is not seen until one of them runs.
+        ``add_net`` or ``add_port``; ``clone`` and unpickling start
+        without one.  A record edited in place rather than through
+        those methods is not seen until one of them runs.
         """
         if self._arrays is None:
             self._arrays = _build_arrays(self)
         return self._arrays
 
     def __getstate__(self) -> Dict[str, object]:
-        return {k: v for k, v in self.__dict__.items() if k != "_arrays"}
+        """The records as a fresh view's arrays and packed name tables.
+
+        A fresh view, not the cached one, which a record edited in
+        place leaves stale.  Beside the view go the nets whose driver
+        is ``""`` (the view, like ``add_net``, reads it as no driver)
+        and the ports.  The pin index and the cell caches are derived,
+        so they stay out.
+        """
+        view = _build_arrays(self)
+        ports = self._ports.values()
+        return {
+            "name": self.name, "library": self.library,
+            "instances": _pack(self._instances),
+            "cells": _pack(cell.name for cell in view.cells),
+            "cell": view.cell,
+            "modules": _pack(view.modules), "module": view.module,
+            "nets": _pack(self._nets),
+            "pin_ptr": view.pin_ptr, "pins": view.pins,
+            "driver": view.driver, "clock": view.clock,
+            "blank_driver": np.array(
+                [e for e, net in enumerate(self._nets.values())
+                 if net.driver == ""], dtype=np.int64),
+            "ports": (_pack(p.name for p in ports),
+                      _pack(p.net for p in ports),
+                      _pack(p.bus for p in ports),
+                      np.array([_DIRECTIONS.index(p.direction)
+                                for p in ports], dtype=np.int8)),
+        }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
+        """Rebuild the records, in order, from :meth:`__getstate__`."""
+        self.name = state["name"]
+        self.library = state["library"]
+        names = _unpack(state["instances"])
+        cells = _unpack(state["cells"])
+        modules = _unpack(state["modules"])
+        self._instances = {
+            name: Instance(name, cells[c], modules[m])
+            for name, c, m in zip(names, state["cell"].tolist(),
+                                  state["module"].tolist())}
+        self._known_cells = set(cells)
+        self._cell_memo = {}
         self._arrays = None
+        pins_of: Dict[str, Set[str]] = {name: set() for name in names}
+        blank = set(state["blank_driver"].tolist())
+        ptr = state["pin_ptr"].tolist()
+        pins = [names[i] for i in state["pins"].tolist()]
+        self._nets = {}
+        for e, (name, d, start, end, clock) in enumerate(zip(
+                _unpack(state["nets"]), state["driver"].tolist(), ptr,
+                ptr[1:], state["clock"].tolist())):
+            for endpoint in pins[start:end]:
+                pins_of[endpoint].add(name)
+            if d >= 0:
+                driver, start = names[d], start + 1
+            else:
+                driver = "" if e in blank else None
+            self._nets[name] = Net(name, driver, pins[start:end], clock)
+        self._pins = pins_of
+        port_names, nets, buses, directions = state["ports"]
+        self._ports = {
+            name: Port(name, _DIRECTIONS[d], net, bus)
+            for name, net, bus, d in zip(
+                _unpack(port_names), _unpack(nets), _unpack(buses),
+                directions.tolist())}
 
     def __len__(self) -> int:
         return len(self._instances)
@@ -350,8 +426,12 @@ class Netlist:
     # ------------------------------------------------------------------ #
 
     def total_cell_area_um2(self) -> float:
-        """Sum of placed cell areas."""
-        return sum(self.cell(n).area_um2 for n in self._instances)
+        """Sum of placed cell areas, added in instance order (the int
+        ``0`` for an empty netlist)."""
+        if not self._instances:
+            return 0
+        area = self.arrays().cell_attr("area_um2")
+        return float(sequential_sum(area))
 
     def total_leakage_mw(self) -> float:
         """Sum of cell leakage power in milliwatts, added in instance

@@ -31,7 +31,9 @@ class Placement:
     Attributes:
         netlist: The placed netlist.
         floorplan: The floorplan used.
-        index_of: instance name → row in the position arrays.
+        index_of: instance name → row in the position arrays.  Not
+            pickled: unpickling rebuilds it from the netlist's first
+            ``len(x_um)`` instances, the ones it held when placed.
         x_um: X coordinates, shape (num_instances,).
         y_um: Y coordinates, shape (num_instances,).
     """
@@ -41,6 +43,14 @@ class Placement:
     index_of: Dict[str, int]
     x_um: np.ndarray
     y_um: np.ndarray
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "index_of"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.index_of = dict(zip(self.netlist.instances,
+                                 range(len(self.x_um))))
 
     def position(self, instance: str) -> Tuple[float, float]:
         """(x, y) of one instance in microns."""

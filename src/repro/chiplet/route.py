@@ -14,7 +14,8 @@ All computation is vectorized over numpy arrays built once per netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from itertools import islice
+from typing import Dict, List
 
 import numpy as np
 
@@ -58,7 +59,9 @@ class GlobalRoute:
 
     Attributes:
         placement: The placement that was routed.
-        net_names: Net ordering for the arrays below.
+        net_names: Net ordering for the arrays below.  Not pickled:
+            unpickling rebuilds it from the netlist's first
+            ``len(hpwl_um)`` nets, the ones it held when routed.
         hpwl_um: Per-net half-perimeter wirelength.
         length_um: Per-net routed length (HPWL x detour).
         wire_cap_ff: Per-net wire capacitance.
@@ -75,6 +78,14 @@ class GlobalRoute:
     pin_cap_ff: np.ndarray
     detour_factor: float
     track_utilization: float
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {k: v for k, v in self.__dict__.items() if k != "net_names"}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.net_names = list(islice(self.placement.netlist.nets,
+                                     len(self.hpwl_um)))
 
     def total_wirelength_m(self) -> float:
         """Total routed wirelength in metres (Table III row)."""

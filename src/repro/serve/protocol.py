@@ -242,6 +242,10 @@ class _CanonicalPickler(pickle._Pickler):
     equal string and every equal dtype through one representative,
     making stored payloads byte-stable: the shared store can promise
     that served results equal directly evaluated ones byte for byte.
+    It saves one object at a time in Python, so its cost follows the
+    object count: a chiplet ``Netlist`` pickles as arrays and packed
+    name tables (``Netlist.__getstate__``) to keep that count from
+    growing with the instance count.
 
     The pure-Python pickler base is required — the C implementation
     does not consult ``reducer_override`` for builtin containers.

@@ -583,13 +583,17 @@ class EvalServer:
                 raise _HttpError(409, f"job {job_id} is {job.state}")
             if headers.get("if-none-match", "").strip('"') == job.token:
                 return 304, None, {"ETag": f'"{job.token}"'}
+            loop = asyncio.get_running_loop()
             payload = None
             if job.outcome is not None and job.outcome.ok:
-                payload = await asyncio.get_running_loop() \
-                    .run_in_executor(None, self.store.get_bytes,
-                                     job.token)
+                payload = await loop.run_in_executor(
+                    None, self.store.get_bytes, job.token)
             if payload is None:
-                payload = canonical_dumps(job.outcome.canonical())
+                # Not stored (an error, or a disabled store): a flow
+                # result's dump takes long enough to stall every other
+                # request if it ran on the event loop.
+                payload = await loop.run_in_executor(
+                    None, canonical_dumps, job.outcome.canonical())
             return 200, payload, {"ETag": f'"{job.token}"'}
         if sub:
             raise _HttpError(404, f"no route for job sub-path {sub!r}")

@@ -13,9 +13,10 @@ run on a placement that stacks every instance on one point: every net
 then has zero wire length, so equal cells give exactly equal arrival
 times and the tie-breaks decide the critical path.
 
-Before sign-off the flow calls ``total_cell_area_um2``, which fills the
-netlist's pickled ``_cell_memo`` in instance order; these tests do the
-same, so the references' ``Netlist.cell`` calls leave it as it was.
+Before sign-off the flow calls ``total_cell_area_um2``; these tests do
+the same.  Pickling leaves out a placement's ``index_of`` and a route's
+``net_names``, which unpickling rebuilds from the netlist, so those are
+compared with the references' directly.
 """
 
 import random
@@ -30,7 +31,7 @@ from repro.chiplet.design import build_chiplet, build_chiplet_from_netlist
 from repro.chiplet.floorplan import floorplan
 from repro.chiplet.place import Placement, place
 from repro.chiplet.power import analyze_power, power_density_map
-from repro.chiplet.route import global_route
+from repro.chiplet.route import GlobalRoute, global_route
 from repro.chiplet.timing import analyze_timing
 from repro.partition.fm import hypergraph
 from repro.partition.multiway import nway_partition
@@ -47,6 +48,10 @@ PRODUCTION = SimpleNamespace(
 
 def _same(stage, new, old):
     assert canonical_dumps(new) == canonical_dumps(old), stage
+    if isinstance(new, Placement):
+        assert list(new.index_of.items()) == list(old.index_of.items())
+    if isinstance(new, GlobalRoute):
+        assert new.net_names == old.net_names
 
 
 def _outcome(fn, *args):

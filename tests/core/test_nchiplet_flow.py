@@ -1,14 +1,16 @@
-"""The flow's byte-identity pins and N-chiplet end-to-end runs.
+"""The flow's value pins and N-chiplet end-to-end runs.
 
 The paper's topology and every N-chiplet topology run through one stage
-pipeline.  Refactors must not move a single output byte, so the
-stripped ``canonical_dumps`` digests of a fixed set of points are
-pinned: the six designs with the paper's topology, glass 2.5D and
-glass 3D with eyes and thermal on, and five N-chiplet points.  The
-digests were taken from the flow as it stood before its 2-chiplet and
-N-chiplet bodies were folded into that one pipeline, and they are
-stable across processes and hash seeds (the eye points also need a
-fixed BLAS thread count).
+pipeline.  Refactors must not move a single output value, so the
+digests of ``_values``, a projection of every output of a result, are
+pinned for a fixed set of points: the six designs with the paper's
+topology, glass 2.5D and glass 3D with eyes and thermal on, and five
+N-chiplet points.  The projection compares floats by their bits and
+arrays by their bytes, but leaves out how a result is stored, so a
+change to what a netlist pickles keeps the pins.  The digests equal
+those of the flow before the netlists were pickled as arrays, and they
+are stable across processes and hash seeds (the eye points also need
+a fixed BLAS thread count).
 
 Any other topology runs the full pipeline end to end: N-way
 partition, per-part implementation, arrangement-aware placement,
@@ -16,66 +18,191 @@ interposer routing/PDN/SI/thermal, and a complete Table IV row.
 """
 
 import dataclasses
+import enum
 import hashlib
 import json
 import os
+import pickle
+import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import Dict, List, Tuple
 
+import numpy as np
 import pytest
 
+from repro.arch.netlist import Netlist
 from repro.core.flow import (FlowTaskSpec, run_design, run_flow_task,
                              task_disk_key)
 from repro.serve.protocol import canonical_dumps
 from repro.tech.interposer import spec_names
+from repro.tech.stdcell import CellLibrary
 
 SCALE = 0.02
 ROOT = Path(__file__).resolve().parents[2]
 
-#: sha256 of ``_canonical(result)`` per pinned point, keyed
+#: sha256 of ``_values(result)`` per pinned point, keyed
 #: ``(design, scale, with_eyes, with_thermal, num_chiplets,
 #: arrangement)``; seed 7 throughout, eye points with one BLAS thread.
-PINNED_DIGESTS = {
+VALUE_DIGESTS = {
     ("glass_25d", 0.012, False, False, 2, "grid"):
-        "cad969be3ba059108607aea62942f3c6f3d0c8f220a57b94dff108f48b5713d1",
+        "c1eade0109ef5e242471988c90b9dd5993e0b2f4ce2cdf0763b06fbf6b5aeded",
     ("glass_3d", 0.012, False, False, 2, "grid"):
-        "ea4f820baf5efee80e593086247d80909855a80292dbaf3b7d8dd6f8d3a824af",
+        "ce066ad34059765c509cb0a822fadb874aaa79fb8948a8a89164de4339029c8b",
     ("silicon_25d", 0.012, False, False, 2, "grid"):
-        "950c399e68e741adc6929aec265573f42365a8155fb80a4655113abd73f3a4d5",
+        "29c0ac2f1a018a8d5245828c7680440d60ee137cb80e5f35e2c0b83558899302",
     ("silicon_3d", 0.012, False, False, 2, "grid"):
-        "a5da6f298141352e93969ac1f5a80880e7ea0e9e6c59627890292178d36a94a3",
+        "4ad750442c707a2b687e43365449b1192666eb77e540fb74cd8c66df662c9004",
     ("shinko", 0.012, False, False, 2, "grid"):
-        "8e2b5e26e2313bc7ea43e9d4a2bcf1e28f8ff3532af094cf8d73c94351db98dd",
+        "9110a7ab1bb63c1e97e209735b1354939f46ba777e8067c5d0fdb3b859907766",
     ("apx", 0.012, False, False, 2, "grid"):
-        "1c8940ebcdae6ae4907c08a78ac125de9eeb4852d2d26114f10983354282df0d",
+        "373988cba682ad59289721cba8166edc4de1acb7f58f6253a2e55d5cea172da6",
     ("glass_25d", 0.03, True, True, 2, "grid"):
-        "98b476388cc0edeacfaf7d2abea2333d724a43d03529d8cda4b83f23300195ac",
+        "57ff460afce83fbff6d21dad7ea83b2337b70baa80a9ffff59161be56ac5a022",
     ("glass_3d", 0.03, True, True, 2, "grid"):
-        "a7a087eb3658f6d2882b8f6fe17306da049eb949f80e1d02d9c91dd778e821d9",
+        "2d0000748014729ff7a8e243e0f0d9790001ed923eb0ce62f598882645bc5eb8",
     ("glass_25d", SCALE, False, True, 9, "hexagonal"):
-        "e18deafa6914a821fd13c0bada726f2788c9d2fd4e11d84c0d1b7cc6b253a51d",
+        "8213768a53ccb287e2590e643da7a7a71667088e1fd5758093898e891a33d2f0",
     ("glass_3d", SCALE, False, False, 4, "stacked"):
-        "8a291c6eef9cd80cf9af8fca8d570be476c4e421211815608f8b714072cdf74c",
+        "c3f8e70185822b46fea06fdd2df4dbb02b9cad69be80f106b56c8a4134898b77",
     ("shinko", SCALE, False, False, 3, "row"):
-        "dccfe1688ad09d16b5e9931ac631285fc8b564ecde9418d3e5fd1071b5adcca7",
+        "c275e92783b22c2201e22b5cd018473747b7245a27019dbabc0ddc58e103c105",
     ("silicon_3d", SCALE, False, False, 4, "grid"):
-        "15c23cdefec80272b8a01543df5ad83da38ba863dcd5dce7c9885e3893417a2f",
+        "2c14f449bc25c3439c08677cafb610fd5397e3dbd1b0672c2815fb1426199716",
     ("glass_25d", SCALE, False, False, 2, "row"):
-        "1872d7ce3cfcd5d16817bf0317b48c8a8ea37ecdb6a3a27239a7133cf78747b8",
+        "bd20436afd14e7507a1bd8b4218bc9c86062d8d0bf46440a9c733928c0cec059",
 }
 
 
-def _canonical(result):
-    """Strip run-to-run observability (wall times, solver counters,
-    router timing stats) — everything else must be a pure function of
-    the design point."""
+def _stripped(result):
+    """``result`` without its run-to-run observability (wall times,
+    solver counters, router timing stats): everything else must be a
+    pure function of the design point."""
     route = result.route
     if route is not None and route.stats is not None:
         route = dataclasses.replace(route, stats=None)
-    return canonical_dumps(dataclasses.replace(
+    return dataclasses.replace(
         result, route=route, stage_times=None, solver_stats=None,
-        stage_solver_stats=None))
+        stage_solver_stats=None)
+
+
+def _canonical(result):
+    """The stored bytes of ``result``'s design point."""
+    return canonical_dumps(_stripped(result))
+
+
+def _qualname(kind: type) -> str:
+    return f"{kind.__module__}.{kind.__qualname__}"
+
+
+class _ValueWriter:
+    """Writes a value graph as lines of text (see :func:`_values`).
+
+    Each value writes at least one line, and a container's first line
+    counts its items, so the text decodes one way only.  Objects with
+    identity (lists, dicts, sets, arrays, records) are numbered when
+    first seen and written as ``ref <number>`` after that, so sharing
+    is part of the value as pickling keeps it; ``seen`` holds each of
+    them, because an id alone is reused once its object is freed.
+    """
+
+    def __init__(self):
+        self.lines: List[str] = []
+        self.seen: Dict[int, Tuple[int, object]] = {}
+
+    def write(self, obj) -> None:
+        out = self.lines.append
+        kind = type(obj)
+        if obj is None or kind in (bool, int, str):
+            out(repr(obj))
+        elif kind is float:
+            out(f"float {struct.pack('<d', obj).hex()}")
+        elif isinstance(obj, np.generic) and not obj.dtype.hasobject:
+            out(f"{_qualname(kind)} {obj.dtype.str} {obj.tobytes().hex()}")
+        elif isinstance(obj, enum.Enum):
+            out(f"{_qualname(kind)}.{obj.name}")
+        elif kind is tuple:
+            out(f"tuple {len(obj)}")
+            for item in obj:
+                self.write(item)
+        elif isinstance(obj, tuple) and hasattr(kind, "_fields"):
+            out(f"{_qualname(kind)} {len(obj)}")
+            for name, item in zip(kind._fields, obj):
+                out(name)
+                self.write(item)
+        elif id(obj) in self.seen:
+            out(f"ref {self.seen[id(obj)][0]}")
+        else:
+            self.seen[id(obj)] = (len(self.seen), obj)
+            self._write_object(obj)
+
+    def _write_object(self, obj) -> None:
+        out = self.lines.append
+        kind = type(obj)
+        if kind is list:
+            out(f"list {len(obj)}")
+            for item in obj:
+                self.write(item)
+        elif kind is dict:
+            out(f"dict {len(obj)}")
+            for key, item in obj.items():
+                self.write(key)
+                self.write(item)
+        elif kind is set:
+            # Each item on its own writer, sorted by its text.
+            texts = []
+            for item in obj:
+                writer = _ValueWriter()
+                writer.write(item)
+                texts.append("\n".join(writer.lines))
+            out(f"{_qualname(kind)} {len(texts)}")
+            self.lines.extend(sorted(texts))
+        elif kind is np.ndarray and not obj.dtype.hasobject:
+            data = hashlib.sha256(obj.tobytes()).hexdigest()
+            out(f"ndarray {obj.dtype.str} {obj.shape} {data}")
+        elif kind is Netlist:
+            # The records in order; the pin index, the cell caches and
+            # the array view are derived from them.
+            out("Netlist")
+            self.write(obj.name)
+            self.write(obj.library)
+            for records in (obj.instances, obj.nets, obj.ports):
+                out(f"records {len(records)}")
+                for record in records.values():
+                    self.write(record)
+        elif kind is CellLibrary:
+            out("CellLibrary")
+            self.write(obj.name)
+            self.write(obj.vdd)
+            cells = obj.cells()
+            out(f"cells {len(cells)}")
+            for cell in cells:
+                self.write(cell)
+        elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+            fields = dataclasses.fields(obj)
+            out(f"{_qualname(kind)} {len(fields)}")
+            for f in fields:
+                out(f.name)
+                self.write(getattr(obj, f.name))
+        else:
+            raise TypeError(f"no value projection for {_qualname(kind)}")
+
+
+def _values(result) -> bytes:
+    """Every output value of ``result``'s design point, as bytes.
+
+    Dataclass and NamedTuple fields by name, a ``Netlist`` as its name,
+    library and instance, net and port records in order, floats by
+    their bits and type (``float`` or ``numpy.float64``), arrays by
+    dtype, shape and bytes, sets sorted, dicts in order and enums by
+    name.  It drops what ``_canonical`` strips and the netlists'
+    private caches, and raises ``TypeError`` on any other type: unlike
+    the stored bytes, it does not change when storage does.
+    """
+    writer = _ValueWriter()
+    writer.write(_stripped(result))
+    return "\n".join(writer.lines).encode()
 
 
 #: Child-process script: digests of the full flow (eyes and thermal
@@ -83,19 +210,19 @@ def _canonical(result):
 _FULL_FLOW_DIGESTS = """
 import hashlib, json, sys
 from repro.core.flow import run_design
-from tests.core.test_nchiplet_flow import _canonical
-print(json.dumps({d: hashlib.sha256(_canonical(run_design(
+from tests.core.test_nchiplet_flow import _values
+print(json.dumps({d: hashlib.sha256(_values(run_design(
     d, scale=0.03, seed=7, use_cache=False))).hexdigest()
     for d in sys.argv[1:]}))
 """
 
 
 def assert_pinned(result, scale, with_eyes, with_thermal):
-    """The result's digest equals the one pinned for its point."""
+    """The result's value digest equals the one pinned for its point."""
     key = (result.spec.name, scale, with_eyes, with_thermal,
            result.num_chiplets, result.arrangement)
-    digest = hashlib.sha256(_canonical(result)).hexdigest()
-    assert digest == PINNED_DIGESTS[key], key
+    digest = hashlib.sha256(_values(result)).hexdigest()
+    assert digest == VALUE_DIGESTS[key], key
 
 
 class TestDefaultTopologyByteIdentity:
@@ -130,7 +257,7 @@ class TestDefaultTopologyByteIdentity:
         assert out.returncode == 0, out.stderr
         digests = json.loads(out.stdout)
         for design in ("glass_25d", "glass_3d"):
-            assert digests[design] == PINNED_DIGESTS[
+            assert digests[design] == VALUE_DIGESTS[
                 (design, 0.03, True, True, 2, "grid")], design
 
     def test_default_cache_key_unchanged(self):
@@ -147,6 +274,53 @@ class TestDefaultTopologyByteIdentity:
         assert tagged != base
         assert "-n4-arow" in task_disk_key(tagged)
         assert task_disk_key(tagged) != task_disk_key(base)
+
+
+class TestValueProjection:
+    @pytest.fixture(scope="class")
+    def eyed(self):
+        return run_design("glass_25d", scale=0.012, seed=7,
+                          with_eyes=True, with_thermal=False,
+                          use_cache=False)
+
+    @staticmethod
+    def _bump(array, index):
+        array[index] = np.nextafter(array[index], np.inf)
+
+    @staticmethod
+    def _swap_two_sinks(netlist):
+        net = next(n for n in netlist.nets.values()
+                   if len(set(n.sinks)) > 1)
+        first = net.sinks[0]
+        other = next(i for i, s in enumerate(net.sinks) if s != first)
+        net.sinks[0], net.sinks[other] = net.sinks[other], first
+
+    @pytest.mark.parametrize("mutation", ["placement_x", "sinks", "eye"])
+    def test_one_ulp_or_one_swap_moves_the_digest(self, eyed, mutation):
+        twin = pickle.loads(pickle.dumps(eyed))
+        assert _values(twin) == _values(eyed)
+        if mutation == "placement_x":
+            self._bump(twin.logic.placement.x_um, 17)
+        elif mutation == "sinks":
+            self._swap_two_sinks(twin.memory.netlist)
+        else:
+            high = twin.l2m_eye.high_min
+            self._bump(high, len(high) // 2)
+        assert _values(twin) != _values(eyed)
+
+    def test_sharing_is_part_of_the_value(self):
+        def text(graph):
+            writer = _ValueWriter()
+            writer.write(graph)
+            return writer.lines
+        shared = [1.0]
+        assert text([shared, shared]) != text([[1.0], [1.0]])
+        assert text({"b", "a"}) == text({"a", "b"})
+        assert text(np.float64(1.0)) != text(1.0)
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError, match="no value projection"):
+            _ValueWriter().write([object()])
 
 
 class TestNchipletEndToEnd:

@@ -1,6 +1,11 @@
 """Wire-type tests: request canonicalization, tokens, execution."""
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,3 +233,55 @@ class TestCanonicalDumpsBuffers:
         back = pickle.loads(payload)
         assert back.x_um.shape == back.y_um.shape == (0,)
         assert canonical_dumps(back) == payload
+
+
+#: Child-process script: for each request (JSON fields on the command
+#: line), the sha256 of its stored bytes and whether those bytes,
+#: loaded and dumped again, come back unchanged.
+_STORED_BYTES = """
+import hashlib, json, pickle, sys
+from repro.serve.protocol import EvalRequest, canonical_dumps, execute_request
+out = []
+for fields in json.loads(sys.argv[1]):
+    served = execute_request(EvalRequest(**fields))
+    assert served.ok, served.error_message
+    payload = canonical_dumps(served.canonical())
+    out.append([hashlib.sha256(payload).hexdigest(),
+                canonical_dumps(pickle.loads(payload)) == payload])
+print(json.dumps(out))
+"""
+
+
+class TestStoredBytesContract:
+    """The store promises that a flow result's bytes are a function of
+    its request: equal in any process, under any hash seed, and equal
+    again once loaded and dumped."""
+
+    POINTS = [
+        dict(design="glass_3d", scale=0.012, with_eyes=False,
+             with_thermal=False),
+        dict(design="glass_25d", scale=0.02, num_chiplets=9,
+             arrangement="hexagonal", with_eyes=False, with_thermal=True),
+    ]
+
+    def test_equal_bytes_across_hash_seeds_and_a_reload(self):
+        root = Path(__file__).resolve().parents[2]
+        children = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       REPRO_FLOW_CACHE="0", OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=os.pathsep.join(
+                           [str(root / "src"),
+                            os.environ.get("PYTHONPATH", "")]))
+            children.append(subprocess.Popen(
+                [sys.executable, "-c", _STORED_BYTES,
+                 json.dumps(self.POINTS)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True))
+        outs = []
+        for child in children:
+            stdout, stderr = child.communicate()
+            assert child.returncode == 0, stderr
+            outs.append(json.loads(stdout))
+        assert outs[0] == outs[1]
+        assert [reloaded for _digest, reloaded in outs[0]] == [True, True]

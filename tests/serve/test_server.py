@@ -7,6 +7,7 @@ instances so shutdown behaviour is exercised end to end.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.pool import shutdown_pool
 from repro.serve import (EvalRequest, ServeClient, ServeError,
                          ServerConfig, execute_request,
                          start_in_thread)
+from repro.serve import server as server_module
 from repro.serve.protocol import canonical_dumps
 
 
@@ -149,6 +151,22 @@ class TestErrorJobs:
         before = client.stats()["evaluations_run"]
         client.evaluate(self.BAD)  # re-runs: errors never enter the tier
         assert client.stats()["evaluations_run"] == before + 1
+
+    def test_unstored_result_is_dumped_off_the_event_loop(
+            self, client, served, monkeypatch):
+        # The store holds no bytes for an error (nor for anything when
+        # it is disabled), so the result route dumps the outcome; a
+        # flow result's dump on the event loop would stall every other
+        # request.
+        threads = []
+
+        def dump(obj):
+            threads.append(threading.current_thread())
+            return canonical_dumps(obj)
+        monkeypatch.setattr(server_module, "canonical_dumps", dump)
+        handle = client.submit(self.BAD, wait=True)
+        assert not client.result(handle.job_id).ok
+        assert threads and served._thread not in threads
 
 
 class TestHttpEdges:
