@@ -502,8 +502,8 @@ def serve_main(argv) -> int:
     parser.add_argument("--workers", type=int, default=2,
                         help="scheduler/pool worker count (default 2)")
     parser.add_argument("--cache-dir", default=None,
-                        help="shared result-store directory (default: "
-                             "the flow cache dir, results/.flow_cache)")
+                        help="result-store directory (default: "
+                             "REPRO_FLOW_CACHE, else results/.flow_cache)")
     args = parser.parse_args(argv)
     if not 0 <= args.port <= 65535:
         parser.error(f"port must be in [0, 65535], got {args.port}")
@@ -527,23 +527,22 @@ def serve_main(argv) -> int:
 def cache_main(argv) -> int:
     """The cache-maintenance mode (``python -m repro cache ...``).
 
-    Prints shared-tier statistics (entries, bytes, lifetime hit/miss
-    counters); ``--gc --max-bytes N`` LRU-evicts entries down to the
-    byte budget first.  Malformed arguments exit 2 with a one-line
-    ``error:``.
+    Prints the result store's statistics (entries, bytes, lifetime
+    hit/miss counters); ``--gc --max-bytes N`` LRU-evicts entries down
+    to the byte budget first.  Malformed arguments exit 2 with a
+    one-line ``error:``.
     """
     from pathlib import Path
 
-    from .core.flow import flow_cache_dir
-    from .serve.store import ContentStore
+    from .core.store import ContentStore, flow_cache_dir
 
     parser = _CliParser(
         prog="python -m repro cache",
-        description="Inspect or garbage-collect the shared "
-                    "content-addressed result cache")
+        description="Inspect or garbage-collect the content-addressed "
+                    "result store")
     parser.add_argument("--dir", default=None,
-                        help="cache directory (default: the flow cache "
-                             "dir, honouring REPRO_FLOW_CACHE)")
+                        help="store directory (default: REPRO_FLOW_CACHE, "
+                             "else results/.flow_cache)")
     parser.add_argument("--gc", action="store_true",
                         help="LRU-evict entries until the store fits "
                              "--max-bytes")
@@ -572,7 +571,6 @@ def cache_main(argv) -> int:
         ["field", "value"],
         [["directory", str(stats.root)],
          ["entries", stats.entries],
-         ["content-addressed", stats.cas_entries],
          ["bytes", stats.total_bytes],
          ["hits", stats.hits],
          ["misses", stats.misses],

@@ -14,10 +14,14 @@ channels + eye diagrams), PI (impedance profile, IR drop, regulator
 transient), thermal analysis, and the full-chip roll-up then run once,
 the same way for both.
 
-Every stage is deterministic, so results are cached per
-:class:`FlowTaskSpec`: in process, then on disk under
-:func:`task_disk_key`, which embeds a hash of the package source.
-:func:`run_designs` adds a multi-process fan-out.
+Every stage is deterministic, so a design point is keyed by its
+:class:`~repro.core.request.EvalRequest` (``kind="flow"``).
+:func:`run_design`, :func:`run_designs`, :func:`run_flow_task` and the
+DSE flow evaluator share one lookup: memory keyed by the exact request,
+then the :class:`~repro.core.store.ContentStore` under the request's
+``cache_token()`` (which embeds a hash of the package source); a miss is
+computed, remembered and stored.  :func:`run_designs` adds a
+multi-process fan-out.
 
 :func:`run_monolithic` implements the 2D-monolithic baseline column of
 Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
@@ -26,19 +30,15 @@ Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
-import os
-import pickle
 import time
-import traceback as traceback_module
 from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.generate import generate_monolithic_netlist
-from ..arch.topology import is_default_topology, validate_topology
+from ..arch.topology import is_default_topology
 from ..chiplet.design import (ChipletResult, build_chiplet,
                               build_chiplet_from_netlist)
 from ..chiplet.floorplan import floorplan
@@ -47,6 +47,7 @@ from ..chiplet.power import analyze_power, power_density_map
 from ..chiplet.route import global_route
 from ..chiplet.timing import analyze_timing
 from ..circuit.mna import reset_solver_counters, solver_counters
+from ..cost.model import package_cost
 from ..interposer.pdn import PdnStackup, build_pdn
 from ..interposer.placement import (InterposerPlacement, place_chiplets,
                                     place_dies)
@@ -66,6 +67,8 @@ from ..tech.interposer import (IntegrationStyle, InterposerSpec, get_spec)
 from ..thermal.model import PackageThermalReport, analyze_package_thermal
 from .fullchip import FullChipSummary, full_chip_summary_nway
 from .pool import imap_retry
+from .request import EvalRequest, ServeResult
+from .store import ContentStore
 
 
 @dataclass
@@ -164,9 +167,6 @@ class DesignResult:
 _PROTECTED_SPEC_FIELDS = frozenset({"name", "display_name", "style",
                                     "routing"})
 
-#: Canonical form of a ``spec_overrides`` mapping: a sorted item tuple.
-OverridesKey = Tuple[Tuple[str, object], ...]
-
 
 def _apply_overrides(spec: InterposerSpec,
                      spec_overrides: Mapping[str, object]) -> InterposerSpec:
@@ -189,8 +189,8 @@ def _apply_overrides(spec: InterposerSpec,
     return out
 
 
-#: Deterministic in-process result cache, keyed by the task itself.
-_CACHE: Dict["FlowTaskSpec", DesignResult] = {}
+#: Deterministic in-process result cache, keyed by the exact request.
+_CACHE: Dict[EvalRequest, ServeResult] = {}
 
 
 def clear_cache() -> None:
@@ -198,91 +198,64 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
-# --------------------------------------------------------------------- #
-# Persistent on-disk cache.
-# --------------------------------------------------------------------- #
+def _lookup(request: EvalRequest) -> Optional[ServeResult]:
+    """The cached outcome of a request, or ``None``.
 
-_CODE_VERSION: Optional[str] = None
-
-
-def code_version() -> str:
-    """Content hash of the ``repro`` package source.
-
-    Any source edit changes the hash, which invalidates every on-disk
-    cache entry written by older code — results can never go stale.
+    Memory first, keyed by the exact request, then the content store,
+    whose entry is kept in memory from then on.
     """
-    global _CODE_VERSION
-    if _CODE_VERSION is None:
-        pkg_root = Path(__file__).resolve().parents[1]
-        digest = hashlib.sha1()
-        for path in sorted(pkg_root.rglob("*.py")):
-            digest.update(str(path.relative_to(pkg_root)).encode())
-            digest.update(path.read_bytes())
-        _CODE_VERSION = digest.hexdigest()[:16]
-    return _CODE_VERSION
-
-
-def flow_cache_dir() -> Optional[Path]:
-    """Directory of the persistent result cache, or ``None`` if disabled.
-
-    Defaults to ``results/.flow_cache`` at the repository root; override
-    with the ``REPRO_FLOW_CACHE`` environment variable (set it to ``0``
-    or an empty string to disable the disk cache entirely).
-    """
-    env = os.environ.get("REPRO_FLOW_CACHE")
-    if env is not None:
-        return Path(env) if env not in ("", "0") else None
-    return Path(__file__).resolve().parents[3] / "results" / ".flow_cache"
-
-
-def _disk_load(key: str) -> Optional[DesignResult]:
-    cache_dir = flow_cache_dir()
-    if cache_dir is None:
-        return None
-    try:
-        with open(cache_dir / f"{key}.pkl", "rb") as fh:
-            return pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError):
-        return None
-
-
-def _disk_store(key: str, result: DesignResult) -> None:
-    cache_dir = flow_cache_dir()
-    if cache_dir is None:
-        return
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_dir / f".{key}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(cache_dir / f"{key}.pkl")
-    except OSError:
-        pass  # cache is best-effort; never fail the flow over it
-
-
-def _lookup(task: "FlowTaskSpec") -> Optional[DesignResult]:
-    """The cached result of a task, or ``None``.
-
-    Memory first, then a full run (eyes and thermal) answering a
-    partial request, then the disk entry, which is kept in memory from
-    then on.
-    """
-    hit = _CACHE.get(task)
-    if hit is None and not (task.with_eyes and task.with_thermal):
-        hit = _CACHE.get(dataclasses.replace(task, with_eyes=True,
-                                             with_thermal=True))
+    hit = _CACHE.get(request)
     if hit is None:
-        hit = _disk_load(task_disk_key(task))
+        hit = ContentStore().get(request)
         if hit is not None:
-            _CACHE[task] = hit
+            _CACHE[request] = hit
     return hit
 
 
-def _remember(task: "FlowTaskSpec", result: DesignResult) -> None:
-    """Cache a computed result in memory and on disk."""
-    _CACHE[task] = result
-    _disk_store(task_disk_key(task), result)
+def _remember(out: ServeResult) -> None:
+    """Keep a computed outcome in memory and in the content store."""
+    _CACHE[out.request] = out
+    ContentStore().put(out.request, out)
+
+
+def flow_metrics(result: DesignResult) -> Dict[str, Optional[float]]:
+    """Flat metric record of one full flow result.
+
+    The record covers the paper's evaluation axes — power, Fmax, link
+    delay, PDN impedance, IR drop, peak temperature — plus the package
+    cost model; metrics a partial run skipped are ``None``.
+    """
+    cost = package_cost(result.placement)
+    metrics: Dict[str, Optional[float]] = {
+        "area_mm2": float(result.placement.area_mm2),
+        "power_mw": float(result.fullchip.total_power_mw),
+        "fmax_mhz": float(result.logic.fmax_mhz),
+        "system_fmax_mhz": float(result.fullchip.system_fmax_mhz),
+        "l2m_delay_ps": float(result.l2m_channel.total_delay_ps),
+        "l2l_delay_ps": float(result.l2l_channel.total_delay_ps),
+        "l2m_power_uw": float(result.l2m_channel.total_power_uw),
+        "cost_usd": float(cost.cost_per_good_system),
+        "interposer_yield": float(cost.interposer_yield),
+        "pdn_z_1ghz_ohm": (float(result.pdn_impedance.z_at_1ghz_ohm)
+                           if result.pdn_impedance else None),
+        "ir_drop_mv": (float(result.ir_drop.worst_drop_mv)
+                       if result.ir_drop else None),
+        "settling_time_us": (float(result.power_transient.settling_time_us)
+                             if result.power_transient else None),
+        "peak_temp_c": (float(result.thermal.peak_c)
+                        if result.thermal else None),
+        "l2m_eye_height_v": (float(result.l2m_eye.eye_height_v)
+                             if result.l2m_eye else None),
+    }
+    return metrics
+
+
+def _served(request: EvalRequest, result: DesignResult,
+            wall_s: float = 0.0) -> ServeResult:
+    """The outcome a computed flow result is remembered and stored as."""
+    return ServeResult(request=request, result=result, wall_s=wall_s,
+                       metrics=dict(flow_metrics(result),
+                                    design=request.design))
 
 
 def _channels_for(spec: InterposerSpec,
@@ -323,7 +296,7 @@ def _channels_for(spec: InterposerSpec,
     return l2m, l2l
 
 
-def _topology(spec: InterposerSpec, task: "FlowTaskSpec"
+def _topology(spec: InterposerSpec, task: EvalRequest
               ) -> Tuple[Dict[str, ChipletResult], InterposerPlacement,
                          List[PinLink]]:
     """The parts, their placement and the link bundles of a task.
@@ -386,7 +359,8 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
         with_eyes: Run the PRBS eye simulations (the slowest SI step).
         with_thermal: Run the FD thermal solve.
         use_cache: Reuse/populate the result caches (in process, then
-            on disk; see :func:`flow_cache_dir`).
+            the content store; see
+            :func:`~repro.core.store.flow_cache_dir`).
         spec_overrides: Optional ``InterposerSpec`` field perturbations
             (e.g. ``{"microbump_pitch_um": 50.0}``) applied on top of the
             registered spec — the hook the design-space explorer sweeps
@@ -401,15 +375,15 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
     Returns:
         A fully populated :class:`DesignResult`.
     """
-    task = FlowTaskSpec(
-        design=name, scale=scale, seed=seed,
+    task = EvalRequest(
+        kind="flow", design=name, scale=scale, seed=seed,
         target_frequency_mhz=target_frequency_mhz, with_eyes=with_eyes,
         with_thermal=with_thermal,
         spec_overrides=tuple((spec_overrides or {}).items()),
         num_chiplets=num_chiplets, arrangement=arrangement)
     hit = _lookup(task) if use_cache else None
     if hit is not None:
-        return hit
+        return hit.result
     stage_times: Dict[str, float] = {}
     stage_solver_stats: Dict[str, Dict[str, int]] = {}
     reset_solver_counters()
@@ -499,143 +473,65 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
                   else chiplets),
         num_chiplets=task.num_chiplets, arrangement=task.arrangement)
     if use_cache:
-        _remember(task, result)
+        _remember(_served(task, result))
     return result
 
 
 # --------------------------------------------------------------------- #
-# Single-point task API (structured error capture).
+# Single-point request API (structured error capture).
 # --------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
-class FlowTaskSpec:
-    """Picklable description of one :func:`run_design` invocation.
+def run_flow_task(request: EvalRequest,
+                  use_cache: bool = True) -> ServeResult:
+    """Evaluate one flow request; never raises.
 
-    This is the unit of work the multi-design fan-out and the
-    design-space explorer ship to worker processes.  ``spec_overrides``
-    is canonicalized to a sorted item tuple so equal tasks compare (and
-    hash) equal regardless of construction order.
-    """
-
-    design: str
-    scale: float = 1.0
-    seed: int = 2023
-    target_frequency_mhz: float = 700.0
-    with_eyes: bool = True
-    with_thermal: bool = True
-    spec_overrides: OverridesKey = ()
-    num_chiplets: int = 2
-    arrangement: str = "grid"
-
-    def __post_init__(self):
-        canonical = tuple(sorted(tuple(self.spec_overrides)))
-        object.__setattr__(self, "spec_overrides", canonical)
-        count, arr = validate_topology(self.num_chiplets, self.arrangement)
-        object.__setattr__(self, "num_chiplets", count)
-        object.__setattr__(self, "arrangement", arr)
-
-
-def task_disk_key(task: FlowTaskSpec) -> str:
-    """The persistent-cache filename stem a task's result lives under.
-
-    It spells out every task field and ends in :func:`code_version`.
-    Public so the serve subsystem's content-addressed store can treat
-    the per-task cache entries as a read-through layer.
-    """
-    tag = ""
-    if task.spec_overrides:
-        digest = hashlib.sha1(
-            repr(task.spec_overrides).encode()).hexdigest()[:10]
-        tag = f"-o{digest}"
-    return (f"{task.design}-s{task.scale}-r{task.seed}"
-            f"-f{task.target_frequency_mhz}-e{int(task.with_eyes)}"
-            f"-t{int(task.with_thermal)}{tag}-n{task.num_chiplets}"
-            f"-a{task.arrangement}-{code_version()}")
-
-
-@dataclass
-class FlowTaskResult:
-    """Outcome of one flow task: a result *or* a structured failure.
-
-    Attributes:
-        task: The task that produced this outcome.
-        result: The design result; ``None`` when the task failed.
-        error_type: Exception class name on failure (``None`` on success).
-        error_message: ``str(exception)`` on failure.
-        error_traceback: Full formatted traceback on failure.
-        wall_s: Wall time spent on this task (0 for cache hits).
-        cached: Whether the result came from a cache rather than compute.
-    """
-
-    task: FlowTaskSpec
-    result: Optional[DesignResult] = None
-    error_type: Optional[str] = None
-    error_message: Optional[str] = None
-    error_traceback: Optional[str] = None
-    wall_s: float = 0.0
-    cached: bool = False
-
-    @property
-    def ok(self) -> bool:
-        """Whether the task produced a result."""
-        return self.error_type is None
-
-
-def run_flow_task(task: FlowTaskSpec,
-                  use_cache: bool = True) -> FlowTaskResult:
-    """Execute one flow task; never raises.
-
-    Answers from the result caches when it can (the lookup
-    :func:`run_design` makes), otherwise computes and populates them.
-    Any exception — unknown design, invalid override, a numerical
+    With ``use_cache`` it answers from the one lookup :func:`run_design`
+    makes, otherwise computes, remembers and stores; without it, it is a
+    direct evaluation that touches neither the memory nor the store (the
+    evaluation service's pool and :func:`run_designs`' workers run it
+    so).  Any exception — unknown design, invalid override, a numerical
     failure deep in a flow stage — is captured as a structured failure
-    row instead of propagating, so a batch of tasks always runs to
+    instead of propagating, so a batch of requests always runs to
     completion.
     """
     t0 = time.perf_counter()
     try:
-        hit = _lookup(task) if use_cache else None
+        if request.kind != "flow":
+            raise ValueError(f"request kind {request.kind!r} is not a "
+                             f"flow request")
+        hit = _lookup(request) if use_cache else None
         if hit is not None:
-            return FlowTaskResult(task=task, result=hit, cached=True,
-                                  wall_s=time.perf_counter() - t0)
+            return dataclasses.replace(hit, cached=True,
+                                       wall_s=time.perf_counter() - t0)
         result = run_design(
-            task.design, scale=task.scale, seed=task.seed,
-            target_frequency_mhz=task.target_frequency_mhz,
-            with_eyes=task.with_eyes, with_thermal=task.with_thermal,
-            use_cache=False, spec_overrides=dict(task.spec_overrides),
-            num_chiplets=task.num_chiplets,
-            arrangement=task.arrangement)
+            request.design, scale=request.scale, seed=request.seed,
+            target_frequency_mhz=request.target_frequency_mhz,
+            with_eyes=request.with_eyes, with_thermal=request.with_thermal,
+            use_cache=False, spec_overrides=dict(request.spec_overrides),
+            num_chiplets=request.num_chiplets,
+            arrangement=request.arrangement)
+        out = _served(request, result, time.perf_counter() - t0)
         if use_cache:
-            _remember(task, result)
-        return FlowTaskResult(task=task, result=result,
-                              wall_s=time.perf_counter() - t0)
+            _remember(out)
+        return out
     except Exception as exc:  # noqa: BLE001 — the point is to capture
-        return FlowTaskResult(
-            task=task, error_type=type(exc).__name__,
-            error_message=str(exc),
-            error_traceback=traceback_module.format_exc(),
-            wall_s=time.perf_counter() - t0)
-
-
-def _run_flow_task_args(args: Tuple[FlowTaskSpec, bool]) -> FlowTaskResult:
-    """Worker-process entry point for :func:`run_designs`."""
-    task, use_cache = args
-    return run_flow_task(task, use_cache=use_cache)
+        return ServeResult.failure(request, exc, time.perf_counter() - t0)
 
 
 class FlowBatchError(RuntimeError):
-    """One or more tasks of a multi-design batch failed.
+    """One or more requests of a multi-design batch failed.
 
-    Raised only after every task has run, so the completed results (and
-    the caches they populated) are never lost to one bad design point.
+    Raised only after every request has run, so the completed results
+    (and the caches they populated) are never lost to one bad design
+    point.
 
     Attributes:
-        failures: design name → failed :class:`FlowTaskResult`.
+        failures: design name → failed :class:`ServeResult`.
         results: design name → completed :class:`DesignResult`.
     """
 
-    def __init__(self, failures: Dict[str, FlowTaskResult],
+    def __init__(self, failures: Dict[str, ServeResult],
                  results: Dict[str, DesignResult]):
         self.failures = failures
         self.results = results
@@ -658,7 +554,9 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
 
     Results are identical to calling :func:`run_design` per name; the
     fan-out only changes wall-clock time.  Design points the result
-    caches hold (see :func:`run_design`) are not recomputed.
+    caches hold (see :func:`run_design`) are not recomputed; the others
+    are evaluated directly, serially or on the worker pool, and this
+    process remembers and stores what they computed.
 
     A failure in one worker no longer aborts the batch: every task runs
     to completion and the failures are raised afterwards as one
@@ -674,7 +572,7 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
         with_thermal: Run the FD thermal solve.
         jobs: Worker processes for cache misses (1 = run serially in
             this process).
-        use_cache: Reuse/populate the in-process and disk caches.
+        use_cache: Reuse/populate the in-process cache and the store.
         num_chiplets: Chiplet count shared by all points (see
             :func:`run_design`).
         arrangement: Die packing shared by all points.
@@ -685,41 +583,39 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
     Raises:
         FlowBatchError: If any task failed (after all tasks finished).
     """
-    tasks = {n: FlowTaskSpec(design=n, scale=scale, seed=seed,
-                             target_frequency_mhz=target_frequency_mhz,
-                             with_eyes=with_eyes, with_thermal=with_thermal,
-                             num_chiplets=num_chiplets,
-                             arrangement=arrangement)
-             for n in names}
+    requests = {n: EvalRequest(kind="flow", design=n, scale=scale, seed=seed,
+                               target_frequency_mhz=target_frequency_mhz,
+                               with_eyes=with_eyes, with_thermal=with_thermal,
+                               num_chiplets=num_chiplets,
+                               arrangement=arrangement)
+                for n in names}
     results: Dict[str, DesignResult] = {}
-    failures: Dict[str, FlowTaskResult] = {}
-    misses: List[FlowTaskSpec] = []
-    for n, task in tasks.items():
-        hit = _lookup(task) if use_cache else None
+    failures: Dict[str, ServeResult] = {}
+    misses: List[str] = []
+    for n, request in requests.items():
+        hit = _lookup(request) if use_cache else None
         if hit is None:
-            misses.append(task)
+            misses.append(n)
         else:
-            results[n] = hit
+            results[n] = hit.result
 
     # The persistent pool outlives this call: later fan-outs (and every
     # point of a DSE sweep) reuse the same warm workers.  A worker death
     # mid-batch costs one bounded resubmit of the unfinished suffix, not
     # the whole batch (imap_retry).
-    outcomes = imap_retry(_run_flow_task_args,
-                          [(task, use_cache) for task in misses], jobs)
-    for task, out in zip(misses, outcomes):
+    outcomes = imap_retry(partial(run_flow_task, use_cache=False),
+                          [requests[n] for n in misses], jobs)
+    for n, out in zip(misses, outcomes):
         if not out.ok:
-            failures[task.design] = out
+            failures[n] = out
             continue
-        results[task.design] = out.result
+        results[n] = out.result
         if use_cache:
-            # The task stored its result on disk, in whichever process
-            # ran it; keep it in this process's memory too.
-            _CACHE[task] = out.result
+            _remember(out)
 
     if failures:
         raise FlowBatchError(failures, results)
-    return {n: results[n] for n in tasks}
+    return {n: results[n] for n in requests}
 
 
 @dataclass

@@ -24,8 +24,8 @@ or, from the command line::
 from .analyze import (axis_sensitivity, dominates, elasticity, failures,
                       flat_records, load_points, pareto_front,
                       sensitivity_summary, successes)
-from .evaluate import (EVALUATORS, PointEvaluationError, evaluate_point,
-                       flow_metrics)
+from ..core.flow import flow_metrics
+from .evaluate import EVALUATORS, PointEvaluationError, evaluate_point
 from .fidelity import (FidelityRung, MultiFidelityResult,
                        MultiFidelityRunner, MultiFidelitySpec,
                        PromotionPolicy, load_space, promote,

@@ -2,11 +2,12 @@
 
 Each evaluator maps ``(sweep, base_spec, params)`` to a ``{metric:
 value}`` dict.  ``"flow"`` runs the full co-design flow through the
-single-point task API (and therefore the flow's per-point disk cache);
-the cheap stage-level evaluators (``"geometry"``, ``"link"``,
-``"link_pdn"``) re-run only the affected models, the same shortcuts the
-sensitivity studies in ``repro.studies`` always took — those studies are
-now thin wrappers over these evaluators.
+single-point request API (and therefore the flow's one result lookup:
+memory, then the content store); the cheap stage-level evaluators
+(``"geometry"``, ``"link"``, ``"link_pdn"``) re-run only the affected
+models, the same shortcuts the sensitivity studies in ``repro.studies``
+always took — those studies are now thin wrappers over these
+evaluators.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from typing import Dict, Mapping, Optional, Tuple
 
 from ..arch.topology import is_default_topology, validate_topology
 from ..chiplet.bumps import plan_for_design
-from ..core.flow import (DesignResult, FlowTaskSpec, run_flow_task)
-from ..cost.model import package_cost
+from ..core.flow import run_flow_task
+from ..core.request import EvalRequest
 from ..interposer.pdn import build_pdn
 from ..interposer.placement import place_chiplets, place_dies
 from ..pi.impedance import analyze_pdn_impedance
@@ -87,36 +88,28 @@ def point_spec(sweep: SweepSpec, params: Mapping[str, object],
     return base_spec
 
 
-def flow_metrics(result: DesignResult) -> Dict[str, Optional[float]]:
-    """Flat metric record of one full flow result.
+def request_for_point(sweep: SweepSpec, params: Mapping[str, object]
+                      ) -> EvalRequest:
+    """The request a sweep point evaluates: what the flow evaluator
+    looks up, computes and stores, and what a remote sweep submits.
 
-    The record covers the paper's evaluation axes — power, Fmax, link
-    delay, PDN impedance, IR drop, peak temperature — plus the package
-    cost model; metrics a partial run skipped are ``None``.
+    Tied axis fields are expanded here, client-side, so the server never
+    needs the sweep's axis definitions.
     """
-    cost = package_cost(result.placement)
-    metrics: Dict[str, Optional[float]] = {
-        "area_mm2": float(result.placement.area_mm2),
-        "power_mw": float(result.fullchip.total_power_mw),
-        "fmax_mhz": float(result.logic.fmax_mhz),
-        "system_fmax_mhz": float(result.fullchip.system_fmax_mhz),
-        "l2m_delay_ps": float(result.l2m_channel.total_delay_ps),
-        "l2l_delay_ps": float(result.l2l_channel.total_delay_ps),
-        "l2m_power_uw": float(result.l2m_channel.total_power_uw),
-        "cost_usd": float(cost.cost_per_good_system),
-        "interposer_yield": float(cost.interposer_yield),
-        "pdn_z_1ghz_ohm": (float(result.pdn_impedance.z_at_1ghz_ohm)
-                           if result.pdn_impedance else None),
-        "ir_drop_mv": (float(result.ir_drop.worst_drop_mv)
-                       if result.ir_drop else None),
-        "settling_time_us": (float(result.power_transient.settling_time_us)
-                             if result.power_transient else None),
-        "peak_temp_c": (float(result.thermal.peak_c)
-                        if result.thermal else None),
-        "l2m_eye_height_v": (float(result.l2m_eye.eye_height_v)
-                             if result.l2m_eye else None),
-    }
-    return metrics
+    flow, overrides = split_params(sweep, params)
+    return EvalRequest(
+        kind=sweep.evaluator,
+        design=get_spec(str(flow.get("design", sweep.design))).name,
+        scale=float(flow.get("scale", sweep.scale)),
+        seed=int(flow.get("seed", sweep.seed)),
+        target_frequency_mhz=float(flow.get("target_frequency_mhz",
+                                            sweep.target_frequency_mhz)),
+        with_eyes=sweep.with_eyes,
+        with_thermal=sweep.with_thermal,
+        length_um=float(flow.get("length_um", sweep.length_um)),
+        spec_overrides=tuple(sorted(overrides.items())),
+        num_chiplets=int(flow.get("num_chiplets", 2)),
+        arrangement=str(flow.get("arrangement", "grid")))
 
 
 def _evaluate_flow(sweep: SweepSpec,
@@ -125,26 +118,13 @@ def _evaluate_flow(sweep: SweepSpec,
     if base_spec is not None:
         raise ValueError("the flow evaluator runs registered designs "
                          "(by name); it does not take a base_spec")
-    flow, overrides = split_params(sweep, params)
-    task = FlowTaskSpec(
-        design=get_spec(str(flow.get("design", sweep.design))).name,
-        scale=float(flow.get("scale", sweep.scale)),
-        seed=int(flow.get("seed", sweep.seed)),
-        target_frequency_mhz=float(flow.get("target_frequency_mhz",
-                                            sweep.target_frequency_mhz)),
-        with_eyes=sweep.with_eyes,
-        with_thermal=sweep.with_thermal,
-        spec_overrides=tuple(sorted(overrides.items())),
-        num_chiplets=int(flow.get("num_chiplets", 2)),
-        arrangement=str(flow.get("arrangement", "grid")))
-    out = run_flow_task(task)
+    out = run_flow_task(request_for_point(sweep, params))
     if not out.ok:
         raise PointEvaluationError(out.error_type, out.error_message,
                                    out.error_traceback)
     # _cached is runner bookkeeping (timings.jsonl), not a metric; the
     # runner pops it so it never reaches the deterministic point store.
-    return dict(flow_metrics(out.result), design=task.design,
-                _cached=out.cached)
+    return dict(out.metrics, _cached=out.cached)
 
 
 def _geometry(spec: InterposerSpec, num_chiplets: int = 2,

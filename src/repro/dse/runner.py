@@ -2,7 +2,7 @@
 
 :class:`SweepRunner` fans the points of a :class:`~repro.dse.space.SweepSpec`
 out over worker processes (the same process-pool pattern — and, for flow
-points, the same per-point disk cache — as
+points, the same result store — as
 :func:`repro.core.flow.run_designs`) and checkpoints every completed
 point to ``<out_dir>/points.jsonl``.  Killing a sweep and re-running
 with ``resume=True`` recomputes nothing that is already on disk and
@@ -46,7 +46,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.pool import get_pool, imap_retry
 from ..tech.interposer import InterposerSpec
-from .evaluate import PointEvaluationError, evaluate_point
+from .evaluate import (PointEvaluationError, evaluate_point,
+                       request_for_point)
 from .space import SweepSpec
 
 
@@ -360,7 +361,6 @@ class SweepRunner:
         are deterministic, so the resulting store is byte-identical.
         """
         from ..serve.client import ServeClient
-        from ..serve.protocol import request_for_point
 
         client = ServeClient(self.server_url)
         try:

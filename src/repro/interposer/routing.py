@@ -185,6 +185,22 @@ class RoutedNet:
     layers: Set[int] = field(default_factory=set)
     path: List[Tuple[int, int, int]] = field(default_factory=list)
 
+    def __getstate__(self):
+        # A path pickles as one (n, 3) array rather than one tuple per
+        # cell: the canonical pickler saves objects one at a time, so a
+        # stored route then costs per net, not per route cell.  The
+        # empty path of a stacked via stays an empty list, which costs
+        # less than an empty array.
+        state = dict(self.__dict__)
+        if self.path:
+            state["path"] = np.array(self.path, dtype=np.int32)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if isinstance(self.path, np.ndarray):
+            self.path = [tuple(cell) for cell in self.path.tolist()]
+
 
 @dataclass
 class InterposerRoute:

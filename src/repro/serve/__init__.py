@@ -4,8 +4,8 @@
 service: an asyncio HTTP/JSON server (stdlib only) that schedules
 flow tasks, stage evaluations, and report renders onto the persistent
 warm process pool, dedupes identical in-flight requests across
-clients, and serves repeat requests from a content-addressed store
-shared with the flow disk cache.
+clients, and serves repeat requests from the content-addressed result
+store (:mod:`repro.core.store`) that CLI runs and local sweeps share.
 
 Start it with ``python -m repro serve`` and talk to it with
 :class:`ServeClient` / :class:`AsyncServeClient`, or point a

@@ -5,9 +5,12 @@ oracle: many concurrent clients submit flow/stage requests, a priority
 scheduler fans them onto the persistent warm worker pool
 (:mod:`repro.core.pool`), identical in-flight requests are deduped
 across clients by :meth:`EvalRequest.cache_token`, and completed
-results are served from the content-addressed shared tier
-(:class:`repro.serve.store.ContentStore`) layered over the flow disk
-cache.  Everything is stdlib: ``asyncio`` streams plus a minimal
+results are served from the one result store
+(:class:`repro.core.store.ContentStore`), the same entries CLI runs and
+local sweeps read and write.  A request is looked up in the store when
+it is submitted; a miss is evaluated directly on the pool and its
+result stored by the server, under the server's own root, before any
+job sees it.  Everything is stdlib: ``asyncio`` streams plus a minimal
 HTTP/1.1 handler — no new dependencies.
 
 Endpoints (all JSON unless noted)::
@@ -64,8 +67,8 @@ class ServerConfig:
         host: Bind address.
         port: Bind port (0 = ephemeral; see ``EvalServer.port``).
         workers: Worker processes for evaluation (the persistent pool).
-        cache_dir: Shared-store directory override (``None`` = the
-            flow cache directory, honouring ``REPRO_FLOW_CACHE``).
+        cache_dir: Store directory override (``None`` = the default
+            store directory, honouring ``REPRO_FLOW_CACHE``).
         max_done_jobs: Completed jobs retained for later ``GET``s;
             the oldest finished jobs beyond this are forgotten.
     """
@@ -510,7 +513,6 @@ class EvalServer:
                 "root": (str(store_stats.root)
                          if store_stats.root else None),
                 "entries": store_stats.entries,
-                "cas_entries": store_stats.cas_entries,
                 "total_bytes": store_stats.total_bytes,
                 "hits": store_stats.hits,
                 "misses": store_stats.misses,

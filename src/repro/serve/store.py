@@ -1,258 +1,10 @@
-"""Content-addressed result store layered over ``results/.flow_cache/``.
+"""The service's result store: :mod:`repro.core.store`, re-exported.
 
-The store maps an :meth:`EvalRequest.cache_token` (request content +
-code version) to a pickled canonical :class:`ServeResult` in
-``cas-<token>.pkl`` files.  It shares its directory with the flow's
-per-task disk cache, and reads *through* it: a flow request whose
-``DesignResult`` was already persisted by a direct
-:func:`~repro.core.flow.run_flow_task` call is wrapped and promoted
-into the content-addressed tier on first access — direct CLI runs,
-local sweeps, and served traffic all feed one shared tier.
-
-Lifecycle management (``python -m repro cache``):
-
-* :meth:`ContentStore.stats` — entry/byte counts plus persisted hit and
-  miss counters (``cas-stats.json``, best-effort under concurrency).
-* :meth:`ContentStore.gc` — LRU garbage collection down to a byte
-  budget.  Reads touch entry mtimes, so recency is meaningful.
-
-Every operation is best-effort: a corrupt or vanished entry is a miss,
-never an exception — exactly the discipline of the underlying flow
-cache.
+The evaluation service, the CLI, ``run_design``/``run_designs`` and
+local sweeps share one :class:`ContentStore`; it lives in
+:mod:`repro.core.store` so the flow can reach it.
 """
 
-from __future__ import annotations
+from ..core.store import ContentStore, StoreStats
 
-import json
-import os
-import pickle
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
-
-from ..core.flow import (_disk_load, flow_cache_dir, task_disk_key)
-from .protocol import EvalRequest, ServeResult, canonical_dumps
-
-#: Filename of the persisted hit/miss counters inside the store root.
-STATS_FILE = "cas-stats.json"
-
-
-@dataclass
-class StoreStats:
-    """Snapshot of the shared tier's size and traffic counters.
-
-    Attributes:
-        root: Store directory (``None`` when the cache is disabled).
-        entries: Number of result entries (content-addressed + legacy).
-        cas_entries: Content-addressed entries only.
-        total_bytes: Bytes held by all result entries.
-        hits: Persisted lifetime read hits.
-        misses: Persisted lifetime read misses.
-    """
-
-    root: Optional[Path]
-    entries: int = 0
-    cas_entries: int = 0
-    total_bytes: int = 0
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def hit_rate(self) -> Optional[float]:
-        """Lifetime hit rate, or ``None`` before any traffic."""
-        total = self.hits + self.misses
-        return None if total == 0 else self.hits / total
-
-
-class ContentStore:
-    """Content-addressed store over the flow-cache directory.
-
-    Args:
-        root: Store directory.  Defaults to
-            :func:`repro.core.flow.flow_cache_dir` (honouring the
-            ``REPRO_FLOW_CACHE`` override); an explicitly disabled
-            flow cache disables the store too — every operation
-            becomes a no-op miss.
-    """
-
-    def __init__(self, root: Optional[Path] = None):
-        self.root = Path(root) if root is not None else flow_cache_dir()
-
-    # ---------------------------------------------------------------- #
-    # Paths.
-    # ---------------------------------------------------------------- #
-
-    def path_for(self, token: str) -> Optional[Path]:
-        """Entry path for a cache token (``None`` when disabled)."""
-        if self.root is None:
-            return None
-        return self.root / f"cas-{token}.pkl"
-
-    # ---------------------------------------------------------------- #
-    # Read / write.
-    # ---------------------------------------------------------------- #
-
-    def get_bytes(self, token: str) -> Optional[bytes]:
-        """Raw stored payload for a token, touching its LRU mtime."""
-        path = self.path_for(token)
-        if path is None:
-            return None
-        try:
-            payload = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
-        return payload
-
-    def get(self, request: EvalRequest,
-            count: bool = True) -> Optional[ServeResult]:
-        """Stored result for a request, or ``None``.
-
-        Flow requests fall back to the legacy per-task flow-cache entry
-        (written by direct ``run_flow_task`` calls and sweep workers)
-        and promote it into the content-addressed tier, so the service
-        shares results with every non-service code path.
-        """
-        token = request.cache_token()
-        payload = self.get_bytes(token)
-        if payload is not None:
-            try:
-                out = pickle.loads(payload)
-            except Exception:  # noqa: BLE001 — corrupt entry is a miss
-                out = None
-            if isinstance(out, ServeResult):
-                if count:
-                    self._bump(hits=1)
-                return out
-        if request.kind == "flow" and self.root is not None:
-            hit = _disk_load(task_disk_key(request.flow_task()))
-            if hit is not None:
-                from ..dse.evaluate import flow_metrics
-                out = ServeResult(
-                    request=request,
-                    metrics=dict(flow_metrics(hit),
-                                 design=request.design),
-                    result=hit)
-                self.put(request, out)
-                if count:
-                    self._bump(hits=1)
-                return out
-        if count:
-            self._bump(misses=1)
-        return None
-
-    def put(self, request: EvalRequest,
-            result: ServeResult) -> Optional[bytes]:
-        """Persist a result under its request's token.
-
-        Only the deterministic portion (:meth:`ServeResult.canonical`)
-        is stored, serialized with the canonical pickler
-        (:func:`~repro.serve.protocol.canonical_dumps`), so the entry
-        bytes are a pure function of its address.  Returns the stored
-        bytes (what :meth:`get_bytes` will serve), or ``None`` when
-        the store is disabled or the write failed.
-        """
-        path = self.path_for(request.cache_token())
-        if path is None or not result.ok:
-            return None
-        payload = canonical_dumps(result.canonical())
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-            tmp.write_bytes(payload)
-            tmp.replace(path)
-        except OSError:
-            return None  # best-effort, like the flow disk cache
-        return payload
-
-    # ---------------------------------------------------------------- #
-    # Counters.
-    # ---------------------------------------------------------------- #
-
-    def _stats_path(self) -> Optional[Path]:
-        return None if self.root is None else self.root / STATS_FILE
-
-    def _read_counters(self) -> Dict[str, int]:
-        path = self._stats_path()
-        if path is None:
-            return {"hits": 0, "misses": 0}
-        try:
-            data = json.loads(path.read_text())
-            return {"hits": int(data.get("hits", 0)),
-                    "misses": int(data.get("misses", 0))}
-        except (OSError, ValueError):
-            return {"hits": 0, "misses": 0}
-
-    def _bump(self, hits: int = 0, misses: int = 0) -> None:
-        """Best-effort persisted counter update (races lose counts,
-        never corrupt: the write is atomic-replace)."""
-        path = self._stats_path()
-        if path is None:
-            return
-        counters = self._read_counters()
-        counters["hits"] += hits
-        counters["misses"] += misses
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(counters, sort_keys=True) + "\n")
-            tmp.replace(path)
-        except OSError:
-            pass
-
-    # ---------------------------------------------------------------- #
-    # Lifecycle.
-    # ---------------------------------------------------------------- #
-
-    def _entries(self) -> List[Tuple[Path, int, float]]:
-        """All result entries as ``(path, bytes, mtime)`` rows."""
-        if self.root is None or not self.root.is_dir():
-            return []
-        rows = []
-        for path in self.root.glob("*.pkl"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            rows.append((path, stat.st_size, stat.st_mtime))
-        return rows
-
-    def stats(self) -> StoreStats:
-        """Current size and lifetime traffic counters."""
-        rows = self._entries()
-        counters = self._read_counters()
-        return StoreStats(
-            root=self.root,
-            entries=len(rows),
-            cas_entries=sum(1 for p, _, _ in rows
-                            if p.name.startswith("cas-")),
-            total_bytes=sum(size for _, size, _ in rows),
-            hits=counters["hits"],
-            misses=counters["misses"])
-
-    def gc(self, max_bytes: int) -> Tuple[int, int]:
-        """LRU-evict entries until the store is within ``max_bytes``.
-
-        Both content-addressed and legacy flow-cache entries count
-        toward (and are evicted from) the budget; oldest mtime goes
-        first.  Returns ``(entries_removed, bytes_freed)``.
-        """
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        rows = sorted(self._entries(), key=lambda r: (r[2], r[0].name))
-        total = sum(size for _, size, _ in rows)
-        removed = freed = 0
-        for path, size, _mtime in rows:
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-            freed += size
-        return removed, freed
+__all__ = ["ContentStore", "StoreStats"]

@@ -8,9 +8,11 @@ characters in names survive; and the state follows a record edited in
 place.  A placement and a route rebuild ``index_of`` and ``net_names``
 from their netlist's prefix, so a chiplet stores each name once, and
 the number of objects a pickled die saves does not grow with its
-instance count.
+instance count, nor that of a pickled interposer route with its route
+cells.
 """
 
+import dataclasses
 import io
 import pickle
 
@@ -22,7 +24,8 @@ from repro.chiplet.design import build_chiplet
 from repro.chiplet.floorplan import floorplan
 from repro.chiplet.place import place
 from repro.chiplet.route import global_route
-from repro.serve.protocol import _CanonicalPickler, canonical_dumps
+from repro.core.request import _CanonicalPickler, canonical_dumps
+from repro.interposer.routing import RoutedNet
 from repro.tech.interposer import GLASS_25D
 from repro.tech.stdcell import N28_LIB
 from tests.chiplet.test_signoff_equiv import _netlist, _random_netlist
@@ -198,3 +201,29 @@ def test_pickled_die_does_not_grow_with_its_instance_count(kind):
             chip.placement.index_of.items())
     assert sizes[1] > 2 * sizes[0]
     assert saves[1] == saves[0], (sizes, saves)
+
+
+def _saves(obj):
+    pickler = _CountingPickler(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dump(obj)
+    return pickler.saves
+
+
+def test_pickled_route_grows_with_its_nets_not_its_cells(silicon_design):
+    # Each net's path pickles as one array: with a tuple per route
+    # cell, the count was several per cell.
+    route = silicon_design.route
+    cells = sum(len(n.path) for n in route.nets)
+    assert cells > 20 * len(route.nets)
+    stubs = dataclasses.replace(route, nets=[
+        dataclasses.replace(n, path=n.path[:1]) for n in route.nets])
+    half = dataclasses.replace(route, nets=route.nets[::2])
+    assert _saves(stubs) == _saves(route)
+    assert _saves(half) < _saves(route)
+    back = pickle.loads(canonical_dumps(route))
+    assert [n.path for n in back.nets] == [n.path for n in route.nets]
+    assert {type(v) for n in back.nets for cell in n.path
+            for v in (cell, *cell)} == {tuple, int}
+    assert canonical_dumps(back) == canonical_dumps(route)
+    via = RoutedNet("v0", "stacked_via", 0.05, 2, {0, 1})
+    assert pickle.loads(canonical_dumps(via)) == via

@@ -54,8 +54,14 @@ def silicon_logic_chiplet():
 
 @pytest.fixture(scope="session")
 def glass3d_design():
+    # Computed, not loaded, with cold channel memos: a stored result
+    # carries no stage timings or solver counters, and the solver-stats
+    # tests count the work each stage does.
     from repro.core.flow import run_design
-    return run_design("glass_3d", scale=SMALL, seed=7)
+    from repro.si.channel import _CHANNEL_SIM_CACHE, _PADS_REF_CACHE
+    _CHANNEL_SIM_CACHE.clear()
+    _PADS_REF_CACHE.clear()
+    return run_design("glass_3d", scale=SMALL, seed=7, use_cache=False)
 
 
 @pytest.fixture(scope="session")

@@ -338,7 +338,8 @@ class TestCacheCli:
         assert main(["cache"]) == 0
         out = capsys.readouterr().out
         assert "Shared result cache" in out
-        assert "content-addressed" in out
+        assert ["entries", "|", "1"] in [line.split()
+                                         for line in out.splitlines()]
         assert main(["cache", "--gc", "--max-bytes", "0"]) == 0
         captured = capsys.readouterr()
         assert "gc: removed 1 entries" in captured.err

@@ -1,20 +1,56 @@
 """Flow caching semantics and the multi-design fan-out.
 
-Regression coverage for the cache-key bug where a partial run
-(``with_eyes=False`` / ``with_thermal=False``) could be served a stale
-entry or poison later full runs: the in-process cache is now keyed on
-the flags, and partial requests may only be *upgraded* from a full
-entry, never the reverse.
+Regression coverage for the cache-key bugs around partial runs
+(``with_eyes=False`` / ``with_thermal=False``): a partial run once
+poisoned later full runs, and later a partial request was answered from
+a full run's entry, so what it returned depended on what its process
+had run before.  Memory and the store are both keyed on the exact
+request now, so a partial request is always its own design point.
 """
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core import flow
-from repro.core.flow import (clear_cache, code_version, run_design,
-                             run_designs)
+from repro.core.flow import (clear_cache, run_design, run_designs,
+                             run_flow_task)
+from repro.core.request import (EvalRequest, canonical_dumps,
+                                code_version)
+from repro.core.store import flow_cache_dir
+from repro.serve.protocol import execute_request
 
 SCALE = 0.015
 SEED = 9
+
+
+#: Child-process script: the sha256 of a request's canonical outcome,
+#: evaluated in a process that has run nothing else.
+_FRESH = """
+import hashlib, json, sys
+from repro.core.request import EvalRequest, canonical_dumps
+from repro.serve.protocol import execute_request
+out = execute_request(EvalRequest.from_dict(json.loads(sys.argv[1])))
+assert out.ok, out.error_message
+print(hashlib.sha256(canonical_dumps(out.canonical())).hexdigest())
+"""
+
+
+def _fresh_process_digest(request):
+    root = Path(__file__).resolve().parents[2]
+    env = dict(os.environ, REPRO_FLOW_CACHE="0",
+               PYTHONPATH=os.pathsep.join(
+                   [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", _FRESH,
+                            json.dumps(request.to_dict())],
+                           env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return child.stdout.strip()
 
 
 @pytest.fixture(autouse=True)
@@ -44,11 +80,19 @@ class TestFlagAwareCache:
                        with_eyes=False, with_thermal=False)
         assert a is b
 
-    def test_partial_request_upgraded_from_full_entry(self):
-        full = run_design("glass_25d", scale=SCALE, seed=SEED)
-        partial = run_design("glass_25d", scale=SCALE, seed=SEED,
-                             with_eyes=False)
-        assert partial is full
+    def test_partial_request_after_full_is_its_own_point(self):
+        full = EvalRequest(design="glass_3d", scale=0.012, seed=7)
+        partial = dataclasses.replace(full, with_eyes=False,
+                                      with_thermal=False)
+        assert run_flow_task(full).result.l2m_eye is not None
+        fresh = _fresh_process_digest(partial)
+        for out in (run_flow_task(partial), execute_request(partial)):
+            assert out.ok and not out.cached
+            assert out.result.l2m_eye is None
+            assert out.result.thermal is None
+            assert out.metrics["l2m_eye_height_v"] is None
+            payload = canonical_dumps(out.canonical())
+            assert hashlib.sha256(payload).hexdigest() == fresh
 
     def test_stage_times_recorded(self):
         r = run_design("glass_25d", scale=SCALE, seed=SEED)
@@ -102,7 +146,7 @@ class TestRunDesigns:
     def test_disk_cache_disabled_by_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
         monkeypatch.chdir(tmp_path)  # catch writes to a relative "0"
-        assert flow.flow_cache_dir() is None
+        assert flow_cache_dir() is None
         self._run(jobs=1)
         assert list(tmp_path.rglob("*.pkl")) == []
 

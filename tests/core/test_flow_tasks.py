@@ -1,10 +1,10 @@
-"""Single-point flow task API and batch failure-isolation tests."""
+"""Single-point flow request API and batch failure-isolation tests."""
 
 import pytest
 
-from repro.core.flow import (FlowBatchError, FlowTaskSpec, clear_cache,
-                             run_design, run_designs, run_flow_task,
-                             task_disk_key)
+from repro.core.flow import (FlowBatchError, clear_cache, run_design,
+                             run_designs, run_flow_task)
+from repro.core.request import EvalRequest
 
 SCALE = 0.01
 SEED = 7
@@ -19,10 +19,10 @@ def isolated_caches(tmp_path, monkeypatch):
 
 
 def cheap_task(**kw):
-    defaults = dict(design="silicon_3d", scale=SCALE, seed=SEED,
-                    with_eyes=False, with_thermal=False)
+    defaults = dict(kind="flow", design="silicon_3d", scale=SCALE,
+                    seed=SEED, with_eyes=False, with_thermal=False)
     defaults.update(kw)
-    return FlowTaskSpec(**defaults)
+    return EvalRequest(**defaults)
 
 
 class TestRunFlowTask:
@@ -60,13 +60,13 @@ class TestRunFlowTask:
         assert out.error_type == "ValueError"
 
     def test_overrides_canonicalized(self):
-        a = FlowTaskSpec(design="glass_3d",
-                         spec_overrides=(("b", 1.0), ("a", 2.0)))
-        b = FlowTaskSpec(design="glass_3d",
-                         spec_overrides=(("a", 2.0), ("b", 1.0)))
+        a = EvalRequest(design="glass_3d",
+                        spec_overrides=(("b", 1.0), ("a", 2.0)))
+        b = EvalRequest(design="glass_3d",
+                        spec_overrides=(("a", 2.0), ("b", 1.0)))
         assert a == b
         assert hash(a) == hash(b)
-        assert task_disk_key(a) == task_disk_key(b)
+        assert a.cache_token() == b.cache_token()
 
 
 class TestFrequencyKeysCaches:
@@ -75,8 +75,8 @@ class TestFrequencyKeysCaches:
 
     def test_cache_key_includes_frequency(self):
         assert cheap_task() != cheap_task(target_frequency_mhz=900.0)
-        assert task_disk_key(cheap_task()) \
-            != task_disk_key(cheap_task(target_frequency_mhz=900.0))
+        assert cheap_task().cache_token() \
+            != cheap_task(target_frequency_mhz=900.0).cache_token()
 
     def test_frequency_misses_memory_cache(self):
         base = run_flow_task(cheap_task())

@@ -33,9 +33,8 @@ import numpy as np
 import pytest
 
 from repro.arch.netlist import Netlist
-from repro.core.flow import (FlowTaskSpec, run_design, run_flow_task,
-                             task_disk_key)
-from repro.serve.protocol import canonical_dumps
+from repro.core.flow import run_design, run_flow_task
+from repro.core.request import EvalRequest, canonical_dumps
 from repro.tech.interposer import spec_names
 from repro.tech.stdcell import CellLibrary
 
@@ -261,19 +260,20 @@ class TestDefaultTopologyByteIdentity:
                 (design, 0.03, True, True, 2, "grid")], design
 
     def test_default_cache_key_unchanged(self):
-        # The default topology is the same task, and the same disk
+        # The default topology is the same request, and the same store
         # entry, whether or not its axes are spelled out; the topology
-        # is always part of the disk key.
-        base = FlowTaskSpec(design="glass_25d", scale=SCALE, seed=7)
-        explicit = FlowTaskSpec(design="glass_25d", scale=SCALE, seed=7,
-                                num_chiplets=2, arrangement="grid")
-        assert task_disk_key(base) == task_disk_key(explicit)
+        # is always part of the cache token.
+        base = EvalRequest(design="glass_25d", scale=SCALE, seed=7)
+        explicit = EvalRequest(design="glass_25d", scale=SCALE, seed=7,
+                               num_chiplets=2, arrangement="grid")
+        assert base.cache_token() == explicit.cache_token()
         assert base == explicit and hash(base) == hash(explicit)
-        tagged = FlowTaskSpec(design="glass_25d", scale=SCALE, seed=7,
-                              num_chiplets=4, arrangement="row")
+        tagged = EvalRequest(design="glass_25d", scale=SCALE, seed=7,
+                             num_chiplets=4, arrangement="row")
         assert tagged != base
-        assert "-n4-arow" in task_disk_key(tagged)
-        assert task_disk_key(tagged) != task_disk_key(base)
+        assert tagged.to_dict()["num_chiplets"] == 4
+        assert tagged.to_dict()["arrangement"] == "row"
+        assert tagged.cache_token() != base.cache_token()
 
 
 class TestValueProjection:
@@ -375,15 +375,17 @@ class TestNchipletEndToEnd:
         assert_pinned(result, SCALE, False, False)
 
     def test_flow_task_roundtrip_runs_nchiplet(self):
-        task = FlowTaskSpec(design="glass_25d", scale=SCALE, seed=7,
-                            with_eyes=False, with_thermal=False,
-                            num_chiplets=3, arrangement="row")
-        # The constructor canonicalizes the topology, so a task rebuilt
-        # from its own fields is equal to (and hashes like) the original.
+        task = EvalRequest(design="glass_25d", scale=SCALE, seed=7,
+                           with_eyes=False, with_thermal=False,
+                           num_chiplets=3.0, arrangement="row")
+        # The constructor canonicalizes the topology, so a request
+        # rebuilt from its own fields is equal to (and hashes like) the
+        # original.
+        assert task.num_chiplets == 3 and type(task.num_chiplets) is int
         fields = {f.name: getattr(task, f.name)
                   for f in dataclasses.fields(task)}
-        assert FlowTaskSpec(**fields) == task
-        assert hash(FlowTaskSpec(**fields)) == hash(task)
+        assert EvalRequest(**fields) == task
+        assert hash(EvalRequest(**fields)) == hash(task)
         out = run_flow_task(task, use_cache=False)
         assert out.ok, out.error_message
         assert out.result.num_chiplets == 3
@@ -418,10 +420,10 @@ class TestTopologyValidation:
             run_design("glass_25d", scale=SCALE, arrangement="ring")
 
     def test_task_spec_rejects_bad_topology(self):
-        with pytest.raises(ValueError):
-            FlowTaskSpec(design="glass_25d", num_chiplets=65)
-        with pytest.raises(ValueError):
-            FlowTaskSpec(design="glass_25d", arrangement="ring")
+        with pytest.raises(ValueError, match="num_chiplets"):
+            EvalRequest(design="glass_25d", num_chiplets=65)
+        with pytest.raises(ValueError, match="arrangement"):
+            EvalRequest(design="glass_25d", arrangement="ring")
 
     def test_run_design_rejects_part_count_shortfall(self):
         # The netlist is too small to bisect into 64 parts: the flow

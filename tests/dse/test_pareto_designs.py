@@ -8,9 +8,8 @@ designs, and satisfies the non-domination property.
 
 import pytest
 
-from repro.core.flow import run_designs
+from repro.core.flow import flow_metrics, run_designs
 from repro.dse.analyze import dominates, pareto_front
-from repro.dse.evaluate import flow_metrics
 from repro.tech.interposer import spec_names
 
 OBJECTIVES = {"cost_usd": "min", "power_mw": "min",

@@ -18,7 +18,11 @@ Nothing is imported; each guard scans the parsed sources.
 * The import graph keeps its layers: ``repro/_kernel.py``, the compiled
   kernel's loader, imports no ``repro`` module, and nothing under
   ``repro/circuit`` or ``repro/partition`` imports from
-  ``repro.interposer``, at module level or inside a function.
+  ``repro.interposer``, at module level or inside a function.  Nothing
+  under ``repro/core`` imports ``repro.serve``, and its one
+  ``repro.dse`` import is the pool workers' warm-up
+  (``core/pool.py::_warm_import``): the flow reaches the result store
+  in ``repro.core``, not through the service.
 """
 
 import ast
@@ -106,22 +110,34 @@ def test_no_unused_module_imports():
 
 
 def _imports(path):
-    """(line, dotted name) of every name a source file imports, at
-    module level or inside a function; relative imports are resolved
-    against the file's package, and ``from m import n`` gives ``m.n``."""
+    """(line, dotted name, scope) of every name a source file imports,
+    at module level or inside a function; relative imports are resolved
+    against the file's package, ``from m import n`` gives ``m.n``, and
+    the scope is the qualified name of the enclosing function or class
+    (``""`` at module level)."""
     parts = path.relative_to(SRC.parent).with_suffix("").parts
     package = parts if path.name == "__init__.py" else parts[:-1]
     found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, a.name) for a in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            base = package[:len(package) - node.level + 1] \
-                if node.level else ()
-            module = ".".join(base + ((node.module,) if node.module
-                                      else ()))
-            found += [(node.lineno, f"{module}.{a.name}")
-                      for a in node.names]
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, a.name, scope)
+                             for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = package[:len(package) - child.level + 1] \
+                    if child.level else ()
+                module = ".".join(base + ((child.module,) if child.module
+                                          else ()))
+                found.extend((child.lineno, f"{module}.{a.name}", scope)
+                             for a in child.names)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
     return found
 
 
@@ -131,7 +147,7 @@ def _within(name, package):
 
 def test_kernel_loader_imports_no_repro_module():
     bad = [f"_kernel.py:{line}: {name}"
-           for line, name in _imports(SRC / "_kernel.py")
+           for line, name, _scope in _imports(SRC / "_kernel.py")
            if _within(name, "repro")]
     assert not bad, "the kernel loader must stay a leaf: " + ", ".join(bad)
 
@@ -142,6 +158,24 @@ def test_circuit_and_partition_do_not_import_the_interposer():
         for path in sorted((SRC / package).rglob("*.py")):
             rel = path.relative_to(SRC.parent).as_posix()
             bad += [f"{rel}:{line}: {name}"
-                    for line, name in _imports(path)
+                    for line, name, _scope in _imports(path)
                     if _within(name, "repro.interposer")]
     assert not bad, "imports from repro.interposer: " + ", ".join(bad)
+
+
+#: The one ``repro.dse`` import allowed under ``repro/core``: the pool
+#: initializer that pre-imports the evaluators in its workers.
+CORE_DSE_IMPORT = ("repro/core/pool.py", "_warm_import")
+
+
+def test_core_imports_neither_the_service_nor_the_sweeps():
+    bad = []
+    for path in sorted((SRC / "core").rglob("*.py")):
+        rel = path.relative_to(SRC.parent).as_posix()
+        bad += [f"{rel}:{line}: {name}"
+                for line, name, scope in _imports(path)
+                if _within(name, "repro.serve")
+                or (_within(name, "repro.dse")
+                    and (rel, scope) != CORE_DSE_IMPORT)]
+    assert not bad, ("repro.core must stay below repro.dse and "
+                     "repro.serve: " + ", ".join(bad))

@@ -17,7 +17,7 @@ kernel that production now runs vectorized or compiled:
   records by name.
 
 They live beside the tests rather than in ``src/repro`` so that editing
-a reference never changes :func:`repro.core.flow.code_version` and so
+a reference never changes :func:`repro.core.request.code_version` and so
 never invalidates a cached result.
 """
 

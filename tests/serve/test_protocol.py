@@ -14,8 +14,8 @@ from repro.arch.generate import clear_netlist_memo
 from repro.arch.netlist import Netlist
 from repro.chiplet.floorplan import floorplan
 from repro.chiplet.place import place
-from repro.core.flow import (FlowTaskSpec, clear_cache, code_version,
-                             run_flow_task)
+from repro.core.flow import clear_cache, run_flow_task
+from repro.core.request import code_version
 from repro.serve.protocol import (EvalRequest, canonical_dumps,
                                   execute_request, request_for_point)
 from repro.si import channel
@@ -87,17 +87,23 @@ class TestEvalRequestCanonicalization:
             EvalRequest.from_dict(data)
 
     def test_flow_task_mapping(self):
+        # A flow request is the flow's own key: its wire form, whatever
+        # link length it names (the flow never reads one), parses to an
+        # equal request that addresses the same entry.
         req = EvalRequest(scale=0.02, seed=11, with_eyes=False,
                           with_thermal=False)
-        task = req.flow_task()
-        assert task == FlowTaskSpec(design="glass_25d", scale=0.02,
-                                    seed=11,
-                                    target_frequency_mhz=700.0,
-                                    with_eyes=False, with_thermal=False)
+        wire = EvalRequest.from_dict(dict(req.to_dict(), length_um=3000.0))
+        assert wire == req and hash(wire) == hash(req)
+        assert wire.length_um == req.length_um == 2000.0
+        assert wire.cache_token() == req.cache_token()
+        link = EvalRequest(kind="link", length_um=3000.0)
+        assert link.cache_token() != EvalRequest(kind="link").cache_token()
 
     def test_flow_task_requires_flow_kind(self):
-        with pytest.raises(ValueError, match="not a flow task"):
-            EvalRequest(kind="geometry").flow_task()
+        out = run_flow_task(EvalRequest(kind="geometry"))
+        assert not out.ok and out.result is None
+        assert out.error_type == "ValueError"
+        assert "not a flow request" in out.error_message
 
 
 class TestExecuteRequest:
@@ -118,7 +124,7 @@ class TestExecuteRequest:
         req = EvalRequest(scale=0.02, with_eyes=False,
                           with_thermal=False)
         out = execute_request(req)
-        direct = run_flow_task(req.flow_task())
+        direct = run_flow_task(req)
         assert out.ok and direct.ok
         # Identical evaluator code path: the full DesignResult agrees.
         assert out.result.fullchip.total_power_mw == \
@@ -191,11 +197,14 @@ class TestTopologyProtocol:
         assert EvalRequest.from_dict(req.to_dict()) == req
 
     def test_flow_task_carries_topology(self):
-        req = EvalRequest(kind="flow", scale=0.02, num_chiplets=4,
+        # The request checks and canonicalizes its topology when it is
+        # built, as the flow's own task type once did.
+        req = EvalRequest(kind="flow", scale=0.02, num_chiplets=4.0,
                           arrangement="row")
-        task = req.flow_task()
-        assert task.num_chiplets == 4
-        assert task.arrangement == "row"
+        assert req.num_chiplets == 4 and type(req.num_chiplets) is int
+        assert req.arrangement == "row"
+        with pytest.raises(ValueError, match="num_chiplets"):
+            EvalRequest(kind="flow", num_chiplets=65)
 
     def test_normalizes_integral_float_count(self):
         req = EvalRequest.from_dict({"kind": "geometry",

@@ -2,9 +2,12 @@
 byte-identical result store to the same sweep evaluated locally."""
 
 import filecmp
+import json
 
 import pytest
 
+from repro.core.flow import clear_cache
+from repro.core.pool import shutdown_pool
 from repro.dse.runner import SweepRunner
 from repro.dse.space import Axis, SweepSpec
 from repro.serve import ServerConfig, start_in_thread
@@ -76,3 +79,38 @@ class TestRemoteSweep:
             stats = c.stats()
         assert stats["evaluations_run"] == 4
         assert stats["cache"]["hits"] >= 4
+
+
+class TestRemoteFlowSweep:
+    """Flow points, computed once locally and once on a server with a
+    store of its own: every ``points.jsonl`` is byte-identical, cold
+    and then warm."""
+
+    SPEC = SweepSpec(
+        name="remote-flow", design="glass_3d", evaluator="flow",
+        scale=0.012, seed=7,
+        axes=(Axis("dielectric_thickness_um", values=(10.0, 15.0)),))
+
+    def test_points_jsonl_byte_identical_cold_and_warm(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "local"))
+        shutdown_pool()
+        clear_cache()
+        stores, cached = [], []
+        with start_in_thread(ServerConfig(
+                port=0, workers=1,
+                cache_dir=tmp_path / "served")) as handle:
+            for run in ("cold", "warm"):
+                for where, url in (("local", None), ("remote", handle.url)):
+                    runner = SweepRunner(self.SPEC,
+                                         out_dir=tmp_path / run / where,
+                                         server_url=url)
+                    assert all(r["error"] is None for r in runner.run())
+                    stores.append(runner.points_path.read_bytes())
+                    cached.append([json.loads(line)["cached"] for line in
+                                   runner.timings_path.read_text()
+                                   .splitlines()])
+        shutdown_pool()
+        clear_cache()
+        assert stores == [stores[0]] * 4
+        assert cached == [[False, False]] * 2 + [[True, True]] * 2

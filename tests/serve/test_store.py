@@ -1,5 +1,5 @@
-"""Content-addressed store tests: round trips, the legacy flow-cache
-read-through, counters, and LRU garbage collection."""
+"""Content-addressed store tests: round trips, the store as the flow's
+one persistent tier, counters, and LRU garbage collection."""
 
 import os
 import time
@@ -7,7 +7,8 @@ import time
 import pytest
 
 from repro.core.flow import clear_cache, run_flow_task
-from repro.serve.protocol import EvalRequest, execute_request
+from repro.serve.protocol import (EvalRequest, canonical_dumps,
+                                  execute_request)
 from repro.serve.store import ContentStore
 
 
@@ -59,22 +60,23 @@ class TestRoundTrip:
         assert disabled.stats().entries == 0
 
 
-class TestLegacyReadThrough:
-    def test_flow_request_promotes_disk_cache_entry(self, store):
-        req = EvalRequest(scale=0.02, with_eyes=False,
-                          with_thermal=False)
-        # A direct (non-service) flow run persists the legacy entry.
-        direct = run_flow_task(req.flow_task())
-        assert direct.ok
-        token = req.cache_token()
-        assert store.get_bytes(token) is None  # not yet promoted
+class TestOneTier:
+    def test_flow_task_point_is_a_store_hit(self, store):
+        req = EvalRequest(design="glass_3d", scale=0.012,
+                          with_eyes=False, with_thermal=False)
+        # A direct (non-service) flow run writes the one entry.
+        direct = run_flow_task(req)
+        assert direct.ok and not direct.cached
         hit = store.get(req)
         assert hit is not None and hit.ok
-        assert hit.metrics["power_mw"] == \
-            direct.result.fullchip.total_power_mw
-        assert hit.metrics["design"] == "glass_25d"
-        # Promotion: now content-addressed too.
-        assert store.get_bytes(token) is not None
+        assert hit.metrics == direct.metrics
+        assert hit.metrics["design"] == "glass_3d"
+        assert store.get_bytes(req.cache_token()) == canonical_dumps(
+            execute_request(req).canonical())
+        assert sorted(p.name for p in store.root.iterdir()) == [
+            f"cas-{req.cache_token()}.pkl", "cas-stats.json"]
+        assert store.gc(0)[0] == 1
+        assert store.get(req) is None
 
 
 class TestCounters:
@@ -123,15 +125,6 @@ class TestGc:
         assert removed >= 1
         assert store.get_bytes(reqs[0].cache_token()) is not None
         assert store.get_bytes(reqs[1].cache_token()) is None
-
-    def test_gc_counts_legacy_entries(self, store, monkeypatch):
-        req = EvalRequest(scale=0.02, with_eyes=False,
-                          with_thermal=False)
-        assert run_flow_task(req.flow_task()).ok  # legacy .pkl entry
-        assert store.stats().entries >= 1
-        removed, _ = store.gc(0)
-        assert removed >= 1
-        assert store.stats().entries == 0
 
     def test_negative_budget_rejected(self, store):
         with pytest.raises(ValueError):
