@@ -6,23 +6,31 @@ tool, so it operates on synthetic gate-level netlists (see
 synthesized chiplets: cell counts, cell mix, hierarchy, and connectivity
 locality.  This module defines the containers those netlists live in.
 
-A :class:`Netlist` is a flat sea of :class:`Instance` objects, each tagged
-with the hierarchical module path it came from (``"tile0/l3"`` etc.), plus
-:class:`Net` objects connecting instance pins and top-level :class:`Port`
-objects.  Hierarchy is a labelling, not a containment tree — which is
-exactly how physical design tools see a flattened design, and what the
-hierarchical partitioner needs.
+A :class:`Netlist` is a flat sea of instances, each tagged with the
+hierarchical module path it came from (``"tile0/l3"`` etc.), plus nets
+connecting instance pins and top-level ports.  Hierarchy is a labelling,
+not a containment tree — which is exactly how physical design tools see
+a flattened design, and what the hierarchical partitioner needs.
 
-:meth:`Netlist.arrays` gives the sign-off engines (floorplan, place,
-global route, STA, power) and the FM partitioner one integer view of
-the same netlist, built once per netlist (:class:`NetlistArrays`).
+The storage is integer arrays in the layout of :class:`NetlistArrays`:
+instance ids with cell and module ids, nets as CSR pin lists with a
+driver id and a clock flag, and name tables beside them.  The
+:class:`Instance`, :class:`Net` and :class:`Port` records are snapshots
+built from the arrays on each lookup; ``add_instance``, ``add_net`` and
+``add_port`` are the only writers.  :meth:`Netlist.arrays` hands the
+sign-off engines (floorplan, place, global route, STA, power) and the FM
+partitioner a read-only copy of the arrays.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 import numpy as np
 
@@ -40,6 +48,9 @@ class PortDirection(enum.Enum):
 @dataclass
 class Instance:
     """One placed-and-routable cell instance.
+
+    A snapshot: :class:`Netlist` builds a fresh one on each lookup, so
+    editing it leaves the netlist unchanged.
 
     Attributes:
         name: Unique instance name within the netlist.
@@ -62,6 +73,8 @@ class Instance:
 @dataclass
 class Net:
     """A signal net connecting a driver pin to sink pins.
+
+    A snapshot, like :class:`Instance`.
 
     Attributes:
         name: Unique net name.
@@ -89,6 +102,8 @@ class Net:
 @dataclass
 class Port:
     """A top-level I/O port of the netlist.
+
+    A snapshot, like :class:`Instance`.
 
     Attributes:
         name: Port name, e.g. ``"noc1_out[3]"``.
@@ -123,7 +138,8 @@ class NetlistArrays(NamedTuple):
     paths are numbered in order of first appearance over the instances.
     A net's pins are its driver, when it has one (a truthy ``driver``,
     as :meth:`Netlist.add_net` reads it), then its sinks in order,
-    repeats kept.  The arrays are read-only.
+    repeats kept.  The arrays are read-only copies of the netlist's
+    storage.
     """
 
     #: int32 [n]: each instance's cell id; ``cells`` holds the library
@@ -187,41 +203,93 @@ def _unpack(packed: Tuple[str, np.ndarray]) -> List[str]:
     return [joined[start:end] for start, end in zip([0] + ends, ends)]
 
 
-def _build_arrays(netlist: "Netlist") -> NetlistArrays:
-    """One pass over the instance and net records."""
-    records = netlist.instances.values()
-    index = {name: i for i, name in enumerate(netlist.instances)}
-    cell_names = [inst.cell_name for inst in records]
-    paths = [inst.module_path for inst in records]
-    cell_id = {c: i for i, c in enumerate(dict.fromkeys(cell_names))}
-    module_id = {p: i for i, p in enumerate(dict.fromkeys(paths))}
-    nets = netlist.nets.values()
-    endpoints: List[str] = []
-    ptr = [0]
-    for net in nets:
-        if net.driver:
-            endpoints.append(net.driver)
-        endpoints += net.sinks
-        ptr.append(len(endpoints))
-    view = NetlistArrays(
-        cell=np.array([cell_id[c] for c in cell_names], dtype=np.int32),
-        cells=tuple(netlist.library.get(c) for c in cell_id),
-        module=np.array([module_id[p] for p in paths], dtype=np.int32),
-        modules=tuple(module_id),
-        pin_ptr=np.array(ptr, dtype=np.int64),
-        pins=np.fromiter(map(index.__getitem__, endpoints), dtype=np.int32,
-                         count=len(endpoints)),
-        driver=np.array([index[net.driver] if net.driver else -1
-                         for net in nets], dtype=np.int32),
-        clock=np.array([net.is_clock for net in nets], dtype=bool))
-    for field_value in view:
-        if isinstance(field_value, np.ndarray):
-            field_value.setflags(write=False)
-    return view
+#: numpy dtype of each storage buffer's ``array`` typecode.
+_DTYPES = {"i": np.int32, "q": np.int64, "b": np.int8}
+
+#: The storage attributes, which :meth:`Netlist.clone` copies.
+_STORAGE = ("_inst_names", "_inst_ids", "_cell", "_cells", "_cell_ids",
+            "_module", "_modules", "_module_ids", "_net_names", "_net_ids",
+            "_pin_ptr", "_pins", "_driver", "_clock", "_blank",
+            "_port_names", "_port_ids", "_port_net", "_port_bus",
+            "_port_dir")
+
+
+def _numpy(buffer: array, dtype) -> np.ndarray:
+    """A read-only numpy copy of a storage buffer, as ``dtype``.
+
+    A copy, because an array made by ``np.frombuffer`` would lock the
+    buffer against appends for as long as it lives.
+    """
+    out = np.frombuffer(buffer, dtype=_DTYPES[buffer.typecode]).astype(dtype)
+    out.setflags(write=False)
+    return out
+
+
+def _buffer(typecode: str, values) -> array:
+    """A storage buffer holding ``values``, cast within their kind."""
+    out = array(typecode)
+    out.frombytes(np.asarray(values).astype(
+        _DTYPES[typecode], casting="same_kind").tobytes())
+    return out
+
+
+def _ids(names: List[str]) -> Dict[str, int]:
+    """Each name's position in ``names``."""
+    return dict(zip(names, range(len(names))))
+
+
+def _renumbered(ids: np.ndarray, table: list) -> Tuple[np.ndarray, list]:
+    """``ids`` renumbered in order of first appearance, and the entries
+    of ``table`` they then number."""
+    used, first = np.unique(ids, return_index=True)
+    order = used[np.argsort(first)]
+    new = np.zeros(len(table), dtype=np.int32)
+    new[order] = np.arange(len(order), dtype=np.int32)
+    return new[ids], [table[t] for t in order.tolist()]
+
+
+def _first_outside(values: np.ndarray, low: int, high: int) -> int:
+    """Position of the first value outside ``[low, high)``, or -1."""
+    bad = np.flatnonzero((values < low) | (values >= high))
+    return int(bad[0]) if len(bad) else -1
+
+
+class _Records(Mapping):
+    """A read-only name -> record map over a netlist's storage.
+
+    Each lookup builds a fresh record, so item assignment and ``del``
+    raise ``TypeError`` and an edited record changes nothing.
+    """
+
+    __slots__ = ("_ids", "_names", "_record")
+
+    def __init__(self, ids: Dict[str, int], names: List[str],
+                 record: Callable[[int], object]):
+        self._ids, self._names, self._record = ids, names, record
+
+    def __getitem__(self, name: str):
+        return self._record(self._ids[name])
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._ids
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
 
 
 class Netlist:
     """A flat gate-level netlist with hierarchy labels.
+
+    Stored as growable integer buffers in the layout of
+    :class:`NetlistArrays`, plus name tables: instance names with their
+    cell and module ids (the cells and modules numbered in order of
+    first appearance), nets as a CSR pin list (the truthy driver, then
+    the sinks) with a driver id, -1 for none, a clock flag and the set
+    of nets whose driver is ``""``, and ports as name, net id, bus and
+    direction code.
 
     Args:
         name: Design name.
@@ -231,17 +299,27 @@ class Netlist:
     def __init__(self, name: str, library: CellLibrary):
         self.name = name
         self.library = library
-        self._instances: Dict[str, Instance] = {}
-        self._nets: Dict[str, Net] = {}
-        self._ports: Dict[str, Port] = {}
-        # instance name -> nets it touches, maintained incrementally.
-        self._pins: Dict[str, Set[str]] = {}
-        # cell names already validated against the library, so repeated
-        # add_instance calls skip the library lookup.
-        self._known_cells: Set[str] = set()
-        # instance name -> resolved StdCell, filled lazily by cell().
-        self._cell_memo: Dict[str, StdCell] = {}
-        # The array view (arrays()), dropped by every add_* call.
+        self._inst_names: List[str] = []
+        self._inst_ids: Dict[str, int] = {}
+        self._cell = array("i")
+        self._cells: List[StdCell] = []
+        self._cell_ids: Dict[str, int] = {}
+        self._module = array("i")
+        self._modules: List[str] = []
+        self._module_ids: Dict[str, int] = {}
+        self._net_names: List[str] = []
+        self._net_ids: Dict[str, int] = {}
+        self._pin_ptr = array("q", [0])
+        self._pins = array("i")
+        self._driver = array("i")
+        self._clock = array("b")
+        self._blank: Set[int] = set()
+        self._port_names: List[str] = []
+        self._port_ids: Dict[str, int] = {}
+        self._port_net = array("i")
+        self._port_bus: List[str] = []
+        self._port_dir = array("b")
+        # The read-only copy arrays() hands out, dropped by every add_*.
         self._arrays: Optional[NetlistArrays] = None
 
     # ------------------------------------------------------------------ #
@@ -250,176 +328,204 @@ class Netlist:
 
     def add_instance(self, name: str, cell_name: str,
                      module_path: str = "") -> Instance:
-        """Create and register an instance; cell must exist in the library."""
-        if name in self._instances:
+        """Register an instance; cell must exist in the library."""
+        if name in self._inst_ids:
             raise ValueError(f"duplicate instance {name!r}")
-        if cell_name not in self._known_cells:
-            self.library.get(cell_name)  # raises KeyError if unknown
-            self._known_cells.add(cell_name)
-        inst = Instance(name=name, cell_name=cell_name,
-                        module_path=module_path)
+        cell = self._cell_ids.get(cell_name)
+        if cell is None:
+            record = self.library.get(cell_name)  # raises KeyError if unknown
+            cell = self._cell_ids[cell_name] = len(self._cells)
+            self._cells.append(record)
+        module = self._module_ids.get(module_path)
+        if module is None:
+            module = self._module_ids[module_path] = len(self._modules)
+            self._modules.append(module_path)
         self._arrays = None
-        self._instances[name] = inst
-        self._pins[name] = set()
-        return inst
+        self._inst_ids[name] = len(self._inst_names)
+        self._inst_names.append(name)
+        self._cell.append(cell)
+        self._module.append(module)
+        return Instance(name, cell_name, module_path)
 
     def add_net(self, name: str, driver: Optional[str],
                 sinks: Iterable[str], is_clock: bool = False) -> Net:
-        """Create and register a net; endpoints must be known instances."""
-        if name in self._nets:
+        """Register a net; endpoints must be known instances."""
+        if name in self._net_ids:
             raise ValueError(f"duplicate net {name!r}")
         sink_list = list(sinks)
-        instances = self._instances
-        if driver and driver not in instances:
-            raise KeyError(f"net {name!r} references unknown instance "
-                           f"{driver!r}")
-        for endpoint in sink_list:
-            if endpoint not in instances:
+        ids = self._inst_ids
+        for endpoint in ([driver] if driver else []) + sink_list:
+            if endpoint not in ids:
                 raise KeyError(f"net {name!r} references unknown instance "
                                f"{endpoint!r}")
-        net = Net(name=name, driver=driver, sinks=sink_list,
-                  is_clock=is_clock)
         self._arrays = None
-        self._nets[name] = net
+        net = len(self._net_names)
+        self._net_ids[name] = net
+        self._net_names.append(name)
         if driver:
-            self._pins[driver].add(name)
-        for s in sink_list:
-            self._pins[s].add(name)
-        return net
+            self._driver.append(ids[driver])
+            self._pins.append(ids[driver])
+        else:
+            self._driver.append(-1)
+            if driver == "":
+                self._blank.add(net)
+        self._pins.extend([ids[s] for s in sink_list])
+        self._pin_ptr.append(len(self._pins))
+        self._clock.append(bool(is_clock))
+        return Net(name, driver, sink_list, bool(is_clock))
 
     def add_port(self, name: str, direction: PortDirection, net: str,
                  bus: str = "") -> Port:
         """Register a top-level port attached to an existing net."""
-        if name in self._ports:
+        if name in self._port_ids:
             raise ValueError(f"duplicate port {name!r}")
-        if net not in self._nets:
+        if net not in self._net_ids:
             raise KeyError(f"port {name!r} references unknown net {net!r}")
-        port = Port(name=name, direction=direction, net=net, bus=bus)
         self._arrays = None
-        self._ports[name] = port
-        return port
+        self._port_ids[name] = len(self._port_names)
+        self._port_names.append(name)
+        self._port_net.append(self._net_ids[net])
+        self._port_bus.append(bus)
+        self._port_dir.append(_DIRECTIONS.index(direction))
+        return Port(name, direction, net, bus)
 
     # ------------------------------------------------------------------ #
     # Access.
     # ------------------------------------------------------------------ #
 
-    @property
-    def instances(self) -> Dict[str, Instance]:
-        """Instance name -> record map."""
-        return self._instances
+    def _instance(self, i: int) -> Instance:
+        return Instance(self._inst_names[i], self._cells[self._cell[i]].name,
+                        self._modules[self._module[i]])
+
+    def _net(self, e: int) -> Net:
+        start, end = self._pin_ptr[e], self._pin_ptr[e + 1]
+        names = self._inst_names
+        if self._driver[e] >= 0:
+            driver, start = names[self._driver[e]], start + 1
+        else:
+            driver = "" if e in self._blank else None
+        return Net(self._net_names[e], driver,
+                   [names[i] for i in self._pins[start:end]],
+                   bool(self._clock[e]))
+
+    def _port(self, j: int) -> Port:
+        return Port(self._port_names[j], _DIRECTIONS[self._port_dir[j]],
+                    self._net_names[self._port_net[j]], self._port_bus[j])
 
     @property
-    def nets(self) -> Dict[str, Net]:
-        """Net name -> record map."""
-        return self._nets
+    def instances(self) -> Mapping[str, Instance]:
+        """Instance name -> record map (read-only; records are
+        snapshots)."""
+        return _Records(self._inst_ids, self._inst_names, self._instance)
 
     @property
-    def ports(self) -> Dict[str, Port]:
-        """Port name -> record map."""
-        return self._ports
+    def nets(self) -> Mapping[str, Net]:
+        """Net name -> record map (read-only; records are snapshots)."""
+        return _Records(self._net_ids, self._net_names, self._net)
+
+    @property
+    def ports(self) -> Mapping[str, Port]:
+        """Port name -> record map (read-only; records are snapshots)."""
+        return _Records(self._port_ids, self._port_names, self._port)
 
     def instance(self, name: str) -> Instance:
         """Look up one instance by name."""
-        return self._instances[name]
+        return self._instance(self._inst_ids[name])
 
     def net(self, name: str) -> Net:
         """Look up one net by name."""
-        return self._nets[name]
+        return self._net(self._net_ids[name])
 
     def nets_of(self, instance_name: str) -> Set[str]:
-        """Names of all nets touching an instance."""
-        return set(self._pins[instance_name])
+        """Names of all nets touching an instance (found by a scan of
+        the pins)."""
+        i = self._inst_ids[instance_name]
+        view = self.arrays()
+        at = np.flatnonzero(view.pins == i)
+        nets = np.searchsorted(view.pin_ptr, at, side="right") - 1
+        return {self._net_names[e] for e in nets.tolist()}
 
     def cell(self, instance_name: str) -> StdCell:
         """The library cell of an instance."""
-        cell = self._cell_memo.get(instance_name)
-        if cell is None:
-            cell = self.library.get(
-                self._instances[instance_name].cell_name)
-            self._cell_memo[instance_name] = cell
-        return cell
+        return self._cells[self._cell[self._inst_ids[instance_name]]]
 
     def arrays(self) -> NetlistArrays:
         """The netlist as integer arrays (:class:`NetlistArrays`).
 
-        Built on first use and kept until the next ``add_instance``,
-        ``add_net`` or ``add_port``; ``clone`` and unpickling start
-        without one.  A record edited in place rather than through
-        those methods is not seen until one of them runs.
+        A read-only copy of the storage, made on first use and kept
+        until the next ``add_instance``, ``add_net`` or ``add_port``;
+        ``clone`` and unpickling start without one.
         """
         if self._arrays is None:
-            self._arrays = _build_arrays(self)
+            self._arrays = NetlistArrays(
+                cell=_numpy(self._cell, np.int32), cells=tuple(self._cells),
+                module=_numpy(self._module, np.int32),
+                modules=tuple(self._modules),
+                pin_ptr=_numpy(self._pin_ptr, np.int64),
+                pins=_numpy(self._pins, np.int32),
+                driver=_numpy(self._driver, np.int32),
+                clock=_numpy(self._clock, np.bool_))
         return self._arrays
 
     def __getstate__(self) -> Dict[str, object]:
-        """The records as a fresh view's arrays and packed name tables.
+        """The storage as fresh read-only arrays and packed name tables.
 
-        A fresh view, not the cached one, which a record edited in
-        place leaves stale.  Beside the view go the nets whose driver
-        is ``""`` (the view, like ``add_net``, reads it as no driver)
-        and the ports.  The pin index and the cell caches are derived,
-        so they stay out.
+        Beside the arrays go the nets whose driver is ``""`` and the
+        ports, with each port's net by name; the name -> id maps and
+        the cached :meth:`arrays` copy are derived, so they stay out.
         """
-        view = _build_arrays(self)
-        ports = self._ports.values()
         return {
             "name": self.name, "library": self.library,
-            "instances": _pack(self._instances),
-            "cells": _pack(cell.name for cell in view.cells),
-            "cell": view.cell,
-            "modules": _pack(view.modules), "module": view.module,
-            "nets": _pack(self._nets),
-            "pin_ptr": view.pin_ptr, "pins": view.pins,
-            "driver": view.driver, "clock": view.clock,
-            "blank_driver": np.array(
-                [e for e, net in enumerate(self._nets.values())
-                 if net.driver == ""], dtype=np.int64),
-            "ports": (_pack(p.name for p in ports),
-                      _pack(p.net for p in ports),
-                      _pack(p.bus for p in ports),
-                      np.array([_DIRECTIONS.index(p.direction)
-                                for p in ports], dtype=np.int8)),
+            "instances": _pack(self._inst_names),
+            "cells": _pack(cell.name for cell in self._cells),
+            "cell": _numpy(self._cell, np.int32),
+            "modules": _pack(self._modules),
+            "module": _numpy(self._module, np.int32),
+            "nets": _pack(self._net_names),
+            "pin_ptr": _numpy(self._pin_ptr, np.int64),
+            "pins": _numpy(self._pins, np.int32),
+            "driver": _numpy(self._driver, np.int32),
+            "clock": _numpy(self._clock, np.bool_),
+            "blank_driver": np.array(sorted(self._blank), dtype=np.int64),
+            "ports": (_pack(self._port_names),
+                      _pack(self._net_names[e] for e in self._port_net),
+                      _pack(self._port_bus),
+                      np.array(self._port_dir, dtype=np.int8)),
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        """Rebuild the records, in order, from :meth:`__getstate__`."""
-        self.name = state["name"]
-        self.library = state["library"]
-        names = _unpack(state["instances"])
-        cells = _unpack(state["cells"])
-        modules = _unpack(state["modules"])
-        self._instances = {
-            name: Instance(name, cells[c], modules[m])
-            for name, c, m in zip(names, state["cell"].tolist(),
-                                  state["module"].tolist())}
-        self._known_cells = set(cells)
-        self._cell_memo = {}
-        self._arrays = None
-        pins_of: Dict[str, Set[str]] = {name: set() for name in names}
-        blank = set(state["blank_driver"].tolist())
-        ptr = state["pin_ptr"].tolist()
-        pins = [names[i] for i in state["pins"].tolist()]
-        self._nets = {}
-        for e, (name, d, start, end, clock) in enumerate(zip(
-                _unpack(state["nets"]), state["driver"].tolist(), ptr,
-                ptr[1:], state["clock"].tolist())):
-            for endpoint in pins[start:end]:
-                pins_of[endpoint].add(name)
-            if d >= 0:
-                driver, start = names[d], start + 1
-            else:
-                driver = "" if e in blank else None
-            self._nets[name] = Net(name, driver, pins[start:end], clock)
-        self._pins = pins_of
-        port_names, nets, buses, directions = state["ports"]
-        self._ports = {
-            name: Port(name, _DIRECTIONS[d], net, bus)
-            for name, net, bus, d in zip(
-                _unpack(port_names), _unpack(nets), _unpack(buses),
-                directions.tolist())}
+        """Fill the storage from :meth:`__getstate__`, then
+        :meth:`validate` it, so a corrupt state raises."""
+        Netlist.__init__(self, state["name"], state["library"])
+        self._inst_names = _unpack(state["instances"])
+        self._inst_ids = _ids(self._inst_names)
+        self._cells = [self.library.get(c) for c in _unpack(state["cells"])]
+        self._cell_ids = _ids([cell.name for cell in self._cells])
+        self._cell = _buffer("i", state["cell"])
+        self._modules = _unpack(state["modules"])
+        self._module_ids = _ids(self._modules)
+        self._module = _buffer("i", state["module"])
+        self._net_names = _unpack(state["nets"])
+        self._net_ids = _ids(self._net_names)
+        self._pin_ptr = _buffer("q", state["pin_ptr"])
+        self._pins = _buffer("i", state["pins"])
+        self._driver = _buffer("i", state["driver"])
+        self._clock = _buffer("b", state["clock"])
+        self._blank = set(state["blank_driver"].tolist())
+        names, nets, buses, directions = state["ports"]
+        self._port_names = _unpack(names)
+        self._port_ids = _ids(self._port_names)
+        for port, net in zip(self._port_names, _unpack(nets)):
+            if net not in self._net_ids:
+                raise ValueError(f"port {port!r} references missing net "
+                                 f"{net!r}")
+            self._port_net.append(self._net_ids[net])
+        self._port_bus = _unpack(buses)
+        self._port_dir = _buffer("b", directions)
+        self.validate()
 
     def __len__(self) -> int:
-        return len(self._instances)
+        return len(self._inst_names)
 
     # ------------------------------------------------------------------ #
     # Statistics.
@@ -428,7 +534,7 @@ class Netlist:
     def total_cell_area_um2(self) -> float:
         """Sum of placed cell areas, added in instance order (the int
         ``0`` for an empty netlist)."""
-        if not self._instances:
+        if not self._inst_names:
             return 0
         area = self.arrays().cell_attr("area_um2")
         return float(sequential_sum(area))
@@ -440,67 +546,120 @@ class Netlist:
         return float(sequential_sum(leakage)) * 1e-6
 
     def cell_histogram(self) -> Dict[str, int]:
-        """Instance count per library cell name."""
-        hist: Dict[str, int] = {}
-        for inst in self._instances.values():
-            hist[inst.cell_name] = hist.get(inst.cell_name, 0) + 1
-        return hist
+        """Instance count per library cell name, in order of first
+        appearance."""
+        counts = np.bincount(self.arrays().cell, minlength=len(self._cells))
+        return {cell.name: count for cell, count in
+                zip(self._cells, counts.tolist())}
 
     def module_paths(self) -> Set[str]:
         """Distinct hierarchy labels present in the netlist."""
-        return {inst.module_path for inst in self._instances.values()}
+        return set(self._modules)
 
     def instances_in(self, module_prefix: str) -> List[str]:
         """Instance names whose module path matches or nests under a prefix."""
-        out = []
-        for inst in self._instances.values():
-            path = inst.module_path
-            if path == module_prefix or path.startswith(module_prefix + "/"):
-                out.append(inst.name)
-        return out
+        nested = module_prefix + "/"
+        matched = np.array([path == module_prefix or path.startswith(nested)
+                            for path in self._modules], dtype=bool)
+        names = self._inst_names
+        return [names[i] for i in
+                np.flatnonzero(matched[self.arrays().module]).tolist()]
 
     def average_fanout(self) -> float:
         """Mean sink count across nets (0.0 for empty netlist)."""
-        if not self._nets:
+        if not self._net_names:
             return 0.0
-        return sum(n.fanout() for n in self._nets.values()) / len(self._nets)
+        drivers = int(np.count_nonzero(self.arrays().driver >= 0))
+        return (len(self._pins) - drivers) / len(self._net_names)
 
     def validate(self) -> None:
-        """Check referential integrity; raises ``ValueError`` on corruption."""
-        for net in self._nets.values():
-            for endpoint in ([net.driver] if net.driver else []) + net.sinks:
-                if endpoint not in self._instances:
-                    raise ValueError(
-                        f"net {net.name!r} references missing instance "
-                        f"{endpoint!r}")
-        for port in self._ports.values():
-            if port.net not in self._nets:
-                raise ValueError(f"port {port.name!r} references missing net "
-                                 f"{port.net!r}")
+        """Check the storage invariants; raises ``ValueError`` on
+        corruption.
+
+        Every name table is free of repeats; every id array has its
+        table's length; cell and module ids number their tables in
+        order of first appearance; ``pin_ptr`` starts at 0, never
+        decreases and ends at the pin count; every pin, driver, port net
+        and direction code is in range; a net with a driver has it as
+        its first pin; and a net with a ``""`` driver has no driver id.
+        """
+        n, m = len(self._inst_names), len(self._net_names)
+        for what, names, ids in (
+                ("instance", self._inst_names, self._inst_ids),
+                ("cell", self._cells, self._cell_ids),
+                ("module", self._modules, self._module_ids),
+                ("net", self._net_names, self._net_ids),
+                ("port", self._port_names, self._port_ids)):
+            if len(ids) != len(names):
+                raise ValueError(f"repeated {what} names")
+        for what, have, want in (
+                ("cell", len(self._cell), n), ("module", len(self._module), n),
+                ("pin_ptr", len(self._pin_ptr), m + 1),
+                ("driver", len(self._driver), m),
+                ("clock", len(self._clock), m),
+                ("port net", len(self._port_net), len(self._port_names)),
+                ("port bus", len(self._port_bus), len(self._port_names)),
+                ("port direction", len(self._port_dir),
+                 len(self._port_names))):
+            if have != want:
+                raise ValueError(f"{what} array holds {have} entries for "
+                                 f"a table of {want}")
+        for what, buffer, table in (("cell", self._cell, self._cells),
+                                    ("module", self._module, self._modules)):
+            ids = _numpy(buffer, np.int32)
+            used, first = np.unique(ids, return_index=True)
+            if (not np.array_equal(used, np.arange(len(table)))
+                    or (np.diff(first) < 0).any()):
+                raise ValueError(f"{what} ids do not number their table in "
+                                 f"order of first appearance")
+        ptr = _numpy(self._pin_ptr, np.int64)
+        pins = _numpy(self._pins, np.int32)
+        if ptr[0] != 0 or ptr[-1] != len(pins) or (np.diff(ptr) < 0).any():
+            raise ValueError("pin_ptr must start at 0, never decrease and "
+                             "end at the pin count")
+        bad = _first_outside(pins, 0, n)
+        if bad >= 0:
+            net = int(np.searchsorted(ptr, bad, side="right")) - 1
+            raise ValueError(f"net {self._net_names[net]!r} has pin id "
+                             f"{pins[bad]} outside {n} instances")
+        driver = _numpy(self._driver, np.int32)
+        bad = _first_outside(driver, -1, n)
+        if bad >= 0:
+            raise ValueError(f"net {self._net_names[bad]!r} has driver id "
+                             f"{driver[bad]} outside {n} instances")
+        driven = np.flatnonzero(driver >= 0)
+        first = ptr[driven]
+        wrong = first >= ptr[driven + 1]
+        wrong[~wrong] = pins[first[~wrong]] != driver[driven[~wrong]]
+        if wrong.any():
+            net = int(driven[np.argmax(wrong)])
+            raise ValueError(f"net {self._net_names[net]!r} does not start "
+                             f"with its driver")
+        for net in sorted(self._blank):
+            if not 0 <= net < m or self._driver[net] != -1:
+                raise ValueError(f"net id {net} has a blank driver but is "
+                                 f"out of range or driven")
+        bad = _first_outside(_numpy(self._port_net, np.int32), 0, m)
+        if bad >= 0:
+            raise ValueError(f"port {self._port_names[bad]!r} references "
+                             f"missing net id {self._port_net[bad]}")
+        bad = _first_outside(_numpy(self._port_dir, np.int8), 0,
+                             len(_DIRECTIONS))
+        if bad >= 0:
+            raise ValueError(f"port {self._port_names[bad]!r} has direction "
+                             f"code {self._port_dir[bad]}")
 
     def clone(self, name: Optional[str] = None) -> "Netlist":
-        """Deep-copy the netlist so mutations don't leak back.
+        """Copy the netlist so mutations don't leak back.
 
-        The (immutable) cell library is shared; instances, nets, ports,
-        and the pin index are copied record by record — much faster than
-        ``copy.deepcopy`` and safe for downstream passes like SerDes
-        insertion that add instances and nets in place.
+        The (immutable) cell library is shared; the storage buffers,
+        lists and dicts are copied whole, which is safe for downstream
+        passes like SerDes insertion that add instances and nets in
+        place.
         """
         twin = Netlist(name or self.name, self.library)
-        twin._instances = {
-            n: Instance(name=i.name, cell_name=i.cell_name,
-                        module_path=i.module_path)
-            for n, i in self._instances.items()}
-        twin._nets = {
-            n: Net(name=net.name, driver=net.driver,
-                   sinks=list(net.sinks), is_clock=net.is_clock)
-            for n, net in self._nets.items()}
-        twin._ports = {
-            n: Port(name=p.name, direction=p.direction, net=p.net,
-                    bus=p.bus)
-            for n, p in self._ports.items()}
-        twin._pins = {n: set(s) for n, s in self._pins.items()}
-        twin._known_cells = set(self._known_cells)
+        for attr in _STORAGE:
+            setattr(twin, attr, copy.copy(getattr(self, attr)))
         return twin
 
     def subset(self, instance_names: Iterable[str],
@@ -510,37 +669,63 @@ class Netlist:
         Nets are kept if they touch at least one retained instance; nets
         that cross the boundary lose their external endpoints, and a port
         is synthesized for each cut net (direction inferred from whether
-        the retained side drives it).  This is the primitive the
-        partitioner uses to carve chiplets out of the flat design.
+        the retained side drives it; a ``""`` driver counts as outside).
+        This is the primitive the partitioner uses to carve chiplets out
+        of the flat design.  Instances keep the parent's order, whatever
+        the order of ``instance_names``, and so do nets and ports.
         """
         keep = set(instance_names)
-        missing = keep - self._instances.keys()
+        missing = keep - self._inst_ids.keys()
         if missing:
             raise KeyError(sorted(missing)[0])
+        view = self.arrays()
+        mask = np.zeros(len(self._inst_names), dtype=bool)
+        mask[np.fromiter(map(self._inst_ids.__getitem__, keep),
+                         dtype=np.int64, count=len(keep))] = True
+        kept = np.flatnonzero(mask)
+        new_id = (np.cumsum(mask) - 1).astype(np.int32)
         sub = Netlist(name or f"{self.name}_sub", self.library)
-        # Insert in parent-netlist order: iterating the ``keep`` set
-        # would make instance order — and order-sensitive downstream
-        # passes like FM bisection — vary with PYTHONHASHSEED.
-        for iname, inst in self._instances.items():
-            if iname not in keep:
-                continue
-            sub.add_instance(inst.name, inst.cell_name, inst.module_path)
-        for net in self._nets.values():
-            driver_in = net.driver in keep if net.driver else False
-            sinks_in = [s for s in net.sinks if s in keep]
-            if not driver_in and not sinks_in:
-                continue
-            cut = ((net.driver is not None and not driver_in)
-                   or len(sinks_in) != len(net.sinks))
-            sub.add_net(net.name, net.driver if driver_in else None,
-                        sinks_in, is_clock=net.is_clock)
-            if cut:
-                direction = (PortDirection.OUTPUT if driver_in
-                             else PortDirection.INPUT)
-                sub.add_port(f"{net.name}__pin", direction, net.name,
-                             bus=net.name.rsplit("[", 1)[0])
+        sub._inst_names = [self._inst_names[i] for i in kept.tolist()]
+        sub._inst_ids = _ids(sub._inst_names)
+        cell, sub._cells = _renumbered(view.cell[kept], self._cells)
+        sub._cell = _buffer("i", cell)
+        sub._cell_ids = _ids([c.name for c in sub._cells])
+        module, sub._modules = _renumbered(view.module[kept], self._modules)
+        sub._module = _buffer("i", module)
+        sub._module_ids = _ids(sub._modules)
+
+        m = len(view.driver)
+        pin_net = view.pin_net
+        pin_in = mask[view.pins]
+        driven = view.driver >= 0
+        driver_in = np.zeros(m, dtype=bool)
+        driver_in[driven] = mask[view.driver[driven]]
+        sinks_in = np.bincount(pin_net[pin_in & view.sink], minlength=m)
+        sinks = np.diff(view.pin_ptr) - driven
+        blank = np.zeros(m, dtype=bool)
+        blank[sorted(self._blank)] = True
+        cut = ((driven | blank) & ~driver_in) | (sinks_in != sinks)
+        nets = np.flatnonzero(driver_in | (sinks_in > 0))
+        ptr = np.zeros(len(nets) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pin_net[pin_in], minlength=m)[nets],
+                  out=ptr[1:])
+        driver = np.full(len(nets), -1, dtype=np.int32)
+        inside = driver_in[nets]
+        driver[inside] = new_id[view.driver[nets[inside]]]
+        sub._net_names = [self._net_names[e] for e in nets.tolist()]
+        sub._net_ids = _ids(sub._net_names)
+        sub._pin_ptr = _buffer("q", ptr)
+        sub._pins = _buffer("i", new_id[view.pins[pin_in]])
+        sub._driver = _buffer("i", driver)
+        sub._clock = _buffer("b", view.clock[nets])
+        for net, out in zip(nets[cut[nets]].tolist(),
+                            driver_in[nets[cut[nets]]].tolist()):
+            net_name = self._net_names[net]
+            sub.add_port(f"{net_name}__pin",
+                         PortDirection.OUTPUT if out else PortDirection.INPUT,
+                         net_name, bus=net_name.rsplit("[", 1)[0])
         # Preserve original top-level ports whose nets survived.
-        for port in self._ports.values():
-            if port.net in sub._nets and port.name not in sub._ports:
+        for port in map(self._port, range(len(self._port_names))):
+            if port.net in sub._net_ids and port.name not in sub._port_ids:
                 sub.add_port(port.name, port.direction, port.net, port.bus)
         return sub

@@ -82,15 +82,13 @@ class PartitionResult:
 
 
 def cut_nets(netlist: Netlist, assignment: Dict[str, int]) -> Set[str]:
-    """Nets whose pins lie in more than one part of the assignment."""
-    out: Set[str] = set()
-    for net in netlist.nets.values():
-        parts = {assignment[e] for e in net.sinks}
-        if net.driver:
-            parts.add(assignment[net.driver])
-        if len(parts) > 1:
-            out.add(net.name)
-    return out
+    """Nets whose pins lie in more than one part of the assignment
+    (which must give every instance a part)."""
+    part = np.fromiter(map(assignment.__getitem__, netlist.instances),
+                       dtype=np.int64, count=len(netlist))
+    names = list(netlist.nets)
+    cut = cut_mask(netlist.arrays(), part)
+    return {names[e] for e in np.flatnonzero(cut).tolist()}
 
 
 class Hypergraph(NamedTuple):
@@ -174,7 +172,8 @@ def carve(graph: Hypergraph, keep: np.ndarray) -> Hypergraph:
 
 def cut_mask(graph: Hypergraph, part: np.ndarray) -> np.ndarray:
     """Per net, whether its pins span more than one part of ``part``
-    (a part id per instance)."""
+    (a part id per instance).  Only ``graph.pin_ptr`` and
+    ``graph.pins`` are read, so a netlist's ``arrays()`` serves too."""
     sizes = np.diff(graph.pin_ptr)
     live = sizes > 0
     cut = np.zeros(len(sizes), dtype=bool)

@@ -60,8 +60,9 @@ def hierarchical_assignment(netlist: Netlist) -> Dict[str, int]:
     memory_modules = {m.name for m in modules_for_chiplet(MEMORY_CHIPLET)}
     logic_modules = {m.name for m in modules_for_chiplet(LOGIC_CHIPLET)}
     assignment: Dict[str, int] = {}
-    for name, inst in netlist.instances.items():
-        mod = module_of(inst.module_path or name)
+    view = netlist.arrays()
+    for name, module in zip(netlist.instances, view.module.tolist()):
+        mod = module_of(view.modules[module] or name)
         if mod in memory_modules:
             assignment[name] = 1
         elif mod in logic_modules:

@@ -11,7 +11,7 @@ stacks), and the resulting sparse linear system is solved directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -128,71 +128,65 @@ class ThermalGrid:
 
     # ------------------------------------------------------------------ #
 
-    def _index(self, z: int, y: int, x: int) -> int:
-        return (z * self.ny + y) * self.nx + x
+    def system(self) -> Tuple[scipy.sparse.csr_matrix, np.ndarray]:
+        """The steady system ``G T = b + q``, assembled in numpy.
+
+        ``G`` holds the harmonic-mean conductance between each pair of
+        neighbouring cells, off the diagonal as ``-g`` and summed on it,
+        plus the top and bottom convection on the diagonal; ``b`` is
+        the convection's pull towards ambient.  Each cell's diagonal
+        adds, from 0.0, its coupling to the z-1, y-1 and x-1
+        neighbours, then to the x+1, y+1 and z+1 ones, then top and
+        bottom convection: the order of the original per-cell loop, so
+        ``G`` and ``b`` are the same bytes it built.
+        """
+        nz, ny, nx = self.nz, self.ny, self.nx
+        k, dz = self.k, self.dz
+        area_z = self.dx * self.dy
+        gx = (_hmean(k[:, :, :-1], k[:, :, 1:])
+              * (self.dy * dz)[:, None, None] / self.dx)
+        gy = (_hmean(k[:, :-1], k[:, 1:])
+              * (self.dx * dz)[:, None, None] / self.dy)
+        gz = (_hmean(k[:-1], k[1:]) * area_z
+              / ((dz[:-1] + dz[1:]) / 2.0)[:, None, None])
+        diag = np.zeros((nz, ny, nx))
+        diag[1:] += gz
+        diag[:, 1:] += gy
+        diag[:, :, 1:] += gx
+        diag[:, :, :-1] += gx
+        diag[:, :-1] += gy
+        diag[:-1] += gz
+        diag[-1] += self.h_top * area_z
+        diag[0] += self.h_bottom * area_z
+        b = np.zeros((nz, ny, nx))
+        b[-1] += self.h_top * area_z * self.ambient_c
+        b[0] += self.h_bottom * area_z * self.ambient_c
+        n = nz * ny * nx
+        cell = np.arange(n).reshape(nz, ny, nx)
+        # Each coupled pair (a, c) with conductance g, in x, y, z.
+        a = np.concatenate([cell[:, :, :-1].ravel(), cell[:, :-1].ravel(),
+                            cell[:-1].ravel()])
+        c = np.concatenate([cell[:, :, 1:].ravel(), cell[:, 1:].ravel(),
+                            cell[1:].ravel()])
+        g = np.concatenate([gx.ravel(), gy.ravel(), gz.ravel()])
+        cell = cell.ravel()
+        G = scipy.sparse.csr_matrix(
+            (np.concatenate([-g, -g, diag.ravel()]),
+             (np.concatenate([a, c, cell]), np.concatenate([c, a, cell]))),
+            shape=(n, n))
+        return G, b.ravel()
 
     def solve(self) -> ThermalSolution:
-        """Assemble and solve the steady-state conduction problem."""
-        n = self.nz * self.ny * self.nx
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        diag = np.zeros(n)
-        rhs = np.zeros(n)
-
-        def couple(a: int, b: int, g: float) -> None:
-            rows.extend([a, b])
-            cols.extend([b, a])
-            vals.extend([-g, -g])
-            diag[a] += g
-            diag[b] += g
-
-        k = self.k
-        for z in range(self.nz):
-            tz = self.dz[z]
-            area_x = self.dy * tz
-            area_y = self.dx * tz
-            area_z = self.dx * self.dy
-            for y in range(self.ny):
-                for x in range(self.nx):
-                    a = self._index(z, y, x)
-                    if x + 1 < self.nx:
-                        kh = _hmean(k[z, y, x], k[z, y, x + 1])
-                        couple(a, a + 1, kh * area_x / self.dx)
-                    if y + 1 < self.ny:
-                        kh = _hmean(k[z, y, x], k[z, y + 1, x])
-                        couple(a, self._index(z, y + 1, x),
-                               kh * area_y / self.dy)
-                    if z + 1 < self.nz:
-                        dz_pair = (tz + self.dz[z + 1]) / 2.0
-                        kh = _hmean(k[z, y, x], k[z + 1, y, x])
-                        couple(a, self._index(z + 1, y, x),
-                               kh * area_z / dz_pair)
-
-        # Convection boundaries (top of top layer, bottom of bottom).
-        area_z = self.dx * self.dy
-        for y in range(self.ny):
-            for x in range(self.nx):
-                top = self._index(self.nz - 1, y, x)
-                diag[top] += self.h_top * area_z
-                rhs[top] += self.h_top * area_z * self.ambient_c
-                bot = self._index(0, y, x)
-                diag[bot] += self.h_bottom * area_z
-                rhs[bot] += self.h_bottom * area_z * self.ambient_c
-
-        rhs += self.q.ravel()
-        for i, d in enumerate(diag):
-            rows.append(i)
-            cols.append(i)
-            vals.append(d)
-        A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-        t = scipy.sparse.linalg.spsolve(A, rhs)
+        """Assemble (:meth:`system`) and solve the steady-state
+        conduction problem."""
+        G, b = self.system()
+        t = scipy.sparse.linalg.spsolve(G, b + self.q.ravel())
         return ThermalSolution(
             temperature_c=t.reshape(self.nz, self.ny, self.nx),
             ambient_c=self.ambient_c,
             total_power_w=float(self.q.sum()))
 
 
-def _hmean(a: float, b: float) -> float:
+def _hmean(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Harmonic mean of two conductivities (series interface)."""
     return 2.0 * a * b / (a + b)

@@ -12,7 +12,7 @@ factored once and stepped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse
@@ -94,12 +94,9 @@ def simulate_thermal_transient(grid: ThermalGrid, t_stop: float,
         raise ValueError("need 0 < dt < t_stop")
     n = grid.nz * grid.ny * grid.nx
 
-    # Reuse the steady-state assembly for G and the boundary RHS by
-    # solving with zero power to extract (G, b): G T = b + q.
-    q = grid.q.copy()
-    grid.q = np.zeros_like(q)
-    G, b = _assemble(grid)
-    grid.q = q
+    # The steady-state assembly: G T = b + q.
+    G, b = grid.system()
+    q = grid.q
 
     # Capacity per cell: volume * volumetric capacity.
     cell_vol = np.zeros((grid.nz, grid.ny, grid.nx))
@@ -133,61 +130,3 @@ def simulate_thermal_transient(grid: ThermalGrid, t_stop: float,
             out[name][s] = t_field[i]
 
     return ThermalTransientResult(time_s=times, probe_temps_c=out)
-
-
-def _assemble(grid: ThermalGrid):
-    """(G, b) of the steady system G T = b + q (conduction+convection)."""
-    import math
-    n = grid.nz * grid.ny * grid.nx
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    diag = np.zeros(n)
-    b = np.zeros(n)
-
-    def couple(a: int, c: int, g: float) -> None:
-        rows.extend([a, c])
-        cols.extend([c, a])
-        vals.extend([-g, -g])
-        diag[a] += g
-        diag[c] += g
-
-    k = grid.k
-    for z in range(grid.nz):
-        tz = grid.dz[z]
-        area_x = grid.dy * tz
-        area_y = grid.dx * tz
-        area_z = grid.dx * grid.dy
-        for y in range(grid.ny):
-            for x in range(grid.nx):
-                a = (z * grid.ny + y) * grid.nx + x
-                if x + 1 < grid.nx:
-                    kh = 2 * k[z, y, x] * k[z, y, x + 1] / (
-                        k[z, y, x] + k[z, y, x + 1])
-                    couple(a, a + 1, kh * area_x / grid.dx)
-                if y + 1 < grid.ny:
-                    kh = 2 * k[z, y, x] * k[z, y + 1, x] / (
-                        k[z, y, x] + k[z, y + 1, x])
-                    couple(a, ((z * grid.ny + y + 1) * grid.nx + x),
-                           kh * area_y / grid.dy)
-                if z + 1 < grid.nz:
-                    dz_pair = (tz + grid.dz[z + 1]) / 2.0
-                    kh = 2 * k[z, y, x] * k[z + 1, y, x] / (
-                        k[z, y, x] + k[z + 1, y, x])
-                    couple(a, (((z + 1) * grid.ny + y) * grid.nx + x),
-                           kh * area_z / dz_pair)
-    area_z = grid.dx * grid.dy
-    for y in range(grid.ny):
-        for x in range(grid.nx):
-            top = ((grid.nz - 1) * grid.ny + y) * grid.nx + x
-            diag[top] += grid.h_top * area_z
-            b[top] += grid.h_top * area_z * grid.ambient_c
-            bot = y * grid.nx + x
-            diag[bot] += grid.h_bottom * area_z
-            b[bot] += grid.h_bottom * area_z * grid.ambient_c
-    for i, d in enumerate(diag):
-        rows.append(i)
-        cols.append(i)
-        vals.append(d)
-    G = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return G, b

@@ -33,13 +33,14 @@ class TestNetlistMemoIsolation:
 
     def test_mutation_does_not_leak_to_next_clone(self):
         a = generate_chiplet_netlist("logic", scale=0.02, seed=7)
-        some_net = next(iter(a.nets))
-        a.add_instance("EXTRA_inst", a.instance(
-            next(iter(a.instances))).cell_name)
-        a.net(some_net).sinks.append("EXTRA_inst")
+        some = next(iter(a.instances))
+        a.add_instance("EXTRA_inst", a.instance(some).cell_name)
+        a.add_net("EXTRA_net", some, ["EXTRA_inst"])
+        assert "EXTRA_net" in a.nets_of(some)
         b = generate_chiplet_netlist("logic", scale=0.02, seed=7)
         assert "EXTRA_inst" not in b.instances
-        assert "EXTRA_inst" not in b.net(some_net).sinks
+        assert "EXTRA_net" not in b.nets
+        assert "EXTRA_net" not in b.nets_of(some)
         b.validate()
 
     def test_tile_netlist_clone_isolated(self):

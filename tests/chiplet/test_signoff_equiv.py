@@ -170,9 +170,10 @@ def test_nine_die_parts(nine_die_system, part):
 # ---------------------------------------------------------------------- #
 
 
-def _netlist(cells, nets, module="m"):
-    """``cells``: (name, cell); ``nets``: (name, driver, sinks[, clock])."""
-    nl = Netlist("hand", N28_LIB)
+def _netlist(cells, nets, module="m", cls=Netlist):
+    """``cells``: (name, cell); ``nets``: (name, driver, sinks[, clock]);
+    ``cls`` the netlist class to build."""
+    nl = cls("hand", N28_LIB)
     for name, cell in cells:
         nl.add_instance(name, cell, module)
     for name, driver, sinks, *clock in nets:
@@ -314,9 +315,10 @@ def test_stale_route_is_refused():
             stage(route)
 
 
-def _random_netlist(seed):
-    """A random acyclic netlist: instances added in a shuffled order,
-    three modules, clock, port-driven, dangling and repeated pins."""
+def _random_netlist(seed, cls=Netlist):
+    """A random acyclic ``cls`` netlist: instances added in a shuffled
+    order, three modules, clock, port-driven, dangling and repeated
+    pins."""
     rng = random.Random(seed)
     comb = ["INV_X1", "NAND2_X1", "NOR2_X1", "XOR2_X1", "FA_X1", "BUF_X4"]
     seq = ["DFF_X1", "DFF_X2", "SRAM_SLICE_64b"]
@@ -324,7 +326,7 @@ def _random_netlist(seed):
     kinds = [rng.choice(seq if rng.random() < 0.3 else comb)
              for _ in range(count)]
     is_seq = [k in seq for k in kinds]
-    nl = Netlist(f"rand{seed}", N28_LIB)
+    nl = cls(f"rand{seed}", N28_LIB)
     order = list(range(count))
     rng.shuffle(order)
     for i in order:
@@ -346,13 +348,3 @@ def _random_netlist(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_netlists(seed):
     _check(_random_netlist(seed))
-
-
-def test_signoff_leaves_the_cell_memo_alone():
-    nl = _random_netlist(3)
-    route = global_route(place(nl, floorplan(nl, 300, 300)))
-    power = analyze_power(route)
-    analyze_timing(route)
-    power_density_map(route, power)
-    hypergraph(nl)
-    assert nl._cell_memo == {}

@@ -289,11 +289,17 @@ class TestValueProjection:
 
     @staticmethod
     def _swap_two_sinks(netlist):
-        net = next(n for n in netlist.nets.values()
-                   if len(set(n.sinks)) > 1)
-        first = net.sinks[0]
-        other = next(i for i, s in enumerate(net.sinks) if s != first)
-        net.sinks[0], net.sinks[other] = net.sinks[other], first
+        # Records are snapshots, so the swap goes into the pin buffer.
+        e = next(e for e, n in enumerate(netlist.nets.values())
+                 if len(set(n.sinks)) > 1)
+        before = netlist.net(netlist._net_names[e]).sinks
+        pins = netlist._pins
+        first = netlist._pin_ptr[e] + (netlist._driver[e] >= 0)
+        other = next(i for i in range(first, netlist._pin_ptr[e + 1])
+                     if pins[i] != pins[first])
+        pins[first], pins[other] = pins[other], pins[first]
+        after = netlist.net(netlist._net_names[e]).sinks
+        assert after != before and sorted(after) == sorted(before)
 
     @pytest.mark.parametrize("mutation", ["placement_x", "sinks", "eye"])
     def test_one_ulp_or_one_swap_moves_the_digest(self, eyed, mutation):

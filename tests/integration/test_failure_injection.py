@@ -26,9 +26,14 @@ class TestNetlistCorruption:
         nl = Netlist("x", N28_LIB)
         nl.add_instance("a", "INV_X1")
         nl.add_net("n", "a", [])
-        # Corrupt internals directly (simulating a buggy transform).
+        # A record is a snapshot: editing it leaves the netlist as it was.
         nl.nets["n"].sinks.append("ghost")
-        with pytest.raises(ValueError, match="missing instance"):
+        assert nl.net("n").sinks == []
+        nl.validate()
+        # Corrupt the storage directly (simulating a buggy transform).
+        nl._pins.append(1)
+        nl._pin_ptr[-1] += 1
+        with pytest.raises(ValueError, match="pin id 1 outside 1 instances"):
             nl.validate()
 
     def test_dangling_port_caught(self):
@@ -36,7 +41,10 @@ class TestNetlistCorruption:
         nl.add_instance("a", "INV_X1")
         nl.add_net("n", "a", [])
         nl.add_port("p", PortDirection.OUTPUT, "n")
-        del nl.nets["n"]
+        with pytest.raises(TypeError):
+            del nl.nets["n"]
+        nl.validate()
+        nl._port_net[0] = 1
         with pytest.raises(ValueError, match="missing net"):
             nl.validate()
 

@@ -14,7 +14,11 @@ kernel that production now runs vectorized or compiled:
   partitioning over per-part ``Netlist.subset`` copies;
 * :mod:`.signoff` — chiplet floorplan, placement, global route, STA,
   power and power map, and FM's hypergraph, walking the netlist
-  records by name.
+  records by name;
+* :mod:`.netlist` — the ``Netlist`` as name-keyed dicts of record
+  objects, with its one-pass array view and record-by-record
+  ``subset``;
+* :mod:`.thermal` — the thermal grid's per-cell matrix assembly.
 
 They live beside the tests rather than in ``src/repro`` so that editing
 a reference never changes :func:`repro.core.request.code_version` and so
