@@ -24,8 +24,7 @@ import cycle.
     A binary-heap A*, ported line for line from
     :meth:`~repro.interposer.routing.RoutingGrid.maze_route_scalar`,
     for every search the oracle does not take: diagonal (organic) grids,
-    whose sqrt(2) step costs rule out a bucket queue, and Manhattan
-    grids whose cost constants are not integers.  Heap keys
+    whose sqrt(2) step costs rule out a bucket queue.  Heap keys
     ``(f, g, state)`` are unique (a re-push needs a strictly smaller
     ``g``), so any exact priority queue pops the same sequence as
     :mod:`heapq`; with the scalar search's state encoding, move order,

@@ -131,10 +131,6 @@ class ModuleCells:
         self.level_of: Dict[str, int] = {}
         self.depth = depth
 
-    def comb_at(self, level: int) -> List[str]:
-        """Combinational instances at one pipeline level."""
-        return [n for n, l in self.level_of.items() if l == level]
-
     def boundaries(self) -> List[str]:
         """Sequential stage boundaries (flops + SRAM slices), in
         generation-index order — the order that preserves placement

@@ -123,11 +123,6 @@ def modules_for_chiplet(chiplet: str) -> List[ModuleSpec]:
     return [m for m in TILE_MODULES if m.chiplet == chiplet]
 
 
-def chiplet_instance_count(chiplet: str) -> int:
-    """Total synthesized instances for one chiplet of one tile."""
-    return sum(m.instance_count for m in modules_for_chiplet(chiplet))
-
-
 @dataclass(frozen=True)
 class BusSpec:
     """A logical bus between modules or between chiplets/tiles.
@@ -169,13 +164,3 @@ INTRA_TILE_BUSES: List[BusSpec] = [
     BusSpec("l3_addr", 64, "l2", "l3_ctrl"),
     BusSpec("l3_ctrl_sigs", 39, "l2", "l3_ctrl", is_control=True),
 ]
-
-
-def inter_tile_signal_count() -> int:
-    """Raw (pre-SerDes) inter-tile signal count: 6*64 + 20 = 404."""
-    return sum(b.width for b in INTER_TILE_BUSES)
-
-
-def intra_tile_signal_count() -> int:
-    """Logic-to-memory cut size within one tile: 231."""
-    return sum(b.width for b in INTRA_TILE_BUSES)

@@ -545,32 +545,9 @@ class Netlist:
         leakage = self.arrays().cell_attr("leakage_nw")
         return float(sequential_sum(leakage)) * 1e-6
 
-    def cell_histogram(self) -> Dict[str, int]:
-        """Instance count per library cell name, in order of first
-        appearance."""
-        counts = np.bincount(self.arrays().cell, minlength=len(self._cells))
-        return {cell.name: count for cell, count in
-                zip(self._cells, counts.tolist())}
-
     def module_paths(self) -> Set[str]:
         """Distinct hierarchy labels present in the netlist."""
         return set(self._modules)
-
-    def instances_in(self, module_prefix: str) -> List[str]:
-        """Instance names whose module path matches or nests under a prefix."""
-        nested = module_prefix + "/"
-        matched = np.array([path == module_prefix or path.startswith(nested)
-                            for path in self._modules], dtype=bool)
-        names = self._inst_names
-        return [names[i] for i in
-                np.flatnonzero(matched[self.arrays().module]).tolist()]
-
-    def average_fanout(self) -> float:
-        """Mean sink count across nets (0.0 for empty netlist)."""
-        if not self._net_names:
-            return 0.0
-        drivers = int(np.count_nonzero(self.arrays().driver >= 0))
-        return (len(self._pins) - drivers) / len(self._net_names)
 
     def validate(self) -> None:
         """Check the storage invariants; raises ``ValueError`` on

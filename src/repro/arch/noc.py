@@ -12,7 +12,6 @@ architecture section implies but does not evaluate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..partition.serdes import SerDesConfig
 
@@ -146,28 +145,3 @@ def tile_amat(link: LinkLatencyReport,
         + params.l3_miss_rate * params.dram_cycles
     l2_time = params.l2_hit_cycles + params.l2_miss_rate * l3_time
     return params.l1_hit_cycles + params.l1_miss_rate * l2_time
-
-
-def serdes_performance_cost(ratios=(1, 2, 4, 8, 16),
-                            offered_flits_per_cycle: float = 0.02
-                            ) -> Dict[int, Dict[str, float]]:
-    """AMAT impact of the SerDes ratio (the paper's 8:1 trade).
-
-    Intra-tile L3 traffic is *not* serialized in the paper (231 parallel
-    signals), but the inter-tile NoC is; this sweep treats the link
-    under study as serialized at each ratio to expose the trend.
-
-    Returns:
-        ratio → {latency_cycles, amat_cycles, bandwidth_gbps}.
-    """
-    out: Dict[int, Dict[str, float]] = {}
-    for ratio in ratios:
-        cfg = SerDesConfig(ratio=ratio, latency_cycles=ratio)
-        params = LinkParameters(serdes=cfg)
-        rep = link_latency(params, offered_flits_per_cycle)
-        out[ratio] = {
-            "latency_cycles": rep.total_latency_cycles,
-            "amat_cycles": tile_amat(rep),
-            "bandwidth_gbps": rep.bandwidth_gbps,
-        }
-    return out

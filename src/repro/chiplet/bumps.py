@@ -73,11 +73,6 @@ class BumpPlan:
     bumps: List[Bump] = field(default_factory=list)
 
     @property
-    def total_bumps(self) -> int:
-        """Signal plus P/G bump count."""
-        return self.signal_bumps + self.pg_bumps
-
-    @property
     def area_mm2(self) -> float:
         """Die area in square millimetres."""
         return self.width_mm * self.width_mm
@@ -85,10 +80,6 @@ class BumpPlan:
     def signal_positions(self) -> List[Tuple[float, float]]:
         """(x, y) of every signal bump in microns."""
         return [(b.x_um, b.y_um) for b in self.bumps if b.kind == "signal"]
-
-    def pg_positions(self) -> List[Tuple[float, float]]:
-        """(x, y) of every power/ground bump in microns."""
-        return [(b.x_um, b.y_um) for b in self.bumps if b.kind != "signal"]
 
 
 def plan_bumps(signal_count: int, spec: InterposerSpec,

@@ -88,10 +88,6 @@ class IoDriverSpec:
             raise ValueError("activity must be in [0, 1]")
         return self.energy_per_bit_fj * frequency_hz * activity * 1e-9
 
-    def interconnect_energy_fj(self, load_ff: float) -> float:
-        """CV^2 energy of charging the external interconnect per bit."""
-        return load_ff * self.vdd ** 2
-
 
 #: The driver used throughout the paper.
 AIB_DRIVER = IoDriverSpec()

@@ -57,13 +57,6 @@ class Placement:
         idx = self.index_of[instance]
         return float(self.x_um[idx]), float(self.y_um[idx])
 
-    def in_region(self, instance: str) -> bool:
-        """Whether an instance lies inside its module's region."""
-        inst = self.netlist.instance(instance)
-        region = self.floorplan.region_of(inst.module_path)
-        x, y = self.position(instance)
-        return region.contains(x, y)
-
 
 def hilbert_d2xy(side: int, d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Hilbert-curve positions of distances ``d`` on a ``side x side`` grid.
@@ -180,18 +173,3 @@ def hex_spiral(n: int) -> List[Tuple[int, int]]:
                 out.append((q, r))
                 q, r = q + dq, r + dr
     return out
-
-
-def placement_stats(placement: Placement) -> Dict[str, float]:
-    """Quick placement quality metrics (used by tests and reports)."""
-    fp = placement.floorplan
-    inside = sum(
-        1 for n in placement.netlist.instances if placement.in_region(n))
-    return {
-        "instances": float(len(placement.netlist.instances)),
-        "inside_region_fraction": inside / max(
-            len(placement.netlist.instances), 1),
-        "utilization": fp.utilization,
-        "die_width_um": fp.die.w,
-        "die_height_um": fp.die.h,
-    }

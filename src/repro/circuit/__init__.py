@@ -6,25 +6,20 @@ eye diagrams).  It is a general linear circuit engine: R/L/C with mutual
 inductance, independent sources with SPICE-style waveforms, and VCVS.
 """
 
-from .ac import (AcSweepResult, driving_point_impedance, log_frequencies,
-                 transfer_function)
+from .ac import AcSweepResult, driving_point_impedance, log_frequencies
 from .elements import (Capacitor, Circuit, CurrentSource, Inductor,
                        MutualInductance, Resistor, VCVS, VoltageSource,
                        is_ground)
 from .mna import Solution, solve_ac, solve_dc
-from .noise import NoiseReport, output_noise, receiver_noise_mv
-from .spice import write_spice
 from .transient import TransientResult, simulate
-from .twoport import TwoPort, cascade, is_passive, s_to_abcd
-from .waveforms import (bitstream, dc, prbs_bits, pulse, pwl, sine, step)
+from .twoport import TwoPort, cascade, is_passive
+from .waveforms import bitstream, dc, prbs_bits, pulse, step
 
 __all__ = [
     "AcSweepResult", "Capacitor", "Circuit", "CurrentSource", "Inductor",
-    "MutualInductance", "NoiseReport", "Resistor", "Solution",
+    "MutualInductance", "Resistor", "Solution",
     "TransientResult", "TwoPort",
     "VCVS", "VoltageSource", "bitstream", "cascade", "dc",
     "driving_point_impedance", "is_ground", "is_passive", "log_frequencies",
-    "prbs_bits", "pulse", "pwl", "s_to_abcd", "simulate", "sine", "solve_ac",
-    "output_noise", "receiver_noise_mv",
-    "solve_dc", "step", "transfer_function", "write_spice",
+    "prbs_bits", "pulse", "simulate", "solve_ac", "solve_dc", "step",
 ]

@@ -2,7 +2,7 @@
 
 The PDN impedance profile of Fig. 15 is a driving-point impedance sweep:
 inject a 1 A AC current at the chiplet power bumps and record the voltage.
-This module provides that sweep plus generic transfer-function sweeps.
+This module provides that sweep.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ class AcSweepResult:
         """|value| per sweep point."""
         return np.abs(self.values)
 
-    def phase_deg(self) -> np.ndarray:
-        """Phase in degrees per sweep point."""
-        return np.angle(self.values, deg=True)
-
     def at(self, frequency_hz: float) -> complex:
         """Value at the sweep point nearest to ``frequency_hz``."""
         idx = int(np.argmin(np.abs(self.frequencies_hz - frequency_hz)))
@@ -45,12 +41,6 @@ class AcSweepResult:
         """(frequency, |value|) of the magnitude peak."""
         mags = self.magnitude()
         idx = int(np.argmax(mags))
-        return float(self.frequencies_hz[idx]), float(mags[idx])
-
-    def min_magnitude(self) -> Tuple[float, float]:
-        """(frequency, |value|) of the magnitude minimum."""
-        mags = self.magnitude()
-        idx = int(np.argmin(mags))
         return float(self.frequencies_hz[idx]), float(mags[idx])
 
 
@@ -112,34 +102,3 @@ def _solve_sweep(circuit: Circuit, freqs: np.ndarray,
         _st, A, _z = assemble_ac(circuit, 2 * np.pi * f)
         X[i] = _robust_solve(A, Z[i])
     return X
-
-
-def transfer_function(circuit: Circuit, source_name: str, out_node: str,
-                      frequencies_hz: Sequence[float],
-                      out_ref: str = "0") -> AcSweepResult:
-    """Voltage transfer ``V(out)/V(source)`` vs frequency.
-
-    The named voltage source is driven with a unit phasor; every other
-    independent source is zeroed.
-    """
-    freqs = np.asarray(list(frequencies_hz), dtype=float)
-    if (freqs <= 0).any():
-        raise ValueError("AC frequencies must be positive")
-    src_idx = None
-    for i, vs in enumerate(circuit.vsources):
-        if vs.name == source_name:
-            src_idx = i
-            break
-    if src_idx is None:
-        raise KeyError(f"no voltage source named {source_name!r}")
-    st = CircuitStamps.of(circuit).structure
-    no = st.node(out_node)
-    nr = st.node(out_ref)
-    Z = np.zeros((len(freqs), st.size), dtype=complex)
-    Z[:, st.vsrc_offset + src_idx] = 1.0
-    X = _solve_sweep(circuit, freqs, Z)
-    values = ((X[:, no] if no >= 0 else 0.0)
-              - (X[:, nr] if nr >= 0 else 0.0))
-    if np.isscalar(values) or values.ndim == 0:  # both ends grounded
-        values = np.zeros(len(freqs), dtype=complex)
-    return AcSweepResult(frequencies_hz=freqs, values=values)

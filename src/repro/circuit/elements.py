@@ -96,12 +96,6 @@ class VoltageSource:
     n2: str
     waveform: Waveform
 
-    @classmethod
-    def dc_source(cls, name: str, n1: str, n2: str,
-                  value: float) -> "VoltageSource":
-        """Construct a constant-value source."""
-        return cls(name=name, n1=n1, n2=n2, waveform=dc(value))
-
 
 @dataclass
 class CurrentSource:

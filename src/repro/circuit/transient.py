@@ -90,26 +90,6 @@ class TransientResult:
             raise KeyError(f"node {node!r} was not recorded; recorded: "
                            f"{sorted(self.voltages)[:10]}...")
 
-    def final_value(self, node: str) -> float:
-        """Last sample of a node's waveform."""
-        return float(self.voltage(node)[-1])
-
-    def settling_time(self, node: str, target: Optional[float] = None,
-                      tolerance: float = 0.02) -> float:
-        """Time after which the node stays within ``tolerance`` (fractional)
-        of ``target`` (default: its final value).  Returns the last entry of
-        ``time`` if it never settles."""
-        v = self.voltage(node)
-        ref = target if target is not None else float(v[-1])
-        band = abs(ref) * tolerance if ref != 0 else tolerance
-        outside = np.abs(v - ref) > band
-        if not outside.any():
-            return float(self.time[0])
-        last_out = int(np.nonzero(outside)[0][-1])
-        if last_out + 1 >= len(self.time):
-            return float(self.time[-1])
-        return float(self.time[last_out + 1])
-
 
 def _recording_plan(circuit: Circuit, st: MnaStructure,
                     record: Optional[Sequence[str]],

@@ -1,14 +1,13 @@
-"""Two-port network parameters: ABCD/Z/Y/S conversions and cascading.
+"""Two-port network parameters: ABCD to S conversion and cascading.
 
 Plays the role of Keysight ADS + BBSpice in the paper's flow: vertical
-interconnect models (TSV/TGV/micro-bump) and transmission-line segments
-become ABCD matrices, get cascaded (e.g. back-to-back TSVs), and convert
-to S-parameters for eye-diagram channel characterization.
+interconnect models (TSV/TGV/micro-bump) become ABCD matrices, get
+cascaded (e.g. back-to-back TSVs), and convert to S-parameters for
+eye-diagram channel characterization.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,15 +57,6 @@ class TwoPort:
                 @ cls.series(z_ser, frequency_hz)
                 @ cls.shunt(y_half, frequency_hz))
 
-    @classmethod
-    def transmission_line(cls, z0: complex, gamma: complex, length_m: float,
-                          frequency_hz: float) -> "TwoPort":
-        """Uniform line of characteristic impedance z0, propagation gamma."""
-        gl = gamma * length_m
-        ch, sh = cmath.cosh(gl), cmath.sinh(gl)
-        return cls(frequency_hz,
-                   np.array([[ch, z0 * sh], [sh / z0, ch]]))
-
     # ------------------------------------------------------------------ #
     # Algebra.
     # ------------------------------------------------------------------ #
@@ -93,14 +83,6 @@ class TwoPort:
         s22 = (-a + b / z0 - c * z0 + d) / denom
         return np.array([[s11, s12], [s21, s22]])
 
-    def to_z(self) -> np.ndarray:
-        """Convert to Z-parameters; raises if C is singular (ideal short)."""
-        a, b = self.abcd[0]
-        c, d = self.abcd[1]
-        if abs(c) < 1e-30:
-            raise ValueError("two-port has no shunt path; Z-params singular")
-        return np.array([[a / c, (a * d - b * c) / c], [1 / c, d / c]])
-
     def insertion_loss_db(self, z0: float = 50.0) -> float:
         """|S21| in dB (negative = loss)."""
         s = self.to_s(z0)
@@ -111,19 +93,6 @@ class TwoPort:
         s = self.to_s(z0)
         return 20.0 * math.log10(max(abs(s[0, 0]), 1e-30))
 
-    def input_impedance(self, load: complex) -> complex:
-        """Impedance looking into port 1 with ``load`` on port 2."""
-        a, b = self.abcd[0]
-        c, d = self.abcd[1]
-        return (a * load + b) / (c * load + d)
-
-    def voltage_transfer(self, source_z: complex, load_z: complex) -> complex:
-        """V(load) / V(source EMF) for a sourced, terminated network."""
-        a, b = self.abcd[0]
-        c, d = self.abcd[1]
-        denom = (a * load_z + b) + source_z * (c * load_z + d)
-        return load_z / denom
-
 
 def cascade(ports: Sequence[TwoPort]) -> TwoPort:
     """Cascade a list of two-ports in order (port 2 of k into port 1 of k+1)."""
@@ -133,24 +102,6 @@ def cascade(ports: Sequence[TwoPort]) -> TwoPort:
     for p in ports[1:]:
         out = out @ p
     return out
-
-
-def s_to_abcd(s: np.ndarray, frequency_hz: float,
-              z0: float = 50.0) -> TwoPort:
-    """Build a :class:`TwoPort` from 2x2 S-parameters."""
-    s = np.asarray(s, dtype=complex)
-    if s.shape != (2, 2):
-        raise ValueError("S matrix must be 2x2")
-    s11, s12 = s[0]
-    s21, s22 = s[1]
-    if abs(s21) < 1e-30:
-        raise ValueError("S21 = 0: network is opaque, ABCD undefined")
-    den = 2 * s21
-    a = ((1 + s11) * (1 - s22) + s12 * s21) / den
-    b = z0 * ((1 + s11) * (1 + s22) - s12 * s21) / den
-    c = ((1 - s11) * (1 - s22) - s12 * s21) / (z0 * den)
-    d = ((1 - s11) * (1 + s22) + s12 * s21) / den
-    return TwoPort(frequency_hz, np.array([[a, b], [c, d]]))
 
 
 def is_passive(s: np.ndarray, tolerance: float = 1e-9) -> bool:

@@ -2,8 +2,8 @@
 
 A waveform is a callable ``t_seconds -> value`` plus a little metadata.
 The constructors here mirror the SPICE source syntax the paper's HSPICE
-decks would have used: DC, PULSE, PWL, SIN, and a PRBS generator for eye
-diagrams.
+decks would have used: DC and PULSE, a step, and a PRBS generator and
+bitstream for eye diagrams.
 
 Every constructor also attaches a vectorized ``wave.sample(times)``
 evaluator (``times`` a numpy array) so the transient engine can sample a
@@ -14,8 +14,7 @@ still work — they just fall back to per-point evaluation.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -96,73 +95,6 @@ def pulse(v1: float, v2: float, delay: float, rise: float, fall: float,
              v2,
              v2 + (v1 - v2) * (tc - rise - width) / fall],
             default=v1)
-        return out
-
-    wave.sample = sample
-    return wave
-
-
-def sine(offset: float, amplitude: float, frequency: float,
-         delay: float = 0.0) -> Waveform:
-    """SPICE SIN source."""
-    if frequency <= 0:
-        raise ValueError("frequency must be positive")
-
-    def wave(t: float) -> float:
-        if t < delay:
-            return offset
-        return offset + amplitude * math.sin(
-            2 * math.pi * frequency * (t - delay))
-
-    def sample(times: np.ndarray) -> np.ndarray:
-        t = np.asarray(times, dtype=float)
-        out = offset + amplitude * np.sin(
-            2 * math.pi * frequency * (t - delay))
-        out[t < delay] = offset
-        return out
-
-    wave.sample = sample
-    return wave
-
-
-def pwl(points: Sequence[Tuple[float, float]]) -> Waveform:
-    """Piecewise-linear source from (time, value) breakpoints.
-
-    Values before the first breakpoint hold the first value; after the
-    last they hold the last value.  Times must be strictly increasing.
-    """
-    pts = list(points)
-    if len(pts) < 2:
-        raise ValueError("PWL needs at least two points")
-    for (t0, _), (t1, _) in zip(pts, pts[1:]):
-        if t1 <= t0:
-            raise ValueError("PWL times must be strictly increasing")
-
-    times = [p[0] for p in pts]
-    values = [p[1] for p in pts]
-
-    def wave(t: float) -> float:
-        if t <= times[0]:
-            return values[0]
-        if t >= times[-1]:
-            return values[-1]
-        # Linear scan is fine: waveforms are short and called sequentially.
-        import bisect
-        i = bisect.bisect_right(times, t) - 1
-        frac = (t - times[i]) / (times[i + 1] - times[i])
-        return values[i] + frac * (values[i + 1] - values[i])
-
-    t_arr = np.array(times, dtype=float)
-    v_arr = np.array(values, dtype=float)
-
-    def sample(ts: np.ndarray) -> np.ndarray:
-        t = np.asarray(ts, dtype=float)
-        i = np.clip(np.searchsorted(t_arr, t, side="right") - 1,
-                    0, len(t_arr) - 2)
-        frac = (t - t_arr[i]) / (t_arr[i + 1] - t_arr[i])
-        out = v_arr[i] + frac * (v_arr[i + 1] - v_arr[i])
-        out[t <= t_arr[0]] = v_arr[0]
-        out[t >= t_arr[-1]] = v_arr[-1]
         return out
 
     wave.sample = sample

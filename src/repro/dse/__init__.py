@@ -28,8 +28,7 @@ from ..core.flow import flow_metrics
 from .evaluate import EVALUATORS, PointEvaluationError, evaluate_point
 from .fidelity import (FidelityRung, MultiFidelityResult,
                        MultiFidelityRunner, MultiFidelitySpec,
-                       PromotionPolicy, load_space, promote,
-                       run_multi_fidelity)
+                       PromotionPolicy, load_space, promote)
 from .report import generate_report, load_sweep_dir
 from .runner import SweepRunner, default_sweep_dir, run_sweep
 from .space import Axis, SweepSpec
@@ -41,6 +40,6 @@ __all__ = [
     "default_sweep_dir", "dominates", "elasticity", "evaluate_point",
     "failures", "flat_records", "flow_metrics", "generate_report",
     "load_points", "load_space", "load_sweep_dir", "pareto_front",
-    "promote", "run_multi_fidelity", "run_sweep",
+    "promote", "run_sweep",
     "sensitivity_summary", "successes",
 ]

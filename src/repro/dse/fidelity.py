@@ -386,13 +386,13 @@ class MultiFidelityResult:
             "objectives", "policy", "status", "evaluated", "failed",
             "promoted", "pruned", "survivors"}``.
         complete: Whether every rung (including the final one) finished.
-        out_dir: The ladder's store directory (``None`` in-memory).
+        out_dir: The ladder's store directory.
     """
 
     records: List[Dict[str, object]]
     funnel: List[Dict[str, object]]
     complete: bool
-    out_dir: Optional[Path]
+    out_dir: Path
 
     def funnel_lines(self) -> List[str]:
         """Human-readable pruning log, one line per rung (no silent
@@ -424,7 +424,7 @@ class MultiFidelityRunner:
             ``rung<i>_<evaluator>/`` subdirectory holding an ordinary
             :class:`~repro.dse.runner.SweepRunner` store.  Defaults to
             :func:`~repro.dse.runner.default_sweep_dir` of the sweep's
-            name; ``persist=False`` runs fully in memory.
+            name.
         jobs: Worker processes per rung.
         progress: Optional callback receiving per-point and per-rung
             progress lines.
@@ -433,17 +433,13 @@ class MultiFidelityRunner:
     def __init__(self, spec: MultiFidelitySpec,
                  out_dir: Optional[Path] = None,
                  jobs: int = 1,
-                 persist: bool = True,
                  progress: Optional[Callable[[str], None]] = None):
         spec.validate()
         self.spec = spec
         self.jobs = max(1, int(jobs))
         self.progress = progress
-        if not persist:
-            self.out_dir = None
-        else:
-            self.out_dir = Path(out_dir) if out_dir is not None \
-                else default_sweep_dir(spec.sweep.name)
+        self.out_dir = Path(out_dir) if out_dir is not None \
+            else default_sweep_dir(spec.sweep.name)
 
     # ---------------------------------------------------------------- #
     # Rung derivation.
@@ -514,11 +510,8 @@ class MultiFidelityRunner:
         for index, (evaluator, objectives, policy) in enumerate(ladder):
             rspec = self.rung_spec(index, evaluator, objectives,
                                    survivors)
-            rung_dir = None if self.out_dir is None else \
-                self.out_dir / self.rung_dir_name(index, evaluator)
-            runner = SweepRunner(rspec, out_dir=rung_dir,
-                                 jobs=self.jobs,
-                                 persist=self.out_dir is not None,
+            rung_dir = self.out_dir / self.rung_dir_name(index, evaluator)
+            runner = SweepRunner(rspec, out_dir=rung_dir, jobs=self.jobs,
                                  progress=self.progress)
             expected = len(rspec.points())
             rung_limit = None
@@ -533,8 +526,7 @@ class MultiFidelityRunner:
             entry: Dict[str, object] = {
                 "rung": index,
                 "evaluator": evaluator,
-                "dir": (self.rung_dir_name(index, evaluator)
-                        if self.out_dir is not None else None),
+                "dir": self.rung_dir_name(index, evaluator),
                 "objectives": {m: s for m, s in objectives},
                 "policy": policy.describe() if policy else None,
                 "status": ("complete" if len(records) == expected
@@ -571,7 +563,7 @@ class MultiFidelityRunner:
                                       for i in survivors]
             funnel.append(entry)
             self._log(MultiFidelityResult([], [entry], True,
-                                          None).funnel_lines()[0])
+                                          self.out_dir).funnel_lines()[0])
 
         result = MultiFidelityResult(records=records, funnel=funnel,
                                      complete=complete,
@@ -584,9 +576,9 @@ class MultiFidelityRunner:
     # ---------------------------------------------------------------- #
 
     def _rows_on_disk(self, runner: SweepRunner) -> int:
-        """Completed rows already in a rung store (0 when in-memory)."""
+        """Completed rows already in a rung store (0 for a new one)."""
         path = runner.points_path
-        if path is None or not path.exists():
+        if not path.exists():
             return 0
         with open(path) as fh:
             return sum(1 for line in fh if line.strip())
@@ -603,8 +595,6 @@ class MultiFidelityRunner:
         rung stores, so the file is byte-identical between an
         interrupted-then-resumed ladder and an uninterrupted one.
         """
-        if self.out_dir is None:
-            return
         self.out_dir.mkdir(parents=True, exist_ok=True)
         payload = {
             "name": self.spec.sweep.name,
@@ -617,9 +607,3 @@ class MultiFidelityRunner:
         }
         (self.out_dir / FIDELITY_MANIFEST).write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def run_multi_fidelity(spec: MultiFidelitySpec,
-                       jobs: int = 1) -> MultiFidelityResult:
-    """Evaluate a fidelity ladder fully in memory (no result store)."""
-    return MultiFidelityRunner(spec, jobs=jobs, persist=False).run()

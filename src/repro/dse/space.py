@@ -132,13 +132,6 @@ class Axis:
             for v in self.values or ():
                 validate_topology(2, v)
 
-    @property
-    def is_categorical(self) -> bool:
-        """Whether the axis holds non-numeric values (e.g. design names)."""
-        return self.values is not None and any(
-            not isinstance(v, (int, float)) or isinstance(v, bool)
-            for v in self.values)
-
     def grid_values(self) -> Tuple[object, ...]:
         """The axis's grid: explicit values, or ``num`` range samples."""
         if self.values is not None:

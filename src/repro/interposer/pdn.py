@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 from ..tech.interconnect3d import LumpedRLC, tgv_model, tsv_model
 from ..tech.interposer import (IntegrationStyle, InterposerSpec)
@@ -165,15 +165,3 @@ def build_pdn(placement: InterposerPlacement,
         metal_thickness_um=spec.metal_thickness_um,
         n_feed_vias=n_feed_vias,
         via=via)
-
-
-def pdn_summary(pdn: PdnStackup) -> Dict[str, float]:
-    """Human-readable PDN parameter summary (used by reports/tests)."""
-    return {
-        "plane_area_mm2": pdn.plane_area_mm2,
-        "plane_capacitance_nf": pdn.plane_capacitance_f() * 1e9,
-        "loop_inductance_nh": pdn.loop_inductance_h() * 1e9,
-        "feed_resistance_mohm": pdn.feed_resistance_ohm() * 1e3,
-        "plane_sheet_mohm_sq": pdn.plane_sheet_resistance() * 1e3,
-        "n_feed_vias": float(pdn.n_feed_vias),
-    }

@@ -102,19 +102,6 @@ class InterposerPlacement:
                 return d
         raise KeyError(f"no die named {name!r}")
 
-    def overlaps(self) -> bool:
-        """Whether any two same-level dies overlap (sanity invariant)."""
-        for i, a in enumerate(self.dies):
-            for b in self.dies[i + 1:]:
-                if a.level != b.level:
-                    continue
-                if (a.x_mm < b.x_mm + b.width_mm
-                        and b.x_mm < a.x_mm + a.width_mm
-                        and a.y_mm < b.y_mm + b.width_mm
-                        and b.y_mm < a.y_mm + a.width_mm):
-                    return True
-        return False
-
 
 def place_dies(spec: InterposerSpec, logic_plan: BumpPlan,
                memory_plan: BumpPlan, num_tiles: int = 2) -> InterposerPlacement:

@@ -40,11 +40,10 @@ scans, the scalar heap A*):
   expansion count are reconstructed exactly from the distance field
   (see :class:`_DistanceFieldOracle`), so results — including
   node-budget exhaustion — are bit-identical to the scalar A*.
-* Every other maze search — diagonal (organic) grids, and Manhattan
-  grids whose cost constants are not integers — runs the scalar A*
-  ported to C (``maze_astar`` in the same kernel), which pops the same
-  states in the same order and so returns the same path and expansion
-  count.
+* Every other maze search — on diagonal (organic) grids — runs the
+  scalar A* ported to C (``maze_astar`` in the same kernel), which pops
+  the same states in the same order and so returns the same path and
+  expansion count.
 * Without a C compiler every maze search runs
   :meth:`RoutingGrid.maze_route_scalar`, the one portable fallback.
 """
@@ -70,9 +69,14 @@ _LOG = logging.getLogger(__name__)
 CELL_UM = 20.0
 
 #: Cost of one via (in units of grid-cell steps).
+#:
+#: Both cost constants are integer-valued, and the router relies on it:
+#: the closed-form L-candidate costs, the packed-int scalar search and
+#: the distance-field maze engine all score paths in integer arithmetic.
 VIA_COST = 3.0
 
-#: Soft congestion penalty per overfull cell entered.
+#: Soft congestion penalty per overfull cell entered (integer-valued,
+#: see :data:`VIA_COST`).
 OVERFLOW_COST = 12.0
 
 #: Maze-search node budget per net during rip-up/reroute.
@@ -80,13 +84,6 @@ MAZE_NODE_BUDGET = 120000
 
 #: Maximum rip-up/reroute passes.
 RRR_ROUNDS = 2
-
-
-def _integer_costs() -> bool:
-    """Whether the cost constants are integer-valued (enables the
-    closed-form pattern scoring and the packed-int / distance-field maze
-    engines; all are gated at call time so tests may perturb them)."""
-    return VIA_COST == int(VIA_COST) and OVERFLOW_COST == int(OVERFLOW_COST)
 
 
 @dataclass
@@ -227,18 +224,6 @@ class InterposerRoute:
         """Nets with actual lateral routing (excludes stacked vias)."""
         return [n for n in self.nets if n.kind != "stacked_via"]
 
-    def total_wirelength_mm(self) -> float:
-        """Total routed wirelength in millimetres."""
-        return sum(n.length_mm for n in self.nets)
-
-    def wirelength_stats_mm(self) -> Dict[str, float]:
-        """min / avg / max over all nets (Table IV rows)."""
-        lengths = [n.length_mm for n in self.nets]
-        if not lengths:
-            return {"min": 0.0, "avg": 0.0, "max": 0.0}
-        return {"min": min(lengths), "avg": sum(lengths) / len(lengths),
-                "max": max(lengths)}
-
     def total_vias(self) -> int:
         """Total via count across all nets."""
         return sum(n.vias for n in self.nets)
@@ -249,24 +234,6 @@ class InterposerRoute:
         if not pool:
             raise ValueError(f"no nets of kind {kind!r}")
         return max(pool, key=lambda n: n.length_mm)
-
-    def layer_utilization_mm(self) -> Dict[int, float]:
-        """Routed wire length per signal layer (mm), layer 0 = topmost.
-
-        The per-layer split shows how congestion pushed late nets onto
-        upper layers — the mechanism behind Table IV's layer usage.
-        """
-        per_layer: Dict[int, float] = {}
-        cell_mm = CELL_UM / 1000.0
-        for net in self.routed_nets():
-            for (l0, y0, x0), (l1, y1, x1) in zip(net.path,
-                                                  net.path[1:]):
-                if l0 == l1:
-                    dy, dx = abs(y1 - y0), abs(x1 - x0)
-                    step = math.sqrt(2.0) if (dy and dx) else 1.0
-                    per_layer[l0] = per_layer.get(l0, 0.0) \
-                        + step * cell_mm
-        return per_layer
 
 
 class RoutingGrid:
@@ -346,8 +313,10 @@ class RoutingGrid:
     # Path cost.
     # ------------------------------------------------------------------ #
 
-    def path_cost(self, path: Sequence[Tuple[int, int, int]]) -> float:
-        """Cost of a candidate path against current occupancy.
+    def _path_cost_arrays(self, li: np.ndarray, yi: np.ndarray,
+                          xi: np.ndarray) -> float:
+        """Cost of a path, given as its (layer, y, x) index arrays,
+        against current occupancy.
 
         Vectorized, but bit-identical to the per-cell reference loop
         (``tests/oracles``): the per-cell increments (step/via, then
@@ -356,12 +325,6 @@ class RoutingGrid:
         evaluation reproduces every intermediate rounding of the Python
         loop.
         """
-        arr = np.asarray(path, dtype=np.intp)
-        return self._path_cost_arrays(arr[:, 0], arr[:, 1], arr[:, 2])
-
-    def _path_cost_arrays(self, li: np.ndarray, yi: np.ndarray,
-                          xi: np.ndarray) -> float:
-        """:meth:`path_cost` on pre-split index arrays."""
         over = (self.occupancy[li, yi, xi]
                 >= self.capacity[li, yi, xi])
         n = len(li)
@@ -384,50 +347,26 @@ class RoutingGrid:
     # Phase 1: pattern routing.
     # ------------------------------------------------------------------ #
 
-    def pattern_candidates(self, src: Tuple[int, int],
-                           dst: Tuple[int, int]) -> List[List[Tuple[int, int, int]]]:
-        """Candidate paths: L-shapes over layer pairs, or diagonal lines."""
-        sy, sx = src
-        ty, tx = dst
-        candidates: List[List[Tuple[int, int, int]]] = []
-        if self.diagonal:
-            for layer in range(self.layers):
-                candidates.append(self._line_path(layer, sy, sx, ty, tx))
-            return candidates
-        if self.layers == 1:
-            candidates.append(self._l_path(0, 0, sy, sx, ty, tx, True))
-            candidates.append(self._l_path(0, 0, sy, sx, ty, tx, False))
-            return candidates
-        for hl in self.h_layers():
-            for vl in self.v_layers():
-                candidates.append(self._l_path(hl, vl, sy, sx, ty, tx,
-                                               True))
-                candidates.append(self._l_path(hl, vl, sy, sx, ty, tx,
-                                               False))
-        return candidates
-
     def pattern_cost_table(self, src: Tuple[int, int],
                            dst: Tuple[int, int]) -> np.ndarray:
         """Costs of every pattern candidate, in candidate order.
 
         Segment-based: no candidate is materialized.  Entry ``i`` equals
-        the per-cell cost of ``pattern_candidates(src, dst)[i]``
-        bit-exactly (see :meth:`_pattern_costs_manhattan` /
-        :meth:`_line_path_arrays` for why).
+        the per-cell cost of candidate ``i`` of the scalar reference
+        router (``tests/oracles``) bit-exactly (see
+        :meth:`_pattern_costs_manhattan` / :meth:`_line_path_arrays` for
+        why).  Candidates are the L-shapes over every (horizontal,
+        vertical) layer pair, horizontal run first then vertical first,
+        or on a diagonal grid one 8-direction line per layer.
         """
         sy, sx = src
         ty, tx = dst
-        if not self.diagonal and _integer_costs():
+        if not self.diagonal:
             return self._pattern_costs_manhattan(sy, sx, ty, tx)
-        if self.diagonal:
-            return np.array([
-                self._path_cost_arrays(*self._line_path_arrays(
-                    layer, sy, sx, ty, tx))
-                for layer in range(self.layers)])
-        # Non-integer cost constants on a Manhattan grid (tests only):
-        # score materialized candidates with the replay-exact cost.
-        return np.array([self.path_cost(c)
-                         for c in self.pattern_candidates(src, dst)])
+        return np.array([
+            self._path_cost_arrays(*self._line_path_arrays(
+                layer, sy, sx, ty, tx))
+            for layer in range(self.layers)])
 
     def best_pattern_route(self, src: Tuple[int, int],
                            dst: Tuple[int, int]
@@ -543,31 +482,16 @@ class RoutingGrid:
         descend(0, ty, tx)
         return path
 
-    def _line_path(self, layer: int, sy: int, sx: int, ty: int,
-                   tx: int) -> List[Tuple[int, int, int]]:
-        """Bresenham-style 8-direction line on one layer."""
-        path: List[Tuple[int, int, int]] = [(0, sy, sx)]
-        for l in range(1, layer + 1):
-            path.append((l, sy, sx))
-        y, x = sy, sx
-        while (y, x) != (ty, tx):
-            dy = (ty > y) - (ty < y)
-            dx = (tx > x) - (tx < x)
-            y += dy
-            x += dx
-            path.append((layer, y, x))
-        for l in range(layer - 1, -1, -1):
-            path.append((l, ty, tx))
-        return path
-
     def _line_path_arrays(self, layer: int, sy: int, sx: int, ty: int,
                           tx: int
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`_line_path` as (layer, y, x) index arrays.
+        """The 8-direction line from ``(sy, sx)`` to ``(ty, tx)`` on one
+        layer, with its via stacks down to layer 0 at both ends, as
+        (layer, y, x) index arrays.
 
-        The 8-direction line steps diagonally while both coordinates
-        still differ, then straight: cell ``k`` sits at
-        ``s + sign * min(k, |delta|)`` per axis.
+        The line steps diagonally while both coordinates still differ,
+        then straight: cell ``k`` sits at ``s + sign * min(k, |delta|)``
+        per axis.
         """
         ady, adx = abs(ty - sy), abs(tx - sx)
         n = max(ady, adx)
@@ -602,11 +526,10 @@ class RoutingGrid:
                    ) -> Optional[List[Tuple[int, int, int]]]:
         """Congestion-aware A* from src to dst (both enter on layer 0).
 
-        On Manhattan grids with integer cost constants the search is
-        solved by the distance-field engine (:class:`_DistanceFieldOracle`).
-        All other searches (diagonal grids, non-integer costs) run the
-        compiled port of the scalar A*.  Without a C compiler, or if the
-        compiled A* fails, the scalar A* itself runs.  The result (path,
+        On Manhattan grids the search is solved by the distance-field
+        engine (:class:`_DistanceFieldOracle`); on diagonal grids it runs
+        the compiled port of the scalar A*.  Without a C compiler, or if
+        the compiled A* fails, the scalar A* itself runs.  The result (path,
         or ``None`` on node-budget exhaustion) is bit-identical to
         :meth:`maze_route_scalar` on every engine.
         """
@@ -625,9 +548,9 @@ class RoutingGrid:
         kernel = _load_maze_kernel()
         if kernel is None:
             return self.maze_route_scalar(src, dst, max_nodes), 0, "scalar"
-        if not self.diagonal and _integer_costs():
+        if not self.diagonal:
             oracle = self._oracle
-            if oracle is None or not oracle.valid():
+            if oracle is None:
                 oracle = self._oracle = _DistanceFieldOracle(self, kernel)
             try:
                 path, nodes = oracle.route(src, dst, max_nodes)
@@ -700,7 +623,9 @@ class RoutingGrid:
         implementation, at a fraction of the per-node cost: the
         over-capacity map is one snapshot bytes lookup instead of two
         numpy scalar reads per neighbor, and dict/set/heap keys are
-        small ints.
+        small ints.  Manhattan grids run the integer-key search
+        (:meth:`_maze_route_manhattan`); the float-keyed heap below
+        serves diagonal grids, with the octile heuristic.
         """
         sy, sx = src
         ty, tx = dst
@@ -712,7 +637,6 @@ class RoutingGrid:
         # Snapshot of over-capacity cells; occupancy is fixed during one
         # search (commits happen between maze calls).
         over = (self.occupancy >= self.capacity).tobytes()
-        diagonal = self.diagonal
         sq2 = math.sqrt(2.0)
         top = self.layers - 1
         # Per-layer lateral moves as (flat-delta, dy, dx, step-cost), in
@@ -721,17 +645,13 @@ class RoutingGrid:
                   for dy, dx in self._layer_dirs(l)]
                  for l in range(self.layers)]
 
-        if not diagonal and _integer_costs():
+        if not self.diagonal:
             return self._maze_route_manhattan(start, goal, ty, tx, over,
                                               moves, max_nodes)
 
-        if diagonal:
-            ay0 = sy - ty if sy >= ty else ty - sy
-            ax0 = sx - tx if sx >= tx else tx - sx
-            h0 = max(ay0, ax0) + 0.41421 * min(ay0, ax0)
-        else:
-            h0 = (sy - ty if sy >= ty else ty - sy) \
-                + (sx - tx if sx >= tx else tx - sx)
+        ay0 = sy - ty if sy >= ty else ty - sy
+        ax0 = sx - tx if sx >= tx else tx - sx
+        h0 = max(ay0, ax0) + 0.41421 * min(ay0, ax0)
         # Heap entries carry (y, x) after the flat index purely to avoid
         # re-deriving them on pop; they can never participate in tuple
         # comparison because two entries with the same index always
@@ -777,22 +697,14 @@ class RoutingGrid:
                     if ng < dist_get(nstate, inf):
                         dist[nstate] = ng
                         prev[nstate] = state
-                        if diagonal:
-                            ay = yy - ty if yy >= ty else ty - yy
-                            ax = xx - tx if xx >= tx else tx - xx
-                            hh = max(ay, ax) + 0.41421 * min(ay, ax)
-                        else:
-                            hh = (yy - ty if yy >= ty else ty - yy) \
-                                + (xx - tx if xx >= tx else tx - xx)
+                        ay = yy - ty if yy >= ty else ty - yy
+                        ax = xx - tx if xx >= tx else tx - xx
+                        hh = max(ay, ax) + 0.41421 * min(ay, ax)
                         heappush(pq, (ng + hh, ng, nstate, yy, xx))
             if l > 0 or l < top:
-                if diagonal:
-                    ay = y - ty if y >= ty else ty - y
-                    ax = x - tx if x >= tx else tx - x
-                    hh = max(ay, ax) + 0.41421 * min(ay, ax)
-                else:
-                    hh = (y - ty if y >= ty else ty - y) \
-                        + (x - tx if x >= tx else tx - x)
+                ay = y - ty if y >= ty else ty - y
+                ax = x - tx if x >= tx else tx - x
+                hh = max(ay, ax) + 0.41421 * min(ay, ax)
                 if l > 0:
                     nstate = state - plane
                     ng = g + (via_over if over[nstate] else via_cost)
@@ -976,11 +888,6 @@ class _DistanceFieldOracle:
         self._epoch = 0
         self.fields_built = 0
         self.fields_patched = 0
-
-    def valid(self) -> bool:
-        """Whether the oracle still matches the cost constants."""
-        return (self.via == int(VIA_COST)
-                and self.over_cost == int(OVERFLOW_COST))
 
     def _over_now(self) -> np.ndarray:
         """Over-capacity flags in (y, l, x) state order, read fresh."""

@@ -5,15 +5,12 @@ from .gdsii import (GdsCell, GdsLabel, GdsLibrary, GdsPath, GdsPolygon,
                     read_gds, write_gds)
 from .layout import (cell_to_svg, chiplet_to_gds, export_design_gds,
                      interposer_to_gds)
-from .verilog import verilog_stats, write_verilog
-from .touchstone import (SParameterData, read_touchstone,
-                         sample_two_port, write_touchstone)
+from .touchstone import SParameterData, sample_two_port, write_touchstone
 
 __all__ = [
     "DrcReport", "DrcViolation", "GdsCell", "GdsLabel", "GdsLibrary",
     "GdsPath", "GdsPolygon", "check_cell",
     "SParameterData", "cell_to_svg", "chiplet_to_gds",
     "export_design_gds", "interposer_to_gds", "read_gds",
-    "read_touchstone", "sample_two_port", "write_gds",
-    "verilog_stats", "write_touchstone", "write_verilog",
+    "sample_two_port", "write_gds", "write_touchstone",
 ]

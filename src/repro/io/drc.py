@@ -61,10 +61,6 @@ class DrcReport:
         """Whether no violations were found."""
         return not self.violations
 
-    def by_rule(self, rule: str) -> List[DrcViolation]:
-        """Violations of one rule type."""
-        return [v for v in self.violations if v.rule == rule]
-
 
 Segment = Tuple[float, float, float, float, float]  # x0,y0,x1,y1,width
 

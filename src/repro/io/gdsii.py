@@ -170,13 +170,6 @@ def _real8(value: float) -> bytes:
         mantissa.to_bytes(7, "big")
 
 
-def _parse_real8(data: bytes) -> float:
-    sign = -1.0 if data[0] & 0x80 else 1.0
-    exponent = (data[0] & 0x7F) - 64
-    mantissa = int.from_bytes(data[1:8], "big") / float(1 << 56)
-    return sign * mantissa * (16.0 ** exponent)
-
-
 def _xy(points: Sequence[Tuple[float, float]]) -> bytes:
     coords = []
     for x, y in points:

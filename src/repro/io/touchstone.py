@@ -1,10 +1,10 @@
-"""Touchstone (.s2p) S-parameter file writer/reader.
+"""Touchstone (.s2p) S-parameter file writer.
 
 The paper's SI flow passes S-parameters between tools (HFSS → ADS,
 HyperLynx → SPICE).  This module gives the reproduction the same
 interchange surface: any two-port frequency response (from
 :mod:`repro.circuit.twoport` models) can be written as an
-industry-standard Touchstone v1 ``.s2p`` file and read back.
+industry-standard Touchstone v1 ``.s2p`` file.
 
 Format emitted: ``# Hz S RI R <z0>`` (real/imaginary pairs), one
 frequency per line in S11 S21 S12 S22 column order, as the standard
@@ -14,7 +14,7 @@ requires for 2-ports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -96,66 +96,3 @@ def write_touchstone(data: SParameterData, path: str,
         lines.append(f"{f:.6e} {nums}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
-
-
-def read_touchstone(path: str) -> SParameterData:
-    """Read a 2-port Touchstone v1 file (S-parameters, RI/MA/DB formats).
-
-    Raises:
-        ValueError: For non-S data or malformed lines.
-    """
-    unit = 1e9  # Touchstone default is GHz
-    fmt = "ma"  # Touchstone default format
-    z0 = 50.0
-    rows: List[Tuple[float, List[float]]] = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("!", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                tokens = line[1:].lower().split()
-                i = 0
-                while i < len(tokens):
-                    t = tokens[i]
-                    if t in _FREQ_UNITS:
-                        unit = _FREQ_UNITS[t]
-                    elif t in ("ri", "ma", "db"):
-                        fmt = t
-                    elif t == "s":
-                        pass
-                    elif t in ("y", "z", "g", "h"):
-                        raise ValueError(f"unsupported parameter type "
-                                         f"{t.upper()!r}")
-                    elif t == "r":
-                        i += 1
-                        z0 = float(tokens[i])
-                    i += 1
-                continue
-            parts = [float(p) for p in line.split()]
-            if len(parts) != 9:
-                raise ValueError(f"expected 9 columns for a 2-port line, "
-                                 f"got {len(parts)}")
-            rows.append((parts[0] * unit, parts[1:]))
-
-    freqs = np.array([r[0] for r in rows])
-    s = np.zeros((len(rows), 2, 2), dtype=complex)
-    for k, (_, vals) in enumerate(rows):
-        pairs = [(vals[2 * i], vals[2 * i + 1]) for i in range(4)]
-        cplx = [_to_complex(a, b, fmt) for a, b in pairs]
-        # Column order S11 S21 S12 S22.
-        s[k, 0, 0], s[k, 1, 0], s[k, 0, 1], s[k, 1, 1] = cplx
-    return SParameterData(frequencies_hz=freqs, s=s, z0=z0)
-
-
-def _to_complex(a: float, b: float, fmt: str) -> complex:
-    if fmt == "ri":
-        return complex(a, b)
-    if fmt == "ma":
-        return a * np.exp(1j * np.deg2rad(b))
-    if fmt == "db":
-        return 10 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
-    raise ValueError(f"unknown format {fmt!r}")

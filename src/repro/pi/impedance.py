@@ -9,15 +9,16 @@ the analysis HyperLynx performs on the layout.
 The quasi-static loop-inductance model underestimates effects a full-wave
 solver captures (plane cavity modes, sparse-via current crowding, return
 path stretch-out), so each technology family carries a calibrated
-``loop_scale`` that anchors the 1 GHz inductive asymptote to the paper's
+loop scale that anchors the 1 GHz inductive asymptote to the paper's
 Table IV values while the *shape* of the profile comes entirely from the
-circuit.  The calibration is documented in DESIGN.md.
+circuit.  The calibration is documented in DESIGN.md; a spec without one
+raises rather than running uncalibrated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..circuit import Circuit, driving_point_impedance, log_frequencies
 from ..circuit.ac import AcSweepResult
@@ -41,6 +42,20 @@ LOOP_SCALE: Dict[str, float] = {
 }
 
 
+def loop_scale_for(spec_name: str) -> float:
+    """The :data:`LOOP_SCALE` calibration of one technology.
+
+    Raises:
+        KeyError: For a spec name with no calibration (a renamed or
+            user-built spec), naming it and the calibrated names.
+    """
+    try:
+        return LOOP_SCALE[spec_name]
+    except KeyError:
+        raise KeyError(f"no PDN loop calibration for spec {spec_name!r}; "
+                       f"calibrated: {sorted(LOOP_SCALE)}") from None
+
+
 @dataclass
 class PdnImpedanceReport:
     """PDN impedance analysis result.
@@ -62,8 +77,7 @@ class PdnImpedanceReport:
     plane_capacitance_f: float
 
 
-def build_pdn_circuit(pdn: PdnStackup,
-                      loop_scale: Optional[float] = None) -> Circuit:
+def build_pdn_circuit(pdn: PdnStackup) -> Circuit:
     """Assemble the PDN equivalent circuit seen from the chiplet bumps.
 
     Topology::
@@ -73,15 +87,15 @@ def build_pdn_circuit(pdn: PdnStackup,
                        [L_pkg, R_pkg] -- ideal regulator (gnd for AC)
 
     Args:
-        pdn: The PDN stackup geometry.
-        loop_scale: Override for the full-wave calibration multiplier;
-            defaults to the technology's :data:`LOOP_SCALE` entry.
+        pdn: The PDN stackup geometry; its spec's :data:`LOOP_SCALE`
+            entry calibrates the feed inductance.
+
+    Raises:
+        KeyError: If the spec has no calibration.
     """
-    scale = (loop_scale if loop_scale is not None
-             else LOOP_SCALE.get(pdn.spec.name, 10.0))
     ckt = Circuit(f"pdn_{pdn.spec.name}")
 
-    l_feed = pdn.loop_inductance_h() * scale
+    l_feed = pdn.loop_inductance_h() * loop_scale_for(pdn.spec.name)
     r_feed = max(pdn.feed_resistance_ohm()
                  + 2.0 * pdn.plane_sheet_resistance(), 1e-4)
     c_plane = pdn.plane_capacitance_f()
@@ -100,8 +114,7 @@ def build_pdn_circuit(pdn: PdnStackup,
 
 def analyze_pdn_impedance(pdn: PdnStackup,
                           f_start: float = 1e6, f_stop: float = 1e9,
-                          points_per_decade: int = 25,
-                          loop_scale: Optional[float] = None
+                          points_per_decade: int = 25
                           ) -> PdnImpedanceReport:
     """Sweep the PDN impedance profile (the paper's 1e6-1e9 Hz range).
 
@@ -110,19 +123,20 @@ def analyze_pdn_impedance(pdn: PdnStackup,
         f_start: Sweep start frequency.
         f_stop: Sweep stop frequency.
         points_per_decade: Sweep density.
-        loop_scale: Optional calibration override.
+
+    Raises:
+        KeyError: If the spec has no :data:`LOOP_SCALE` calibration.
     """
-    ckt = build_pdn_circuit(pdn, loop_scale)
+    ckt = build_pdn_circuit(pdn)
     freqs = log_frequencies(f_start, f_stop, points_per_decade)
     sweep = driving_point_impedance(ckt, "bump", freqs)
     mags = sweep.magnitude()
     f_peak, z_peak = sweep.peak_magnitude()
-    scale = (loop_scale if loop_scale is not None
-             else LOOP_SCALE.get(pdn.spec.name, 10.0))
     return PdnImpedanceReport(
         sweep=sweep,
         z_at_1ghz_ohm=float(mags[-1]),
         z_peak_ohm=z_peak,
         f_peak_hz=f_peak,
-        loop_inductance_h=pdn.loop_inductance_h() * scale,
+        loop_inductance_h=(pdn.loop_inductance_h()
+                           * loop_scale_for(pdn.spec.name)),
         plane_capacitance_f=pdn.plane_capacitance_f())

@@ -15,14 +15,13 @@ with a tolerance band.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..circuit import Circuit, simulate
 from ..circuit.waveforms import step
 from ..interposer.pdn import PdnStackup
-from .impedance import LOOP_SCALE, PACKAGE_L_H, PACKAGE_R_OHM
+from .impedance import PACKAGE_L_H, PACKAGE_R_OHM, loop_scale_for
 
 #: Effective IVR output inductance (buck averaged model), henries.
 REGULATOR_L_H = 15e-9
@@ -55,7 +54,6 @@ class PowerTransientReport:
 
 def analyze_power_transient(pdn: PdnStackup, load_power_w: float,
                             vdd: float = 0.9,
-                            loop_scale: Optional[float] = None,
                             t_stop: float = 8e-6,
                             tolerance: float = 0.015
                             ) -> PowerTransientReport:
@@ -65,14 +63,16 @@ def analyze_power_transient(pdn: PdnStackup, load_power_w: float,
         pdn: PDN stackup of the design.
         load_power_w: Total chiplet power (sets the load current).
         vdd: Regulator target voltage.
-        loop_scale: PDN loop calibration override.
         t_stop: Simulation length.
         tolerance: Settling band (fraction of final value).
+
+    Raises:
+        KeyError: If the spec has no PDN loop calibration
+            (:data:`~repro.pi.impedance.LOOP_SCALE`).
     """
     if load_power_w <= 0:
         raise ValueError("load power must be positive")
-    scale = (loop_scale if loop_scale is not None
-             else LOOP_SCALE.get(pdn.spec.name, 10.0))
+    scale = loop_scale_for(pdn.spec.name)
 
     ckt = Circuit(f"pwr_{pdn.spec.name}")
     # Regulator: target step through its averaged output impedance, plus

@@ -8,13 +8,12 @@ clients, and serves repeat requests from the content-addressed result
 store (:mod:`repro.core.store`) that CLI runs and local sweeps share.
 
 Start it with ``python -m repro serve`` and talk to it with
-:class:`ServeClient` / :class:`AsyncServeClient`, or point a
+:class:`ServeClient`, or point a
 :class:`~repro.dse.runner.SweepRunner` at it via ``server_url=``.
 See ``docs/GUIDE.md`` §14.
 """
 
-from .client import (AsyncServeClient, JobCancelled, JobHandle,
-                     ServeClient, ServeError)
+from .client import JobCancelled, JobHandle, ServeClient, ServeError
 from .protocol import (EvalRequest, ServeResult, execute_request,
                        request_for_point)
 from .server import (EvalServer, ServerConfig, ServerHandle,
@@ -22,7 +21,6 @@ from .server import (EvalServer, ServerConfig, ServerHandle,
 from .store import ContentStore, StoreStats
 
 __all__ = [
-    "AsyncServeClient",
     "ContentStore",
     "EvalRequest",
     "EvalServer",

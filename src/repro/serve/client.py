@@ -1,13 +1,11 @@
-"""Client library for the evaluation service (sync and async).
+"""Client library for the evaluation service.
 
-:class:`ServeClient` is the blocking client — ``http.client`` over a
+:class:`ServeClient` is a blocking client — ``http.client`` over a
 kept-alive connection, safe to use from worker threads (one client per
-thread).  :class:`AsyncServeClient` speaks the same protocol over
-``asyncio`` streams for callers already inside an event loop.  Both
-expose the same surface: submit one request or a batch, long-poll job
-state, fetch the full pickled :class:`ServeResult` (bit-exact metrics
-and, for flow tasks, the complete ``DesignResult``), cancel, and the
-admin endpoints.
+thread).  It covers the whole protocol: submit one request or a batch,
+long-poll job state, fetch the full pickled :class:`ServeResult`
+(bit-exact metrics and, for flow tasks, the complete
+``DesignResult``), cancel, and the admin endpoints.
 
 Results move as pickles of the server's canonical stored bytes, so a
 served evaluation is byte-identical to a direct local one — the
@@ -271,161 +269,3 @@ class ServeClient:
     def drain(self) -> None:
         """Ask the server to drain gracefully (same as SIGTERM)."""
         self._json("POST", "/v1/admin/drain")
-
-
-class AsyncServeClient:
-    """Asyncio client speaking the same protocol over streams.
-
-    One instance holds one connection; methods are coroutines.  Use as
-    an async context manager to close the connection deterministically.
-    """
-
-    def __init__(self, url: str, timeout: float = 60.0):
-        parts = urlsplit(url if "//" in url else f"http://{url}")
-        self.host = parts.hostname or "127.0.0.1"
-        self.port = parts.port or 80
-        self.timeout = timeout
-        self._reader: Optional[object] = None
-        self._writer: Optional[object] = None
-
-    async def _connect(self):
-        import asyncio
-        if self._writer is None:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port)
-        return self._reader, self._writer
-
-    async def close(self) -> None:
-        """Close the connection (idempotent)."""
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    async def __aenter__(self) -> "AsyncServeClient":
-        return self
-
-    async def __aexit__(self, *_exc) -> None:
-        await self.close()
-
-    async def _request(self, method: str, path: str,
-                       body: Optional[Dict[str, object]] = None):
-        import asyncio
-        payload = json.dumps(body).encode() if body is not None else b""
-        for attempt in range(2):
-            reader, writer = await self._connect()
-            try:
-                head = (f"{method} {path} HTTP/1.1\r\n"
-                        f"Host: {self.host}:{self.port}\r\n"
-                        f"Content-Length: {len(payload)}\r\n"
-                        f"Content-Type: application/json\r\n"
-                        f"Connection: keep-alive\r\n\r\n")
-                writer.write(head.encode() + payload)
-                await writer.drain()
-                status_line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.timeout)
-                if not status_line:
-                    raise ConnectionError("connection closed")
-                status = int(status_line.split()[1])
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _sep, value = \
-                        line.decode("latin1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
-                data = await reader.readexactly(length) if length \
-                    else b""
-                return status, headers, data
-            except (ConnectionError, asyncio.IncompleteReadError,
-                    OSError):
-                await self.close()
-                if attempt:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
-
-    async def _json(self, method: str, path: str,
-                    body: Optional[Dict[str, object]] = None
-                    ) -> Dict[str, object]:
-        status, _headers, data = await self._request(method, path, body)
-        decoded = json.loads(data.decode()) if data else {}
-        if status >= 400:
-            raise ServeError(status,
-                             str(decoded.get("error", data[:200])))
-        return decoded
-
-    async def health(self) -> Dict[str, object]:
-        """``GET /v1/health``."""
-        return await self._json("GET", "/v1/health")
-
-    async def stats(self) -> Dict[str, object]:
-        """``GET /v1/stats``."""
-        return await self._json("GET", "/v1/stats")
-
-    async def submit(self,
-                     request: Union[EvalRequest, Dict[str, object]],
-                     priority: int = 0, wait: bool = False,
-                     timeout_s: float = POLL_SLICE_S) -> JobHandle:
-        """Submit one request; returns its job handle."""
-        body = dict(_as_request(request).to_dict(), priority=priority)
-        path = "/v1/tasks"
-        if wait:
-            path += f"?wait=1&timeout_s={timeout_s}"
-        view = (await self._json("POST", path, body))["job"]
-        return JobHandle.from_view(view)
-
-    async def job(self, job_id: str, wait: bool = False,
-                  timeout_s: float = POLL_SLICE_S) -> JobHandle:
-        """Current job view; ``wait=True`` long-polls for completion."""
-        path = f"/v1/jobs/{job_id}"
-        if wait:
-            path += f"?wait=1&timeout_s={timeout_s}"
-        return JobHandle.from_view(
-            (await self._json("GET", path))["job"])
-
-    async def cancel(self, job_id: str) -> JobHandle:
-        """Cancel a job (evaluation siblings are unaffected)."""
-        return JobHandle.from_view(
-            (await self._json("DELETE", f"/v1/jobs/{job_id}"))["job"])
-
-    async def result(self, job_id: str,
-                     timeout_s: float = DEFAULT_RESULT_TIMEOUT_S
-                     ) -> ServeResult:
-        """Wait for a job and fetch its full :class:`ServeResult`."""
-        deadline = time.monotonic() + timeout_s
-        handle = await self.job(job_id)
-        while handle.state not in ("done", "error", "cancelled"):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"job {job_id} still {handle.state} after "
-                    f"{timeout_s:.1f}s")
-            handle = await self.job(
-                job_id, wait=True,
-                timeout_s=min(POLL_SLICE_S, remaining))
-        if handle.state == "cancelled":
-            raise JobCancelled(job_id)
-        status, _headers, data = await self._request(
-            "GET", f"/v1/jobs/{job_id}/result")
-        if status >= 400:
-            raise ServeError(status,
-                             data.decode(errors="replace")[:200])
-        out = pickle.loads(data)
-        out.cached = handle.cached
-        out.wall_s = float(handle.view.get("wall_s", 0.0) or 0.0)
-        return out
-
-    async def evaluate(self,
-                       request: Union[EvalRequest, Dict[str, object]],
-                       priority: int = 0,
-                       timeout_s: float = DEFAULT_RESULT_TIMEOUT_S
-                       ) -> ServeResult:
-        """Submit one request and await its full result."""
-        handle = await self.submit(request, priority=priority,
-                                   wait=True)
-        return await self.result(handle.job_id, timeout_s=timeout_s)

@@ -42,11 +42,6 @@ class CoupledLine:
     spacing_um: float
     return_factor: float = 1.0
 
-    @property
-    def coupling_ratio(self) -> float:
-        """Cm / C — the first-order near-end crosstalk voltage ratio."""
-        return self.cm_per_m / self.line.c_per_m
-
 
 def coupled_line_for_spec(spec: InterposerSpec,
                           spacing_um: float = 0.0,

@@ -41,28 +41,9 @@ class RlgcLine:
     c_per_m: float
     frequency_hz: float
 
-    def characteristic_impedance(self) -> complex:
-        """Z0 = sqrt((R + jwL) / (G + jwC)) at the analysis frequency."""
-        w = 2 * math.pi * max(self.frequency_hz, 1.0)
-        num = complex(self.r_per_m, w * self.l_per_m)
-        den = complex(self.g_per_m, w * self.c_per_m)
-        return (num / den) ** 0.5
-
-    def propagation_delay_s_per_m(self) -> float:
-        """Lossless time of flight per metre (sqrt(LC))."""
-        return math.sqrt(self.l_per_m * self.c_per_m)
-
-    def rc_delay_s(self, length_m: float) -> float:
-        """Distributed RC (Elmore) delay: 0.5 R C len^2."""
-        return 0.5 * self.r_per_m * self.c_per_m * length_m ** 2
-
     def total_capacitance_f(self, length_m: float) -> float:
         """Total line capacitance for a length in metres."""
         return self.c_per_m * length_m
-
-    def total_resistance_ohm(self, length_m: float) -> float:
-        """Total line resistance for a length in metres."""
-        return self.r_per_m * length_m
 
 
 def microstrip_rlgc(width_um: float, thickness_um: float, height_um: float,

@@ -18,32 +18,12 @@ registry's published design points are never mutated.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..dse.runner import run_sweep
 from ..dse.space import Axis, SweepSpec as DseSweepSpec
 from ..tech.interposer import InterposerSpec
-
-
-def vary_spec(base: InterposerSpec, field: str,
-              values: Sequence[float]) -> List[InterposerSpec]:
-    """Copies of ``base`` with one field swept over ``values``.
-
-    Raises:
-        AttributeError: If the field does not exist on the spec.
-        ValueError: If any resulting spec fails validation.
-    """
-    if not hasattr(base, field):
-        raise AttributeError(f"InterposerSpec has no field {field!r}")
-    out = []
-    for v in values:
-        spec = dataclasses.replace(base, name=f"{base.name}_{field}_{v}",
-                                   **{field: v})
-        spec.validate()
-        out.append(spec)
-    return out
 
 
 @dataclass

@@ -64,11 +64,6 @@ class LumpedRLC:
         w = 2 * math.pi * frequency_hz
         return complex(self.conductance_s, w * self.capacitance_f)
 
-    def delay_estimate_ps(self, load_f: float = 0.0) -> float:
-        """Crude RC delay estimate in ps (for sanity checks, not signoff)."""
-        c_total = self.capacitance_f + load_f
-        return self.resistance_ohm * c_total * 1e12
-
 
 def _cylinder_resistance(diameter_um: float, height_um: float,
                          frequency_hz: float = 0.0) -> float:

@@ -94,10 +94,6 @@ class InterposerSpec:
         """Minimum wire pitch (width + spacing)."""
         return self.min_wire_width_um + self.min_wire_space_um
 
-    def routing_tracks_per_mm(self) -> float:
-        """Number of minimum-pitch routing tracks per millimetre per layer."""
-        return 1000.0 / self.wire_pitch_um
-
     def validate(self) -> None:
         """Sanity-check the rule set; raises ``ValueError`` on nonsense."""
         if self.metal_layers < 1:

@@ -82,20 +82,6 @@ class Conductor:
             raise ValueError(f"thickness must be positive, got {thickness_um}")
         return self.resistivity / (thickness_um * 1e-6)
 
-    def wire_resistance(self, length_um: float, width_um: float,
-                        thickness_um: float) -> float:
-        """DC resistance (ohm) of a rectangular wire.
-
-        Args:
-            length_um: Wire length in microns.
-            width_um: Wire width in microns.
-            thickness_um: Wire (metal) thickness in microns.
-        """
-        if width_um <= 0 or thickness_um <= 0:
-            raise ValueError("wire cross-section must be positive")
-        area_m2 = (width_um * 1e-6) * (thickness_um * 1e-6)
-        return self.resistivity * (length_um * 1e-6) / area_m2
-
 
 #: ENA1 panel glass (Georgia Tech PRC) — the paper's glass core.
 #: Dielectric constant 3.3 stated in Table I; loss tangent ~0.004 is typical

@@ -67,10 +67,6 @@ class StdCell:
         # R [ohm] * C [fF] = ohm * 1e-15 F = 1e-15 s = 1e-3 ps.
         return self.intrinsic_delay_ps + self.drive_res_ohm * load_ff * 1e-3
 
-    def total_input_cap_ff(self) -> float:
-        """Sum of all input pin capacitances in fF."""
-        return self.num_inputs * self.input_cap_ff
-
 
 def _cell(name: str, kind: CellKind, area: float, n_in: int, cin: float,
           rdrv: float, d0: float, leak: float, eint: float) -> StdCell:
@@ -154,21 +150,6 @@ class CellLibrary:
     def names(self) -> List[str]:
         """All registered cell names."""
         return list(self._by_name)
-
-    def of_kind(self, kind: CellKind) -> List[StdCell]:
-        """All cells of one functional class."""
-        return [c for c in self._by_name.values() if c.kind is kind]
-
-    def switching_energy_fj(self, cell_name: str, load_ff: float) -> float:
-        """Total energy per output transition: internal + CV^2 load term.
-
-        Args:
-            cell_name: Name of the driving cell.
-            load_ff: Output load in fF (pin + wire).
-        """
-        cell = self.get(cell_name)
-        # E = 0.5 C V^2 ; C in fF and V in volts gives fJ directly.
-        return cell.internal_energy_fj + 0.5 * load_ff * self.vdd ** 2
 
 
 #: The default 28nm-class library used throughout the reproduction.

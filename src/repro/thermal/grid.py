@@ -40,11 +40,6 @@ class ThermalSolution:
         """Temperature map of one z layer."""
         return self.temperature_c[z]
 
-    def peak_in(self, z: int, y0: int, y1: int, x0: int,
-                x1: int) -> float:
-        """Peak temperature in a box of one layer."""
-        return float(self.temperature_c[z, y0:y1, x0:x1].max())
-
 
 class ThermalGrid:
     """Voxel model of a package for FD thermal analysis.

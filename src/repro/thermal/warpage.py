@@ -66,11 +66,6 @@ class WarpageReport:
     warpage_um: float
     dnp_shear_strain_pct: float
 
-    @property
-    def jedec_ok(self) -> bool:
-        """Within the classic 100 um coplanarity budget for this body."""
-        return self.warpage_um <= 100.0
-
 
 def analyze_warpage(spec: InterposerSpec, die_width_mm: float = 0.94,
                     die_thickness_um: float = 100.0,
@@ -119,9 +114,3 @@ def analyze_warpage(spec: InterposerSpec, die_width_mm: float = 0.94,
                          curvature_per_m=kappa,
                          warpage_um=warpage_um,
                          dnp_shear_strain_pct=shear * 100.0)
-
-
-def compare_warpage(specs, die_width_mm: float = 0.94
-                    ) -> Dict[str, WarpageReport]:
-    """Warpage reports for several technologies (name → report)."""
-    return {s.name: analyze_warpage(s, die_width_mm) for s in specs}

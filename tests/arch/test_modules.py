@@ -5,10 +5,7 @@ import pytest
 from repro.arch.modules import (CellMix, INTER_TILE_BUSES,
                                 INTRA_TILE_BUSES, LOGIC_CHIPLET,
                                 MEMORY_CHIPLET, TILE_MODULES,
-                                chiplet_instance_count, get_module,
-                                inter_tile_signal_count,
-                                intra_tile_signal_count,
-                                modules_for_chiplet)
+                                get_module, modules_for_chiplet)
 
 
 class TestCellMix:
@@ -29,11 +26,13 @@ class TestCellMix:
 class TestModuleCounts:
     def test_logic_chiplet_cell_count_near_paper(self):
         # Table III: 167,495 including SerDes; modules alone a bit less.
-        count = chiplet_instance_count(LOGIC_CHIPLET)
+        count = sum(m.instance_count
+                    for m in modules_for_chiplet(LOGIC_CHIPLET))
         assert 160_000 < count < 168_000
 
     def test_memory_chiplet_cell_count_near_paper(self):
-        count = chiplet_instance_count(MEMORY_CHIPLET)
+        count = sum(m.instance_count
+                    for m in modules_for_chiplet(MEMORY_CHIPLET))
         assert 35_000 < count < 38_000
 
     def test_partition_is_exhaustive(self):
@@ -58,10 +57,10 @@ class TestModuleCounts:
 class TestBuses:
     def test_inter_tile_raw_count_is_404(self):
         # Six 64-bit buses + 20 control (Section IV-A).
-        assert inter_tile_signal_count() == 404
+        assert sum(b.width for b in INTER_TILE_BUSES) == 404
 
     def test_intra_tile_count_is_231(self):
-        assert intra_tile_signal_count() == 231
+        assert sum(b.width for b in INTRA_TILE_BUSES) == 231
 
     def test_six_data_buses(self):
         data = [b for b in INTER_TILE_BUSES if not b.is_control]

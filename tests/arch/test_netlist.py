@@ -69,12 +69,6 @@ class TestQueries:
     def test_module_paths(self, small):
         assert small.module_paths() == {"top/m1", "top/m2"}
 
-    def test_instances_in_prefix(self, small):
-        assert set(small.instances_in("top/m1")) == {"a", "b"}
-        # Nested matching: "top" covers both modules.
-        assert set(small.instances_in("top")) == {"a", "b", "c"}
-        assert small.instances_in("elsewhere") == []
-
 
 class TestStatistics:
     def test_total_area(self, small):
@@ -88,16 +82,6 @@ class TestStatistics:
                        + N28_LIB.get("NAND2_X1").leakage_nw
                        + N28_LIB.get("DFF_X1").leakage_nw)
         assert small.total_leakage_mw() == pytest.approx(expected_nw * 1e-6)
-
-    def test_cell_histogram(self, small):
-        assert small.cell_histogram() == {"INV_X1": 1, "NAND2_X1": 1,
-                                          "DFF_X1": 1}
-
-    def test_average_fanout(self, small):
-        assert small.average_fanout() == pytest.approx((1 + 2 + 1) / 3)
-
-    def test_empty_netlist_average_fanout(self):
-        assert Netlist("e", N28_LIB).average_fanout() == 0.0
 
     def test_validate_clean(self, small):
         small.validate()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.arch.noc import (AmatParameters, LinkParameters, link_latency,
-                            serdes_performance_cost, tile_amat)
+                            tile_amat)
 from repro.partition.serdes import SerDesConfig
 
 
@@ -73,17 +73,22 @@ class TestAmat:
         assert 2.0 < tile_amat(rep) < 10.0
 
 
+def serialized_link(ratio):
+    """The link report with the link serialized ``ratio``:1."""
+    cfg = SerDesConfig(ratio=ratio, latency_cycles=ratio)
+    return link_latency(LinkParameters(serdes=cfg), 0.02)
+
+
 class TestSerdesSweep:
     def test_monotone_latency_in_ratio(self):
-        sweep = serdes_performance_cost()
-        lat = [sweep[r]["latency_cycles"] for r in (1, 2, 4, 8, 16)]
+        lat = [serialized_link(r).total_latency_cycles
+               for r in (1, 2, 4, 8, 16)]
         assert lat == sorted(lat)
 
     def test_paper_8to1_amat_cost_is_small(self):
         """The architectural justification for 8:1: the AMAT penalty vs
         no serialization is a few percent, while the bump saving (Table
         II) is what makes the 0.82 mm die possible."""
-        sweep = serdes_performance_cost()
-        penalty = (sweep[8]["amat_cycles"] / sweep[1]["amat_cycles"]
-                   - 1.0)
+        penalty = (tile_amat(serialized_link(8))
+                   / tile_amat(serialized_link(1)) - 1.0)
         assert penalty < 0.10

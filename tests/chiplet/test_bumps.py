@@ -55,7 +55,7 @@ class TestTable2:
 class TestPlanGeometry:
     def test_bumps_match_counts(self):
         plan = plan_bumps(100, GLASS_25D)
-        assert len(plan.bumps) == plan.total_bumps
+        assert len(plan.bumps) == plan.signal_bumps + plan.pg_bumps
         kinds = [b.kind for b in plan.bumps]
         assert kinds.count("signal") == 100
 
@@ -82,7 +82,7 @@ class TestPlanGeometry:
     def test_signal_positions_accessor(self):
         plan = plan_bumps(50, GLASS_25D)
         assert len(plan.signal_positions()) == 50
-        assert len(plan.pg_positions()) == plan.pg_bumps
+        assert sum(b.kind != "signal" for b in plan.bumps) == plan.pg_bumps
 
     def test_area(self):
         plan = plan_bumps(299, GLASS_25D)

@@ -39,10 +39,6 @@ class TestAibSpec:
         half = AIB_DRIVER.driver_power_uw(700e6, activity=0.5)
         assert half == pytest.approx(full / 2)
 
-    def test_interconnect_energy(self):
-        assert AIB_DRIVER.interconnect_energy_fj(100.0) == pytest.approx(
-            81.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AIB_DRIVER.total_area_um2(-1)

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chiplet.floorplan import floorplan
-from repro.chiplet.place import hilbert_d2xy, place, placement_stats
+from repro.chiplet.place import hilbert_d2xy, place
+
+
+def _in_region(placement, instance):
+    """Whether an instance lies inside its module's region."""
+    inst = placement.netlist.instance(instance)
+    region = placement.floorplan.region_of(inst.module_path)
+    x, y = placement.position(instance)
+    return region.contains(x, y)
 
 
 class TestHilbertCurve:
@@ -55,8 +63,7 @@ class TestPlacement:
     def test_every_instance_in_its_region(self, memory_netlist):
         fp = floorplan(memory_netlist, 800, 800)
         pl = place(memory_netlist, fp)
-        stats = placement_stats(pl)
-        assert stats["inside_region_fraction"] == 1.0
+        assert all(_in_region(pl, name) for name in memory_netlist.instances)
 
     def test_positions_unique_enough(self, memory_netlist):
         fp = floorplan(memory_netlist, 800, 800)

@@ -5,8 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit.ac import (driving_point_impedance, log_frequencies,
-                              transfer_function)
+from repro.circuit.ac import driving_point_impedance, log_frequencies
 from repro.circuit.elements import Circuit
 
 
@@ -57,7 +56,8 @@ class TestDrivingPoint:
         f0 = 1 / (2 * math.pi * math.sqrt(1e-6 * 1e-9))
         z = driving_point_impedance(c, "a",
                                     log_frequencies(1e6, 1e8, 40))
-        f_min, z_min = z.min_magnitude()
+        mags = z.magnitude()
+        f_min, z_min = z.frequencies_hz[np.argmin(mags)], mags.min()
         assert f_min == pytest.approx(f0, rel=0.1)
         assert z_min == pytest.approx(1.0, rel=0.2)
 
@@ -91,30 +91,3 @@ class TestDrivingPoint:
         c.add_resistor("R", "a", "0", 10.0)
         z = driving_point_impedance(c, "a", [1e6, 1e7])
         assert abs(z.at(1.1e6)) == pytest.approx(10.0)
-
-
-class TestTransferFunction:
-    def test_divider_flat(self):
-        c = Circuit()
-        c.add_vsource("V", "in", "0", 1.0)
-        c.add_resistor("R1", "in", "out", 1000.0)
-        c.add_resistor("R2", "out", "0", 1000.0)
-        tf = transfer_function(c, "V", "out", [1e3, 1e6, 1e9])
-        assert np.allclose(tf.magnitude(), 0.5)
-
-    def test_lowpass_rolloff_20db_per_decade(self):
-        c = Circuit()
-        c.add_vsource("V", "in", "0", 1.0)
-        c.add_resistor("R", "in", "out", 1000.0)
-        c.add_capacitor("C", "out", "0", 1e-9)
-        fc = 1 / (2 * math.pi * 1e-6)
-        tf = transfer_function(c, "V", "out", [10 * fc, 100 * fc])
-        ratio = tf.magnitude()[0] / tf.magnitude()[1]
-        assert ratio == pytest.approx(10.0, rel=0.02)
-
-    def test_unknown_source(self):
-        c = Circuit()
-        c.add_vsource("V", "in", "0", 1.0)
-        c.add_resistor("R", "in", "0", 1.0)
-        with pytest.raises(KeyError):
-            transfer_function(c, "X", "in", [1e6])

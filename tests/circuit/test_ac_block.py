@@ -21,8 +21,7 @@ import scipy.linalg
 
 import repro.circuit.mna as mna
 from repro.chiplet.bumps import plan_for_design
-from repro.circuit.ac import (driving_point_impedance, log_frequencies,
-                              transfer_function)
+from repro.circuit.ac import driving_point_impedance, log_frequencies
 from repro.circuit.elements import Circuit
 from repro.circuit.mna import (ac_block_factor, assemble_ac,
                                reset_solver_counters, solver_counters)
@@ -72,37 +71,6 @@ class TestBlockSweepEquivalence:
         assert err.max() <= RTOL, (
             f"{design}: block sweep deviates {err.max():.2e} from the "
             f"per-point reference")
-
-    def test_transfer_function_matches_per_point(self):
-        ckt = Circuit("rc2")
-        ckt.add_vsource("Vin", "in", "0", dc(1.0))
-        ckt.add_resistor("R1", "in", "mid", 50.0)
-        ckt.add_capacitor("C1", "mid", "0", 1e-12)
-        ckt.add_inductor("L1", "mid", "out", 1e-9)
-        ckt.add_resistor("R2", "out", "0", 1e3)
-        ckt.add_capacitor("C2", "out", "0", 2e-12)
-        freqs = log_frequencies(1e6, 1e11, 20)
-        sweep = transfer_function(ckt, "Vin", "out", freqs)
-        st = mna.CircuitStamps.of(ckt).structure
-        no = st.node("out")
-        for i, f in enumerate(freqs):
-            _st, A, _z = assemble_ac(ckt, 2 * math.pi * f)
-            z = np.zeros(st.size, dtype=complex)
-            z[st.vsrc_offset] = 1.0
-            ref = scipy.linalg.solve(A, z)[no]
-            assert abs(sweep.values[i] - ref) <= RTOL * abs(ref)
-
-    def test_analytic_rc_divider(self):
-        """Sanity beyond self-consistency: a textbook RC low-pass."""
-        r, c = 1e3, 1e-9
-        ckt = Circuit("rc")
-        ckt.add_vsource("Vin", "in", "0", dc(1.0))
-        ckt.add_resistor("R", "in", "out", r)
-        ckt.add_capacitor("C", "out", "0", c)
-        freqs = log_frequencies(1e3, 1e9, 10)
-        sweep = transfer_function(ckt, "Vin", "out", freqs)
-        expect = 1.0 / (1.0 + 2j * math.pi * freqs * r * c)
-        assert np.allclose(sweep.values, expect, rtol=1e-9, atol=0)
 
 
 class TestFactorCacheCounters:

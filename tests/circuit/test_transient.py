@@ -28,7 +28,7 @@ class TestRc:
 
     def test_final_value(self):
         res = simulate(rc_circuit(), 8e-6, 2e-9)
-        assert res.final_value("out") == pytest.approx(1.0, abs=1e-3)
+        assert res.voltage("out")[-1] == pytest.approx(1.0, abs=1e-3)
 
     def test_initial_condition_from_dc(self):
         # Source already high at t=0 -> capacitor starts charged.
@@ -47,7 +47,7 @@ class TestRc:
         ckt.add_capacitor("C", "out", "0", 1e-9)
         res = simulate(ckt, 5e-6, 1e-9, use_ic=False)
         assert res.voltage("out")[0] == pytest.approx(0.0, abs=1e-9)
-        assert res.final_value("out") == pytest.approx(1.0, abs=1e-2)
+        assert res.voltage("out")[-1] == pytest.approx(1.0, abs=1e-2)
 
 
 class TestRl:
@@ -97,16 +97,10 @@ class TestRlc:
         ckt.add_inductor("L", "a", "out", 1e-6)
         ckt.add_capacitor("C", "out", "0", 1e-9)
         res = simulate(ckt, 10e-6, 2e-9)
-        assert res.final_value("out") == pytest.approx(1.0, abs=1e-3)
+        assert res.voltage("out")[-1] == pytest.approx(1.0, abs=1e-3)
 
 
 class TestApi:
-    def test_settling_time_helper(self):
-        res = simulate(rc_circuit(), 10e-6, 2e-9)
-        t_settle = res.settling_time("out", tolerance=0.02)
-        # 2% settling of RC: ~3.9 tau.
-        assert 3e-6 < t_settle < 5e-6
-
     def test_record_subset(self):
         res = simulate(rc_circuit(), 1e-6, 1e-9, record=["out"])
         assert "out" in res.voltages

@@ -9,6 +9,7 @@ non-finite right-hand side.  Compiled cases skip without a C compiler.
 """
 
 import logging
+import math
 import random
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro import _kernel
 from repro.circuit import transient
 from repro.circuit.elements import Circuit
 from repro.circuit.mna import SOLVER_COUNTERS, reset_solver_counters
-from repro.circuit.waveforms import dc, pulse, sine, step
+from repro.circuit.waveforms import Waveform, dc, pulse, step
 from tests.oracles import simulate_scalar
 
 REL_TOL = 1e-9
@@ -71,6 +72,29 @@ def assert_same_bits(a, b):
     for name in a.vsource_currents:
         assert (a.vsource_currents[name].tobytes()
                 == b.vsource_currents[name].tobytes()), name
+
+
+def sine(offset: float, amplitude: float, frequency: float,
+         delay: float = 0.0) -> Waveform:
+    """SPICE SIN source."""
+    if frequency <= 0:
+        raise ValueError("frequency must be positive")
+
+    def wave(t: float) -> float:
+        if t < delay:
+            return offset
+        return offset + amplitude * math.sin(
+            2 * math.pi * frequency * (t - delay))
+
+    def sample(times: np.ndarray) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        out = offset + amplitude * np.sin(
+            2 * math.pi * frequency * (t - delay))
+        out[t < delay] = offset
+        return out
+
+    wave.sample = sample
+    return wave
 
 
 def _wave(rng, scale):

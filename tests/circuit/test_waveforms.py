@@ -23,15 +23,6 @@ class TestBasicSources:
         with pytest.raises(ValueError):
             wf.step(1.0, rise_time=0.0)
 
-    def test_sine(self):
-        w = wf.sine(0.5, 0.5, 1e6)
-        assert w(0) == pytest.approx(0.5)
-        assert w(0.25e-6) == pytest.approx(1.0)
-
-    def test_sine_delay(self):
-        w = wf.sine(0.0, 1.0, 1e6, delay=1e-6)
-        assert w(0.5e-6) == 0.0
-
 
 class TestPulse:
     def test_pulse_phases(self):
@@ -50,26 +41,6 @@ class TestPulse:
     def test_pulse_validation(self):
         with pytest.raises(ValueError):
             wf.pulse(0, 1, 0, 5e-9, 5e-9, 5e-9, 10e-9)
-
-
-class TestPwl:
-    def test_interpolation(self):
-        w = wf.pwl([(0, 0.0), (1e-9, 1.0), (2e-9, 0.0)])
-        assert w(0.5e-9) == pytest.approx(0.5)
-        assert w(1.5e-9) == pytest.approx(0.5)
-
-    def test_clamping(self):
-        w = wf.pwl([(1e-9, 2.0), (2e-9, 3.0)])
-        assert w(0) == 2.0
-        assert w(5e-9) == 3.0
-
-    def test_monotone_times_required(self):
-        with pytest.raises(ValueError):
-            wf.pwl([(1e-9, 0.0), (1e-9, 1.0)])
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            wf.pwl([(0, 1.0)])
 
 
 class TestPrbs:

@@ -37,6 +37,7 @@ from repro.core.flow import run_design, run_flow_task
 from repro.core.request import EvalRequest, canonical_dumps
 from repro.tech.interposer import spec_names
 from repro.tech.stdcell import CellLibrary
+from tests.oracles.placement import overlaps
 
 SCALE = 0.02
 ROOT = Path(__file__).resolve().parents[2]
@@ -342,7 +343,7 @@ class TestNchipletEndToEnd:
         assert hex9.arrangement == "hexagonal"
         assert hex9.chiplets is not None and len(hex9.chiplets) == 9
         assert len(hex9.placement.dies) == 9
-        assert not hex9.placement.overlaps()
+        assert not overlaps(hex9.placement)
 
     def test_representatives_alias_parts(self, hex9):
         assert hex9.logic in hex9.chiplets

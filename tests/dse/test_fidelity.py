@@ -8,7 +8,7 @@ import pytest
 from repro.dse.analyze import flat_records, pareto_front
 from repro.dse.fidelity import (FidelityRung, MultiFidelityRunner,
                                 MultiFidelitySpec, PromotionPolicy,
-                                load_space, promote, run_multi_fidelity)
+                                load_space, promote)
 from repro.dse.runner import run_sweep
 from repro.dse.space import Axis, SweepSpec
 
@@ -170,8 +170,8 @@ class TestSpecValidation:
 
 
 class TestLadderExecution:
-    def test_in_memory_run(self):
-        result = run_multi_fidelity(CHEAP_MF)
+    def test_in_memory_run(self, tmp_path):
+        result = MultiFidelityRunner(CHEAP_MF, out_dir=tmp_path / "s").run()
         assert result.complete
         assert len(result.funnel) == 2
         rung0, final = result.funnel
@@ -183,8 +183,8 @@ class TestLadderExecution:
         assert [r["id"] for r in result.records] \
             == rung0["survivors"]
 
-    def test_funnel_lines_report_pruning(self):
-        result = run_multi_fidelity(CHEAP_MF)
+    def test_funnel_lines_report_pruning(self, tmp_path):
+        result = MultiFidelityRunner(CHEAP_MF, out_dir=tmp_path / "s").run()
         lines = result.funnel_lines()
         assert "promoted" in lines[0] and "pruned" in lines[0]
         assert "final fidelity" in lines[1]
@@ -207,14 +207,14 @@ class TestLadderExecution:
         assert survivors == manifest["funnel"][0]["survivors"]
         assert result.funnel == manifest["funnel"]
 
-    def test_degenerate_promotion_raises(self):
+    def test_degenerate_promotion_raises(self, tmp_path):
         bad = MultiFidelitySpec(
             sweep=CHEAP_SWEEP,
             rungs=(FidelityRung(
                 "link", (("no_such_metric", "min"),),
                 PromotionPolicy(top_k=1)),))
         with pytest.raises(ValueError, match="no candidates"):
-            run_multi_fidelity(bad)
+            MultiFidelityRunner(bad, out_dir=tmp_path / "s").run()
 
 
 class TestResumeByteIdentity:

@@ -48,6 +48,20 @@ class TestInMemory:
         records = run_sweep(spec, base_spec=base)
         assert records[0]["error"] is None
 
+    def test_unregistered_base_spec_fails_the_pdn_point(self):
+        """The PDN stage has no loop calibration for an unregistered
+        spec, so the point comes back as an error row."""
+        import dataclasses
+        base = dataclasses.replace(GLASS_25D, name="custom_glass",
+                                   metal_thickness_um=6.0)
+        spec = SweepSpec(
+            name="custom", design="custom_glass", evaluator="link_pdn",
+            axes=(Axis("min_wire_width_um", values=(2.0,)),))
+        records = run_sweep(spec, base_spec=base)
+        assert records[0]["metrics"] is None
+        assert records[0]["error"]["type"] == "KeyError"
+        assert "custom_glass" in records[0]["error"]["message"]
+
 
 class TestResultStore:
     def test_store_files_written(self, tmp_path):

@@ -40,10 +40,6 @@ class TestAxis:
         assert a.from_unit(0.1) == "glass_25d"
         assert a.from_unit(0.9) == "apx"
 
-    def test_categorical_detection(self):
-        assert Axis("design", values=("glass_25d",)).is_categorical
-        assert not Axis("scale", values=(0.1, 0.2)).is_categorical
-
     def test_unknown_target_rejected(self):
         with pytest.raises(ValueError, match="neither a flow parameter"):
             Axis("warp_factor", values=(1,)).validate()

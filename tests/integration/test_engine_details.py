@@ -1,12 +1,13 @@
 """Focused tests on engine internals: sizing, rip-up/reroute, DRC math."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.interposer.routing import RoutingGrid
 from repro.io.drc import _point_seg, _seg_distance, _segments_intersect
-from tests.oracles.routing import commit
+from tests.oracles.routing import commit, pattern_candidates
 
 
 class TestTimingSizing:
@@ -50,8 +51,9 @@ class TestRipUpReroute:
         g = RoutingGrid(0.5, 0.5, layers=4, wire_pitch_um=25.0)  # cap 1
         paths = []
         for k in range(4):
-            cands = g.pattern_candidates((5 + k, 2), (5 + k, 20))
-            best = min(cands, key=g.path_cost)
+            cands = pattern_candidates(g, (5 + k, 2), (5 + k, 20))
+            best = min(cands, key=lambda c: g._path_cost_arrays(
+                *np.asarray(c, dtype=np.intp).T))
             commit(g, best)
             paths.append(best)
         layers_used = {l for p in paths for (l, y, x) in p}

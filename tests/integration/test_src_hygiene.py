@@ -23,6 +23,11 @@ Nothing is imported; each guard scans the parsed sources.
   ``repro.dse`` import is the pool workers' warm-up
   (``core/pool.py::_warm_import``): the flow reaches the result store
   in ``repro.core``, not through the service.
+* No module under ``src/repro`` is reachable only from tests.  Imports
+  are followed, inside functions too, from ``repro/__main__.py`` and
+  every ``.py`` under ``benchmarks``, ``examples`` and ``perfbench``; a
+  name imported from a package counts for the module that defines it,
+  and a package ``__init__.py``'s own re-exports are not followed.
 """
 
 import ast
@@ -115,8 +120,8 @@ def _imports(path):
     against the file's package, ``from m import n`` gives ``m.n``, and
     the scope is the qualified name of the enclosing function or class
     (``""`` at module level)."""
-    parts = path.relative_to(SRC.parent).with_suffix("").parts
-    package = parts if path.name == "__init__.py" else parts[:-1]
+    base = SRC.parent if path.is_relative_to(SRC) else ROOT
+    package = path.relative_to(base).parent.parts
     found = []
 
     def visit(node, scope):
@@ -179,3 +184,68 @@ def test_core_imports_neither_the_service_nor_the_sweeps():
                     and (rel, scope) != CORE_DSE_IMPORT)]
     assert not bad, ("repro.core must stay below repro.dse and "
                      "repro.serve: " + ", ".join(bad))
+
+
+#: Where production starts, besides ``python -m repro``: the scripts
+#: that regenerate the paper's results, the examples and the benchmark.
+ENTRY_DIRS = ("benchmarks", "examples", "perfbench")
+
+
+def _module_path(name):
+    """Source file of dotted module ``name`` under ``src``, or None."""
+    stem = SRC.parent.joinpath(*name.split("."))
+    for path in (stem.with_suffix(".py"), stem / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _defining_module(name):
+    """The module that defines dotted ``name``: the module itself, or,
+    for a name a package re-exports, the module it comes from; None
+    outside ``repro``."""
+    while _within(name, "repro"):
+        if _module_path(name) is not None:
+            return name
+        module, _, attr = name.rpartition(".")
+        path = _module_path(module)
+        if path is None:
+            return None
+        reexports = {imported.rpartition(".")[2]: imported
+                     for _line, imported, _scope in _imports(path)
+                     if path.name == "__init__.py"}
+        if attr not in reexports:
+            return module
+        name = reexports[attr]
+    return None
+
+
+def _reached_modules():
+    """Every source file under ``src/repro`` that production imports."""
+    todo = [SRC / "__main__.py"] + sorted(
+        path for d in ENTRY_DIRS for path in (ROOT / d).rglob("*.py"))
+    seen = set()
+    while todo:
+        path = todo.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        if path.name == "__init__.py" and path.is_relative_to(SRC):
+            continue
+        for _line, name, _scope in _imports(path):
+            module = _defining_module(name)
+            if module is None:
+                continue
+            parts = module.split(".")
+            todo += [_module_path(".".join(parts[:i]))
+                     for i in range(1, len(parts) + 1)]
+    return seen
+
+
+def test_no_module_is_reached_only_from_tests():
+    reached = _reached_modules()
+    orphans = [path.relative_to(SRC.parent).as_posix()
+               for path in sorted(SRC.rglob("*.py")) if path not in reached]
+    assert not orphans, ("modules no production entry point imports "
+                         "(delete them with their tests): "
+                         + ", ".join(orphans))

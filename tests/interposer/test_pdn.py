@@ -1,7 +1,7 @@
 """PDN stackup construction tests."""
 
 from repro.chiplet.bumps import plan_for_design
-from repro.interposer.pdn import build_pdn, pdn_summary
+from repro.interposer.pdn import build_pdn
 from repro.interposer.placement import place_dies
 from repro.tech.interposer import (APX, GLASS_25D, GLASS_3D, SHINKO,
                                    SILICON_25D)
@@ -60,11 +60,6 @@ class TestPdnElectrical:
              for s in (GLASS_25D, SILICON_25D, SHINKO, APX)}
         assert r["silicon_25d"] == max(r.values())
         assert r["apx"] == min(r.values())
-
-    def test_summary_keys(self):
-        s = pdn_summary(pdn_for(GLASS_25D))
-        assert {"plane_capacitance_nf", "loop_inductance_nh",
-                "feed_resistance_mohm", "n_feed_vias"} <= set(s)
 
     def test_feed_via_override(self):
         lp = plan_for_design(GLASS_25D, "logic")

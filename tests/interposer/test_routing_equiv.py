@@ -20,6 +20,7 @@ from repro.interposer.placement import place_dies
 from repro.interposer.routing import RoutingGrid, route_interposer
 from repro.tech.interposer import get_spec
 from tests.oracles import path_cost_scalar, route_interposer_scalar
+from tests.oracles.routing import pattern_candidates
 
 #: Reduced per-tile net counts: small enough to keep the suite quick,
 #: large enough that the glass/organic designs still overflow and
@@ -149,7 +150,7 @@ class TestPatternCostProperties:
             g = _random_grid(rng, diagonal=diagonal)
             src, dst = _random_pair(rng, g)
             table = g.pattern_cost_table(src, dst)
-            cands = g.pattern_candidates(src, dst)
+            cands = pattern_candidates(g, src, dst)
             assert len(table) == len(cands)
             for cost, cand in zip(table, cands):
                 assert cost == path_cost_scalar(g, cand)
@@ -160,7 +161,7 @@ class TestPatternCostProperties:
             g = _random_grid(rng)
             src, dst = _random_pair(rng, g)
             path, cost = g.best_pattern_route(src, dst)
-            cands = g.pattern_candidates(src, dst)
+            cands = pattern_candidates(g, src, dst)
             best = None
             best_cost = float("inf")
             for cand in cands:  # the scalar router's strict-< scan
@@ -178,7 +179,8 @@ class TestPatternCostProperties:
             path = g.maze_route(src, dst)
             if path is None:
                 continue
-            assert g.path_cost(path) == path_cost_scalar(g, path)
+            cells = np.asarray(path, dtype=np.intp).T
+            assert g._path_cost_arrays(*cells) == path_cost_scalar(g, path)
 
 
 class TestMazeEquivalence:

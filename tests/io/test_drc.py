@@ -8,6 +8,11 @@ from repro.io.layout import LAYER_RDL0, interposer_to_gds
 from repro.tech.interposer import GLASS_25D
 
 
+def by_rule(report, rule):
+    """Violations of one rule type."""
+    return [v for v in report.violations if v.rule == rule]
+
+
 def cell_with(paths):
     cell = GdsCell("t")
     cell.paths.extend(paths)
@@ -23,7 +28,7 @@ class TestWidthRule:
         cell = cell_with([GdsPath(LAYER_RDL0, [(0, 0), (100, 0)], 1.0)])
         report = check_cell(cell, GLASS_25D)
         assert not report.clean
-        v = report.by_rule("min_width")[0]
+        v = by_rule(report, "min_width")[0]
         assert v.measured_um == pytest.approx(1.0)
         assert v.required_um == pytest.approx(2.0)
 
@@ -45,7 +50,7 @@ class TestSpacingRule:
             GdsPath(LAYER_RDL0, [(0, 0), (100, 0)], 2.0),
             GdsPath(LAYER_RDL0, [(0, 3), (100, 3)], 2.0)])
         report = check_cell(cell, GLASS_25D)
-        v = report.by_rule("min_spacing")
+        v = by_rule(report, "min_spacing")
         assert v and v[0].measured_um == pytest.approx(1.0)
 
     def test_crossing_on_different_layers_ok(self):
@@ -71,7 +76,7 @@ class TestSpacingRule:
             GdsPath(LAYER_RDL0, [(0, 0), (100, 0)], 2.0),
             GdsPath(LAYER_RDL0, [(50, -50), (51, 50)], 2.0)])
         report = check_cell(cell, GLASS_25D)
-        assert report.by_rule("min_spacing")
+        assert by_rule(report, "min_spacing")
 
 
 class TestRoutedLayout:
@@ -83,6 +88,6 @@ class TestRoutedLayout:
         cell = interposer_to_gds(glass3d_design.route)
         report = check_cell(cell, glass3d_design.spec)
         assert report.checked_paths > 0
-        assert len(report.by_rule("min_width")) == 0
-        assert len(report.by_rule("min_spacing")) <= \
+        assert len(by_rule(report, "min_width")) == 0
+        assert len(by_rule(report, "min_spacing")) <= \
             0.1 * report.checked_pairs + 5

@@ -5,8 +5,14 @@ import struct
 import pytest
 
 from repro.io.gdsii import (GdsCell, GdsLabel, GdsLibrary, GdsPath,
-                            GdsPolygon, _parse_real8, _real8, read_gds,
-                            write_gds)
+                            GdsPolygon, _real8, read_gds, write_gds)
+
+
+def _parse_real8(data: bytes) -> float:
+    sign = -1.0 if data[0] & 0x80 else 1.0
+    exponent = (data[0] & 0x7F) - 64
+    mantissa = int.from_bytes(data[1:8], "big") / float(1 << 56)
+    return sign * mantissa * (16.0 ** exponent)
 
 
 def sample_library():

@@ -22,7 +22,8 @@ class TestChipletExport:
         cell = chiplet_to_gds(glass_logic_chiplet, max_cells=100)
         bumps = [p for p in cell.polygons
                  if p.layer in (LAYER_BUMP_SIGNAL, LAYER_BUMP_PG)]
-        assert len(bumps) == glass_logic_chiplet.bump_plan.total_bumps
+        plan = glass_logic_chiplet.bump_plan
+        assert len(bumps) == plan.signal_bumps + plan.pg_bumps
 
     def test_cell_cap_respected(self, glass_logic_chiplet):
         cell = chiplet_to_gds(glass_logic_chiplet, max_cells=200)

@@ -18,7 +18,9 @@ kernel that production now runs vectorized or compiled:
 * :mod:`.netlist` — the ``Netlist`` as name-keyed dicts of record
   objects, with its one-pass array view and record-by-record
   ``subset``;
-* :mod:`.thermal` — the thermal grid's per-cell matrix assembly.
+* :mod:`.thermal` — the thermal grid's per-cell matrix assembly;
+* :mod:`.placement` — the same-level die overlap check the placement
+  tests assert on.
 
 They live beside the tests rather than in ``src/repro`` so that editing
 a reference never changes :func:`repro.core.request.code_version` and so

@@ -272,31 +272,9 @@ class Netlist:
         leakage = self.arrays().cell_attr("leakage_nw")
         return float(sequential_sum(leakage)) * 1e-6
 
-    def cell_histogram(self) -> Dict[str, int]:
-        """Instance count per library cell name."""
-        hist: Dict[str, int] = {}
-        for inst in self._instances.values():
-            hist[inst.cell_name] = hist.get(inst.cell_name, 0) + 1
-        return hist
-
     def module_paths(self) -> Set[str]:
         """Distinct hierarchy labels present in the netlist."""
         return {inst.module_path for inst in self._instances.values()}
-
-    def instances_in(self, module_prefix: str) -> List[str]:
-        """Instance names whose module path matches or nests under a prefix."""
-        out = []
-        for inst in self._instances.values():
-            path = inst.module_path
-            if path == module_prefix or path.startswith(module_prefix + "/"):
-                out.append(inst.name)
-        return out
-
-    def average_fanout(self) -> float:
-        """Mean sink count across nets (0.0 for empty netlist)."""
-        if not self._nets:
-            return 0.0
-        return sum(n.fanout() for n in self._nets.values()) / len(self._nets)
 
     def validate(self) -> None:
         """Check referential integrity; raises ``ValueError`` on corruption."""

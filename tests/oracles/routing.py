@@ -1,11 +1,12 @@
 """Scalar golden references for the interposer router.
 
 The original per-cell implementation: every pattern candidate is
-materialized and costed cell by cell, every rip-up round scans each
-net's cells for overflow, and every reroute runs the scalar heap A*
-(``RoutingGrid.maze_route_scalar``).  The cost constants and budgets
-are read from :mod:`repro.interposer.routing` at call time, so tests
-that monkeypatch them there steer these references too.
+materialized (:func:`pattern_candidates`) and costed cell by cell,
+every rip-up round scans each net's cells for overflow, and every
+reroute runs the scalar heap A* (``RoutingGrid.maze_route_scalar``).
+The cost constants and budgets are read from
+:mod:`repro.interposer.routing` at call time, so tests that
+monkeypatch them there steer these references too.
 """
 
 import math
@@ -47,6 +48,48 @@ def path_cost_scalar(grid: RoutingGrid, path: GridPath) -> float:
             cost += routing.OVERFLOW_COST
         prev = state
     return cost
+
+
+def pattern_candidates(grid: RoutingGrid, src: Tuple[int, int],
+                       dst: Tuple[int, int]
+                       ) -> List[List[Tuple[int, int, int]]]:
+    """Candidate paths: L-shapes over layer pairs, or diagonal lines."""
+    sy, sx = src
+    ty, tx = dst
+    candidates: List[List[Tuple[int, int, int]]] = []
+    if grid.diagonal:
+        for layer in range(grid.layers):
+            candidates.append(_line_path(layer, sy, sx, ty, tx))
+        return candidates
+    if grid.layers == 1:
+        candidates.append(grid._l_path(0, 0, sy, sx, ty, tx, True))
+        candidates.append(grid._l_path(0, 0, sy, sx, ty, tx, False))
+        return candidates
+    for hl in grid.h_layers():
+        for vl in grid.v_layers():
+            candidates.append(grid._l_path(hl, vl, sy, sx, ty, tx,
+                                           True))
+            candidates.append(grid._l_path(hl, vl, sy, sx, ty, tx,
+                                           False))
+    return candidates
+
+
+def _line_path(layer: int, sy: int, sx: int, ty: int,
+               tx: int) -> List[Tuple[int, int, int]]:
+    """Bresenham-style 8-direction line on one layer."""
+    path: List[Tuple[int, int, int]] = [(0, sy, sx)]
+    for l in range(1, layer + 1):
+        path.append((l, sy, sx))
+    y, x = sy, sx
+    while (y, x) != (ty, tx):
+        dy = (ty > y) - (ty < y)
+        dx = (tx > x) - (tx < x)
+        y += dy
+        x += dx
+        path.append((layer, y, x))
+    for l in range(layer - 1, -1, -1):
+        path.append((l, ty, tx))
+    return path
 
 
 def commit(grid: RoutingGrid, path: GridPath) -> None:
@@ -99,7 +142,7 @@ def _route_with_grid_scalar(placement: InterposerPlacement,
         src = grid.to_grid(*s_mm)
         dst = grid.to_grid(*d_mm)
         best, best_cost = None, math.inf
-        for cand in grid.pattern_candidates(src, dst):
+        for cand in pattern_candidates(grid, src, dst):
             c = path_cost_scalar(grid, cand)
             if c < best_cost:
                 best, best_cost = cand, c

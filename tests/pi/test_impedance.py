@@ -1,11 +1,15 @@
 """PDN impedance analysis tests (Table IV / Fig. 15)."""
 
+import dataclasses
+
 import pytest
 
 from repro.chiplet.bumps import plan_for_design
 from repro.interposer.pdn import build_pdn
 from repro.interposer.placement import place_dies
-from repro.pi.impedance import analyze_pdn_impedance, build_pdn_circuit
+from repro.pi.impedance import (LOOP_SCALE, analyze_pdn_impedance,
+                                build_pdn_circuit)
+from repro.pi.transient import analyze_power_transient
 from repro.tech.interposer import (APX, GLASS_25D, GLASS_3D, SHINKO,
                                    SILICON_25D)
 
@@ -66,11 +70,22 @@ class TestProfileShape:
         mags = reports["shinko"].sweep.magnitude()
         assert mags[-1] > 10 * mags[0]
 
-    def test_circuit_override_scale(self):
+    def test_circuit_override_scale(self, monkeypatch):
         pdn = pdn_for(GLASS_3D)
-        low = analyze_pdn_impedance(pdn, loop_scale=1.0)
-        high = analyze_pdn_impedance(pdn, loop_scale=100.0)
+        monkeypatch.setitem(LOOP_SCALE, GLASS_3D.name, 1.0)
+        low = analyze_pdn_impedance(pdn)
+        monkeypatch.setitem(LOOP_SCALE, GLASS_3D.name, 100.0)
+        high = analyze_pdn_impedance(pdn)
         assert high.z_at_1ghz_ohm > low.z_at_1ghz_ohm
+
+    def test_unregistered_spec_raises(self):
+        """A spec the calibration does not name has no loop scale:
+        every PDN analysis raises instead of running uncalibrated."""
+        pdn = pdn_for(dataclasses.replace(GLASS_25D, name="custom_glass"))
+        with pytest.raises(KeyError, match="custom_glass.*glass_25d"):
+            analyze_pdn_impedance(pdn)
+        with pytest.raises(KeyError, match="custom_glass"):
+            analyze_power_transient(pdn, 0.376)
 
     def test_circuit_has_expected_elements(self):
         ckt = build_pdn_circuit(pdn_for(GLASS_25D))

@@ -1,11 +1,9 @@
-"""Client-library tests: sync and async clients, batches, reconnects."""
-
-import asyncio
+"""Client-library tests: the blocking client, batches, reconnects."""
 
 import pytest
 
-from repro.serve import (AsyncServeClient, EvalRequest, ServeClient,
-                         ServerConfig, start_in_thread)
+from repro.serve import (EvalRequest, ServeClient, ServerConfig,
+                         start_in_thread)
 
 
 @pytest.fixture(scope="module")
@@ -69,46 +67,3 @@ class TestSyncClient:
             finally:
                 c.resume()
                 c.result(handle.job_id)
-
-
-class TestAsyncClient:
-    def test_evaluate_and_stats(self, served):
-        async def scenario():
-            async with AsyncServeClient(served.url) as c:
-                health = await c.health()
-                out = await c.evaluate(
-                    EvalRequest(kind="geometry", scale=1.3))
-                again = await c.evaluate(
-                    EvalRequest(kind="geometry", scale=1.3))
-                stats = await c.stats()
-                return health, out, again, stats
-        health, out, again, stats = asyncio.run(scenario())
-        assert health["status"] == "ok"
-        assert out.ok and again.ok
-        assert again.cached
-        assert out.metrics == again.metrics
-        assert stats["requests_served"] > 0
-
-    def test_cancel(self, served):
-        async def scenario():
-            async with AsyncServeClient(served.url) as c:
-                await c._json("POST", "/v1/admin/pause")
-                try:
-                    handle = await c.submit(
-                        EvalRequest(kind="geometry", scale=2.4))
-                    cancelled = await c.cancel(handle.job_id)
-                    return cancelled.state
-                finally:
-                    await c._json("POST", "/v1/admin/resume")
-        assert asyncio.run(scenario()) == "cancelled"
-
-    def test_sync_and_async_results_identical(self, served):
-        req = EvalRequest(kind="link", length_um=1234.0)
-        with ServeClient(served.url) as sc:
-            sync_out = sc.evaluate(req)
-
-        async def scenario():
-            async with AsyncServeClient(served.url) as c:
-                return await c.evaluate(req)
-        async_out = asyncio.run(scenario())
-        assert sync_out.metrics == async_out.metrics

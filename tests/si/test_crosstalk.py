@@ -22,8 +22,9 @@ class TestCoupledParameters:
         assert rf["glass_25d"] == pytest.approx(1.0)
 
     def test_apx_wide_spacing_low_coupling_ratio(self):
-        ratios = {s.name: coupled_line_for_spec(s).coupling_ratio
-                  for s in (GLASS_25D, APX)}
+        lines = {s.name: coupled_line_for_spec(s) for s in (GLASS_25D, APX)}
+        ratios = {name: c.cm_per_m / c.line.c_per_m
+                  for name, c in lines.items()}
         assert ratios["apx"] < ratios["glass_25d"]
 
     def test_k_within_physical_range(self):

@@ -4,30 +4,8 @@ import pytest
 
 from repro.studies.sensitivity import (sweep_bump_pitch,
                                        sweep_dielectric_thickness,
-                                       sweep_wire_width, vary_spec)
+                                       sweep_wire_width)
 from repro.tech.interposer import GLASS_25D, SILICON_25D
-
-
-class TestVarySpec:
-    def test_field_swept(self):
-        specs = vary_spec(GLASS_25D, "microbump_pitch_um", [30, 40])
-        assert [s.microbump_pitch_um for s in specs] == [30, 40]
-
-    def test_base_untouched(self):
-        vary_spec(GLASS_25D, "microbump_pitch_um", [30])
-        assert GLASS_25D.microbump_pitch_um == 35.0
-
-    def test_names_unique(self):
-        specs = vary_spec(GLASS_25D, "metal_thickness_um", [2, 4])
-        assert specs[0].name != specs[1].name != GLASS_25D.name
-
-    def test_unknown_field(self):
-        with pytest.raises(AttributeError):
-            vary_spec(GLASS_25D, "nope", [1])
-
-    def test_invalid_value_rejected(self):
-        with pytest.raises(ValueError):
-            vary_spec(GLASS_25D, "metal_thickness_um", [-1.0])
 
 
 class TestBumpPitchSweep:

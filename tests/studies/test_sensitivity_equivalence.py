@@ -20,7 +20,7 @@ from repro.si.tline import line_for_spec
 from repro.studies.sensitivity import (SweepPoint, SweepResult,
                                        sweep_bump_pitch,
                                        sweep_dielectric_thickness,
-                                       sweep_wire_width, vary_spec)
+                                       sweep_wire_width)
 from repro.tech.interposer import GLASS_25D, SILICON_25D
 
 
@@ -87,8 +87,10 @@ class TestDielectricEquivalence:
 
 class TestWrapperBehaviour:
     def test_custom_base_spec_supported(self):
-        # vary_spec output is unregistered; the wrappers must still run.
-        custom = vary_spec(GLASS_25D, "metal_thickness_um", [6.0])[0]
+        # An unregistered spec; the wrappers must still run.
+        custom = dataclasses.replace(
+            GLASS_25D, name="glass_25d_metal_thickness_um_6.0",
+            metal_thickness_um=6.0)
         sw = sweep_wire_width(custom, [2.0, 4.0], length_um=500)
         assert len(sw.points) == 2
         assert sw.baseline == custom.name

@@ -65,9 +65,6 @@ class TestMicrobump:
         bump = microbump_model(diameter_um=20.0, height_um=15.0)
         assert bump.resistance_ohm > 0
 
-    def test_delay_estimate_positive(self):
-        assert microbump_model().delay_estimate_ps(10e-15) > 0
-
 
 class TestStackedVia:
     def test_scales_with_levels(self):

@@ -107,14 +107,11 @@ class TestRegistry:
         assert GLASS_25D.wire_pitch_um == pytest.approx(4.0)
         assert SILICON_25D.wire_pitch_um == pytest.approx(0.8)
 
-    def test_routing_tracks_per_mm(self):
-        assert GLASS_25D.routing_tracks_per_mm() == pytest.approx(250.0)
-
     def test_silicon_has_densest_tracks(self):
-        tracks = {s.name: s.routing_tracks_per_mm() for s in ALL_SPECS}
+        tracks = {s.name: 1000.0 / s.wire_pitch_um for s in ALL_SPECS}
         assert tracks["silicon_25d"] == max(tracks.values())
 
     def test_apx_has_coarsest_tracks(self):
-        tracks = {s.name: s.routing_tracks_per_mm()
+        tracks = {s.name: 1000.0 / s.wire_pitch_um
                   for s in INTERPOSER_SPECS}
         assert tracks["apx"] == min(tracks.values())

@@ -49,15 +49,6 @@ class TestConductor:
         assert mat.RDL_COPPER.sheet_resistance(4.0) == pytest.approx(
             4.3e-3, rel=1e-3)
 
-    def test_wire_resistance_scales_length(self):
-        r1 = mat.RDL_COPPER.wire_resistance(1000, 2, 4)
-        r2 = mat.RDL_COPPER.wire_resistance(2000, 2, 4)
-        assert r2 == pytest.approx(2 * r1)
-
-    def test_wire_resistance_zero_width_raises(self):
-        with pytest.raises(ValueError):
-            mat.RDL_COPPER.wire_resistance(1000, 0, 4)
-
     def test_sheet_resistance_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mat.RDL_COPPER.sheet_resistance(0)

@@ -107,12 +107,6 @@ class TestApi:
         with pytest.raises(ValueError):
             ThermalGrid(8, 8, [0.0], 1e-4, 1e-4)
 
-    def test_peak_in_box(self):
-        g = uniform_grid()
-        g.add_power(1, 2, 4, 2, 4, 0.3)
-        sol = g.solve()
-        assert sol.peak_in(1, 2, 4, 2, 4) <= sol.peak()
-
 
 @settings(max_examples=10, deadline=None)
 @given(p=st.floats(min_value=0.01, max_value=2.0))

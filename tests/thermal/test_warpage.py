@@ -3,8 +3,7 @@
 import pytest
 
 from repro.tech.interposer import (APX, GLASS_25D, SHINKO, SILICON_25D)
-from repro.thermal.warpage import (analyze_warpage, compare_warpage,
-                                   substrate_properties)
+from repro.thermal.warpage import analyze_warpage, substrate_properties
 
 
 class TestSubstrateProperties:
@@ -30,14 +29,15 @@ class TestWarpage:
     def test_glass_reliability_claim(self):
         """The paper's claim: glass's tunable CTE keeps warpage and
         joint strain far below the organics'."""
-        reports = compare_warpage([GLASS_25D, SHINKO, APX])
+        reports = {s.name: analyze_warpage(s)
+                   for s in (GLASS_25D, SHINKO, APX)}
         assert reports["glass_25d"].warpage_um < \
             reports["shinko"].warpage_um / 5
         assert reports["glass_25d"].dnp_shear_strain_pct < \
             reports["apx"].dnp_shear_strain_pct / 5
 
     def test_glass_within_jedec(self):
-        assert analyze_warpage(GLASS_25D).jedec_ok
+        assert analyze_warpage(GLASS_25D).warpage_um <= 100.0
 
     def test_warpage_quadratic_in_die_size(self):
         small = analyze_warpage(SHINKO, die_width_mm=1.0)
