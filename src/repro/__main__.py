@@ -4,7 +4,7 @@ Five modes::
 
     python -m repro [design] [--scale S] [--seed N] [...]   # run the flow
     python -m repro sweep --space FILE [--jobs N] [--resume] [--server URL]
-    python -m repro report --sweep DIR [--out DIR] [--png]
+    python -m repro report --sweep DIR [--out DIR]
     python -m repro serve [--host H] [--port P] [--workers N]
     python -m repro cache [--gc --max-bytes N]
 
@@ -453,15 +453,10 @@ def report_main(argv) -> int:
     parser.add_argument("--out", default=None,
                         help="report output directory "
                              "(default: <sweep>/report)")
-    parser.add_argument("--png", action="store_true",
-                        help="also write PNG figure companions "
-                             "(requires matplotlib; skipped with a "
-                             "notice when it is not installed)")
     args = parser.parse_args(argv)
 
     try:
-        result = generate_report(args.sweep, out_dir=args.out,
-                                 png=args.png)
+        result = generate_report(args.sweep, out_dir=args.out)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: cannot report on {args.sweep!r}: {exc}",
               file=sys.stderr)
@@ -470,8 +465,6 @@ def report_main(argv) -> int:
     for path in result.figures:
         print(f"  figure: {path}", file=sys.stderr)
     print(f"  summary: {result.summary_path}", file=sys.stderr)
-    for notice in result.notices:
-        print(f"  note: {notice}", file=sys.stderr)
     return 0
 
 

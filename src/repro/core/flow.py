@@ -16,12 +16,12 @@ the same way for both.
 
 Every stage is deterministic, so a design point is keyed by its
 :class:`~repro.core.request.EvalRequest` (``kind="flow"``).
-:func:`run_design`, :func:`run_designs`, :func:`run_flow_task` and the
-DSE flow evaluator share one lookup: memory keyed by the exact request,
-then the :class:`~repro.core.store.ContentStore` under the request's
-``cache_token()`` (which embeds a hash of the package source); a miss is
-computed, remembered and stored.  :func:`run_designs` adds a
-multi-process fan-out.
+:func:`run_design`, :func:`run_designs`, :func:`run_flow_task` and a
+local sweep's flow points share one lookup: memory keyed by the exact
+request, then the :class:`~repro.core.store.ContentStore` under the
+request's ``cache_token()`` (which embeds a hash of the package
+source); a miss is computed, remembered and stored.
+:func:`run_designs` adds a multi-process fan-out.
 
 :func:`run_monolithic` implements the 2D-monolithic baseline column of
 Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
@@ -63,7 +63,7 @@ from ..si.eye import EyeResult, simulate_eye
 from ..si.tline import line_for_spec
 from ..tech.interconnect3d import (cascade, microbump_model,
                                    stacked_via_model, tsv_model)
-from ..tech.interposer import (IntegrationStyle, InterposerSpec, get_spec)
+from ..tech.interposer import IntegrationStyle, InterposerSpec
 from ..thermal.model import PackageThermalReport, analyze_package_thermal
 from .fullchip import FullChipSummary, full_chip_summary_nway
 from .pool import imap_retry
@@ -160,33 +160,6 @@ class DesignResult:
                 "total_power_uw": round(rep.total_power_uw, 2),
             }
         return out
-
-
-#: Spec fields that may not be perturbed through ``spec_overrides``
-#: (identity/enum fields; sweeping them would not mean anything).
-_PROTECTED_SPEC_FIELDS = frozenset({"name", "display_name", "style",
-                                    "routing"})
-
-
-def _apply_overrides(spec: InterposerSpec,
-                     spec_overrides: Mapping[str, object]) -> InterposerSpec:
-    """A validated copy of ``spec`` with some fields replaced.
-
-    Raises:
-        AttributeError: If an override names a field the spec lacks.
-        ValueError: If an override targets an identity field or the
-            resulting spec fails validation.
-    """
-    for field_name in spec_overrides:
-        if field_name in _PROTECTED_SPEC_FIELDS:
-            raise ValueError(
-                f"spec field {field_name!r} cannot be overridden")
-        if field_name not in InterposerSpec.__dataclass_fields__:
-            raise AttributeError(
-                f"InterposerSpec has no field {field_name!r}")
-    out = dataclasses.replace(spec, **dict(spec_overrides))
-    out.validate()
-    return out
 
 
 #: Deterministic in-process result cache, keyed by the exact request.
@@ -399,9 +372,7 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
                                      for k in after}
 
     t_total = time.perf_counter()
-    spec = get_spec(task.design)
-    if task.spec_overrides:
-        spec = _apply_overrides(spec, dict(task.spec_overrides))
+    spec = task.spec()
 
     with stage("chiplets"):
         parts, placement, links = _topology(spec, task)

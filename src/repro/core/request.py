@@ -10,6 +10,8 @@ request, which never reads one), so equal work compares equal, and
 :meth:`EvalRequest.cache_token` hashes the canonical form together with
 :func:`code_version` into the one key every result is stored under —
 by the CLI, local sweeps and the evaluation service alike.
+:meth:`EvalRequest.spec` is the one place a request becomes the
+``InterposerSpec`` it evaluates, for the flow and every stage evaluator.
 
 A :class:`ServeResult` is the outcome of one request: metrics (and, for
 the flow, the full ``DesignResult``) *or* a structured error.
@@ -34,13 +36,18 @@ from typing import TYPE_CHECKING, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..arch.topology import validate_topology
-from ..tech.interposer import get_spec
+from ..tech.interposer import InterposerSpec, get_spec
 
 if TYPE_CHECKING:
     from .flow import DesignResult
 
 #: Request kinds (the flow and the DSE stage evaluators).
 KINDS = ("flow", "geometry", "link", "link_pdn")
+
+#: Spec fields a request may not override (identity/enum fields;
+#: sweeping them would not mean anything).
+PROTECTED_SPEC_FIELDS = frozenset({"name", "display_name", "style",
+                                   "routing"})
 
 #: Canonical form of a ``spec_overrides`` mapping: a sorted item tuple.
 OverridesKey = Tuple[Tuple[str, object], ...]
@@ -126,6 +133,30 @@ class EvalRequest:
             if not 0 < value < math.inf:
                 raise ValueError(
                     f"{name} must be > 0 and finite, got {value}")
+
+    def spec(self) -> InterposerSpec:
+        """The ``InterposerSpec`` this request evaluates: the registered
+        design with its overrides applied, validated.
+
+        Raises:
+            KeyError: On an unknown design.
+            ValueError: If an override targets a protected field (see
+                :data:`PROTECTED_SPEC_FIELDS`) or the resulting spec
+                fails validation.
+            AttributeError: If an override names a field the spec lacks.
+        """
+        spec = get_spec(self.design)
+        for field_name, _value in self.spec_overrides:
+            if field_name in PROTECTED_SPEC_FIELDS:
+                raise ValueError(
+                    f"spec field {field_name!r} cannot be overridden")
+            if field_name not in InterposerSpec.__dataclass_fields__:
+                raise AttributeError(
+                    f"InterposerSpec has no field {field_name!r}")
+        if self.spec_overrides:
+            spec = dataclasses.replace(spec, **dict(self.spec_overrides))
+        spec.validate()
+        return spec
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-safe dict (round-trips via :meth:`from_dict`)."""

@@ -19,27 +19,32 @@ same flow into a sweep engine::
 or, from the command line::
 
     python -m repro sweep --space examples/spaces/glass_25d_pitch.yaml
+
+Every point is an :class:`~repro.core.request.EvalRequest`
+(:func:`request_for_point`), and :func:`evaluate_request` is the one
+function that runs it — serially, in pool workers and on a
+``repro.serve`` server alike.
 """
 
 from .analyze import (axis_sensitivity, dominates, elasticity, failures,
                       flat_records, load_points, pareto_front,
                       sensitivity_summary, successes)
 from ..core.flow import flow_metrics
-from .evaluate import EVALUATORS, PointEvaluationError, evaluate_point
+from .evaluate import evaluate_request
 from .fidelity import (FidelityRung, MultiFidelityResult,
                        MultiFidelityRunner, MultiFidelitySpec,
                        PromotionPolicy, load_space, promote)
 from .report import generate_report, load_sweep_dir
 from .runner import SweepRunner, default_sweep_dir, run_sweep
-from .space import Axis, SweepSpec
+from .space import Axis, SweepSpec, request_for_point
 
 __all__ = [
-    "Axis", "EVALUATORS", "FidelityRung", "MultiFidelityResult",
-    "MultiFidelityRunner", "MultiFidelitySpec", "PointEvaluationError",
+    "Axis", "FidelityRung", "MultiFidelityResult",
+    "MultiFidelityRunner", "MultiFidelitySpec",
     "PromotionPolicy", "SweepRunner", "SweepSpec", "axis_sensitivity",
-    "default_sweep_dir", "dominates", "elasticity", "evaluate_point",
+    "default_sweep_dir", "dominates", "elasticity", "evaluate_request",
     "failures", "flat_records", "flow_metrics", "generate_report",
     "load_points", "load_space", "load_sweep_dir", "pareto_front",
-    "promote", "run_sweep",
+    "promote", "request_for_point", "run_sweep",
     "sensitivity_summary", "successes",
 ]

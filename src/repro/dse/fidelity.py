@@ -47,6 +47,7 @@ from pathlib import Path
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
 
+from ..core.request import KINDS
 from .analyze import pareto_front
 from .runner import SweepRunner, default_sweep_dir
 from .space import SweepSpec
@@ -158,11 +159,10 @@ class FidelityRung:
 
     def validate(self) -> None:
         """Raises ``ValueError`` on an ill-formed rung."""
-        from .evaluate import EVALUATORS  # local: avoid import cycle
-        if self.evaluator not in EVALUATORS:
+        if self.evaluator not in KINDS:
             raise ValueError(
                 f"rung evaluator {self.evaluator!r} unknown; valid: "
-                f"{', '.join(sorted(EVALUATORS))}")
+                f"{', '.join(sorted(KINDS))}")
         if not self.objectives:
             raise ValueError(
                 f"rung {self.evaluator!r}: needs at least one proxy "
@@ -215,7 +215,8 @@ class MultiFidelitySpec:
         object.__setattr__(self, "rungs", tuple(self.rungs))
 
     def validate(self) -> None:
-        """Raises ``ValueError`` on an ill-formed ladder."""
+        """Raises ``ValueError`` on an ill-formed ladder, or on a point
+        that one of its evaluators would refuse."""
         self.sweep.validate()
         if self.sweep.subset is not None:
             raise ValueError(
@@ -232,6 +233,8 @@ class MultiFidelitySpec:
                 "climbing toward)")
         for rung in self.rungs:
             rung.validate()
+            dataclasses.replace(self.sweep,
+                                evaluator=rung.evaluator).validate()
 
     def to_dict(self) -> Dict[str, object]:
         """Plain-dict form: the sweep's dict plus a ``fidelity`` block."""

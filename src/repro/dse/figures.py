@@ -7,9 +7,6 @@ guarantee pinned by ``tests/dse/test_report.py``).  Matplotlib output
 is not byte-stable across versions — and is not installed in minimal
 environments — so this module renders scatter/bar/funnel charts
 directly to SVG with fixed-precision coordinates and no timestamps.
-When matplotlib *is* importable, :func:`render_png` converts the same
-chart data to PNG as a convenience; otherwise PNG export is skipped
-with a notice (never an error).
 
 Usage::
 
@@ -26,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: Categorical palette + marker shapes, keyed in first-use order; the
 #: six paper packages land on stable styles because the report sorts
@@ -331,60 +328,3 @@ def funnel_svg(stages: Sequence[Tuple[str, int, int]],
             annotations.append("final fidelity")
     return hbar_svg(rows, title, "points evaluated",
                     annotations=annotations)
-
-
-def render_png(svg_path, chart_kind: str, data: Dict[str, object]
-               ) -> Optional[str]:
-    """Best-effort PNG companion for one chart via matplotlib.
-
-    Matplotlib is an *optional* dependency: when it is not importable
-    (the default in minimal installs) this returns ``None`` and the
-    caller reports SVG-only output.  PNG bytes are not covered by the
-    snapshot-stability guarantee — only the SVGs are.
-
-    Args:
-        svg_path: Path of the already-written SVG (the PNG lands next
-            to it with the same stem).
-        chart_kind: ``"scatter"`` or ``"hbar"``.
-        data: The chart data that produced the SVG (series/rows/...).
-
-    Returns:
-        The PNG path on success, ``None`` when matplotlib is missing
-        or rendering fails.
-    """
-    try:  # pragma: no cover - exercised only when matplotlib exists
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except Exception:
-        return None
-    try:  # pragma: no cover - exercised only when matplotlib exists
-        from pathlib import Path as _Path
-        png_path = _Path(svg_path).with_suffix(".png")
-        fig, ax = plt.subplots(figsize=(6.4, 4.2), dpi=110)
-        if chart_kind == "scatter":
-            for i, s in enumerate(data.get("series", ())):
-                xs = [p[0] for p in s.points]
-                ys = [p[1] for p in s.points]
-                ax.scatter(xs, ys, label=s.label,
-                           color=PALETTE[i % len(PALETTE)])
-            front = sorted(data.get("front", ()))
-            if front:
-                ax.plot([p[0] for p in front], [p[1] for p in front],
-                        "--", color=PALETTE[1], label="Pareto front")
-            ax.set_xlabel(data.get("xlabel", ""))
-            ax.set_ylabel(data.get("ylabel", ""))
-            ax.legend(fontsize=8)
-        else:
-            rows = list(data.get("rows", ()))
-            labels = [r[0] for r in rows][::-1]
-            values = [r[1] for r in rows][::-1]
-            ax.barh(labels, values, color=PALETTE[0])
-            ax.set_xlabel(data.get("xlabel", ""))
-        ax.set_title(data.get("title", ""))
-        fig.tight_layout()
-        fig.savefig(png_path)
-        plt.close(fig)
-        return str(png_path)
-    except Exception:
-        return None

@@ -18,14 +18,12 @@ produces a self-contained report directory:
 
 All SVG output is deterministic (see :mod:`repro.dse.figures`):
 regenerating a report from the same sweep directory yields
-hash-identical figures.  PNG companions are written only when
-matplotlib is importable — a missing matplotlib is reported, never an
-error.
+hash-identical figures.
 
 Usage::
 
     python -m repro report --sweep results/sweeps/paper-pareto \\
-        [--out results/sweeps_report] [--png]
+        [--out results/sweeps_report]
 
 or programmatically::
 
@@ -44,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .analyze import (flat_records, failures, load_points, pareto_front,
                       sensitivity_summary, successes)
 from .fidelity import FIDELITY_MANIFEST
-from .figures import Series, funnel_svg, hbar_svg, render_png, scatter_svg
+from .figures import Series, funnel_svg, hbar_svg, scatter_svg
 from .space import SweepSpec
 
 
@@ -77,7 +75,6 @@ class ReportResult:
     report_path: Path
     summary_path: Path
     figures: List[Path] = field(default_factory=list)
-    notices: List[str] = field(default_factory=list)
 
 
 def _read_timings(store_dir: Path) -> List[Dict[str, object]]:
@@ -178,16 +175,12 @@ def _design_series(flat: Sequence[Mapping[str, object]],
 # --------------------------------------------------------------------- #
 
 
-def generate_report(sweep_dir, out_dir=None,
-                    png: bool = False) -> ReportResult:
+def generate_report(sweep_dir, out_dir=None) -> ReportResult:
     """Render one sweep directory into Markdown + figures.
 
     Args:
         sweep_dir: A completed (or partially completed) result store.
         out_dir: Report directory; defaults to ``<sweep_dir>/report``.
-        png: Also write PNG companions via matplotlib when available
-            (silently skipped — with a notice in the report — when it
-            is not installed).
 
     Returns:
         A :class:`ReportResult` with every path written.
@@ -201,23 +194,12 @@ def generate_report(sweep_dir, out_dir=None,
     flat = flat_records(data.records)
     failed = failures(data.records)
     objectives = dict(spec.objectives)
-    notices: List[str] = []
     figures: List[Path] = []
-    png_requested = bool(png)
 
-    def _emit(name: str, svg: str, kind: str,
-              chart_data: Dict[str, object]) -> str:
+    def _emit(name: str, svg: str) -> str:
         path = out / name
         path.write_text(svg)
         figures.append(path)
-        if png_requested:
-            png_path = render_png(path, kind, chart_data)
-            if png_path:
-                figures.append(Path(png_path))
-            else:
-                notices.append(
-                    "matplotlib is not installed — PNG companions "
-                    "skipped, SVG figures only")
         return name
 
     md: List[str] = []
@@ -288,11 +270,7 @@ def generate_report(sweep_dir, out_dir=None,
                       f"nothing is silently capped).")
             md.append("")
         name = _emit("fig_funnel.svg",
-                     funnel_svg(stages, f"Fidelity funnel — {spec.name}"),
-                     "hbar", {"rows": [(s[0], float(s[1]))
-                                       for s in stages],
-                              "xlabel": "points evaluated",
-                              "title": "Fidelity funnel"})
+                     funnel_svg(stages, f"Fidelity funnel — {spec.name}"))
         md.append(f"![fidelity funnel]({name})")
         md.append("")
 
@@ -323,10 +301,7 @@ def generate_report(sweep_dir, out_dir=None,
                 "fig_pareto.svg",
                 scatter_svg(series, xm, ym,
                             f"Pareto view — {xm} vs {ym}",
-                            front=front_pts),
-                "scatter", {"series": series, "front": front_pts,
-                            "xlabel": xm, "ylabel": ym,
-                            "title": f"Pareto view — {xm} vs {ym}"})
+                            front=front_pts))
             extra = ""
             if len(obj_names) > 2:
                 extra = (f" The front is computed in "
@@ -360,9 +335,7 @@ def generate_report(sweep_dir, out_dir=None,
             "fig_sensitivity.svg",
             hbar_svg(sens_rows, f"Sensitivity — {spec.name}",
                      "endpoint elasticity (d metric / d axis, "
-                     "normalized)", color_by_sign=True),
-            "hbar", {"rows": sens_rows, "xlabel": "elasticity",
-                     "title": "Sensitivity"})
+                     "normalized)", color_by_sign=True))
         md.append(f"![sensitivity]({name})")
         md.append("")
 
@@ -387,10 +360,7 @@ def generate_report(sweep_dir, out_dir=None,
         name = _emit(
             "fig_runtime.svg",
             hbar_svg(runtime_rows, f"Runtime — {spec.name}",
-                     "wall-clock seconds", annotations=runtime_notes),
-            "hbar", {"rows": runtime_rows,
-                     "xlabel": "wall-clock seconds",
-                     "title": "Runtime"})
+                     "wall-clock seconds", annotations=runtime_notes))
         md.append(f"![runtime]({name})")
         md.append("")
 
@@ -402,13 +372,6 @@ def generate_report(sweep_dir, out_dir=None,
             ["id", "error", "message"],
             [[r["id"], r["error"]["type"], r["error"]["message"]]
              for r in failed]))
-        md.append("")
-
-    if notices:
-        md.append("## Notices")
-        md.append("")
-        for notice in sorted(set(notices)):
-            md.append(f"- {notice}")
         md.append("")
 
     report_path = out / "report.md"
@@ -434,5 +397,4 @@ def generate_report(sweep_dir, out_dir=None,
                                        sort_keys=True) + "\n")
 
     return ReportResult(out_dir=out, report_path=report_path,
-                        summary_path=summary_path, figures=figures,
-                        notices=sorted(set(notices)))
+                        summary_path=summary_path, figures=figures)

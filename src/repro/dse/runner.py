@@ -25,30 +25,35 @@ Store layout (``results/sweeps/<name>/`` by default)::
                     that copied an identical in-flight point's result.
     errors.log      full tracebacks of failed points
 
-Parallel fan-outs go through the persistent pool of
-:mod:`repro.core.pool`, so every sweep after the first in a process (and
-every rung of a multi-fidelity run) reuses warm, pre-imported workers.
-Points with identical parameters are evaluated once per run — the later
-duplicates copy the first occurrence's deterministic record, which is
-what an actual evaluation would have produced.
+Every point is one :class:`~repro.core.request.EvalRequest`
+(:func:`~repro.dse.space.request_for_point`).  Locally it runs through
+:func:`~repro.dse.evaluate.evaluate_request` — in this process, or on
+the persistent pool of :mod:`repro.core.pool`, so every sweep after the
+first in a process (and every rung of a multi-fidelity run) reuses
+warm, pre-imported workers; remotely a ``repro.serve`` server runs the
+same function.  Either way the outcome is a
+:class:`~repro.core.request.ServeResult`, and one builder turns it into
+the point's row.  Points with identical parameters are evaluated once
+per run — the later duplicates copy the first occurrence's
+deterministic record, which is what an actual evaluation would have
+produced.
 
-Worker errors become structured failure rows instead of aborting the
-sweep; the surviving points still complete and persist.
+Evaluation errors become structured failure rows instead of aborting
+the sweep; the surviving points still complete and persist.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
-import traceback as traceback_module
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..core.pool import get_pool, imap_retry
-from ..tech.interposer import InterposerSpec
-from .evaluate import (PointEvaluationError, evaluate_point,
-                       request_for_point)
-from .space import SweepSpec
+from ..core.request import EvalRequest, ServeResult
+from .evaluate import evaluate_request
+from .space import SweepSpec, request_for_point
 
 
 def default_sweep_dir(name: str) -> Path:
@@ -75,42 +80,38 @@ def _sanitize(value: object) -> object:
     return float(value)  # numpy scalars etc.
 
 
-def _evaluate_task(args: Tuple[SweepSpec, Optional[InterposerSpec], int,
-                               Dict[str, object]]
-                   ) -> Tuple[Dict[str, object], float, bool,
-                              Optional[str]]:
+def _local_outcome(request: EvalRequest) -> ServeResult:
     """Worker entry: evaluate one point, never raise.
 
-    Returns ``(record, wall_s, cached, traceback_text)``; the record is
-    the deterministic row destined for ``points.jsonl``, while
-    ``cached`` (whether the flow evaluator was served from the flow
-    result cache) feeds ``timings.jsonl`` only — cache hits vary run to
-    run, so they must stay out of the byte-stable store.
+    Flow points go through the flow's result lookup.  The outcome comes
+    back without its ``DesignResult``: a row needs only the metrics, so
+    a pool worker sends no more than that.
     """
-    sweep, base_spec, index, params = args
+    return dataclasses.replace(evaluate_request(request, use_cache=True),
+                               result=None)
+
+
+def _record(spec: SweepSpec, index: int, params: Dict[str, object],
+            outcome: ServeResult) -> Dict[str, object]:
+    """The deterministic ``points.jsonl`` row of one point's outcome.
+
+    Cache provenance, wall time and the traceback vary run to run, so
+    they stay out of it (``timings.jsonl`` and ``errors.log``).
+    """
     record: Dict[str, object] = {
-        "id": sweep.point_id(index),
+        "id": spec.point_id(index),
         "index": index,
         "params": params,
         "metrics": None,
         "error": None,
     }
-    t0 = time.perf_counter()
-    tb: Optional[str] = None
-    cached = False
-    try:
-        metrics = evaluate_point(sweep, params, base_spec)
-        cached = bool(metrics.pop("_cached", False))
-        record["metrics"] = {k: _sanitize(v) for k, v in metrics.items()}
-    except PointEvaluationError as exc:
-        record["error"] = {"type": exc.error_type,
-                           "message": exc.error_message}
-        tb = exc.error_traceback
-    except Exception as exc:  # noqa: BLE001 — failure rows by design
-        record["error"] = {"type": type(exc).__name__,
-                           "message": str(exc)}
-        tb = traceback_module.format_exc()
-    return record, time.perf_counter() - t0, cached, tb
+    if outcome.ok:
+        record["metrics"] = {k: _sanitize(v)
+                             for k, v in outcome.metrics.items()}
+    else:
+        record["error"] = {"type": outcome.error_type,
+                           "message": outcome.error_message}
+    return record
 
 
 class SweepRunner:
@@ -122,9 +123,6 @@ class SweepRunner:
             (no files) — what the sensitivity wrappers use.  Defaults
             to :func:`default_sweep_dir` when ``persist`` is left on.
         jobs: Worker processes (1 = evaluate in this process).
-        base_spec: Optional unregistered ``InterposerSpec`` to sweep
-            around instead of a registered design (stage evaluators
-            only; in-memory runs).
         progress: Optional callback receiving one line per point.
         server_url: Optional ``repro.serve`` evaluation-server URL
             (e.g. ``http://127.0.0.1:8321``).  When set, points are
@@ -137,19 +135,14 @@ class SweepRunner:
     def __init__(self, spec: SweepSpec,
                  out_dir: Optional[Path] = None,
                  jobs: int = 1,
-                 base_spec: Optional[InterposerSpec] = None,
                  persist: bool = True,
                  progress: Optional[Callable[[str], None]] = None,
                  server_url: Optional[str] = None):
         spec.validate()
         self.spec = spec
         self.jobs = max(1, int(jobs))
-        self.base_spec = base_spec
         self.progress = progress
         self.server_url = server_url
-        if server_url is not None and base_spec is not None:
-            raise ValueError("remote sweeps evaluate registered designs; "
-                             "base_spec is local-only")
         if not persist:
             self.out_dir = None
         else:
@@ -264,8 +257,7 @@ class SweepRunner:
         # Dedupe identical in-flight points: only the first occurrence
         # of each parameter set is evaluated; later duplicates copy its
         # deterministic record (what evaluating them would produce).
-        unique_tasks: List[Tuple[SweepSpec, Optional[InterposerSpec],
-                                 int, Dict[str, object]]] = []
+        requests: List[EvalRequest] = []
         plan: List[Tuple[int, bool]] = []  # (unique position, is_dup)
         first_seen: Dict[str, int] = {}
         for i, params in todo:
@@ -273,33 +265,31 @@ class SweepRunner:
                              separators=(",", ":"))
             pos = first_seen.get(key)
             if pos is None:
-                first_seen[key] = len(unique_tasks)
-                plan.append((len(unique_tasks), False))
-                unique_tasks.append((self.spec, self.base_spec, i,
-                                     params))
+                first_seen[key] = len(requests)
+                plan.append((len(requests), False))
+                requests.append(request_for_point(self.spec, params))
             else:
                 plan.append((pos, True))
 
         if self.server_url is not None:
             pool_state = "remote"
-            outcomes = self._remote_outcomes(unique_tasks)
-        elif self.jobs > 1 and len(unique_tasks) > 1:
+            outcomes = self._remote_outcomes(requests)
+        else:
             # Persistent pool (repro.core.pool): reused across run()
             # calls and sweeps, so only the first fan-out in a process
             # pays worker spin-up and imports.  imap_retry yields in
             # submission order, which is point order — the store stays
-            # an ordered prefix of the point list — and resubmits the
-            # unfinished suffix once if a worker dies mid-sweep.
-            pool, reused = get_pool(self.jobs)
-            pool_state = "warm" if reused else "cold"
-            outcomes = imap_retry(_evaluate_task, unique_tasks,
-                                  self.jobs, chunksize=1)
-        else:
+            # an ordered prefix of the point list — resubmits the
+            # unfinished suffix once if a worker dies mid-sweep, and
+            # runs in this process when there is nothing to fan out.
             pool_state = "serial"
-            outcomes = map(_evaluate_task, unique_tasks)
+            if self.jobs > 1 and len(requests) > 1:
+                _pool, reused = get_pool(self.jobs)
+                pool_state = "warm" if reused else "cold"
+            outcomes = imap_retry(_local_outcome, requests, self.jobs,
+                                  chunksize=1)
         outcomes_iter = iter(outcomes)
-        completed: List[Tuple[Dict[str, object], float, bool,
-                              Optional[str]]] = []
+        completed: List[ServeResult] = []
 
         points_fh = timings_fh = None
         if self.out_dir is not None:
@@ -307,17 +297,13 @@ class SweepRunner:
             timings_fh = open(self.timings_path, "a")
         try:
             for (index, params), (pos, is_dup) in zip(todo, plan):
+                # The representative always precedes its duplicates in
+                # point order, so a duplicate's outcome is already in.
                 if not is_dup:
                     completed.append(next(outcomes_iter))
-                    record, wall_s, cached, tb = completed[-1]
-                else:
-                    # The representative always precedes its duplicates
-                    # in point order, so its outcome is already in.
-                    rep_record, _, cached, tb = completed[pos]
-                    record = dict(rep_record)
-                    record["id"] = self.spec.point_id(index)
-                    record["index"] = index
-                    wall_s = 0.0
+                outcome = completed[pos]
+                record = _record(self.spec, index, params, outcome)
+                wall_s = 0.0 if is_dup else outcome.wall_s
                 records.append(record)
                 if points_fh is not None:
                     points_fh.write(_canonical_line(record))
@@ -325,15 +311,16 @@ class SweepRunner:
                     timings_fh.write(_canonical_line({
                         "id": record["id"],
                         "wall_s": round(wall_s, 4),
-                        "cached": cached,
+                        "cached": outcome.cached,
                         "deduped": is_dup,
                         "pool": pool_state,
                     }))
                     timings_fh.flush()
-                    if tb:
+                    if outcome.error_traceback:
                         with open(self.errors_path, "a") as err_fh:
                             err_fh.write(
-                                f"--- {record['id']} ---\n{tb}\n")
+                                f"--- {record['id']} ---\n"
+                                f"{outcome.error_traceback}\n")
                 if self.progress is not None:
                     status = ("ok" if record["error"] is None else
                               f"FAILED ({record['error']['type']})")
@@ -350,49 +337,32 @@ class SweepRunner:
     # Remote evaluation (repro.serve).
     # ---------------------------------------------------------------- #
 
-    def _remote_outcomes(self, unique_tasks):
+    def _remote_outcomes(self, requests: List[EvalRequest]
+                         ) -> Iterator[ServeResult]:
         """Evaluate unique points on a ``repro.serve`` server.
 
         All points are submitted up front (the server schedules them
         onto its pool and dedupes identical in-flight requests — also
         against other clients), then results are collected in point
-        order, yielding the exact outcome tuples
-        :func:`_evaluate_task` would produce locally: the evaluators
-        are deterministic, so the resulting store is byte-identical.
+        order.  The server runs the same
+        :func:`~repro.dse.evaluate.evaluate_request` a local sweep
+        does, so the resulting store is byte-identical.  Each outcome's
+        ``wall_s`` is this client's wait for the point.
         """
         from ..serve.client import ServeClient
 
         client = ServeClient(self.server_url)
         try:
-            handles = [client.submit(request_for_point(sweep, params))
-                       for sweep, _base, _index, params in unique_tasks]
-            for (sweep, _base, index, params), handle \
-                    in zip(unique_tasks, handles):
+            handles = [client.submit(request) for request in requests]
+            for handle in handles:
                 t0 = time.perf_counter()
                 out = client.result(handle.job_id)
-                record: Dict[str, object] = {
-                    "id": sweep.point_id(index),
-                    "index": index,
-                    "params": params,
-                    "metrics": None,
-                    "error": None,
-                }
-                tb: Optional[str] = None
-                if out.error_type is not None:
-                    record["error"] = {"type": out.error_type,
-                                       "message": out.error_message}
-                    tb = out.error_traceback
-                else:
-                    record["metrics"] = {k: _sanitize(v)
-                                         for k, v in out.metrics.items()}
-                yield (record, time.perf_counter() - t0, out.cached, tb)
+                yield dataclasses.replace(
+                    out, result=None, wall_s=time.perf_counter() - t0)
         finally:
             client.close()
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1,
-              base_spec: Optional[InterposerSpec] = None
-              ) -> List[Dict[str, object]]:
+def run_sweep(spec: SweepSpec, jobs: int = 1) -> List[Dict[str, object]]:
     """Evaluate a sweep fully in memory (no result store)."""
-    return SweepRunner(spec, jobs=jobs, base_spec=base_spec,
-                       persist=False).run()
+    return SweepRunner(spec, jobs=jobs, persist=False).run()

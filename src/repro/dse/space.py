@@ -21,6 +21,12 @@ points while keeping their original identities
 the multi-fidelity runner (:mod:`repro.dse.fidelity`) expresses
 "re-evaluate only the promoted points at the next fidelity" as a plain
 resumable sweep whose manifest records the promotion decision.
+
+Every point becomes one :class:`~repro.core.request.EvalRequest`
+(:func:`request_for_point`), the unit a local sweep evaluates and a
+remote sweep submits; :meth:`SweepSpec.validate` builds and checks each
+point's request, so a space the evaluation service would refuse point by
+point is refused before anything runs, locally and remotely alike.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..arch.topology import validate_topology
+from ..core.request import KINDS, PROTECTED_SPEC_FIELDS, EvalRequest
 from ..tech.interposer import InterposerSpec, get_spec
 
 #: Flow-level parameters an axis may target (everything else must be an
@@ -45,10 +52,6 @@ FLOW_AXIS_PARAMS = frozenset({
     "design", "scale", "seed", "target_frequency_mhz", "length_um",
     "num_chiplets", "arrangement",
 })
-
-#: Spec fields that cannot be swept (identity/enum fields).
-PROTECTED_SPEC_FIELDS = frozenset({"name", "display_name", "style",
-                                   "routing"})
 
 SAMPLERS = ("grid", "random", "lhs")
 
@@ -178,7 +181,7 @@ class SweepSpec:
         name: Sweep name; also the default result-store directory name.
         axes: The swept dimensions.
         design: Base design point for axes that don't sweep ``design``.
-        evaluator: Metric evaluator (see ``repro.dse.evaluate``):
+        evaluator: Metric evaluator (see :data:`repro.core.request.KINDS`):
             ``"flow"`` (full co-design flow), ``"geometry"``,
             ``"link"``, or ``"link_pdn"`` (cheap single-stage models).
         sampler: ``"grid"``, ``"random"``, or ``"lhs"``.
@@ -225,8 +228,14 @@ class SweepSpec:
                                tuple(int(i) for i in self.subset))
 
     def validate(self) -> None:
-        """Raises ``ValueError`` on an ill-formed spec."""
-        from .evaluate import EVALUATORS  # local: avoid import cycle
+        """Raises ``ValueError`` on an ill-formed spec or point.
+
+        Besides the spec's own fields, every point's request is built
+        and validated (:meth:`~repro.core.request.EvalRequest.validate`),
+        and the error names the point.  Spec-field values are checked
+        per point when it is evaluated (:meth:`EvalRequest.spec`), so a
+        bad one is an error row, not a refused sweep.
+        """
         if not self.name:
             raise ValueError("sweep needs a name")
         if not self.axes:
@@ -239,10 +248,10 @@ class SweepSpec:
         if self.sampler not in SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}; "
                              f"valid: {', '.join(SAMPLERS)}")
-        if self.evaluator not in EVALUATORS:
+        if self.evaluator not in KINDS:
             raise ValueError(
                 f"unknown evaluator {self.evaluator!r}; valid: "
-                f"{', '.join(sorted(EVALUATORS))}")
+                f"{', '.join(sorted(KINDS))}")
         if self.sampler in ("random", "lhs") and self.num_samples < 1:
             raise ValueError(
                 f"{self.sampler} sampling needs num_samples >= 1")
@@ -262,6 +271,13 @@ class SweepSpec:
             if self.subset[0] < 0:
                 raise ValueError(f"subset has negative index "
                                  f"{self.subset[0]}")
+        for index, params in enumerate(self._selected_points()):
+            try:
+                request_for_point(self, params).validate()
+            except (KeyError, ValueError) as exc:
+                reason = exc.args[0] if isinstance(exc, KeyError) else exc
+                raise ValueError(
+                    f"point {self.point_id(index)}: {reason}") from None
 
     # ---------------------------------------------------------------- #
     # Point generation (deterministic in the spec).
@@ -279,6 +295,10 @@ class SweepSpec:
         full list.
         """
         self.validate()
+        return self._selected_points()
+
+    def _selected_points(self) -> List[Dict[str, object]]:
+        """The point list without validation (honours ``subset``)."""
         base = self._base_points()
         if self.subset is None:
             return base
@@ -430,3 +450,43 @@ class SweepSpec:
         canonical = json.dumps(self.to_dict(), sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def request_for_point(sweep: SweepSpec, params: Mapping[str, object]
+                      ) -> EvalRequest:
+    """The request a sweep point evaluates: what a local sweep runs
+    through :func:`~repro.dse.evaluate.evaluate_request` and a remote
+    sweep submits.
+
+    Tied axis fields are expanded here, client-side, so the server never
+    needs the sweep's axis definitions.  Topology values pass through
+    unconverted: the request normalizes them, and refuses a
+    non-integral chiplet count.
+
+    Raises:
+        KeyError: On an unknown design.
+        ValueError: On an invalid topology.
+    """
+    tied = {a.name: a.tied for a in sweep.axes}
+    flow: Dict[str, object] = {}
+    overrides: Dict[str, object] = {}
+    for key, value in params.items():
+        if key in FLOW_AXIS_PARAMS:
+            flow[key] = value
+        else:
+            overrides[key] = value
+            for extra in tied.get(key, ()):
+                overrides[extra] = value
+    return EvalRequest(
+        kind=sweep.evaluator,
+        design=get_spec(str(flow.get("design", sweep.design))).name,
+        scale=float(flow.get("scale", sweep.scale)),
+        seed=int(flow.get("seed", sweep.seed)),
+        target_frequency_mhz=float(flow.get("target_frequency_mhz",
+                                            sweep.target_frequency_mhz)),
+        with_eyes=sweep.with_eyes,
+        with_thermal=sweep.with_thermal,
+        length_um=float(flow.get("length_um", sweep.length_um)),
+        spec_overrides=tuple(sorted(overrides.items())),
+        num_chiplets=flow.get("num_chiplets", 2),
+        arrangement=flow.get("arrangement", "grid"))

@@ -1,11 +1,13 @@
 """Async flow-evaluation service with a content-addressed cache tier.
 
 ``repro.serve`` turns the repro flow into a long-lived evaluation
-service: an asyncio HTTP/JSON server (stdlib only) that schedules
-flow tasks, stage evaluations, and report renders onto the persistent
-warm process pool, dedupes identical in-flight requests across
-clients, and serves repeat requests from the content-addressed result
-store (:mod:`repro.core.store`) that CLI runs and local sweeps share.
+service: an asyncio HTTP/JSON server (stdlib only) that schedules flow
+tasks and stage evaluations onto the persistent warm process pool,
+dedupes identical in-flight requests across clients, and serves repeat
+requests from the content-addressed result store
+(:mod:`repro.core.store`) that CLI runs and local sweeps share.  Its
+pool runs the one evaluation path a local sweep runs
+(:func:`repro.dse.evaluate.evaluate_request`).
 
 Start it with ``python -m repro serve`` and talk to it with
 :class:`ServeClient`, or point a

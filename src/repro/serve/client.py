@@ -173,14 +173,14 @@ class ServeClient:
         return self._json("GET", "/v1/stats")
 
     def submit(self, request: Union[EvalRequest, Dict[str, object]],
-               priority: int = 0, wait: bool = False,
+               wait: bool = False,
                timeout_s: float = POLL_SLICE_S) -> JobHandle:
         """Submit one request; returns its job handle.
 
         ``wait=True`` long-polls on the server so a finished job comes
         back in one round trip (cache hits always do).
         """
-        body = dict(_as_request(request).to_dict(), priority=priority)
+        body = _as_request(request).to_dict()
         path = "/v1/tasks"
         if wait:
             path += f"?wait=1&timeout_s={timeout_s}"
@@ -189,11 +189,10 @@ class ServeClient:
 
     def submit_batch(self,
                      requests: Sequence[Union[EvalRequest,
-                                              Dict[str, object]]],
-                     priority: int = 0) -> List[JobHandle]:
+                                              Dict[str, object]]]
+                     ) -> List[JobHandle]:
         """Submit many requests in one round trip (``POST /v1/batch``)."""
-        body = {"tasks": [_as_request(r).to_dict() for r in requests],
-                "priority": priority}
+        body = {"tasks": [_as_request(r).to_dict() for r in requests]}
         views = self._json("POST", "/v1/batch", body)["jobs"]
         return [JobHandle.from_view(v) for v in views]
 
@@ -243,20 +242,11 @@ class ServeClient:
         return out
 
     def evaluate(self, request: Union[EvalRequest, Dict[str, object]],
-                 priority: int = 0,
                  timeout_s: float = DEFAULT_RESULT_TIMEOUT_S
                  ) -> ServeResult:
         """Submit one request and block for its full result."""
-        handle = self.submit(request, priority=priority, wait=True)
+        handle = self.submit(request, wait=True)
         return self.result(handle.job_id, timeout_s=timeout_s)
-
-    def report(self, sweep_dir: str, out_dir: Optional[str] = None,
-               png: bool = False) -> Dict[str, object]:
-        """Render a sweep report on the server (``POST /v1/report``)."""
-        body: Dict[str, object] = {"sweep": str(sweep_dir), "png": png}
-        if out_dir is not None:
-            body["out"] = str(out_dir)
-        return self._json("POST", "/v1/report", body)
 
     def pause(self) -> None:
         """Hold the scheduler (queued jobs stay queued)."""

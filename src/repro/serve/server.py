@@ -1,7 +1,7 @@
 """Asyncio HTTP/JSON evaluation server (``python -m repro serve``).
 
 The server turns the one-shot flow CLI into a long-running evaluation
-oracle: many concurrent clients submit flow/stage requests, a priority
+oracle: many concurrent clients submit flow/stage requests, a FIFO
 scheduler fans them onto the persistent warm worker pool
 (:mod:`repro.core.pool`), identical in-flight requests are deduped
 across clients by :meth:`EvalRequest.cache_token`, and completed
@@ -22,7 +22,6 @@ Endpoints (all JSON unless noted)::
     GET  /v1/jobs/<id>[?wait=1&...]     job view (long-poll with wait=1)
     GET  /v1/jobs/<id>/result           pickled ServeResult (octet-stream)
     DELETE /v1/jobs/<id>                cancel a job
-    POST /v1/report                     render a sweep report (sync)
     POST /v1/admin/pause|resume         hold / release the scheduler
     POST /v1/admin/drain                graceful drain (same as SIGTERM)
 
@@ -41,14 +40,14 @@ acknowledged is ever lost.
 from __future__ import annotations
 
 import asyncio
-import heapq
+import collections
 import itertools
 import json
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set
 from urllib.parse import parse_qs, urlsplit
 
 from concurrent.futures.process import BrokenProcessPool
@@ -69,16 +68,17 @@ class ServerConfig:
         workers: Worker processes for evaluation (the persistent pool).
         cache_dir: Store directory override (``None`` = the default
             store directory, honouring ``REPRO_FLOW_CACHE``).
-        max_done_jobs: Completed jobs retained for later ``GET``s;
-            the oldest finished jobs beyond this are forgotten.
     """
 
     host: str = "127.0.0.1"
     port: int = 8321
     workers: int = 2
     cache_dir: Optional[Path] = None
-    max_done_jobs: int = 10_000
 
+
+#: Completed jobs retained for later ``GET``s; the oldest finished jobs
+#: beyond this are forgotten.
+MAX_DONE_JOBS = 10_000
 
 _FINAL_STATES = ("done", "error", "cancelled")
 
@@ -90,7 +90,6 @@ class _Job:
     id: str
     request: EvalRequest
     token: str
-    priority: int = 0
     state: str = "queued"
     cached: bool = False
     outcome: Optional[ServeResult] = None
@@ -105,7 +104,6 @@ class _Job:
             "kind": self.request.kind,
             "design": self.request.design,
             "etag": self.token,
-            "priority": self.priority,
             "cached": self.cached,
         }
         if self.outcome is not None:
@@ -159,10 +157,9 @@ class EvalServer:
         self.config = config or ServerConfig()
         self.store = ContentStore(self.config.cache_dir)
         self._jobs: Dict[str, _Job] = {}
-        self._done_order: List[str] = []
+        self._done_order: Deque[str] = collections.deque()
         self._evals: Dict[str, _Evaluation] = {}
-        self._heap: List[Tuple[int, int, str]] = []
-        self._seq = itertools.count()
+        self._queue: Deque[str] = collections.deque()  # tokens, FIFO
         self._job_seq = itertools.count(1)
         self._cond: Optional[asyncio.Condition] = None
         self._paused = False
@@ -264,8 +261,8 @@ class EvalServer:
                     await self._cond.wait()
                 if self._stopping and not self._runnable():
                     return
-                while self._heap:
-                    _prio, _seq, token = heapq.heappop(self._heap)
+                while self._queue:
+                    token = self._queue.popleft()
                     ev = self._evals.get(token)
                     if ev is not None and ev.state == "queued":
                         evaluation = ev
@@ -285,7 +282,7 @@ class EvalServer:
             self._finalize(evaluation, outcome)
 
     def _runnable(self) -> bool:
-        return bool(self._heap) and not self._paused
+        return bool(self._queue) and not self._paused
 
     async def _execute(self, request: EvalRequest) -> ServeResult:
         """Run one evaluation on the pool, surviving one pool death."""
@@ -318,21 +315,20 @@ class EvalServer:
             self._remember_done(job_id)
 
     def _remember_done(self, job_id: str) -> None:
-        """Retain finished jobs up to the configured cap."""
+        """Retain finished jobs up to :data:`MAX_DONE_JOBS`."""
         self._done_order.append(job_id)
-        while len(self._done_order) > self.config.max_done_jobs:
-            old = self._done_order.pop(0)
+        while len(self._done_order) > MAX_DONE_JOBS:
+            old = self._done_order.popleft()
             self._jobs.pop(old, None)
 
-    async def _submit(self, request: EvalRequest,
-                      priority: int = 0) -> _Job:
+    async def _submit(self, request: EvalRequest) -> _Job:
         """Create a job for a request: serve it from the shared tier,
         join an identical in-flight evaluation, or queue a new one."""
         if self._draining:
             raise _HttpError(503, "server is draining")
         token = request.cache_token()
         job = _Job(id=f"j{next(self._job_seq):06d}", request=request,
-                   token=token, priority=int(priority))
+                   token=token)
         self._jobs[job.id] = job
 
         ev = self._evals.get(token)
@@ -360,8 +356,7 @@ class EvalServer:
                          job_ids={job.id})
         self._evals[token] = ev
         async with self._cond:
-            heapq.heappush(self._heap,
-                           (-int(priority), next(self._seq), token))
+            self._queue.append(token)
             self._cond.notify()
         return job
 
@@ -526,14 +521,11 @@ class EvalServer:
             if not isinstance(tasks, list) or not tasks:
                 raise _HttpError(400, "batch needs a non-empty "
                                       "'tasks' list")
-            priority = int(data.get("priority", 0))
-            jobs = [await self._submit(_parse_request(entry), priority)
+            jobs = [await self._submit(_parse_request(entry))
                     for entry in tasks]
             return 200, {"jobs": [j.view() for j in jobs]}, {}
         if path.startswith("/v1/jobs/"):
             return await self._route_job(method, path, headers, query)
-        if path == "/v1/report" and method == "POST":
-            return await self._route_report(body)
         if path == "/v1/admin/pause" and method == "POST":
             self._paused = True
             return 200, {"paused": True}, {}
@@ -549,9 +541,7 @@ class EvalServer:
 
     async def _route_submit(self, headers: Dict[str, str], body: bytes,
                             query: Dict[str, str]):
-        data = _parse_json(body)
-        priority = int(data.pop("priority", 0))
-        request = _parse_request(data)
+        request = _parse_request(_parse_json(body))
         token = request.cache_token()
         if headers.get("if-none-match", "").strip('"') == token:
             has = await asyncio.get_running_loop().run_in_executor(
@@ -559,7 +549,7 @@ class EvalServer:
             if has is not None:
                 self.cache_hits += 1
                 return 304, None, {"ETag": f'"{token}"'}
-        job = await self._submit(request, priority)
+        job = await self._submit(request)
         if query.get("wait") in ("1", "true") \
                 and job.state not in _FINAL_STATES:
             await self._wait_for(job, query)
@@ -619,30 +609,6 @@ class EvalServer:
                                    timeout=max(0.0, timeout))
         except asyncio.TimeoutError:
             pass  # long-poll timeout: report the current state
-
-    async def _route_report(self, body: bytes):
-        data = _parse_json(body)
-        sweep_dir = data.get("sweep")
-        if not sweep_dir:
-            raise _HttpError(400, "report needs a 'sweep' directory")
-        from ..dse.report import generate_report
-
-        def _render():
-            return generate_report(str(sweep_dir),
-                                   out_dir=data.get("out"),
-                                   png=bool(data.get("png", False)))
-        try:
-            result = await asyncio.get_running_loop().run_in_executor(
-                None, _render)
-        except (OSError, ValueError, KeyError) as exc:
-            raise _HttpError(400, f"cannot report on "
-                                  f"{sweep_dir!r}: {exc}")
-        return 200, {
-            "report": str(result.report_path),
-            "summary": str(result.summary_path),
-            "figures": [str(p) for p in result.figures],
-            "notices": list(result.notices),
-        }, {}
 
 
 def _parse_json(body: bytes) -> Dict[str, object]:

@@ -11,8 +11,10 @@ runner/evaluators, and adapts the records back into the historical
 parallelism, and Pareto analysis, use ``repro.dse`` (or the ``sweep``
 CLI subcommand) directly.
 
-All sweeps operate on :func:`dataclasses.replace` copies of the
-immutable :class:`~repro.tech.interposer.InterposerSpec`, so the
+Each sweep runs around a registered design point (``base`` must be the
+registry's spec of that name: a sweep point is a request, and a request
+names the design it evaluates), on :func:`dataclasses.replace` copies
+of the immutable :class:`~repro.tech.interposer.InterposerSpec`, so the
 registry's published design points are never mutated.
 """
 
@@ -23,7 +25,7 @@ from typing import Dict, List, Sequence
 
 from ..dse.runner import run_sweep
 from ..dse.space import Axis, SweepSpec as DseSweepSpec
-from ..tech.interposer import InterposerSpec
+from ..tech.interposer import InterposerSpec, get_spec, spec_names
 
 
 @dataclass
@@ -75,12 +77,21 @@ class SweepResult:
 def _run_one_axis(base: InterposerSpec, axis: Axis, evaluator: str,
                   metrics: Sequence[str],
                   length_um: float = 2000.0) -> SweepResult:
-    """Evaluate a one-axis sweep around ``base`` on the DSE runner."""
+    """Evaluate a one-axis sweep around ``base`` on the DSE runner.
+
+    Raises:
+        ValueError: If ``base`` is not the registered spec of its name.
+    """
+    if base.name not in spec_names() or get_spec(base.name) != base:
+        raise ValueError(
+            f"base spec {base.name!r} is not the registered design "
+            f"point of that name; sensitivity sweeps run around one of "
+            f"{', '.join(spec_names())}")
     spec = DseSweepSpec(name=f"{base.name}-{axis.name}",
                         design=base.name, evaluator=evaluator,
                         sampler="grid", length_um=length_um,
                         axes=(axis,))
-    records = run_sweep(spec, base_spec=base)
+    records = run_sweep(spec)
     points = []
     for record in records:
         if record["error"] is not None:

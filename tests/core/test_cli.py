@@ -90,6 +90,17 @@ objectives:
 """
 
 
+#: Spaces with points no evaluator accepts: a random sample of a
+#: chiplet-count range (non-integral counts) and a zero link length.
+REFUSED_SPACES = {
+    "num_chiplets": '{"name": "t", "evaluator": "geometry", '
+                    '"sampler": "random", "num_samples": 3, "axes": '
+                    '[{"name": "num_chiplets", "lo": 2, "hi": 8}]}',
+    "length_um": '{"name": "t", "evaluator": "link", "axes": '
+                 '[{"name": "length_um", "values": [500.0, 0.0]}]}',
+}
+
+
 class TestSweepCli:
     def test_sweep_runs_and_reports(self, tmp_path, capsys):
         space = tmp_path / "space.yaml"
@@ -152,6 +163,23 @@ class TestSweepCli:
         assert err.startswith("error: bad space file")
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("server", [None, "http://127.0.0.1:1"])
+    @pytest.mark.parametrize("axis", sorted(REFUSED_SPACES))
+    def test_refused_point_one_line_error(self, tmp_path, capsys, axis,
+                                          server):
+        # Refused while the space is validated, before a point runs or
+        # the server is contacted.
+        space = tmp_path / "space.json"
+        space.write_text(REFUSED_SPACES[axis])
+        argv = ["sweep", "--space", str(space),
+                "--out", str(tmp_path / "s")]
+        rc = main(argv + (["--server", server] if server else []))
+        assert rc == 2
+        err = _one_line_error(capsys)
+        assert err.startswith("error: bad space file")
+        assert "point p0000" in err and f"{axis} must be" in err
+        assert not (tmp_path / "s").exists()
 
     def test_invalid_spec_one_line_error(self, tmp_path, capsys):
         space = tmp_path / "bad.json"

@@ -74,7 +74,7 @@ class TestSweepSurvivesWorkerDeath:
                                                  monkeypatch):
         """Kill a worker mid-sweep; the runner's store still completes
         and matches a serial run of the same space."""
-        import repro.dse.evaluate as evaluate_module
+        import repro.dse.runner as runner_module
         from repro.dse.runner import SweepRunner
         from repro.dse.space import Axis, SweepSpec
 
@@ -89,19 +89,18 @@ class TestSweepSurvivesWorkerDeath:
 
         sentinel = tmp_path / "sentinel"
         monkeypatch.setenv(SENTINEL_ENV, str(sentinel))
-        real_evaluate_point = evaluate_module.evaluate_point
+        real_evaluate_request = runner_module.evaluate_request
 
-        def killer(sweep, params, base_spec=None):
-            if params.get("length_um") == 1300.0 \
-                    and not sentinel.exists():
+        def killer(request, use_cache=False):
+            if request.length_um == 1300.0 and not sentinel.exists():
                 sentinel.write_text("boom")
                 os._exit(1)
-            return real_evaluate_point(sweep, params, base_spec)
+            return real_evaluate_request(request, use_cache=use_cache)
 
         # Patch before forking so workers inherit the bomb; the
-        # runner's worker function resolves evaluate_point at call
-        # time through its module global.
-        monkeypatch.setattr("repro.dse.runner.evaluate_point", killer)
+        # runner's worker entry resolves evaluate_request at call time
+        # through its module global.
+        monkeypatch.setattr(runner_module, "evaluate_request", killer)
         shutdown_pool()
         try:
             parallel = SweepRunner(spec, out_dir=tmp_path / "par",

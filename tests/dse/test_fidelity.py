@@ -152,6 +152,18 @@ class TestSpecValidation:
             FidelityRung("warp", (("delay_ps", "min"),),
                          PromotionPolicy(pareto=True)).validate()
 
+    def test_points_checked_for_every_rung_evaluator(self):
+        # A flow request never reads a link length, but the link rung
+        # does: the ladder refuses the point before any rung runs.
+        import dataclasses
+        sweep = dataclasses.replace(
+            CHEAP_SWEEP, evaluator="flow",
+            objectives=(("area_mm2", "min"),),
+            axes=(Axis("length_um", values=(500.0, 0.0)),))
+        sweep.validate()
+        with pytest.raises(ValueError, match="point p00001: length_um"):
+            MultiFidelitySpec(sweep=sweep, rungs=CHEAP_MF.rungs).validate()
+
     def test_dict_round_trip(self):
         clone = MultiFidelitySpec.from_dict(CHEAP_MF.to_dict())
         assert clone.sweep.spec_hash() == CHEAP_SWEEP.spec_hash()

@@ -149,20 +149,6 @@ class TestGenerateReport:
         b = file_hashes(second.figures + [second.report_path])
         assert a == b
 
-    def test_png_without_matplotlib_is_a_notice(self, plain_dir,
-                                                tmp_path, monkeypatch):
-        # Force the no-matplotlib path regardless of the environment.
-        import repro.dse.report as report_mod
-        monkeypatch.setattr(report_mod, "render_png",
-                            lambda *a, **kw: None)
-        result = generate_report(plain_dir, out_dir=tmp_path / "r",
-                                 png=True)
-        assert result.notices
-        assert "matplotlib" in result.notices[0]
-        assert "## Notices" in result.report_path.read_text()
-        # SVG figures still written.
-        assert all(p.suffix == ".svg" for p in result.figures)
-
     def test_failed_points_listed(self, tmp_path):
         # A sweep whose spec fails validation per point would never
         # run; instead synthesize a store with one error row.

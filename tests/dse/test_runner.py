@@ -7,7 +7,6 @@ import pytest
 from repro.dse.analyze import failures, successes
 from repro.dse.runner import SweepRunner, run_sweep
 from repro.dse.space import Axis, SweepSpec
-from repro.tech.interposer import GLASS_25D
 
 #: A cheap six-point link sweep (sub-second per point, no flow stages).
 CHEAP = SweepSpec(
@@ -37,30 +36,6 @@ class TestInMemory:
                       for r in records
                       if r["params"]["dielectric_thickness_um"] == 10.0}
         assert r_by_width[1.0] > r_by_width[2.0] > r_by_width[4.0]
-
-    def test_unregistered_base_spec(self):
-        import dataclasses
-        base = dataclasses.replace(GLASS_25D, name="custom_glass",
-                                   metal_thickness_um=6.0)
-        spec = SweepSpec(
-            name="custom", design="custom_glass", evaluator="link",
-            axes=(Axis("min_wire_width_um", values=(2.0,)),))
-        records = run_sweep(spec, base_spec=base)
-        assert records[0]["error"] is None
-
-    def test_unregistered_base_spec_fails_the_pdn_point(self):
-        """The PDN stage has no loop calibration for an unregistered
-        spec, so the point comes back as an error row."""
-        import dataclasses
-        base = dataclasses.replace(GLASS_25D, name="custom_glass",
-                                   metal_thickness_um=6.0)
-        spec = SweepSpec(
-            name="custom", design="custom_glass", evaluator="link_pdn",
-            axes=(Axis("min_wire_width_um", values=(2.0,)),))
-        records = run_sweep(spec, base_spec=base)
-        assert records[0]["metrics"] is None
-        assert records[0]["error"]["type"] == "KeyError"
-        assert "custom_glass" in records[0]["error"]["message"]
 
 
 class TestResultStore:
@@ -228,13 +203,14 @@ class TestDedupe:
     def test_deduped_rows_match_undeduped_semantics(self, tmp_path):
         # Evaluating the duplicated params directly gives the same
         # metrics the copied rows carry.
-        from repro.dse.evaluate import evaluate_point
+        from repro.dse.evaluate import evaluate_request
+        from repro.dse.space import request_for_point
         runner = SweepRunner(DUPED, out_dir=tmp_path / "s")
         records = runner.run()
-        metrics = evaluate_point(DUPED, records[3]["params"])
-        metrics.pop("_cached", None)
-        want = {k: v for k, v in records[3]["metrics"].items()}
-        assert {k: pytest.approx(v) for k, v in want.items()} == metrics
+        out = evaluate_request(request_for_point(DUPED,
+                                                 records[3]["params"]))
+        assert out.ok
+        assert records[3]["metrics"] == out.metrics
 
     def test_distinct_points_not_deduped(self, tmp_path):
         runner = SweepRunner(CHEAP, out_dir=tmp_path / "s")

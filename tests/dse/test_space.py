@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.dse.space import Axis, SweepSpec
+from repro.dse.space import Axis, SweepSpec, request_for_point
 
 
 def make_spec(**kw):
@@ -69,8 +69,8 @@ class TestAxis:
                  tied=("nope",)).validate()
 
     def test_tied_on_flow_parameter_rejected(self):
-        # split_params only expands tied fields for spec-field axes;
-        # declaring them on a flow axis would silently drop them.
+        # request_for_point only expands tied fields for spec-field
+        # axes; declaring them on a flow axis would silently drop them.
         with pytest.raises(ValueError, match="flow parameters"):
             Axis("scale", values=(0.02,),
                  tied=("min_wire_width_um",)).validate()
@@ -152,6 +152,48 @@ class TestValidation:
     def test_needs_axes(self):
         with pytest.raises(ValueError, match="axis"):
             make_spec(axes=()).validate()
+
+
+class TestPointRequests:
+    """Every point's request is built and validated with the spec, so
+    a space the evaluation service would refuse point by point is
+    refused before anything runs, locally and remotely alike."""
+
+    def test_non_integral_chiplet_count_names_the_point(self):
+        spec = make_spec(evaluator="geometry", sampler="random",
+                         num_samples=3,
+                         axes=(Axis("num_chiplets", lo=2, hi=8),))
+        with pytest.raises(ValueError, match="point p00000: num_chiplets "
+                                             "must be an integer"):
+            spec.validate()
+
+    def test_non_positive_length_names_the_point(self):
+        spec = make_spec(axes=(Axis("length_um", values=(500.0, 0.0)),))
+        with pytest.raises(ValueError, match="point p00001: length_um "
+                                             "must be > 0"):
+            spec.validate()
+
+    def test_subset_point_named_by_its_full_index(self):
+        spec = make_spec(axes=(Axis("length_um",
+                                    values=(500.0, 900.0, -1.0)),),
+                         subset=(0, 2))
+        with pytest.raises(ValueError, match="point p00002"):
+            spec.validate()
+        assert len(make_spec(axes=spec.axes, subset=(0, 1)).points()) == 2
+
+    def test_integral_chiplet_range_is_normalized(self):
+        spec = make_spec(evaluator="geometry",
+                         axes=(Axis("num_chiplets", lo=2, hi=8, num=4),))
+        counts = [request_for_point(spec, p).num_chiplets
+                  for p in spec.points()]
+        assert counts == [2, 4, 6, 8]
+        assert all(type(n) is int for n in counts)
+
+    def test_spec_field_values_stay_per_point(self):
+        # A bad InterposerSpec value is an error row when the point is
+        # evaluated (EvalRequest.spec), not a refused sweep.
+        make_spec(axes=(Axis("min_wire_width_um",
+                             values=(2.0, -1.0)),)).validate()
 
 
 class TestSerialization:

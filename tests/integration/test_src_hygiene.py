@@ -22,7 +22,9 @@ Nothing is imported; each guard scans the parsed sources.
   under ``repro/core`` imports ``repro.serve``, and its one
   ``repro.dse`` import is the pool workers' warm-up
   (``core/pool.py::_warm_import``): the flow reaches the result store
-  in ``repro.core``, not through the service.
+  in ``repro.core``, not through the service.  Nothing under
+  ``repro/serve`` imports ``SweepSpec`` or ``Axis``: the service runs
+  requests, and building sweeps is the client's business.
 * No module under ``src/repro`` is reachable only from tests.  Imports
   are followed, inside functions too, from ``repro/__main__.py`` and
   every ``.py`` under ``benchmarks``, ``examples`` and ``perfbench``; a
@@ -184,6 +186,22 @@ def test_core_imports_neither_the_service_nor_the_sweeps():
                     and (rel, scope) != CORE_DSE_IMPORT)]
     assert not bad, ("repro.core must stay below repro.dse and "
                      "repro.serve: " + ", ".join(bad))
+
+
+#: Sweep-building names the service must not import.
+SWEEP_NAMES = ("SweepSpec", "Axis")
+
+
+def test_the_service_builds_no_sweeps():
+    bad = []
+    for path in sorted((SRC / "serve").rglob("*.py")):
+        rel = path.relative_to(SRC.parent).as_posix()
+        bad += [f"{rel}:{line}: {name}"
+                for line, name, _scope in _imports(path)
+                if _within(name, "repro")
+                and name.rpartition(".")[2] in SWEEP_NAMES]
+    assert not bad, ("repro.serve runs requests; it must not build "
+                     "sweeps: " + ", ".join(bad))
 
 
 #: Where production starts, besides ``python -m repro``: the scripts

@@ -111,12 +111,33 @@ class TestExecuteRequest:
         out = execute_request(EvalRequest(kind="geometry"))
         assert out.ok
         assert out.metrics["interposer_area_mm2"] > 0
-        # Identical to what the local sweep evaluator computes.
-        from repro.dse.evaluate import evaluate_point
-        from repro.serve.protocol import _stage_sweep_and_params
-        sweep, params = _stage_sweep_and_params(
-            EvalRequest(kind="geometry"))
-        assert out.metrics == evaluate_point(sweep, params)
+        # Identical to the row a local sweep of the same point writes.
+        from repro.dse.runner import run_sweep
+        from repro.dse.space import Axis, SweepSpec
+        sweep = SweepSpec(name="t", design="glass_25d",
+                          evaluator="geometry",
+                          axes=(Axis("design", values=("glass_25d",)),))
+        assert run_sweep(sweep)[0]["metrics"] == out.metrics
+
+    @pytest.mark.parametrize("field", ["style", "name", "routing",
+                                       "no_such_field"])
+    def test_override_errors_equal_on_every_kind(self, field):
+        # One spec resolution (EvalRequest.spec) for the flow and the
+        # three stage evaluators: a protected or unknown field fails
+        # every kind with the same error.
+        outs = [execute_request(EvalRequest(
+                    kind=kind, scale=0.02, with_eyes=False,
+                    with_thermal=False,
+                    spec_overrides=((field, "foo"),)))
+                for kind in ("flow", "geometry", "link", "link_pdn")]
+        errors = {(out.error_type, out.error_message) for out in outs}
+        assert not any(out.ok for out in outs)
+        if field == "no_such_field":
+            assert errors == {("AttributeError", "InterposerSpec has no "
+                               "field 'no_such_field'")}
+        else:
+            assert errors == {("ValueError", f"spec field {field!r} "
+                               f"cannot be overridden")}
 
     def test_flow_matches_direct_evaluation(self, monkeypatch,
                                             tmp_path):

@@ -106,21 +106,3 @@ class TestCancellationRaces:
         client_a.resume()
         assert client_a.job(job.job_id).state == "cancelled"
 
-
-class TestPriorities:
-    def test_higher_priority_queued_first(self, served, client_a):
-        client_a.pause()
-        low = client_a.submit(EvalRequest(kind="geometry", scale=1.1),
-                              priority=0)
-        high = client_a.submit(EvalRequest(kind="geometry", scale=1.2),
-                               priority=10)
-        assert low.view["priority"] == 0
-        assert high.view["priority"] == 10
-        # Deterministic check against the live scheduler heap: the
-        # high-priority evaluation is at the top despite arriving last.
-        heap = served.server._heap
-        top = min(heap)
-        assert top[2] == high.etag
-        client_a.resume()
-        assert client_a.result(high.job_id).ok
-        assert client_a.result(low.job_id).ok

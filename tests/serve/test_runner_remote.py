@@ -29,18 +29,46 @@ def _spec():
               Axis("length_um", values=(800.0, 1600.0))))
 
 
+#: One space per stage evaluator kind besides ``link`` (:func:`_spec`);
+#: the geometry space's chiplet counts are an integral grid range
+#: (2.0, 4.0, 6.0, 8.0), which every request normalizes to ints.
+STAGE_SPACES = {
+    "geometry": SweepSpec(
+        name="remote-geometry", design="glass_25d", evaluator="geometry",
+        axes=(Axis("num_chiplets", lo=2, hi=8, num=4),
+              Axis("arrangement", values=("grid", "hexagonal")))),
+    "link_pdn": SweepSpec(
+        name="remote-link-pdn", design="glass_3d", evaluator="link_pdn",
+        axes=(Axis("dielectric_thickness_um", values=(10.0, 20.0)),
+              Axis("length_um", values=(500.0, 1500.0)))),
+}
+
+
+def _assert_local_and_remote_equal(spec, url, tmp_path):
+    """Run ``spec`` locally and on the server; every row must succeed
+    and the two ``points.jsonl`` be byte-identical."""
+    local = SweepRunner(spec, out_dir=tmp_path / "local")
+    local_records = local.run()
+    remote = SweepRunner(spec, out_dir=tmp_path / "remote",
+                         server_url=url)
+    remote_records = remote.run()
+    assert len(local_records) == len(remote_records) == len(spec.points())
+    assert all(r["error"] is None for r in local_records)
+    assert filecmp.cmp(tmp_path / "local" / "points.jsonl",
+                       tmp_path / "remote" / "points.jsonl",
+                       shallow=False)
+
+
 class TestRemoteSweep:
     def test_points_jsonl_byte_identical_to_local(self, served,
                                                   tmp_path):
-        local = SweepRunner(_spec(), out_dir=tmp_path / "local")
-        local_records = local.run()
-        remote = SweepRunner(_spec(), out_dir=tmp_path / "remote",
-                             server_url=served.url)
-        remote_records = remote.run()
-        assert len(local_records) == len(remote_records) == 4
-        assert filecmp.cmp(tmp_path / "local" / "points.jsonl",
-                           tmp_path / "remote" / "points.jsonl",
-                           shallow=False)
+        _assert_local_and_remote_equal(_spec(), served.url, tmp_path)
+
+    @pytest.mark.parametrize("kind", sorted(STAGE_SPACES))
+    def test_every_stage_kind_byte_identical_to_local(self, served,
+                                                      tmp_path, kind):
+        _assert_local_and_remote_equal(STAGE_SPACES[kind], served.url,
+                                       tmp_path)
 
     def test_remote_errors_recorded_like_local(self, served, tmp_path):
         # Negative width fails spec validation; the error row must be
@@ -58,13 +86,6 @@ class TestRemoteSweep:
         assert filecmp.cmp(tmp_path / "local" / "points.jsonl",
                            tmp_path / "remote" / "points.jsonl",
                            shallow=False)
-
-    def test_server_url_conflicts_with_base_spec(self):
-        from repro.tech.interposer import get_spec
-        with pytest.raises(ValueError, match="base_spec is local-only"):
-            SweepRunner(_spec(), persist=False,
-                        base_spec=get_spec("glass_25d"),
-                        server_url="http://127.0.0.1:1")
 
     def test_remote_rerun_hits_shared_tier(self, served, tmp_path):
         first = SweepRunner(_spec(), out_dir=tmp_path / "a",

@@ -142,7 +142,7 @@ class TestErrorJobs:
         assert handle.state == "error"
         out = client.result(handle.job_id)
         assert not out.ok
-        assert out.error_type == "TypeError"
+        assert out.error_type == "AttributeError"
         assert "bogus_field" in out.error_message
         assert "Traceback" in out.error_traceback
 

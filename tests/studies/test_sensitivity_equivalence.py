@@ -87,13 +87,21 @@ class TestDielectricEquivalence:
 
 class TestWrapperBehaviour:
     def test_custom_base_spec_supported(self):
-        # An unregistered spec; the wrappers must still run.
+        # A sweep point is a request, and a request names a registered
+        # design: an unregistered spec, or a registered name carrying
+        # other values, is refused with the spec named.
         custom = dataclasses.replace(
             GLASS_25D, name="glass_25d_metal_thickness_um_6.0",
             metal_thickness_um=6.0)
-        sw = sweep_wire_width(custom, [2.0, 4.0], length_um=500)
-        assert len(sw.points) == 2
-        assert sw.baseline == custom.name
+        with pytest.raises(ValueError,
+                           match="glass_25d_metal_thickness_um_6.0"):
+            sweep_wire_width(custom, [2.0, 4.0], length_um=500)
+        altered = dataclasses.replace(GLASS_25D, metal_thickness_um=6.0)
+        with pytest.raises(ValueError, match="'glass_25d'"):
+            sweep_wire_width(altered, [2.0, 4.0], length_um=500)
+        sw = sweep_wire_width(dataclasses.replace(GLASS_25D), [2.0, 4.0],
+                              length_um=500)
+        assert sw.baseline == "glass_25d"
 
     def test_invalid_value_raises(self):
         with pytest.raises(RuntimeError, match="ValueError"):
