@@ -10,12 +10,12 @@ pool runs the one evaluation path a local sweep runs
 (:func:`repro.dse.evaluate.evaluate_request`).
 
 Start it with ``python -m repro serve`` and talk to it with
-:class:`ServeClient`, or point a
-:class:`~repro.dse.runner.SweepRunner` at it via ``server_url=``.
-See ``docs/GUIDE.md`` §14.
+:class:`ServeClient` (health, stats, submit, job, result, evaluate),
+or point a :class:`~repro.dse.runner.SweepRunner` at it via
+``server_url=``; SIGTERM drains it.  See ``docs/GUIDE.md`` §14.
 """
 
-from .client import JobCancelled, JobHandle, ServeClient, ServeError
+from .client import JobHandle, ServeClient, ServeError
 from .protocol import (EvalRequest, ServeResult, execute_request,
                        request_for_point)
 from .server import (EvalServer, ServerConfig, ServerHandle,
@@ -26,7 +26,6 @@ __all__ = [
     "ContentStore",
     "EvalRequest",
     "EvalServer",
-    "JobCancelled",
     "JobHandle",
     "ServeClient",
     "ServeError",

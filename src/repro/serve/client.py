@@ -2,10 +2,10 @@
 
 :class:`ServeClient` is a blocking client — ``http.client`` over a
 kept-alive connection, safe to use from worker threads (one client per
-thread).  It covers the whole protocol: submit one request or a batch,
-long-poll job state, fetch the full pickled :class:`ServeResult`
-(bit-exact metrics and, for flow tasks, the complete
-``DesignResult``), cancel, and the admin endpoints.
+thread).  It covers the whole protocol: health and stats, submit one
+request, long-poll job state, and fetch the full pickled
+:class:`ServeResult` (bit-exact metrics and, for flow tasks, the
+complete ``DesignResult``).
 
 Results move as pickles of the server's canonical stored bytes, so a
 served evaluation is byte-identical to a direct local one — the
@@ -20,7 +20,7 @@ import json
 import pickle
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Union
 from urllib.parse import urlsplit
 
 from .protocol import EvalRequest, ServeResult
@@ -44,20 +44,13 @@ class ServeError(RuntimeError):
         super().__init__(f"HTTP {status}: {message}")
 
 
-class JobCancelled(ServeError):
-    """The awaited job was cancelled (by this client or another)."""
-
-    def __init__(self, job_id: str):
-        super().__init__(409, f"job {job_id} was cancelled")
-
-
 @dataclass
 class JobHandle:
     """A submitted job as the client sees it.
 
     Attributes:
         job_id: Server-assigned job identifier.
-        etag: The request's cache token (content address / ETag).
+        etag: The request's cache token (its content address).
         state: Last observed lifecycle state.
         cached: Whether the shared tier served it at submit time.
         view: The full last observed job view (metrics included once
@@ -125,14 +118,12 @@ class ServeClient:
         self.close()
 
     def _request(self, method: str, path: str,
-                 body: Optional[Dict[str, object]] = None,
-                 headers: Optional[Dict[str, str]] = None):
+                 body: Optional[Dict[str, object]] = None):
         """One round trip; reconnects once on a dropped keep-alive."""
         payload = (json.dumps(body).encode()
                    if body is not None else None)
-        send_headers = dict(headers or {})
-        if payload is not None:
-            send_headers.setdefault("Content-Type", "application/json")
+        send_headers = ({"Content-Type": "application/json"}
+                        if payload is not None else {})
         for attempt in range(2):
             conn = self._connection()
             try:
@@ -149,11 +140,9 @@ class ServeClient:
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _json(self, method: str, path: str,
-              body: Optional[Dict[str, object]] = None,
-              headers: Optional[Dict[str, str]] = None
+              body: Optional[Dict[str, object]] = None
               ) -> Dict[str, object]:
-        status, _headers, data = self._request(method, path, body,
-                                               headers)
+        status, _headers, data = self._request(method, path, body)
         decoded = json.loads(data.decode()) if data else {}
         if status >= 400:
             raise ServeError(status,
@@ -187,15 +176,6 @@ class ServeClient:
         return JobHandle.from_view(
             self._json("POST", path, body)["job"])
 
-    def submit_batch(self,
-                     requests: Sequence[Union[EvalRequest,
-                                              Dict[str, object]]]
-                     ) -> List[JobHandle]:
-        """Submit many requests in one round trip (``POST /v1/batch``)."""
-        body = {"tasks": [_as_request(r).to_dict() for r in requests]}
-        views = self._json("POST", "/v1/batch", body)["jobs"]
-        return [JobHandle.from_view(v) for v in views]
-
     def job(self, job_id: str, wait: bool = False,
             timeout_s: float = POLL_SLICE_S) -> JobHandle:
         """Current job view; ``wait=True`` long-polls for completion."""
@@ -204,23 +184,17 @@ class ServeClient:
             path += f"?wait=1&timeout_s={timeout_s}"
         return JobHandle.from_view(self._json("GET", path)["job"])
 
-    def cancel(self, job_id: str) -> JobHandle:
-        """Cancel a job (its evaluation siblings are unaffected)."""
-        return JobHandle.from_view(
-            self._json("DELETE", f"/v1/jobs/{job_id}")["job"])
-
     def result(self, job_id: str,
                timeout_s: float = DEFAULT_RESULT_TIMEOUT_S
                ) -> ServeResult:
         """Wait for a job and fetch its full :class:`ServeResult`.
 
         Raises:
-            JobCancelled: The job was cancelled before completing.
             TimeoutError: The deadline passed with the job unfinished.
         """
         deadline = time.monotonic() + timeout_s
         handle = self.job(job_id)
-        while handle.state not in ("done", "error", "cancelled"):
+        while handle.state not in ("done", "error"):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError(
@@ -228,8 +202,6 @@ class ServeClient:
                     f"{timeout_s:.1f}s")
             handle = self.job(job_id, wait=True,
                               timeout_s=min(POLL_SLICE_S, remaining))
-        if handle.state == "cancelled":
-            raise JobCancelled(job_id)
         status, _headers, data = self._request(
             "GET", f"/v1/jobs/{job_id}/result")
         if status >= 400:
@@ -247,15 +219,3 @@ class ServeClient:
         """Submit one request and block for its full result."""
         handle = self.submit(request, wait=True)
         return self.result(handle.job_id, timeout_s=timeout_s)
-
-    def pause(self) -> None:
-        """Hold the scheduler (queued jobs stay queued)."""
-        self._json("POST", "/v1/admin/pause")
-
-    def resume(self) -> None:
-        """Release a paused scheduler."""
-        self._json("POST", "/v1/admin/resume")
-
-    def drain(self) -> None:
-        """Ask the server to drain gracefully (same as SIGTERM)."""
-        self._json("POST", "/v1/admin/drain")

@@ -6,8 +6,8 @@ The request and result types, :class:`EvalRequest` and
 so every caller keys and stores results the same way; they are
 re-exported here.  An :class:`EvalRequest` is the unit clients submit,
 and its :meth:`~EvalRequest.cache_token` is the content address the
-store and the in-flight deduper key on.  The token doubles as the HTTP
-``ETag``.
+store and the in-flight deduper key on.  The token doubles as the job
+view's ``etag``.
 
 :func:`execute_request` is the worker-side entry point (plain picklable
 function, runs on the persistent process pool) producing a

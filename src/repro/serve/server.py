@@ -18,23 +18,20 @@ Endpoints (all JSON unless noted)::
     GET  /v1/health                     liveness + drain state
     GET  /v1/stats                      jobs, cache, dedupe, pool stats
     POST /v1/tasks[?wait=1&timeout_s=T] submit one request -> job view
-    POST /v1/batch                      submit {"tasks": [...]} -> views
     GET  /v1/jobs/<id>[?wait=1&...]     job view (long-poll with wait=1)
     GET  /v1/jobs/<id>/result           pickled ServeResult (octet-stream)
-    DELETE /v1/jobs/<id>                cancel a job
-    POST /v1/admin/pause|resume         hold / release the scheduler
-    POST /v1/admin/drain                graceful drain (same as SIGTERM)
 
-Job lifecycle: ``queued -> running -> done | error``; ``cancelled`` via
-DELETE.  Responses carry the request's cache token as ``ETag``;
-``If-None-Match`` round-trips return ``304 Not Modified`` without a
-body.  Cancelling one of several jobs attached to the same evaluation
-never cancels the others — the evaluation itself is dropped only when
-its last job goes.
+Lifecycle: every submission is a job, and a job reads its state from
+the evaluation it belongs to: ``queued -> running -> done | error``.
+Identical submissions share one evaluation; a store hit is an
+evaluation that is finished from the start.  The job view's ``etag``
+is the request's cache token.  A request whose head cannot be parsed
+gets a ``400`` and the connection is closed.
 
-On SIGTERM/SIGINT the server drains: new submissions get ``503``,
-accepted work finishes, then the process exits — no request that was
-acknowledged is ever lost.
+On SIGTERM/SIGINT (or :meth:`ServerHandle.stop`) the server drains:
+new submissions get ``503``, every accepted evaluation, queued or
+running, finishes and is stored, then the process exits — no request
+that was acknowledged is ever lost.
 """
 
 from __future__ import annotations
@@ -47,7 +44,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from concurrent.futures.process import BrokenProcessPool
@@ -80,7 +77,22 @@ class ServerConfig:
 #: beyond this are forgotten.
 MAX_DONE_JOBS = 10_000
 
-_FINAL_STATES = ("done", "error", "cancelled")
+
+@dataclass
+class _Evaluation:
+    """One unit of actual compute; every job for its request reads it."""
+
+    token: str
+    request: EvalRequest
+    state: str = "queued"  # queued | running | done | error
+    outcome: Optional[ServeResult] = None
+    finished: asyncio.Event = field(default_factory=asyncio.Event)
+    job_ids: List[str] = field(default_factory=list)
+
+    def finish(self, outcome: ServeResult) -> None:
+        self.outcome = outcome
+        self.state = "done" if outcome.ok else "error"
+        self.finished.set()
 
 
 @dataclass
@@ -88,45 +100,31 @@ class _Job:
     """One client submission (possibly sharing an evaluation)."""
 
     id: str
-    request: EvalRequest
-    token: str
-    state: str = "queued"
+    evaluation: _Evaluation
     cached: bool = False
-    outcome: Optional[ServeResult] = None
-    created_s: float = field(default_factory=time.monotonic)
-    finished: asyncio.Event = field(default_factory=asyncio.Event)
 
     def view(self) -> Dict[str, object]:
         """The job's JSON representation."""
+        ev = self.evaluation
         out: Dict[str, object] = {
             "id": self.id,
-            "state": self.state,
-            "kind": self.request.kind,
-            "design": self.request.design,
-            "etag": self.token,
+            "state": ev.state,
+            "kind": ev.request.kind,
+            "design": ev.request.design,
+            "etag": ev.token,
             "cached": self.cached,
         }
-        if self.outcome is not None:
-            out["wall_s"] = round(self.outcome.wall_s, 4)
-            if self.outcome.ok:
-                out["metrics"] = _json_safe(self.outcome.metrics)
+        if ev.outcome is not None:
+            out["wall_s"] = round(ev.outcome.wall_s, 4)
+            if ev.outcome.ok:
+                out["metrics"] = _json_safe(ev.outcome.metrics)
             else:
                 out["error"] = {
-                    "type": self.outcome.error_type,
-                    "message": self.outcome.error_message,
-                    "traceback": self.outcome.error_traceback,
+                    "type": ev.outcome.error_type,
+                    "message": ev.outcome.error_message,
+                    "traceback": ev.outcome.error_traceback,
                 }
         return out
-
-
-@dataclass
-class _Evaluation:
-    """One unit of actual compute; N jobs may be attached to it."""
-
-    token: str
-    request: EvalRequest
-    state: str = "queued"  # queued | running | done | cancelled
-    job_ids: Set[str] = field(default_factory=set)
 
 
 def _json_safe(value):
@@ -158,13 +156,10 @@ class EvalServer:
         self.store = ContentStore(self.config.cache_dir)
         self._jobs: Dict[str, _Job] = {}
         self._done_order: Deque[str] = collections.deque()
-        self._evals: Dict[str, _Evaluation] = {}
-        self._queue: Deque[str] = collections.deque()  # tokens, FIFO
+        self._evals: Dict[str, _Evaluation] = {}  # in flight, by token
+        self._queue: asyncio.Queue[_Evaluation] = asyncio.Queue()
         self._job_seq = itertools.count(1)
-        self._cond: Optional[asyncio.Condition] = None
-        self._paused = False
         self._draining = False
-        self._stopping = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._workers: List[asyncio.Task] = []
         self._stopped = asyncio.Event()
@@ -193,7 +188,6 @@ class EvalServer:
 
     async def start(self) -> None:
         """Bind the listener, spawn scheduler workers, warm the pool."""
-        self._cond = asyncio.Condition()
         loop = asyncio.get_running_loop()
         # Create the persistent pool up front so the first request does
         # not pay worker spin-up, and so later fan-outs reuse it warm.
@@ -213,28 +207,23 @@ class EvalServer:
             pass  # non-main thread / platform without signal support
 
     async def serve_until_stopped(self) -> None:
-        """Block until a drain (signal or admin endpoint) completes."""
+        """Block until a drain (signal or :meth:`ServerHandle.stop`)
+        completes."""
         await self._stopped.wait()
 
     async def drain(self) -> None:
         """Graceful drain: refuse new work, finish accepted work, stop.
 
-        Idempotent; safe to call from signal handlers and endpoints.
+        Idempotent; safe to call from signal handlers.
         """
         if self._draining:
             return
         self._draining = True
-        self._paused = False
-        async with self._cond:
-            self._cond.notify_all()
         while self._evals:
             await asyncio.sleep(0.02)
         await self._shutdown()
 
     async def _shutdown(self) -> None:
-        self._stopping = True
-        async with self._cond:
-            self._cond.notify_all()
         for task in self._workers:
             task.cancel()
         for task in self._workers:
@@ -253,36 +242,21 @@ class EvalServer:
 
     async def _scheduler_worker(self) -> None:
         """One scheduler coroutine: pop evaluations, run them on the
-        process pool, finalize attached jobs."""
+        process pool, store and finish them."""
         while True:
-            evaluation = None
-            async with self._cond:
-                while not self._runnable() and not self._stopping:
-                    await self._cond.wait()
-                if self._stopping and not self._runnable():
-                    return
-                while self._queue:
-                    token = self._queue.popleft()
-                    ev = self._evals.get(token)
-                    if ev is not None and ev.state == "queued":
-                        evaluation = ev
-                        break
-            if evaluation is None:
-                continue
+            evaluation = await self._queue.get()
             evaluation.state = "running"
-            for job_id in evaluation.job_ids:
-                job = self._jobs.get(job_id)
-                if job is not None and job.state == "queued":
-                    job.state = "running"
             outcome = await self._execute(evaluation.request)
             self.evaluations_run += 1
+            # Store first: a finished job's result route reads the
+            # stored bytes.
             if outcome.ok:
                 await asyncio.get_running_loop().run_in_executor(
                     None, self.store.put, evaluation.request, outcome)
-            self._finalize(evaluation, outcome)
-
-    def _runnable(self) -> bool:
-        return bool(self._queue) and not self._paused
+            evaluation.finish(outcome)
+            del self._evals[evaluation.token]
+            for job_id in evaluation.job_ids:
+                self._remember_done(job_id)
 
     async def _execute(self, request: EvalRequest) -> ServeResult:
         """Run one evaluation on the pool, surviving one pool death."""
@@ -301,19 +275,6 @@ class EvalServer:
             error_message="worker pool died twice evaluating this "
                           "request")
 
-    def _finalize(self, evaluation: _Evaluation,
-                  outcome: ServeResult) -> None:
-        evaluation.state = "done"
-        self._evals.pop(evaluation.token, None)
-        for job_id in evaluation.job_ids:
-            job = self._jobs.get(job_id)
-            if job is None or job.state == "cancelled":
-                continue
-            job.outcome = outcome
-            job.state = "done" if outcome.ok else "error"
-            job.finished.set()
-            self._remember_done(job_id)
-
     def _remember_done(self, job_id: str) -> None:
         """Retain finished jobs up to :data:`MAX_DONE_JOBS`."""
         self._done_order.append(job_id)
@@ -327,54 +288,37 @@ class EvalServer:
         if self._draining:
             raise _HttpError(503, "server is draining")
         token = request.cache_token()
-        job = _Job(id=f"j{next(self._job_seq):06d}", request=request,
-                   token=token)
-        self._jobs[job.id] = job
-
+        job_id = f"j{next(self._job_seq):06d}"
         ev = self._evals.get(token)
         if ev is None:
             hit = await asyncio.get_running_loop().run_in_executor(
                 None, self.store.get, request)
-            # Re-check: another submit may have queued it while the
-            # store read was off-loop.
+            # Re-check: a drain may have begun, or another submit queued
+            # it, while the store read was off-loop.  A drain that finds
+            # nothing in flight stops the workers, so a new evaluation
+            # queued after it would never run.
+            if self._draining:
+                raise _HttpError(503, "server is draining")
             ev = self._evals.get(token)
             if ev is None and hit is not None:
                 self.cache_hits += 1
-                job.outcome = hit
-                job.cached = True
-                job.state = "done" if hit.ok else "error"
-                job.finished.set()
-                self._remember_done(job.id)
+                stored = _Evaluation(token=token, request=request)
+                stored.finish(hit)
+                job = _Job(id=job_id, evaluation=stored, cached=True)
+                self._jobs[job_id] = job
+                self._remember_done(job_id)
                 return job
-        if ev is not None and ev.state in ("queued", "running"):
-            self.dedupe_joins += 1
-            ev.job_ids.add(job.id)
-            job.state = ev.state
-            return job
-        self.cache_misses += 1
-        ev = _Evaluation(token=token, request=request,
-                         job_ids={job.id})
-        self._evals[token] = ev
-        async with self._cond:
-            self._queue.append(token)
-            self._cond.notify()
-        return job
-
-    def _cancel(self, job: _Job) -> None:
-        """Cancel one job without touching its evaluation siblings."""
-        if job.state in _FINAL_STATES:
-            return
-        job.state = "cancelled"
-        job.finished.set()
-        self._remember_done(job.id)
-        ev = self._evals.get(job.token)
         if ev is not None:
-            ev.job_ids.discard(job.id)
-            if not ev.job_ids and ev.state == "queued":
-                # Nobody is waiting: drop the queued evaluation (a
-                # running one is left to finish and warm the cache).
-                ev.state = "cancelled"
-                self._evals.pop(job.token, None)
+            self.dedupe_joins += 1
+        else:
+            self.cache_misses += 1
+            ev = _Evaluation(token=token, request=request)
+            self._evals[token] = ev
+            self._queue.put_nowait(ev)
+        ev.job_ids.append(job_id)
+        job = _Job(id=job_id, evaluation=ev)
+        self._jobs[job_id] = job
+        return job
 
     # ---------------------------------------------------------------- #
     # Stats.
@@ -384,7 +328,8 @@ class EvalServer:
         """The ``/v1/stats`` payload (store sizes read separately)."""
         by_state: Dict[str, int] = {}
         for job in self._jobs.values():
-            by_state[job.state] = by_state.get(job.state, 0) + 1
+            state = job.evaluation.state
+            by_state[state] = by_state.get(state, 0) + 1
         total = self.cache_hits + self.cache_misses
         return {
             "jobs": by_state,
@@ -403,7 +348,6 @@ class EvalServer:
                 "hit_rate": (self.cache_hits / total) if total else None,
             },
             "pool": pool_health(),
-            "paused": self._paused,
             "draining": self._draining,
             "uptime_s": round(time.monotonic() - self._started_s, 3),
         }
@@ -416,40 +360,28 @@ class EvalServer:
                            writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or not request_line.strip():
-                    break
                 try:
-                    method, target, _version = \
-                        request_line.decode("ascii").split()
-                except ValueError:
-                    await self._respond(writer, 400, {
-                        "error": "malformed request line"})
+                    request = await _read_request(reader)
+                except _HttpError as exc:
+                    await self._respond(writer, exc.status,
+                                        {"error": exc.message},
+                                        keep_alive=False)
                     break
-                headers: Dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    name, _sep, value = line.decode("latin1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", "0") or "0")
-                body = await reader.readexactly(length) if length else b""
+                if request is None:
+                    break
+                method, target, headers, body = request
                 keep_alive = headers.get("connection", "").lower() \
                     != "close"
                 try:
-                    status, payload, extra = await self._route(
-                        method.upper(), target, headers, body)
+                    status, payload = await self._route(
+                        method.upper(), target, body)
                 except _HttpError as exc:
-                    status, payload, extra = (exc.status,
-                                              {"error": exc.message}, {})
+                    status, payload = exc.status, {"error": exc.message}
                 except Exception as exc:  # noqa: BLE001 — 500, not crash
-                    status, payload, extra = (
-                        500, {"error": f"{type(exc).__name__}: {exc}"},
-                        {})
+                    status, payload = (
+                        500, {"error": f"{type(exc).__name__}: {exc}"})
                 self.requests_served += 1
-                await self._respond(writer, status, payload, extra,
-                                    keep_alive)
+                await self._respond(writer, status, payload, keep_alive)
                 if not keep_alive:
                     break
         except (asyncio.IncompleteReadError, ConnectionError):
@@ -464,16 +396,12 @@ class EvalServer:
                 pass
 
     async def _respond(self, writer: asyncio.StreamWriter, status: int,
-                       payload, extra: Optional[Dict[str, str]] = None,
-                       keep_alive: bool = True) -> None:
-        reasons = {200: "OK", 304: "Not Modified", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 500: "Internal Server Error",
+                       payload, keep_alive: bool = True) -> None:
+        reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
+                   405: "Method Not Allowed", 409: "Conflict",
+                   500: "Internal Server Error",
                    503: "Service Unavailable"}
-        if status == 304 or payload is None:
-            body = b""
-            ctype = None
-        elif isinstance(payload, (bytes, bytearray)):
+        if isinstance(payload, (bytes, bytearray)):
             body = bytes(payload)
             ctype = "application/octet-stream"
         else:
@@ -482,24 +410,19 @@ class EvalServer:
             ctype = "application/json"
         lines = [f"HTTP/1.1 {status} {reasons.get(status, 'Status')}",
                  f"Content-Length: {len(body)}",
-                 f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-        if ctype is not None:
-            lines.append(f"Content-Type: {ctype}")
-        for name, value in (extra or {}).items():
-            lines.append(f"{name}: {value}")
+                 f"Connection: {'keep-alive' if keep_alive else 'close'}",
+                 f"Content-Type: {ctype}"]
         writer.write(("\r\n".join(lines) + "\r\n\r\n").encode() + body)
         await writer.drain()
 
-    async def _route(self, method: str, target: str,
-                     headers: Dict[str, str], body: bytes):
-        """Dispatch one request; returns ``(status, payload, extra)``."""
+    async def _route(self, method: str, target: str, body: bytes):
+        """Dispatch one request; returns ``(status, payload)``."""
         parts = urlsplit(target)
         path = parts.path.rstrip("/") or "/"
         query = {k: v[-1] for k, v in parse_qs(parts.query).items()}
 
         if path == "/v1/health" and method == "GET":
-            return 200, {"status": "ok", "draining": self._draining,
-                         "paused": self._paused}, {}
+            return 200, {"status": "ok", "draining": self._draining}
         if path == "/v1/stats" and method == "GET":
             store_stats = await asyncio.get_running_loop() \
                 .run_in_executor(None, self.store.stats)
@@ -512,103 +435,95 @@ class EvalServer:
                 "hits": store_stats.hits,
                 "misses": store_stats.misses,
             }
-            return 200, view, {}
+            return 200, view
         if path == "/v1/tasks" and method == "POST":
-            return await self._route_submit(headers, body, query)
-        if path == "/v1/batch" and method == "POST":
-            data = _parse_json(body)
-            tasks = data.get("tasks")
-            if not isinstance(tasks, list) or not tasks:
-                raise _HttpError(400, "batch needs a non-empty "
-                                      "'tasks' list")
-            jobs = [await self._submit(_parse_request(entry))
-                    for entry in tasks]
-            return 200, {"jobs": [j.view() for j in jobs]}, {}
+            job = await self._submit(_parse_request(_parse_json(body)))
+            await self._wait_for(job, query)
+            return 200, {"job": job.view()}
         if path.startswith("/v1/jobs/"):
-            return await self._route_job(method, path, headers, query)
-        if path == "/v1/admin/pause" and method == "POST":
-            self._paused = True
-            return 200, {"paused": True}, {}
-        if path == "/v1/admin/resume" and method == "POST":
-            self._paused = False
-            async with self._cond:
-                self._cond.notify_all()
-            return 200, {"paused": False}, {}
-        if path == "/v1/admin/drain" and method == "POST":
-            asyncio.get_running_loop().create_task(self.drain())
-            return 200, {"draining": True}, {}
+            return await self._route_job(method, path, query)
         raise _HttpError(404, f"no route for {method} {path}")
 
-    async def _route_submit(self, headers: Dict[str, str], body: bytes,
-                            query: Dict[str, str]):
-        request = _parse_request(_parse_json(body))
-        token = request.cache_token()
-        if headers.get("if-none-match", "").strip('"') == token:
-            has = await asyncio.get_running_loop().run_in_executor(
-                None, self.store.get_bytes, token)
-            if has is not None:
-                self.cache_hits += 1
-                return 304, None, {"ETag": f'"{token}"'}
-        job = await self._submit(request)
-        if query.get("wait") in ("1", "true") \
-                and job.state not in _FINAL_STATES:
-            await self._wait_for(job, query)
-        return 200, {"job": job.view()}, {"ETag": f'"{token}"'}
-
     async def _route_job(self, method: str, path: str,
-                         headers: Dict[str, str],
                          query: Dict[str, str]):
         tail = path[len("/v1/jobs/"):]
         job_id, _sep, sub = tail.partition("/")
         job = self._jobs.get(job_id)
         if job is None:
             raise _HttpError(404, f"unknown job {job_id!r}")
-        if method == "DELETE" and not sub:
-            self._cancel(job)
-            return 200, {"job": job.view()}, {}
         if method != "GET":
             raise _HttpError(405, f"{method} not allowed here")
+        ev = job.evaluation
         if sub == "result":
-            if job.state == "cancelled":
-                raise _HttpError(409, f"job {job_id} was cancelled")
-            if job.state not in ("done", "error"):
-                raise _HttpError(409, f"job {job_id} is {job.state}")
-            if headers.get("if-none-match", "").strip('"') == job.token:
-                return 304, None, {"ETag": f'"{job.token}"'}
+            if ev.outcome is None:
+                raise _HttpError(409, f"job {job_id} is {ev.state}")
             loop = asyncio.get_running_loop()
             payload = None
-            if job.outcome is not None and job.outcome.ok:
+            if ev.outcome.ok:
                 payload = await loop.run_in_executor(
-                    None, self.store.get_bytes, job.token)
+                    None, self.store.get_bytes, ev.token)
             if payload is None:
                 # Not stored (an error, or a disabled store): a flow
                 # result's dump takes long enough to stall every other
                 # request if it ran on the event loop.
                 payload = await loop.run_in_executor(
-                    None, canonical_dumps, job.outcome.canonical())
-            return 200, payload, {"ETag": f'"{job.token}"'}
+                    None, canonical_dumps, ev.outcome.canonical())
+            return 200, payload
         if sub:
             raise _HttpError(404, f"no route for job sub-path {sub!r}")
-        if query.get("wait") in ("1", "true") \
-                and job.state not in _FINAL_STATES:
-            await self._wait_for(job, query)
-        if job.state in _FINAL_STATES \
-                and headers.get("if-none-match", "").strip('"') \
-                == job.token:
-            return 304, None, {"ETag": f'"{job.token}"'}
-        return 200, {"job": job.view()}, {"ETag": f'"{job.token}"'}
+        await self._wait_for(job, query)
+        return 200, {"job": job.view()}
 
     async def _wait_for(self, job: _Job,
                         query: Dict[str, str]) -> None:
+        """Long-poll (``?wait=1``) until the job finishes or
+        ``timeout_s`` passes; returns at once otherwise."""
+        if query.get("wait") not in ("1", "true") \
+                or job.evaluation.finished.is_set():
+            return
         try:
             timeout = float(query.get("timeout_s", "30"))
         except ValueError:
             raise _HttpError(400, "timeout_s must be a number")
         try:
-            await asyncio.wait_for(job.finished.wait(),
+            await asyncio.wait_for(job.evaluation.finished.wait(),
                                    timeout=max(0.0, timeout))
         except asyncio.TimeoutError:
             pass  # long-poll timeout: report the current state
+
+
+async def _read_request(reader: asyncio.StreamReader
+                        ) -> Optional[Tuple[str, str, Dict[str, str],
+                                            bytes]]:
+    """Read one request as ``(method, target, headers, body)``;
+    ``None`` once the client has nothing more to send.
+
+    Raises:
+        _HttpError: 400 for a head that cannot be parsed.
+    """
+    try:
+        request_line = await reader.readline()
+        if not request_line.strip():
+            return None
+        try:
+            method, target, _version = \
+                request_line.decode("ascii").split()
+        except ValueError:
+            raise _HttpError(400, "malformed request line")
+        headers: Dict[str, str] = {}
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _sep, value = line.decode("latin1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+    except ValueError:  # asyncio's stream limit: a line over 64 KiB
+        raise _HttpError(400, "request head line too long")
+    length = headers.get("content-length", "0") or "0"
+    if not (length.isascii() and length.isdigit()):
+        raise _HttpError(400, f"bad Content-Length {length!r}")
+    body = await reader.readexactly(int(length))
+    return method, target, headers, body
 
 
 def _parse_json(body: bytes) -> Dict[str, object]:

@@ -1,14 +1,23 @@
 """Evaluation-server tests: lifecycle smoke, byte-identity with direct
-evaluation, ETag/304 semantics, structured errors, and HTTP edges.
+evaluation, store hits, structured errors, and HTTP edges, including
+malformed request heads and the routes the server no longer has.
 
 A module-scoped server (2 workers, private cache dir) serves most
-tests; the lifecycle smoke and drain tests start their own short-lived
-instances so shutdown behaviour is exercised end to end.
+tests; the lifecycle smoke starts its own short-lived in-thread
+instance, and the drain test a ``python -m repro serve`` process that
+it stops with SIGTERM, so shutdown behaviour is exercised end to end.
 """
 
+import http.client
+import json
 import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -68,14 +77,35 @@ class TestServeSmoke:
         assert first.metrics == second.metrics
         assert elapsed < 5.0, f"serve smoke took {elapsed:.1f}s"
 
-    def test_admin_drain_stops_server(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "cache"))
-        handle = start_in_thread(ServerConfig(port=0, workers=1))
-        with ServeClient(handle.url) as c:
-            c.drain()
-        handle._thread.join(timeout=10)
-        assert not handle._thread.is_alive()
-        handle.stop()  # idempotent
+    def test_sigterm_drains_the_cli_server(self, tmp_path):
+        """SIGTERM to a real ``python -m repro serve`` process (the
+        in-thread harness cannot install signal handlers): every
+        accepted evaluation, queued or running, finishes and is stored,
+        and the process exits 0 within five seconds."""
+        cache = tmp_path / "cache"
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, REPRO_FLOW_CACHE=str(cache),
+                   OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--cache-dir", str(cache)],
+            env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            url = proc.stderr.readline().strip()
+            assert url.startswith("http://"), url
+            with ServeClient(url) as c:
+                for scale in (1.11, 1.12, 1.13):
+                    c.submit(EvalRequest(kind="geometry", scale=scale))
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=5.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert len(list(cache.glob("cas-*.pkl"))) == 3
 
 
 class TestServedByteIdentity:
@@ -100,33 +130,15 @@ class TestServedByteIdentity:
         assert status == 200
         direct = execute_request(self.REQ)
         assert data == canonical_dumps(direct.canonical())
-        assert headers.get("ETag") == f'"{self.REQ.cache_token()}"'
 
 
 class TestEtagSemantics:
     REQ = EvalRequest(kind="geometry", scale=1.25)
 
-    def test_submit_returns_etag_and_304_on_revalidation(self, client):
-        token = self.REQ.cache_token()
-        first = client.submit(self.REQ, wait=True)
-        assert first.etag == token
-        assert first.state == "done"
-        # Conditional resubmit: the stored entry revalidates as 304.
-        status, headers, data = client._request(
-            "POST", "/v1/tasks", body=self.REQ.to_dict(),
-            headers={"If-None-Match": f'"{token}"'})
-        assert status == 304
-        assert data == b""
-        assert headers.get("ETag") == f'"{token}"'
-
-    def test_result_304_on_matching_etag(self, client):
-        handle = client.submit(self.REQ, wait=True)
-        status, _headers, data = client._request(
-            "GET", f"/v1/jobs/{handle.job_id}/result",
-            headers={"If-None-Match": f'"{handle.etag}"'})
-        assert status == 304 and data == b""
-
     def test_repeat_submit_is_cache_hit_not_reevaluation(self, client):
+        first = client.submit(self.REQ, wait=True)
+        assert first.state == "done" and not first.cached
+        assert first.etag == self.REQ.cache_token()
         before = client.stats()["evaluations_run"]
         out = client.evaluate(self.REQ)
         assert out.ok and out.cached
@@ -175,6 +187,64 @@ class TestHttpEdges:
             client._json("GET", "/v2/tasks")
         assert exc.value.status == 404
 
+    def test_removed_surface_answers_cleanly(self, client):
+        """Batches, admin calls, cancels and conditional requests are
+        gone: their routes are unknown, a DELETE is not allowed, and an
+        ``If-None-Match`` resubmit is a plain submit."""
+        req = EvalRequest(kind="geometry", scale=1.27)
+        handle = client.submit(req, wait=True)
+        assert handle.state == "done"
+        for method, path, status in (
+                ("POST", "/v1/batch", 404),
+                ("POST", "/v1/admin/pause", 404),
+                ("DELETE", f"/v1/jobs/{handle.job_id}", 405)):
+            with pytest.raises(ServeError) as exc:
+                client._json(method, path)
+            assert exc.value.status == status, (method, path)
+        conn = http.client.HTTPConnection(client.host, client.port,
+                                          timeout=10)
+        try:
+            conn.request("POST", "/v1/tasks",
+                         body=json.dumps(req.to_dict()),
+                         headers={"Content-Type": "application/json",
+                                  "If-None-Match":
+                                      f'"{req.cache_token()}"'})
+            response = conn.getresponse()
+            status, view = response.status, json.loads(response.read())
+        finally:
+            conn.close()
+        assert status == 200
+        assert view["job"]["state"] == "done" and view["job"]["cached"]
+        assert view["job"]["etag"] == req.cache_token()
+
+    @pytest.mark.parametrize("head", [
+        b"POST /v1/tasks HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+        b"POST /v1/tasks HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"GET /v1/health HTTP/1.1\r\nX-Pad: " + b"a" * 70_000
+        + b"\r\n\r\n",
+    ], ids=["non_integer_length", "negative_length", "line_over_64k"])
+    def test_malformed_head_400(self, client, head):
+        with socket.create_connection((client.host, client.port),
+                                      timeout=10) as sock:
+            sock.sendall(head)
+            reply = b""
+            while True:
+                try:
+                    chunk = sock.recv(65536)
+                except ConnectionResetError:
+                    break
+                if not chunk:
+                    break
+                reply += chunk
+        status_line, _sep, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request", reply[:200]
+        head_lines, _sep, body = rest.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head_lines.split(b"\r\n")
+        assert body.endswith(b"\n") and body.count(b"\n") == 1
+        assert json.loads(body)["error"]
+        # The server survives the bad head.
+        assert client.health()["status"] == "ok"
+
     def test_unknown_job_404(self, client):
         with pytest.raises(ServeError) as exc:
             client.job("j999999")
@@ -193,11 +263,6 @@ class TestHttpEdges:
             assert "bad JSON body" in body
         finally:
             conn.close()
-
-    def test_empty_batch_400(self, client):
-        status, _h, _d = client._request("POST", "/v1/batch",
-                                         body={"tasks": []})
-        assert status == 400
 
     def test_unknown_design_400_serverside(self, client):
         # Bypass client-side validation: the server must reject too.
@@ -225,17 +290,13 @@ class TestHttpEdges:
         with pytest.raises(KeyError):
             client.submit({"design": "fr4"})
 
-    def test_result_before_done_409(self, client, served):
-        served.server._paused = True
-        try:
-            handle = client.submit(
-                EvalRequest(kind="geometry", scale=1.33))
-            status, _h, _d = client._request(
-                "GET", f"/v1/jobs/{handle.job_id}/result")
-            assert status == 409
-        finally:
-            client.resume()
-            client.result(handle.job_id)
+    def test_result_before_done_409(self, client, held):
+        handle = client.submit(EvalRequest(kind="geometry", scale=1.33))
+        status, _h, _d = client._request(
+            "GET", f"/v1/jobs/{handle.job_id}/result")
+        assert status == 409
+        held()
+        assert client.result(handle.job_id).ok
 
     def test_stats_shape(self, client):
         stats = client.stats()
