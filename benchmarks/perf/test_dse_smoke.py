@@ -1,6 +1,6 @@
 """Tiny sweep through the DSE runner (``pytest -m dse_smoke benchmarks/perf``).
 
-Runs a six-point flow sweep cold (both cache layers off) so the number
+Runs a six-point flow sweep cold (the result store off) so the number
 is an honest end-to-end cost of one sweep point times six, records it
 under ``dse_smoke_sweep_s`` in ``results/BENCH_flow.json``, and fails
 when it drifts more than ``REGRESSION_FACTOR`` past the baseline in
@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.core.flow import clear_cache
 from repro.dse.analyze import pareto_front, flat_records, successes
 from repro.dse.runner import run_sweep
 from repro.dse.space import Axis, SweepSpec
@@ -53,11 +52,9 @@ def _merge_json(path, updates):
 def test_dse_smoke_sweep(monkeypatch):
     """Six cold flow points through the sweep runner, within budget."""
     monkeypatch.setenv("REPRO_FLOW_CACHE", "0")
-    clear_cache()
     t0 = time.perf_counter()
     records = run_sweep(SMOKE)
     elapsed = time.perf_counter() - t0
-    clear_cache()
 
     assert len(records) == 6
     assert len(successes(records)) == 6

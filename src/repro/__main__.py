@@ -188,21 +188,12 @@ def run_main(argv) -> int:
 
 
 def _run_profiled(names, args):
-    """Run each design serially and uncached under cProfile.
-
-    Writes ``results/profile_<design>.pstats`` (loadable with
-    ``pstats``/snakeviz) and ``results/profile_<design>.txt`` (the
-    top-25 functions by cumulative time) per design, so hot-path hunts
-    don't need ad-hoc harnesses.
-    """
+    """Run each design serially and uncached under cProfile, writing
+    one profile per design (see :func:`_dump_profile`)."""
     import cProfile
-    import io
-    import os
-    import pstats
 
     from .core.flow import run_design
 
-    os.makedirs("results", exist_ok=True)
     results = {}
     for name in names:
         profiler = cProfile.Profile()
@@ -214,19 +205,34 @@ def _run_profiled(names, args):
                                    use_cache=False,
                                    num_chiplets=args.num_chiplets,
                                    arrangement=args.arrangement)
-        profiler.disable()
-        pstats_path = os.path.join("results", f"profile_{name}.pstats")
-        profiler.dump_stats(pstats_path)
-        buf = io.StringIO()
-        stats = pstats.Stats(profiler, stream=buf)
-        stats.sort_stats("cumulative").print_stats(25)
-        txt_path = os.path.join("results", f"profile_{name}.txt")
-        with open(txt_path, "w") as fh:
-            fh.write(buf.getvalue())
-        print(f"profile: {pstats_path} (+ top-25 summary {txt_path})",
-              file=sys.stderr)
+        _dump_profile(profiler, name)
         _print_solver_table(name, results[name])
     return results
+
+
+def _dump_profile(profiler, stem: str) -> None:
+    """Stop ``profiler`` and write ``results/profile_<stem>.pstats``
+    (loadable with ``pstats``/snakeviz) plus ``.txt``, the top-25
+    functions by cumulative time, so hot-path hunts don't need ad-hoc
+    harnesses.  A no-op for ``None`` (an unprofiled run)."""
+    if profiler is None:
+        return
+    import io
+    import os
+    import pstats
+
+    profiler.disable()
+    os.makedirs("results", exist_ok=True)
+    pstats_path = os.path.join("results", f"profile_{stem}.pstats")
+    profiler.dump_stats(pstats_path)
+    buf = io.StringIO()
+    pstats.Stats(profiler, stream=buf).sort_stats("cumulative") \
+        .print_stats(25)
+    txt_path = os.path.join("results", f"profile_{stem}.txt")
+    with open(txt_path, "w") as fh:
+        fh.write(buf.getvalue())
+    print(f"profile: {pstats_path} (+ top-25 summary {txt_path})",
+          file=sys.stderr)
 
 
 def _print_solver_table(name, result) -> None:
@@ -338,7 +344,7 @@ def sweep_main(argv) -> int:
             print(f"  {line}", file=sys.stderr)
         print(f"result store: {runner.out_dir}", file=sys.stderr)
         if not result.complete:
-            _dump_sweep_profile(profiler, spec.name)
+            _dump_profile(profiler, f"sweep_{spec.name}")
             return 1
     else:
         runner = SweepRunner(spec, out_dir=args.out, jobs=args.jobs,
@@ -363,7 +369,7 @@ def sweep_main(argv) -> int:
               f"({len(failures(records))} failed) in {elapsed:.1f}s",
               file=sys.stderr)
         print(f"result store: {runner.out_dir}", file=sys.stderr)
-    _dump_sweep_profile(profiler, spec.name)
+    _dump_profile(profiler, f"sweep_{spec.name}")
 
     failed = failures(records)
     for record in failed:
@@ -401,31 +407,6 @@ def sweep_main(argv) -> int:
                            title="Per-axis sensitivity (endpoint "
                                  "elasticity)"))
     return 0
-
-
-def _dump_sweep_profile(profiler, sweep_name: str) -> None:
-    """Write a finished sweep profile to ``results/`` (no-op when the
-    sweep ran unprofiled) — the same artifact pair ``--profile``
-    produces for single-design runs."""
-    if profiler is None:
-        return
-    import io
-    import os
-    import pstats
-
-    profiler.disable()
-    os.makedirs("results", exist_ok=True)
-    pstats_path = os.path.join("results",
-                               f"profile_sweep_{sweep_name}.pstats")
-    profiler.dump_stats(pstats_path)
-    buf = io.StringIO()
-    pstats.Stats(profiler, stream=buf).sort_stats("cumulative") \
-        .print_stats(25)
-    txt_path = os.path.join("results", f"profile_sweep_{sweep_name}.txt")
-    with open(txt_path, "w") as fh:
-        fh.write(buf.getvalue())
-    print(f"profile: {pstats_path} (+ top-25 summary {txt_path})",
-          file=sys.stderr)
 
 
 def _fmt(value):

@@ -108,25 +108,6 @@ def _recording_plan(circuit: Circuit, st: MnaStructure,
     return node_names, node_idx, cur_names, cur_rows
 
 
-def circuit_is_linear(circuit: Circuit) -> bool:
-    """Whether every element of a circuit is in the linear MNA set.
-
-    The stock :class:`Circuit` carries only linear elements, so this is
-    trivially true today; the check guards the superposition fast paths
-    (:func:`pulse_response_bank` and its users) against future
-    nonlinear additions — a subclass that grows a ``nonlinear_elements``
-    list, or one whose ``element_count`` includes element kinds the MNA
-    stamps don't know about, falls back to full stepping.
-    """
-    if getattr(circuit, "nonlinear_elements", None):
-        return False
-    known = (len(circuit.resistors) + len(circuit.capacitors)
-             + len(circuit.inductors) + len(circuit.mutuals)
-             + len(circuit.vsources) + len(circuit.isources)
-             + len(circuit.vcvs))
-    return circuit.element_count() == known
-
-
 class TransientBlockFactor:
     """The LU of one circuit's trapezoidal companion matrix at one dt.
 
@@ -429,15 +410,13 @@ def pulse_response_bank(circuit: Circuit, dt: float, max_steps: int,
                         ) -> Optional[PulseResponseBank]:
     """The cached pulse-response bank of a circuit, or ``None``.
 
-    Returns ``None`` when the circuit is not linear (see
-    :func:`circuit_is_linear`) or its DC system is singular — callers
-    then fall back to full stepping, whose robust DC solve counts and
-    warns properly.  Banks are cached on the circuit's stamp structure
-    keyed by (dt, recorded nodes), like the AC block factors; a cached
-    unsettled bank is rebuilt when a longer horizon is requested.
+    Returns ``None`` when the circuit is empty or its DC system is
+    singular — callers then fall back to full stepping, whose robust DC
+    solve counts and warns properly.  Banks are cached on the circuit's
+    stamp structure keyed by (dt, recorded nodes), like the AC block
+    factors; a cached unsettled bank is rebuilt when a longer horizon
+    is requested.
     """
-    if not circuit_is_linear(circuit):
-        return None
     stamps = CircuitStamps.of(circuit)
     if stamps.structure.size == 0:
         return None

@@ -15,13 +15,14 @@ transient), thermal analysis, and the full-chip roll-up then run once,
 the same way for both.
 
 Every stage is deterministic, so a design point is keyed by its
-:class:`~repro.core.request.EvalRequest` (``kind="flow"``).
-:func:`run_design`, :func:`run_designs`, :func:`run_flow_task` and a
-local sweep's flow points share one lookup: memory keyed by the exact
-request, then the :class:`~repro.core.store.ContentStore` under the
-request's ``cache_token()`` (which embeds a hash of the package
-source); a miss is computed, remembered and stored.
-:func:`run_designs` adds a multi-process fan-out.
+:class:`~repro.core.request.EvalRequest` (``kind="flow"``), and the
+one result cache is the :class:`~repro.core.store.ContentStore` under
+the request's ``cache_token()`` (which embeds a hash of the package
+source).  :func:`run_design` looks its request up there and stores
+what it computed; :func:`run_designs` does the same for a batch through
+:func:`~repro.core.store.cached_outcomes`, evaluating misses on the
+worker pool.  :func:`run_flow_task` is the bare evaluation, which never
+touches the store.
 
 :func:`run_monolithic` implements the 2D-monolithic baseline column of
 Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
@@ -29,12 +30,10 @@ Table IV: both tiles on a single die, no SerDes/AIB, no interposer.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..arch.generate import generate_monolithic_netlist
@@ -68,7 +67,7 @@ from ..thermal.model import PackageThermalReport, analyze_package_thermal
 from .fullchip import FullChipSummary, full_chip_summary_nway
 from .pool import imap_retry
 from .request import EvalRequest, ServeResult
-from .store import ContentStore
+from .store import ContentStore, cached_outcomes
 
 
 @dataclass
@@ -162,35 +161,6 @@ class DesignResult:
         return out
 
 
-#: Deterministic in-process result cache, keyed by the exact request.
-_CACHE: Dict[EvalRequest, ServeResult] = {}
-
-
-def clear_cache() -> None:
-    """Drop all cached design results (tests use this)."""
-    _CACHE.clear()
-
-
-def _lookup(request: EvalRequest) -> Optional[ServeResult]:
-    """The cached outcome of a request, or ``None``.
-
-    Memory first, keyed by the exact request, then the content store,
-    whose entry is kept in memory from then on.
-    """
-    hit = _CACHE.get(request)
-    if hit is None:
-        hit = ContentStore().get(request)
-        if hit is not None:
-            _CACHE[request] = hit
-    return hit
-
-
-def _remember(out: ServeResult) -> None:
-    """Keep a computed outcome in memory and in the content store."""
-    _CACHE[out.request] = out
-    ContentStore().put(out.request, out)
-
-
 def flow_metrics(result: DesignResult) -> Dict[str, Optional[float]]:
     """Flat metric record of one full flow result.
 
@@ -225,7 +195,7 @@ def flow_metrics(result: DesignResult) -> Dict[str, Optional[float]]:
 
 def _served(request: EvalRequest, result: DesignResult,
             wall_s: float = 0.0) -> ServeResult:
-    """The outcome a computed flow result is remembered and stored as."""
+    """The outcome a computed flow result is stored as."""
     return ServeResult(request=request, result=result, wall_s=wall_s,
                        metrics=dict(flow_metrics(result),
                                     design=request.design))
@@ -331,9 +301,11 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
         target_frequency_mhz: Chiplet timing target.
         with_eyes: Run the PRBS eye simulations (the slowest SI step).
         with_thermal: Run the FD thermal solve.
-        use_cache: Reuse/populate the result caches (in process, then
-            the content store; see
-            :func:`~repro.core.store.flow_cache_dir`).
+        use_cache: Look the point up in the content store and store
+            it when computed (see
+            :func:`~repro.core.store.flow_cache_dir`).  A stored result
+            carries no ``stage_times`` or solver counters; pass
+            ``False`` to compute and keep them.
         spec_overrides: Optional ``InterposerSpec`` field perturbations
             (e.g. ``{"microbump_pitch_um": 50.0}``) applied on top of the
             registered spec — the hook the design-space explorer sweeps
@@ -346,7 +318,8 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
             ``row``, ``hexagonal``, or ``stacked``).
 
     Returns:
-        A fully populated :class:`DesignResult`.
+        A fully populated :class:`DesignResult`; a store hit is an
+        equal result loaded from the store, not the one computed.
     """
     task = EvalRequest(
         kind="flow", design=name, scale=scale, seed=seed,
@@ -354,9 +327,18 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
         with_thermal=with_thermal,
         spec_overrides=tuple((spec_overrides or {}).items()),
         num_chiplets=num_chiplets, arrangement=arrangement)
-    hit = _lookup(task) if use_cache else None
+    store = ContentStore()
+    hit = store.get(task) if use_cache else None
     if hit is not None:
         return hit.result
+    result = _run_stages(task)
+    if use_cache:
+        store.put(task, _served(task, result))
+    return result
+
+
+def _run_stages(task: EvalRequest) -> DesignResult:
+    """The stage pipeline of one flow request (no store involved)."""
     stage_times: Dict[str, float] = {}
     stage_solver_stats: Dict[str, Dict[str, int]] = {}
     reset_solver_counters()
@@ -397,11 +379,12 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
 
     with stage("channels"):
         channels = _channels_for(spec, route)
-        l2m_rep, l2l_rep = (measure_channel(ch, target_frequency_mhz * 1e6)
-                            for ch in channels)
+        l2m_rep, l2l_rep = (
+            measure_channel(ch, task.target_frequency_mhz * 1e6)
+            for ch in channels)
 
     l2m_eye = l2l_eye = None
-    if with_eyes:
+    if task.with_eyes:
         with stage("eyes"):
             coupled = coupled_line_for_spec(spec)
             l2m_eye, l2l_eye = (
@@ -410,7 +393,7 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
                 for ch in channels)
 
     thermal = None
-    if with_thermal:
+    if task.with_thermal:
         with stage("thermal"):
             maps = {die: power_density_map(c.route, c.power)
                     for die, c in parts.items()}
@@ -431,7 +414,7 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
     memory = next((c for c in chiplets if c.kind == "memory"),
                   chiplets[-1])
     stage_times["total"] = time.perf_counter() - t_total
-    result = DesignResult(
+    return DesignResult(
         spec=spec, logic=logic, memory=memory, placement=placement,
         route=route, pdn=pdn, pdn_impedance=pdn_imp, ir_drop=ir,
         power_transient=transient, l2m_channel=l2m_rep,
@@ -443,9 +426,6 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
                                               task.arrangement)
                   else chiplets),
         num_chiplets=task.num_chiplets, arrangement=task.arrangement)
-    if use_cache:
-        _remember(_served(task, result))
-    return result
 
 
 # --------------------------------------------------------------------- #
@@ -453,39 +433,23 @@ def run_design(name: str, scale: float = 1.0, seed: int = 2023,
 # --------------------------------------------------------------------- #
 
 
-def run_flow_task(request: EvalRequest,
-                  use_cache: bool = True) -> ServeResult:
-    """Evaluate one flow request; never raises.
+def run_flow_task(request: EvalRequest) -> ServeResult:
+    """Evaluate one flow request directly; never raises.
 
-    With ``use_cache`` it answers from the one lookup :func:`run_design`
-    makes, otherwise computes, remembers and stores; without it, it is a
-    direct evaluation that touches neither the memory nor the store (the
-    evaluation service's pool and :func:`run_designs`' workers run it
-    so).  Any exception — unknown design, invalid override, a numerical
-    failure deep in a flow stage — is captured as a structured failure
-    instead of propagating, so a batch of requests always runs to
-    completion.
+    The bare evaluation that :func:`run_designs` and every fan-out run,
+    in this process or on pool workers: it never reads or writes the
+    store, so whoever calls it looks up and stores.  Any exception —
+    unknown design, invalid override, a numerical failure deep in a
+    flow stage — is captured as a structured failure instead of
+    propagating, so a batch of requests always runs to completion.
     """
     t0 = time.perf_counter()
     try:
         if request.kind != "flow":
             raise ValueError(f"request kind {request.kind!r} is not a "
                              f"flow request")
-        hit = _lookup(request) if use_cache else None
-        if hit is not None:
-            return dataclasses.replace(hit, cached=True,
-                                       wall_s=time.perf_counter() - t0)
-        result = run_design(
-            request.design, scale=request.scale, seed=request.seed,
-            target_frequency_mhz=request.target_frequency_mhz,
-            with_eyes=request.with_eyes, with_thermal=request.with_thermal,
-            use_cache=False, spec_overrides=dict(request.spec_overrides),
-            num_chiplets=request.num_chiplets,
-            arrangement=request.arrangement)
-        out = _served(request, result, time.perf_counter() - t0)
-        if use_cache:
-            _remember(out)
-        return out
+        return _served(request, _run_stages(request),
+                       time.perf_counter() - t0)
     except Exception as exc:  # noqa: BLE001 — the point is to capture
         return ServeResult.failure(request, exc, time.perf_counter() - t0)
 
@@ -494,7 +458,7 @@ class FlowBatchError(RuntimeError):
     """One or more requests of a multi-design batch failed.
 
     Raised only after every request has run, so the completed results
-    (and the caches they populated) are never lost to one bad design
+    (and the store entries they wrote) are never lost to one bad design
     point.
 
     Attributes:
@@ -524,10 +488,10 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
     """Run several design points, optionally in parallel worker processes.
 
     Results are identical to calling :func:`run_design` per name; the
-    fan-out only changes wall-clock time.  Design points the result
-    caches hold (see :func:`run_design`) are not recomputed; the others
-    are evaluated directly, serially or on the worker pool, and this
-    process remembers and stores what they computed.
+    fan-out only changes wall-clock time.  Design points the store holds
+    are not recomputed; the others are evaluated directly, serially or
+    on the worker pool, and this process stores what they computed
+    (:func:`~repro.core.store.cached_outcomes`).
 
     A failure in one worker no longer aborts the batch: every task runs
     to completion and the failures are raised afterwards as one
@@ -543,7 +507,7 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
         with_thermal: Run the FD thermal solve.
         jobs: Worker processes for cache misses (1 = run serially in
             this process).
-        use_cache: Reuse/populate the in-process cache and the store.
+        use_cache: Look points up in the store and store misses.
         num_chiplets: Chiplet count shared by all points (see
             :func:`run_design`).
         arrangement: Die packing shared by all points.
@@ -562,31 +526,20 @@ def run_designs(names: Sequence[str], scale: float = 1.0, seed: int = 2023,
                 for n in names}
     results: Dict[str, DesignResult] = {}
     failures: Dict[str, ServeResult] = {}
-    misses: List[str] = []
-    for n, request in requests.items():
-        hit = _lookup(request) if use_cache else None
-        if hit is None:
-            misses.append(n)
-        else:
-            results[n] = hit.result
-
     # The persistent pool outlives this call: later fan-outs (and every
     # point of a DSE sweep) reuse the same warm workers.  A worker death
     # mid-batch costs one bounded resubmit of the unfinished suffix, not
     # the whole batch (imap_retry).
-    outcomes = imap_retry(partial(run_flow_task, use_cache=False),
-                          [requests[n] for n in misses], jobs)
-    for n, out in zip(misses, outcomes):
-        if not out.ok:
+    fan_out = cached_outcomes if use_cache else imap_retry
+    outcomes = fan_out(run_flow_task, list(requests.values()), jobs)
+    for n, out in zip(requests, outcomes):
+        if out.ok:
+            results[n] = out.result
+        else:
             failures[n] = out
-            continue
-        results[n] = out.result
-        if use_cache:
-            _remember(out)
-
     if failures:
         raise FlowBatchError(failures, results)
-    return {n: results[n] for n in requests}
+    return results
 
 
 @dataclass

@@ -229,7 +229,7 @@ class ServeResult:
         error_type: Exception class name on failure.
         error_message: ``str(exception)`` on failure.
         error_traceback: Full formatted traceback on failure.
-        cached: Whether a cache (in memory or the store) served it.
+        cached: Whether the store served it.
         wall_s: Wall time spent on the request.
     """
 

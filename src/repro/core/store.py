@@ -4,10 +4,13 @@
 content + code version) to the canonical pickle of its
 :class:`ServeResult` in a ``cas-<token>.pkl`` file under one directory
 (``results/.flow_cache/`` by default; see :func:`flow_cache_dir`).  It
-is the only tier that outlives a process: the CLI, ``run_design`` and
-``run_designs``, local sweeps and the evaluation service all read and
-write the same entries, so a point any of them computed is a hit for
-all the others.
+is the only result cache: the CLI, ``run_design`` and ``run_designs``,
+local sweeps and the evaluation service all read and write the same
+entries, so a point any of them computed is a hit for all the others.
+The caller looks a request up and stores what was computed; evaluation
+never touches the store.  :func:`cached_outcomes` is that rule for a
+batch of requests (``run_designs`` and a local sweep), and the server
+follows it on its own.
 
 Lifecycle management (``python -m repro cache``):
 
@@ -22,13 +25,16 @@ never an exception.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .pool import imap_retry
 from .request import EvalRequest, ServeResult, canonical_dumps
 
 #: Filename of the persisted hit/miss counters inside the store root.
@@ -239,3 +245,33 @@ class ContentStore:
             removed += 1
             freed += size
         return removed, freed
+
+
+def cached_outcomes(evaluate: Callable[[EvalRequest], ServeResult],
+                    requests: Sequence[EvalRequest],
+                    jobs: int = 1) -> Iterator[ServeResult]:
+    """Yield each request's outcome, in request order.
+
+    A request the store holds comes back from it, marked ``cached``.
+    The others run through ``evaluate``, which must never raise, on
+    :func:`~repro.core.pool.imap_retry`: in this process at
+    ``jobs <= 1``, on the warm pool otherwise.  This process stores
+    every ok outcome before yielding it, so the evaluator (and any pool
+    worker running it) never touches the store.
+    """
+    store = ContentStore()
+    hits: Dict[int, ServeResult] = {}
+    for i, request in enumerate(requests):
+        t0 = time.perf_counter()
+        hit = store.get(request)
+        if hit is not None:
+            hits[i] = dataclasses.replace(
+                hit, cached=True, wall_s=time.perf_counter() - t0)
+    computed = imap_retry(evaluate, [r for i, r in enumerate(requests)
+                                     if i not in hits], jobs)
+    for i, request in enumerate(requests):
+        out = hits.pop(i, None)
+        if out is None:
+            out = next(computed)
+            store.put(request, out)
+        yield out

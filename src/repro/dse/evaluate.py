@@ -3,14 +3,15 @@ in, a :class:`~repro.core.request.ServeResult` out.
 
 :func:`evaluate_request` runs every request a local sweep evaluates
 (serially or in pool workers) and every request the evaluation service
-ships to its pool (:func:`repro.serve.protocol.execute_request`).
-``"flow"`` runs the full co-design flow through
-:func:`~repro.core.flow.run_flow_task` (and, with ``use_cache``, the
-flow's one result lookup: memory, then the content store); the cheap
-stage-level evaluators (``"geometry"``, ``"link"``, ``"link_pdn"``)
-re-run only the affected models on :meth:`EvalRequest.spec`, the same
-shortcuts the sensitivity studies in ``repro.studies`` always took —
-those studies are now thin wrappers over these evaluators.
+ships to its pool (:func:`repro.serve.protocol.execute_request`).  It
+only evaluates: the sweep runner and the server look requests up in the
+content store and store what it returns.  ``"flow"`` runs the full
+co-design flow through :func:`~repro.core.flow.run_flow_task`; the
+cheap stage-level evaluators (``"geometry"``, ``"link"``,
+``"link_pdn"``) re-run only the affected models on
+:meth:`EvalRequest.spec`, the same shortcuts the sensitivity studies in
+``repro.studies`` always took — those studies are now thin wrappers
+over these evaluators.
 """
 
 from __future__ import annotations
@@ -108,15 +109,11 @@ _STAGE_EVALUATORS = {
 }
 
 
-def evaluate_request(request: EvalRequest,
-                     use_cache: bool = False) -> ServeResult:
-    """Evaluate one request; never raises.
+def evaluate_request(request: EvalRequest) -> ServeResult:
+    """Evaluate one request; never raises and never touches a store.
 
-    A flow request runs :func:`~repro.core.flow.run_flow_task`, through
-    the flow's result lookup when ``use_cache`` is set (a local sweep)
-    and directly otherwise (the service's pool, whose server looks up
-    and stores).  A stage request runs its evaluator on
-    :meth:`EvalRequest.spec`; stage results are never cached.  Any
+    A flow request runs :func:`~repro.core.flow.run_flow_task`; a stage
+    request runs its evaluator on :meth:`EvalRequest.spec`.  Any
     exception — an invalid request or override, an unknown design, a
     numerical failure — comes back as :meth:`ServeResult.failure`.
     """
@@ -124,7 +121,7 @@ def evaluate_request(request: EvalRequest,
     try:
         request.validate()
         if request.kind == "flow":
-            return run_flow_task(request, use_cache=use_cache)
+            return run_flow_task(request)
         metrics = _STAGE_EVALUATORS[request.kind](request, request.spec())
     except Exception as exc:  # noqa: BLE001 — structured capture
         return ServeResult.failure(request, exc, time.perf_counter() - t0)

@@ -1,14 +1,13 @@
 """Resumable sweep execution with a JSONL result store.
 
 :class:`SweepRunner` fans the points of a :class:`~repro.dse.space.SweepSpec`
-out over worker processes (the same process-pool pattern — and, for flow
-points, the same result store — as
-:func:`repro.core.flow.run_designs`) and checkpoints every completed
-point to ``<out_dir>/points.jsonl``.  Killing a sweep and re-running
-with ``resume=True`` recomputes nothing that is already on disk and
-appends only the remaining points; because point generation, evaluation,
-and serialization are all deterministic, the resumed store is
-byte-identical to an uninterrupted run.
+out over worker processes (the same process-pool pattern and the same
+result store as :func:`repro.core.flow.run_designs`) and checkpoints
+every completed point to ``<out_dir>/points.jsonl``.  Killing a sweep
+and re-running with ``resume=True`` recomputes nothing that is already
+on disk and appends only the remaining points; because point
+generation, evaluation, and serialization are all deterministic, the
+resumed store is byte-identical to an uninterrupted run.
 
 Store layout (``results/sweeps/<name>/`` by default)::
 
@@ -26,17 +25,19 @@ Store layout (``results/sweeps/<name>/`` by default)::
     errors.log      full tracebacks of failed points
 
 Every point is one :class:`~repro.core.request.EvalRequest`
-(:func:`~repro.dse.space.request_for_point`).  Locally it runs through
+(:func:`~repro.dse.space.request_for_point`).  Locally this process
+looks it up in the content store and, on a miss, runs
 :func:`~repro.dse.evaluate.evaluate_request` — in this process, or on
 the persistent pool of :mod:`repro.core.pool`, so every sweep after the
 first in a process (and every rung of a multi-fidelity run) reuses
-warm, pre-imported workers; remotely a ``repro.serve`` server runs the
-same function.  Either way the outcome is a
-:class:`~repro.core.request.ServeResult`, and one builder turns it into
-the point's row.  Points with identical parameters are evaluated once
-per run — the later duplicates copy the first occurrence's
-deterministic record, which is what an actual evaluation would have
-produced.
+warm, pre-imported workers — then stores the outcome
+(:func:`~repro.core.store.cached_outcomes`); remotely a ``repro.serve``
+server does the same.  Either way the outcome is a
+:class:`~repro.core.request.ServeResult`, one builder turns it into the
+point's row, and its ``DesignResult`` is dropped once the row is
+written.  Points with identical parameters are evaluated once per run —
+the later duplicates copy the first occurrence's deterministic record,
+which is what an actual evaluation would have produced.
 
 Evaluation errors become structured failure rows instead of aborting
 the sweep; the surviving points still complete and persist.
@@ -50,8 +51,9 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.pool import get_pool, imap_retry
+from ..core.pool import get_pool
 from ..core.request import EvalRequest, ServeResult
+from ..core.store import cached_outcomes
 from .evaluate import evaluate_request
 from .space import SweepSpec, request_for_point
 
@@ -78,17 +80,6 @@ def _sanitize(value: object) -> object:
     if isinstance(value, (int, str, bool)) or value is None:
         return value
     return float(value)  # numpy scalars etc.
-
-
-def _local_outcome(request: EvalRequest) -> ServeResult:
-    """Worker entry: evaluate one point, never raise.
-
-    Flow points go through the flow's result lookup.  The outcome comes
-    back without its ``DesignResult``: a row needs only the metrics, so
-    a pool worker sends no more than that.
-    """
-    return dataclasses.replace(evaluate_request(request, use_cache=True),
-                               result=None)
 
 
 def _record(spec: SweepSpec, index: int, params: Dict[str, object],
@@ -119,15 +110,16 @@ class SweepRunner:
 
     Args:
         spec: The sweep to run.
-        out_dir: Result-store directory; ``None`` runs fully in memory
-            (no files) — what the sensitivity wrappers use.  Defaults
-            to :func:`default_sweep_dir` when ``persist`` is left on.
+        out_dir: Sweep directory; ``persist=False`` writes none (the
+            content store still serves and keeps the points) — what
+            the sensitivity wrappers use.  Defaults to
+            :func:`default_sweep_dir` when ``persist`` is left on.
         jobs: Worker processes (1 = evaluate in this process).
         progress: Optional callback receiving one line per point.
         server_url: Optional ``repro.serve`` evaluation-server URL
             (e.g. ``http://127.0.0.1:8321``).  When set, points are
             submitted to the server instead of evaluated locally — the
-            server's scheduler, warm pool, and shared cache tier do the
+            server's scheduler, warm pool, and result store do the
             work, and the resulting store is byte-identical to a local
             run.  ``jobs`` is ignored (concurrency is the server's).
     """
@@ -277,17 +269,16 @@ class SweepRunner:
         else:
             # Persistent pool (repro.core.pool): reused across run()
             # calls and sweeps, so only the first fan-out in a process
-            # pays worker spin-up and imports.  imap_retry yields in
-            # submission order, which is point order — the store stays
-            # an ordered prefix of the point list — resubmits the
-            # unfinished suffix once if a worker dies mid-sweep, and
-            # runs in this process when there is nothing to fan out.
+            # pays worker spin-up and imports.  Outcomes arrive in
+            # point order — the store stays an ordered prefix of the
+            # point list — and a worker death mid-sweep costs one
+            # resubmit of the unfinished suffix (imap_retry).
             pool_state = "serial"
             if self.jobs > 1 and len(requests) > 1:
                 _pool, reused = get_pool(self.jobs)
                 pool_state = "warm" if reused else "cold"
-            outcomes = imap_retry(_local_outcome, requests, self.jobs,
-                                  chunksize=1)
+            outcomes = cached_outcomes(evaluate_request, requests,
+                                       self.jobs)
         outcomes_iter = iter(outcomes)
         completed: List[ServeResult] = []
 
@@ -299,8 +290,11 @@ class SweepRunner:
             for (index, params), (pos, is_dup) in zip(todo, plan):
                 # The representative always precedes its duplicates in
                 # point order, so a duplicate's outcome is already in.
+                # A row needs only the metrics: the DesignResult is
+                # dropped here, so no result outlives its row.
                 if not is_dup:
-                    completed.append(next(outcomes_iter))
+                    completed.append(dataclasses.replace(
+                        next(outcomes_iter), result=None))
                 outcome = completed[pos]
                 record = _record(self.spec, index, params, outcome)
                 wall_s = 0.0 if is_dup else outcome.wall_s
@@ -358,11 +352,12 @@ class SweepRunner:
                 t0 = time.perf_counter()
                 out = client.result(handle.job_id)
                 yield dataclasses.replace(
-                    out, result=None, wall_s=time.perf_counter() - t0)
+                    out, wall_s=time.perf_counter() - t0)
         finally:
             client.close()
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> List[Dict[str, object]]:
-    """Evaluate a sweep fully in memory (no result store)."""
+    """Evaluate a sweep without a sweep directory (its points still go
+    through the content store)."""
     return SweepRunner(spec, jobs=jobs, persist=False).run()

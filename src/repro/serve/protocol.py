@@ -13,9 +13,9 @@ view's ``etag``.
 function, runs on the persistent process pool) producing a
 :class:`ServeResult` — metrics or a structured error, never an
 exception.  It is :func:`~repro.dse.evaluate.evaluate_request`, the
-function a local sweep runs for every point, without the flow's
-result lookup: the server looks a request up before it queues it and
-stores what the pool returns.  :func:`request_for_point` (re-exported
+function a local sweep runs for every point, which never touches the
+store: the server looks a request up before it queues it and stores
+what the pool returns.  :func:`request_for_point` (re-exported
 from :mod:`repro.dse.space`) maps a DSE sweep point to the request the
 remote :class:`~repro.dse.runner.SweepRunner` path submits, so served
 and locally evaluated points are byte-identical.
@@ -35,8 +35,7 @@ def execute_request(request: EvalRequest) -> ServeResult:
     """Evaluate one request directly; never raises.
 
     This is the function the server ships to its worker pool: the one
-    evaluation path (:func:`~repro.dse.evaluate.evaluate_request`)
-    without the flow's caches, so served metrics are byte-identical to
-    a local sweep's.
+    evaluation path (:func:`~repro.dse.evaluate.evaluate_request`), so
+    served metrics are byte-identical to a local sweep's.
     """
     return evaluate_request(request)

@@ -40,6 +40,7 @@ import asyncio
 import collections
 import itertools
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,6 +54,8 @@ from ..core.pool import get_pool, pool_health, shutdown_pool
 from .protocol import (EvalRequest, ServeResult, canonical_dumps,
                        execute_request)
 from .store import ContentStore
+
+_LOG = logging.getLogger(__name__)
 
 
 @dataclass
@@ -249,10 +252,15 @@ class EvalServer:
             outcome = await self._execute(evaluation.request)
             self.evaluations_run += 1
             # Store first: a finished job's result route reads the
-            # stored bytes.
+            # stored bytes.  A failed write loses only the entry; the
+            # result route dumps an unstored outcome itself.
             if outcome.ok:
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.store.put, evaluation.request, outcome)
+                try:
+                    await asyncio.get_running_loop().run_in_executor(
+                        None, self.store.put, evaluation.request, outcome)
+                except Exception as exc:  # noqa: BLE001 — keep serving
+                    _LOG.warning("could not store %s: %s",
+                                 evaluation.token, exc, exc_info=True)
             evaluation.finish(outcome)
             del self._evals[evaluation.token]
             for job_id in evaluation.job_ids:

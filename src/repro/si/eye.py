@@ -13,8 +13,9 @@ The channels this flow builds are linear, so one cached pulse-response
 bank per (topology, timestep) determines the received waveform for
 *every* bit pattern by shifted superposition (see
 :func:`repro.circuit.transient.pulse_response_bank`); no per-pattern
-re-stepping.  Circuits the bank cannot carry (nonlinear elements,
-singular DC) automatically fall back to full trapezoidal stepping.  The
+re-stepping.  A circuit the bank cannot carry (an empty one, or a
+singular DC system) automatically falls back to full trapezoidal
+stepping.  The
 test suite pins the superposition result to a forced-stepping reference
 at ≤1e-9 on every design's channels.
 """

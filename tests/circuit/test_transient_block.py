@@ -6,8 +6,7 @@ import pytest
 from repro.circuit.elements import Circuit
 from repro.circuit.mna import (SOLVER_COUNTERS, CircuitStamps,
                                reset_solver_counters)
-from repro.circuit.transient import (circuit_is_linear,
-                                     pulse_response_bank, simulate,
+from repro.circuit.transient import (pulse_response_bank, simulate,
                                      transient_block_factor)
 from repro.circuit.waveforms import dc, pulse, step
 
@@ -78,18 +77,11 @@ class TestSimulateBatch:
         assert SOLVER_COUNTERS["transient_solves"] == 2 * (steps - 1)
 
 
-class TestCircuitIsLinear:
-    def test_stock_circuit_is_linear(self):
-        assert circuit_is_linear(rlc_circuit())
-
-    def test_nonlinear_marker_rejected(self):
-        ckt = rc_circuit()
-        ckt.nonlinear_elements = ["diode"]
-        assert not circuit_is_linear(ckt)
-        assert pulse_response_bank(ckt, 1e-9, 100, ("out",)) is None
-
-
 class TestPulseResponseBank:
+    def test_empty_circuit_has_no_bank(self):
+        # No bank sends the eye to its stepping fallback.
+        assert pulse_response_bank(Circuit(), 1e-9, 100, ()) is None
+
     def test_synthesis_matches_stepping(self):
         ckt = rlc_circuit()
         steps = int(round(2e-6 / 1e-9)) + 1

@@ -2,7 +2,11 @@
 
 Tests run the same code paths as the paper-scale benchmarks but on
 reduced netlists (a few thousand cells) so the whole suite stays fast.
+The whole session stores its results in one temporary store, never in
+the working tree's ``results/.flow_cache``.
 """
+
+import os
 
 import pytest
 
@@ -15,6 +19,21 @@ from repro.tech.interposer import GLASS_25D, SILICON_25D
 
 #: Scale used by most integration-ish tests.
 SMALL = 0.03
+
+
+@pytest.fixture(scope="session", autouse=True)
+def session_store(tmp_path_factory):
+    """Point ``REPRO_FLOW_CACHE`` at a temporary store for the session:
+    no entry an earlier run left can answer a test, and repeated points
+    stay cheap within the run.  Tests that set the variable themselves
+    override it as before."""
+    old = os.environ.get("REPRO_FLOW_CACHE")
+    os.environ["REPRO_FLOW_CACHE"] = str(tmp_path_factory.mktemp("store"))
+    yield
+    if old is None:
+        os.environ.pop("REPRO_FLOW_CACHE", None)
+    else:
+        os.environ["REPRO_FLOW_CACHE"] = old
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.core.flow import clear_cache, run_design, run_monolithic
+from repro.core.flow import run_design, run_monolithic
+from repro.core.request import EvalRequest, ServeResult, canonical_dumps
+
+
+def _canonical(result):
+    """The stored bytes of a flow result (request aside)."""
+    return canonical_dumps(
+        ServeResult(request=EvalRequest(), result=result).canonical())
 
 
 class TestRunDesign:
@@ -42,12 +49,13 @@ class TestRunDesign:
         assert r.pdn_impedance is None
         assert "signal_layers" not in r.table4_row()
 
-    def test_cache_hit(self):
-        clear_cache()
+    def test_cache_hit(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "store"))
         a = run_design("glass_25d", scale=0.015, seed=9)
         b = run_design("glass_25d", scale=0.015, seed=9)
-        assert a is b
-        clear_cache()
+        # The repeat is the stored entry: equal, without run timings.
+        assert a.stage_times is not None and b.stage_times is None
+        assert _canonical(b) == _canonical(a)
 
     def test_unknown_design(self):
         with pytest.raises(KeyError):

@@ -1,10 +1,16 @@
-"""Single-point flow request API and batch failure-isolation tests."""
+"""Single-point flow request API and batch failure-isolation tests.
+
+``run_flow_task`` only evaluates; a repeat is answered by the store,
+through a caller that looks up and stores (``cached_outcomes``,
+``run_design``).
+"""
 
 import pytest
 
-from repro.core.flow import (FlowBatchError, clear_cache, run_design,
+from repro.core.flow import (FlowBatchError, flow_metrics, run_design,
                              run_designs, run_flow_task)
-from repro.core.request import EvalRequest
+from repro.core.request import EvalRequest, canonical_dumps
+from repro.core.store import ContentStore, cached_outcomes
 
 SCALE = 0.01
 SEED = 7
@@ -13,9 +19,13 @@ SEED = 7
 @pytest.fixture(autouse=True)
 def isolated_caches(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "fcache"))
-    clear_cache()
-    yield
-    clear_cache()
+
+
+def through_store(request):
+    """One request's outcome as a caller that looks up and stores sees
+    it."""
+    out, = cached_outcomes(run_flow_task, [request])
+    return out
 
 
 def cheap_task(**kw):
@@ -35,15 +45,23 @@ class TestRunFlowTask:
         assert not out.cached
 
     def test_second_call_hits_cache(self):
-        run_flow_task(cheap_task())
-        again = run_flow_task(cheap_task())
+        first = through_store(cheap_task())
+        again = through_store(cheap_task())
+        assert first.ok and not first.cached
         assert again.ok and again.cached
+        assert canonical_dumps(again.canonical()) \
+            == canonical_dumps(first.canonical())
 
     def test_disk_cache_hit_after_memory_clear(self):
-        run_flow_task(cheap_task())
-        clear_cache()
-        again = run_flow_task(cheap_task())
+        # Evaluation never stores; what the caller stores answers the
+        # repeat.
+        out = run_flow_task(cheap_task())
+        store = ContentStore()
+        assert store.get(cheap_task()) is None
+        store.put(cheap_task(), out)
+        again = through_store(cheap_task())
         assert again.ok and again.cached
+        assert again.metrics == out.metrics
 
     def test_unknown_design_captured(self):
         out = run_flow_task(cheap_task(design="fr4"))
@@ -86,14 +104,13 @@ class TestFrequencyKeysCaches:
             != base.result.fullchip.total_power_mw
 
     def test_frequency_misses_disk_cache(self):
-        run_flow_task(cheap_task())
-        clear_cache()
-        fast = run_flow_task(cheap_task(target_frequency_mhz=900.0))
+        through_store(cheap_task())
+        fast = through_store(cheap_task(target_frequency_mhz=900.0))
         assert fast.ok and not fast.cached
         # The same frequency *is* served from disk.
-        clear_cache()
-        again = run_flow_task(cheap_task(target_frequency_mhz=900.0))
+        again = through_store(cheap_task(target_frequency_mhz=900.0))
         assert again.ok and again.cached
+        assert again.metrics == fast.metrics
 
     def test_run_designs_frequency_not_stale(self):
         slow = run_designs(["silicon_3d"], scale=SCALE, seed=SEED,
@@ -124,7 +141,10 @@ class TestSpecOverrides:
         b = run_design("silicon_3d", scale=SCALE, seed=SEED,
                        with_eyes=False, with_thermal=False,
                        spec_overrides={"microbump_pitch_um": 60.0})
-        assert a is b
+        # The repeat is the stored entry, equal in value.
+        assert a.stage_times is not None and b.stage_times is None
+        assert b.spec.microbump_pitch_um == 60.0
+        assert flow_metrics(b) == flow_metrics(a)
 
     def test_protected_field_rejected(self):
         with pytest.raises(ValueError, match="cannot be overridden"):

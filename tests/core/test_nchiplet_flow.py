@@ -393,7 +393,7 @@ class TestNchipletEndToEnd:
                   for f in dataclasses.fields(task)}
         assert EvalRequest(**fields) == task
         assert hash(EvalRequest(**fields)) == hash(task)
-        out = run_flow_task(task, use_cache=False)
+        out = run_flow_task(task)
         assert out.ok, out.error_message
         assert out.result.num_chiplets == 3
         assert len(out.result.placement.dies) == 3

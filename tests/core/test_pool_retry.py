@@ -16,6 +16,7 @@ import pytest
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.pool import imap_retry, pool_health, shutdown_pool
+from repro.dse.evaluate import evaluate_request
 
 #: Env var carrying the per-test sentinel path into forked workers.
 SENTINEL_ENV = "REPRO_TEST_POOL_BOMB"
@@ -35,6 +36,16 @@ def _bomb_always(task):
     if task == 2:
         os._exit(1)
     return task * 10
+
+
+def _kill_on_1300(request):
+    """Sweep evaluator that kills its worker on the 1300 um point the
+    first time; evaluates normally otherwise."""
+    sentinel = Path(os.environ[SENTINEL_ENV])
+    if request.length_um == 1300.0 and not sentinel.exists():
+        sentinel.write_text("boom")
+        os._exit(1)
+    return evaluate_request(request)
 
 
 @pytest.fixture()
@@ -84,23 +95,21 @@ class TestSweepSurvivesWorkerDeath:
             axes=(Axis("length_um",
                        values=(500.0, 900.0, 1300.0, 1700.0)),))
 
+        # Each runner gets a store of its own: the serial run stores
+        # its points, which would make the parallel run all hits.
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "s-store"))
         serial = SweepRunner(spec, out_dir=tmp_path / "serial")
-        serial_records = serial.run()
+        serial.run()
 
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "p-store"))
         sentinel = tmp_path / "sentinel"
         monkeypatch.setenv(SENTINEL_ENV, str(sentinel))
-        real_evaluate_request = runner_module.evaluate_request
-
-        def killer(request, use_cache=False):
-            if request.length_um == 1300.0 and not sentinel.exists():
-                sentinel.write_text("boom")
-                os._exit(1)
-            return real_evaluate_request(request, use_cache=use_cache)
-
-        # Patch before forking so workers inherit the bomb; the
-        # runner's worker entry resolves evaluate_request at call time
-        # through its module global.
-        monkeypatch.setattr(runner_module, "evaluate_request", killer)
+        # The runner resolves its evaluator through the module global
+        # when it runs, and ships it to the workers by name, so the
+        # bomb is a module-level function; the pool is forked after
+        # the patch.
+        monkeypatch.setattr(runner_module, "evaluate_request",
+                            _kill_on_1300)
         shutdown_pool()
         try:
             parallel = SweepRunner(spec, out_dir=tmp_path / "par",

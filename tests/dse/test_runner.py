@@ -1,9 +1,14 @@
 """Sweep runner tests: result store, resume identity, failure rows."""
 
+import gc
 import json
+import os
 
 import pytest
 
+from repro.core.flow import DesignResult
+from repro.core.pool import shutdown_pool
+from repro.core.store import ContentStore
 from repro.dse.analyze import failures, successes
 from repro.dse.runner import SweepRunner, run_sweep
 from repro.dse.space import Axis, SweepSpec
@@ -142,11 +147,7 @@ class TestFlowCacheInteraction:
 
     @pytest.fixture(autouse=True)
     def isolated_flow_cache(self, tmp_path, monkeypatch):
-        from repro.core.flow import clear_cache
         monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "fc"))
-        clear_cache()
-        yield
-        clear_cache()
 
     def test_frequency_axis_not_served_stale(self, tmp_path):
         """Distinct frequencies must produce distinct metrics — the
@@ -171,6 +172,68 @@ class TestFlowCacheInteraction:
         # Cache state changes timings.jsonl only, never the store.
         assert warm.points_path.read_bytes() \
             == cold.points_path.read_bytes()
+
+
+class TestCallerStores:
+    """The sweep process looks every point up and stores it; evaluation,
+    in this process or on pool workers, never touches the store, and no
+    result outlives its row."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_flow_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "fc"))
+
+    def test_no_pool_worker_touches_the_store(self, tmp_path,
+                                              monkeypatch):
+        pids = tmp_path / "pids"
+
+        def recording(method):
+            def wrapper(*args, **kwargs):
+                with open(pids, "a") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                return method(*args, **kwargs)
+            return wrapper
+
+        # Patch before the pool forks, so workers inherit the recorder.
+        for name in ("get", "put"):
+            monkeypatch.setattr(ContentStore, name,
+                                recording(getattr(ContentStore, name)))
+        shutdown_pool()
+        try:
+            timings = []
+            for spec in (TestFlowCacheInteraction.FREQ, LINK_PAIR):
+                runner = SweepRunner(spec, out_dir=tmp_path / spec.name,
+                                     jobs=2)
+                assert all(r["error"] is None for r in runner.run())
+                timings += [json.loads(line) for line in
+                            runner.timings_path.read_text().splitlines()]
+        finally:
+            shutdown_pool()
+        # Every point was evaluated on the pool.
+        assert [(t["cached"], t["pool"]) for t in timings] \
+            == [(False, "cold")] * 2 + [(False, "warm")] * 2
+        # A lookup and a store per point, all by this process.
+        recorded = pids.read_text().split()
+        assert len(recorded) == 8
+        assert set(recorded) == {str(os.getpid())}
+
+    def test_local_sweep_keeps_no_result_in_memory(self, tmp_path):
+        def live_results():
+            gc.collect()
+            return sum(isinstance(o, DesignResult)
+                       for o in gc.get_objects())
+
+        before = live_results()
+        runner = SweepRunner(TestFlowCacheInteraction.FREQ,
+                             out_dir=tmp_path / "s")
+        assert all(r["error"] is None for r in runner.run())
+        assert live_results() == before
+
+
+#: Two cheap link points.
+LINK_PAIR = SweepSpec(
+    name="link-pair", design="glass_25d", evaluator="link",
+    axes=(Axis("length_um", values=(500.0, 900.0)),))
 
 
 #: Duplicate-heavy sweep: the axis repeats one value, so 4 of its 6

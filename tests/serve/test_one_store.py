@@ -16,7 +16,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core import flow
-from repro.core.flow import clear_cache, run_design, run_designs
+from repro.core.flow import run_design, run_designs
 from repro.core.pool import shutdown_pool
 from repro.core.request import EvalRequest, canonical_dumps
 from repro.dse.runner import SweepRunner
@@ -54,9 +54,7 @@ def root(tmp_path, monkeypatch):
     store = tmp_path / "store"
     monkeypatch.setenv("REPRO_FLOW_CACHE", str(store))
     shutdown_pool()
-    clear_cache()
     yield store
-    clear_cache()
     shutdown_pool()
 
 
@@ -132,15 +130,11 @@ def test_each_path_writes_the_one_entry_every_path_reads(
         # Every path now answers from the store without computing.
         monkeypatch.setattr(flow, "_topology", _no_compute)
         evaluations = _evaluations_run(served.url)
-        clear_cache()
         assert run_design("glass_3d", **POINT).stage_times is None
-        clear_cache()
         got = run_designs(["glass_3d"], jobs=2, **POINT)
         assert got["glass_3d"].stage_times is None
-        clear_cache()
         assert main(CLI) == 0
         assert "Co-design flow summary" in capsys.readouterr().out
-        clear_cache()
         records, timings = _sweep(tmp_path / "warm")
         assert records[0]["error"] is None
         assert [t["cached"] for t in timings] == [True]
@@ -157,7 +151,6 @@ def test_served_point_stays_in_the_server_root(tmp_path, monkeypatch):
     env_dir, store_dir = tmp_path / "env", tmp_path / "store"
     monkeypatch.setenv("REPRO_FLOW_CACHE", str(env_dir))
     shutdown_pool()
-    clear_cache()
     try:
         with start_in_thread(ServerConfig(port=0, workers=1,
                                           cache_dir=store_dir)) as served:

@@ -14,7 +14,7 @@ from repro.arch.generate import clear_netlist_memo
 from repro.arch.netlist import Netlist
 from repro.chiplet.floorplan import floorplan
 from repro.chiplet.place import place
-from repro.core.flow import clear_cache, run_flow_task
+from repro.core.flow import run_flow_task
 from repro.core.request import code_version
 from repro.serve.protocol import (EvalRequest, canonical_dumps,
                                   execute_request, request_for_point)
@@ -163,7 +163,6 @@ class TestExecuteRequest:
                           with_eyes=False, with_thermal=False)
         payloads = []
         for unpickled in (False, True):
-            clear_cache()
             clear_netlist_memo()
             channel._CHANNEL_SIM_CACHE.clear()
             channel._PADS_REF_CACHE.clear()

@@ -1,12 +1,12 @@
 """Remote SweepRunner tests: a sweep pointed at a server produces a
-byte-identical result store to the same sweep evaluated locally."""
+byte-identical result store to the same sweep evaluated locally, and
+leaves the same content-store entries."""
 
 import filecmp
 import json
 
 import pytest
 
-from repro.core.flow import clear_cache
 from repro.core.pool import shutdown_pool
 from repro.dse.runner import SweepRunner
 from repro.dse.space import Axis, SweepSpec
@@ -116,7 +116,6 @@ class TestRemoteFlowSweep:
                                                         monkeypatch):
         monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "local"))
         shutdown_pool()
-        clear_cache()
         stores, cached = [], []
         with start_in_thread(ServerConfig(
                 port=0, workers=1,
@@ -132,6 +131,31 @@ class TestRemoteFlowSweep:
                                    runner.timings_path.read_text()
                                    .splitlines()])
         shutdown_pool()
-        clear_cache()
         assert stores == [stores[0]] * 4
         assert cached == [[False, False]] * 2 + [[True, True]] * 2
+
+
+def _entries(root):
+    return {p.name: p.read_bytes() for p in root.glob("cas-*.pkl")}
+
+
+@pytest.mark.parametrize("kind", ["flow", "geometry", "link_pdn"])
+def test_local_and_served_sweeps_leave_the_same_store(tmp_path,
+                                                      monkeypatch, kind):
+    """Whoever evaluates a point, its caller stores it under the same
+    name and bytes: stage outcomes included."""
+    spec = dict(STAGE_SPACES, flow=TestRemoteFlowSweep.SPEC)[kind]
+    monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "local"))
+    shutdown_pool()
+    try:
+        SweepRunner(spec, out_dir=tmp_path / "l").run()
+        with start_in_thread(ServerConfig(
+                port=0, workers=1,
+                cache_dir=tmp_path / "served")) as handle:
+            SweepRunner(spec, out_dir=tmp_path / "r",
+                        server_url=handle.url).run()
+    finally:
+        shutdown_pool()
+    local = _entries(tmp_path / "local")
+    assert len(local) == len(spec.points())
+    assert local == _entries(tmp_path / "served")

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.flow import clear_cache
 from repro.core.pool import shutdown_pool
 from repro.serve import (EvalRequest, ServeClient, ServeError,
                          ServerConfig, execute_request,
@@ -35,7 +34,6 @@ def served(tmp_path_factory):
     cache = tmp_path_factory.mktemp("serve-cache")
     old = os.environ.get("REPRO_FLOW_CACHE")
     os.environ["REPRO_FLOW_CACHE"] = str(cache)
-    clear_cache()
     shutdown_pool()  # fork pool workers with this cache dir
     handle = start_in_thread(ServerConfig(port=0, workers=2))
     try:
@@ -47,7 +45,6 @@ def served(tmp_path_factory):
             os.environ.pop("REPRO_FLOW_CACHE", None)
         else:
             os.environ["REPRO_FLOW_CACHE"] = old
-        clear_cache()
 
 
 @pytest.fixture()
@@ -106,6 +103,41 @@ class TestServeSmoke:
                 proc.communicate()
         assert proc.returncode == 0, err
         assert len(list(cache.glob("cas-*.pkl"))) == 3
+
+
+class TestStoreWriteFailure:
+    def test_failed_store_write_still_finishes_the_job(
+            self, tmp_path, monkeypatch, caplog):
+        """A store write that raises (a full disk) costs the entry, not
+        the scheduler: the job finishes, its result is dumped from the
+        outcome, a later submission still runs, and the server
+        drains."""
+        def full_disk(*_args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "cache"))
+        handle = start_in_thread(ServerConfig(port=0, workers=1))
+        try:
+            monkeypatch.setattr(handle.server.store, "put", full_disk)
+            with ServeClient(handle.url) as c:
+                req = EvalRequest(kind="geometry", scale=1.31)
+                job = c.submit(req, wait=True)
+                assert job.state == "done"
+                status, _headers, data = c._request(
+                    "GET", f"/v1/jobs/{job.job_id}/result")
+                assert status == 200
+                assert data == canonical_dumps(
+                    execute_request(req).canonical())
+                later = c.submit(EvalRequest(kind="geometry", scale=1.32),
+                                 wait=True)
+                assert later.state == "done"
+        finally:
+            handle.stop(timeout=3)
+        assert not handle._thread.is_alive()
+        warnings = [r for r in caplog.records
+                    if r.name == server_module.__name__]
+        assert len(warnings) == 2  # one per failed write
+        assert "No space left on device" in warnings[0].getMessage()
 
 
 class TestServedByteIdentity:

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from repro.core.flow import clear_cache, run_flow_task
+from repro.core.flow import run_flow_task
+from repro.core.store import cached_outcomes
 from repro.serve.protocol import (EvalRequest, canonical_dumps,
                                   execute_request)
 from repro.serve.store import ContentStore
@@ -15,9 +16,7 @@ from repro.serve.store import ContentStore
 @pytest.fixture()
 def store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "cache"))
-    clear_cache()  # flow runs must miss the in-process cache too
-    yield ContentStore()
-    clear_cache()
+    return ContentStore()
 
 
 class TestRoundTrip:
@@ -64,11 +63,12 @@ class TestOneTier:
     def test_flow_task_point_is_a_store_hit(self, store):
         req = EvalRequest(design="glass_3d", scale=0.012,
                           with_eyes=False, with_thermal=False)
-        # A direct (non-service) flow run writes the one entry.
-        direct = run_flow_task(req)
+        # A local (non-service) caller evaluates and writes the one
+        # entry, which answers the next caller.
+        direct, = cached_outcomes(run_flow_task, [req])
         assert direct.ok and not direct.cached
-        hit = store.get(req)
-        assert hit is not None and hit.ok
+        hit, = cached_outcomes(run_flow_task, [req])
+        assert hit.ok and hit.cached
         assert hit.metrics == direct.metrics
         assert hit.metrics["design"] == "glass_3d"
         assert store.get_bytes(req.cache_token()) == canonical_dumps(
