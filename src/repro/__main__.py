@@ -501,9 +501,9 @@ def serve_main(argv) -> int:
 def cache_main(argv) -> int:
     """The cache-maintenance mode (``python -m repro cache ...``).
 
-    Prints the result store's statistics (entries, bytes, lifetime
-    hit/miss counters); ``--gc --max-bytes N`` LRU-evicts entries down
-    to the byte budget first.  Malformed arguments exit 2 with a
+    Prints the result store's directory, entry count and bytes;
+    ``--gc --max-bytes N`` LRU-evicts entries down to the byte budget
+    first.  Malformed arguments exit 2 with a
     one-line ``error:``.
     """
     from pathlib import Path
@@ -540,15 +540,11 @@ def cache_main(argv) -> int:
         print(f"gc: removed {removed} entries, freed {freed} bytes",
               file=sys.stderr)
     stats = store.stats()
-    rate = stats.hit_rate
     print(format_table(
         ["field", "value"],
         [["directory", str(stats.root)],
          ["entries", stats.entries],
-         ["bytes", stats.total_bytes],
-         ["hits", stats.hits],
-         ["misses", stats.misses],
-         ["hit rate", "-" if rate is None else round(rate, 3)]],
+         ["bytes", stats.total_bytes]],
         title="Shared result cache"))
     return 0
 

@@ -74,7 +74,7 @@ import cycle.
 
     The solver counters move as on the numpy loop: ``steps - 1``
     transient solves per run, and the factorization count untouched
-    (the LU comes from the cached ``TransientBlockFactor``).  The numpy
+    (the LU comes from ``TransientBlockFactor``).  The numpy
     loop runs instead when the kernel or ``dgetrs`` is unavailable, and
     for circuits with mutual inductors, whose ``mut_g @ ind_i`` goes
     through numpy's BLAS.

@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .elements import Circuit
-from .mna import CircuitStamps, ac_block_factor, assemble_ac, _robust_solve
+from .mna import AcBlockFactor, CircuitStamps, assemble_ac, _robust_solve
 
 
 @dataclass
@@ -92,11 +92,14 @@ def driving_point_impedance(circuit: Circuit, node: str,
 def _solve_sweep(circuit: Circuit, freqs: np.ndarray,
                  Z: np.ndarray) -> np.ndarray:
     """Solve one RHS per sweep point: block-factored, per-point backup."""
-    fac = ac_block_factor(circuit, freqs)
-    if fac is not None:
+    try:
+        fac = AcBlockFactor(CircuitStamps.of(circuit), 2.0 * np.pi * freqs)
+    except RuntimeError:  # SuperLU: the stacked system is singular
+        pass
+    else:
         return fac.solve(Z)
-    # Singular stacked system: per-point robust solves (counted and
-    # warned about by the MNA layer).
+    # Per-point robust solves (counted and warned about by the MNA
+    # layer).
     X = np.zeros_like(Z)
     for i, f in enumerate(freqs):
         _st, A, _z = assemble_ac(circuit, 2 * np.pi * f)

@@ -38,9 +38,9 @@ _LOG = logging.getLogger(__name__)
 #: ``robust_fallbacks`` counts singular systems that fell back to least
 #: squares.  ``transient_factorizations``/``transient_solves`` are the
 #: same two quantities for the trapezoidal transient engine (see
-#: :class:`repro.circuit.transient.TransientBlockFactor`): one cached
-#: companion-matrix LU per (topology, dt), one solve per
-#: right-hand-side column back-substitution per step.  Flows call
+#: :class:`repro.circuit.transient.TransientBlockFactor`): one
+#: companion-matrix LU per transient run or pulse-response bank, one
+#: solve per right-hand-side column back-substitution per step.  Flows call
 #: :func:`reset_solver_counters` per run and snapshot the totals into
 #: their diagnostics.
 SOLVER_COUNTERS: Dict[str, int] = {
@@ -187,14 +187,6 @@ class CircuitStamps:
         self.B = B
         self._has_reactance = bool(circuit.capacitors or circuit.inductors
                                    or circuit.mutuals)
-        #: Frequency-grid-keyed cache of AC block factorizations.
-        self._ac_factors: Dict[bytes, Optional["AcBlockFactor"]] = {}
-        #: Timestep-keyed cache of transient companion-matrix LUs (see
-        #: :func:`repro.circuit.transient.transient_block_factor`).
-        self._transient_factors: Dict[bytes, object] = {}
-        #: (dt, record)-keyed cache of pulse-response banks (see
-        #: :func:`repro.circuit.transient.pulse_response_bank`).
-        self._pulse_banks: Dict[tuple, object] = {}
 
         # Element index arrays for vectorized RHS assembly / recording.
         self.vsrc_rows = np.arange(st.vsrc_offset,
@@ -459,9 +451,8 @@ class AcBlockFactor:
     one block-diagonal sparse matrix and factors it once with SuperLU:
     one factorization, then any number of stacked-RHS solves — the
     "one LU, many solves" shape a per-point sweep pays K times for.
-    Obtain instances through :func:`ac_block_factor`, which caches them
-    on the circuit's :class:`CircuitStamps` keyed by the frequency
-    grid, so repeated sweeps of one topology reuse the factorization.
+    SuperLU raises ``RuntimeError`` when the stacked system is
+    singular.
     """
 
     def __init__(self, stamps: "CircuitStamps", omegas: np.ndarray):
@@ -493,26 +484,3 @@ class AcBlockFactor:
         SOLVER_COUNTERS["mna_solves"] += K * n_rhs
         return x.reshape(Z.shape)
 
-
-def ac_block_factor(circuit: Circuit,
-                    frequencies_hz: np.ndarray
-                    ) -> Optional[AcBlockFactor]:
-    """The cached block factorization of an AC sweep, or ``None``.
-
-    Returns ``None`` when the stacked system is singular (callers then
-    fall back to per-point :func:`_robust_solve`, which counts and
-    warns) or the circuit is empty.  The factor cache lives on the
-    circuit's stamp structure, keyed by the exact frequency grid.
-    """
-    stamps = CircuitStamps.of(circuit)
-    if stamps.structure.size == 0:
-        return None
-    freqs = np.asarray(frequencies_hz, dtype=float)
-    key = freqs.tobytes()
-    cache = stamps._ac_factors
-    if key not in cache:
-        try:
-            cache[key] = AcBlockFactor(stamps, 2.0 * np.pi * freqs)
-        except RuntimeError:  # SuperLU: matrix is singular
-            cache[key] = None
-    return cache[key]

@@ -13,8 +13,8 @@ Companion models (trapezoidal):
 
 The companion matrix comes from the cached
 :class:`~repro.circuit.mna.CircuitStamps` structure (``G + (2/dt) B``)
-and is factored once per (topology, dt) (:class:`TransientBlockFactor`),
-and source waveforms are sampled over the whole time grid up front.
+and is factored once per run (:class:`TransientBlockFactor`), and
+source waveforms are sampled over the whole time grid up front.
 The steps then run on one of two engines:
 
 * the compiled loop, ``transient_run`` in :mod:`repro._kernel`, which
@@ -43,8 +43,7 @@ linear circuit, one multi-column run computes every source's
 Kronecker-delta response and unit-DC-init relaxation response;
 :meth:`PulseResponseBank.synthesize` then reconstructs the response to
 *arbitrary* source waveforms by discrete convolution, with no further
-stepping.  Banks are cached on the circuit's stamp structure keyed by
-(dt, recorded nodes), exactly like the AC block factors.
+stepping.  Each call builds its own bank.
 
 Transient LU factorizations and per-step back-substitutions are counted
 under ``transient_factorizations``/``transient_solves`` in
@@ -113,12 +112,11 @@ class TransientBlockFactor:
 
     The transient twin of :class:`~repro.circuit.mna.AcBlockFactor`:
     ``G + (2/dt) B`` from the circuit's :class:`CircuitStamps`, factored
-    once and shared by every transient run of that topology at that
-    timestep (see :func:`transient_block_factor`).
+    once and back-substituted at every step of one run (or for every
+    column of one pulse-response bank).
     """
 
     def __init__(self, stamps: CircuitStamps, dt: float):
-        self.dt = float(dt)
         #: Raw ``lu_factor`` pair for hot loops that bulk-count solves.
         self.lu = scipy.linalg.lu_factor(stamps.transient_matrix(dt))
         #: The same factor as LAPACK's ``dgetrs`` reads it, for the
@@ -133,27 +131,6 @@ class TransientBlockFactor:
         n_rhs = 1 if Z.ndim == 1 else Z.shape[1]
         SOLVER_COUNTERS["transient_solves"] += n_rhs
         return x
-
-
-def transient_block_factor(circuit: Circuit,
-                           dt: float) -> TransientBlockFactor:
-    """The cached companion-matrix LU of one circuit at one timestep.
-
-    Cached on the circuit's :class:`CircuitStamps` keyed by the exact
-    timestep (like the AC factors are keyed by the frequency grid), so
-    repeated transient runs of one topology — the full eye stepping,
-    the pulse-response bank, a fallback after a bank miss — share one
-    factorization.
-    """
-    stamps = CircuitStamps.of(circuit)
-    if stamps.structure.size == 0:
-        raise ValueError("cannot simulate an empty circuit")
-    key = np.float64(dt).tobytes()
-    hit = stamps._transient_factors.get(key)
-    if hit is None:
-        hit = TransientBlockFactor(stamps, dt)
-        stamps._transient_factors[key] = hit
-    return hit
 
 
 def simulate(circuit: Circuit, t_stop: float, dt: float,
@@ -221,7 +198,7 @@ def simulate(circuit: Circuit, t_stop: float, dt: float,
     v_out[0] = xa[rec_idx]
     i_out[0] = x[cur_idx]
 
-    factor = transient_block_factor(circuit, dt)
+    factor = TransientBlockFactor(stamps, dt)
     engine = _compiled_engine() if mut_g is None else None
     if engine is not None:
         _step_compiled(engine, factor, stamps, steps, vsrc_samples,
@@ -408,28 +385,18 @@ def pulse_response_bank(circuit: Circuit, dt: float, max_steps: int,
                         record: Sequence[str],
                         settle_tol: float = 1e-15
                         ) -> Optional[PulseResponseBank]:
-    """The cached pulse-response bank of a circuit, or ``None``.
+    """The pulse-response bank of a circuit, or ``None``.
 
     Returns ``None`` when the circuit is empty or its DC system is
     singular — callers then fall back to full stepping, whose robust DC
-    solve counts and warns properly.  Banks are cached on the circuit's
-    stamp structure keyed by (dt, recorded nodes), like the AC block
-    factors; a cached unsettled bank is rebuilt when a longer horizon
-    is requested.
+    solve counts and warns properly.  A bank covers ``max_steps``
+    samples: it is shorter only when it settled first.
     """
     stamps = CircuitStamps.of(circuit)
     if stamps.structure.size == 0:
         return None
-    key = (np.float64(dt).tobytes(), tuple(record))
-    cache = stamps._pulse_banks
-    if key in cache:
-        bank = cache[key]
-        if bank is None or bank.settled or bank.length >= max_steps:
-            return bank
-    bank = _build_pulse_bank(circuit, stamps, dt, max_steps, record,
+    return _build_pulse_bank(circuit, stamps, dt, max_steps, record,
                              settle_tol)
-    cache[key] = bank
-    return bank
 
 
 def _build_pulse_bank(circuit: Circuit, stamps: CircuitStamps, dt: float,
@@ -488,7 +455,7 @@ def _build_pulse_bank(circuit: Circuit, stamps: CircuitStamps, dt: float,
     SOLVER_COUNTERS["mna_factorizations"] += 1
     SOLVER_COUNTERS["mna_solves"] += n_src
 
-    factor = transient_block_factor(circuit, dt)
+    factor = TransientBlockFactor(stamps, dt)
     m = n_cap + n_ind
     cap_g = 2.0 * stamps.cap_c / dt
     ind_g = 2.0 * stamps.ind_l / dt
@@ -496,7 +463,7 @@ def _build_pulse_bank(circuit: Circuit, stamps: CircuitStamps, dt: float,
              if stamps.mutual_pattern is not None else None)
 
     # E embeds the state into the RHS; its columns solved through the
-    # shared transient LU give the one-step response to each history
+    # transient LU give the one-step response to each history
     # term (the bank's only multi-column back-substitutions).
     E = np.zeros((size, m))
     if n_cap:

@@ -88,11 +88,6 @@ class TwoPort:
         s = self.to_s(z0)
         return 20.0 * math.log10(max(abs(s[1, 0]), 1e-30))
 
-    def return_loss_db(self, z0: float = 50.0) -> float:
-        """|S11| in dB (more negative = better match)."""
-        s = self.to_s(z0)
-        return 20.0 * math.log10(max(abs(s[0, 0]), 1e-30))
-
 
 def cascade(ports: Sequence[TwoPort]) -> TwoPort:
     """Cascade a list of two-ports in order (port 2 of k into port 1 of k+1)."""

@@ -14,8 +14,7 @@ follows it on its own.
 
 Lifecycle management (``python -m repro cache``):
 
-* :meth:`ContentStore.stats` — entry/byte counts plus persisted hit and
-  miss counters (``cas-stats.json``, best-effort under concurrency).
+* :meth:`ContentStore.stats` — entry and byte counts.
 * :meth:`ContentStore.gc` — LRU garbage collection down to a byte
   budget.  Reads touch entry mtimes, so recency is meaningful.
 
@@ -26,7 +25,6 @@ never an exception.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import pickle
 import time
@@ -36,10 +34,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .pool import imap_retry
 from .request import EvalRequest, ServeResult, canonical_dumps
-
-#: Filename of the persisted hit/miss counters inside the store root.
-STATS_FILE = "cas-stats.json"
-
 
 def flow_cache_dir() -> Optional[Path]:
     """Directory of the result store, or ``None`` if disabled.
@@ -56,27 +50,17 @@ def flow_cache_dir() -> Optional[Path]:
 
 @dataclass
 class StoreStats:
-    """Snapshot of the store's size and traffic counters.
+    """Snapshot of the store's size.
 
     Attributes:
         root: Store directory (``None`` when the store is disabled).
         entries: Number of result entries.
         total_bytes: Bytes held by all result entries.
-        hits: Persisted lifetime read hits.
-        misses: Persisted lifetime read misses.
     """
 
     root: Optional[Path]
     entries: int = 0
     total_bytes: int = 0
-    hits: int = 0
-    misses: int = 0
-
-    @property
-    def hit_rate(self) -> Optional[float]:
-        """Lifetime hit rate, or ``None`` before any traffic."""
-        total = self.hits + self.misses
-        return None if total == 0 else self.hits / total
 
 
 class ContentStore:
@@ -122,8 +106,7 @@ class ContentStore:
         return payload
 
     def get(self, request: EvalRequest) -> Optional[ServeResult]:
-        """Stored result for a request, or ``None`` (counted either
-        way)."""
+        """Stored result for a request, or ``None``."""
         payload = self.get_bytes(request.cache_token())
         out = None
         if payload is not None:
@@ -131,10 +114,7 @@ class ContentStore:
                 out = pickle.loads(payload)
             except Exception:  # noqa: BLE001 — corrupt entry is a miss
                 pass
-        if not isinstance(out, ServeResult):
-            out = None
-        self._bump(hits=int(out is not None), misses=int(out is None))
-        return out
+        return out if isinstance(out, ServeResult) else None
 
     def put(self, request: EvalRequest,
             result: ServeResult) -> Optional[bytes]:
@@ -161,41 +141,6 @@ class ContentStore:
         return payload
 
     # ---------------------------------------------------------------- #
-    # Counters.
-    # ---------------------------------------------------------------- #
-
-    def _stats_path(self) -> Optional[Path]:
-        return None if self.root is None else self.root / STATS_FILE
-
-    def _read_counters(self) -> Dict[str, int]:
-        path = self._stats_path()
-        if path is None:
-            return {"hits": 0, "misses": 0}
-        try:
-            data = json.loads(path.read_text())
-            return {"hits": int(data.get("hits", 0)),
-                    "misses": int(data.get("misses", 0))}
-        except (OSError, ValueError):
-            return {"hits": 0, "misses": 0}
-
-    def _bump(self, hits: int = 0, misses: int = 0) -> None:
-        """Best-effort persisted counter update (races lose counts,
-        never corrupt: the write is atomic-replace)."""
-        path = self._stats_path()
-        if path is None:
-            return
-        counters = self._read_counters()
-        counters["hits"] += hits
-        counters["misses"] += misses
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.tmp.{os.getpid()}")
-            tmp.write_text(json.dumps(counters, sort_keys=True) + "\n")
-            tmp.replace(path)
-        except OSError:
-            pass
-
-    # ---------------------------------------------------------------- #
     # Lifecycle.
     # ---------------------------------------------------------------- #
 
@@ -213,15 +158,10 @@ class ContentStore:
         return rows
 
     def stats(self) -> StoreStats:
-        """Current size and lifetime traffic counters."""
+        """Current entry and byte counts."""
         rows = self._entries()
-        counters = self._read_counters()
-        return StoreStats(
-            root=self.root,
-            entries=len(rows),
-            total_bytes=sum(size for _, size, _ in rows),
-            hits=counters["hits"],
-            misses=counters["misses"])
+        return StoreStats(root=self.root, entries=len(rows),
+                          total_bytes=sum(size for _, size, _ in rows))
 
     def gc(self, max_bytes: int) -> Tuple[int, int]:
         """LRU-evict entries until the store is within ``max_bytes``.

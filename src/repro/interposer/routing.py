@@ -111,14 +111,12 @@ class RouterStats:
             exhausted or no path) so the net kept its overflowing
             pattern route — previously swallowed silently.
         overflow_cells: Cells still over capacity after the final round.
-        fields_built: Fresh distance-field sweeps run by the maze
-            engine (one per uncached maze call).
-        fields_patched: Maze calls answered from a cached field result
-            after validating it against the occupancy-flip log — the
-            shared-field reuse path.
+        fields_built: Distance-field sweeps run by the maze engine:
+            one per Manhattan maze call when the C kernel loads.
+        fields_patched: Always 0: the maze engine keeps no results
+            between calls.  ``perfbench/layers.py`` still reads it.
         maze_nodes_per_call_p50: Median A* expansion count per maze
-            call, organic grids included (cached calls report their
-            stored count).
+            call, organic grids included.
         maze_nodes_per_call_p99: 99th-percentile expansion count per
             maze call.
     """
@@ -857,7 +855,8 @@ class _DistanceFieldOracle:
     drained, so one sweep costs about the size of the A* search
     ellipse rather than the grid.  The kernel's int32 distance, done
     and bucket-link scratch persists across calls and is reset through
-    its touched list.
+    its touched list; no result does, since every maze call of a route
+    sees different overflow flags.
     """
 
     def __init__(self, grid: RoutingGrid, kernel):
@@ -868,7 +867,6 @@ class _DistanceFieldOracle:
         self.L, self.ny, self.nx = L, ny, nx
         n = L * ny * nx
         self.n = n
-        self.over = self._over_now()
         self._kernel = kernel
         self._kdist = np.full(n, -1, dtype=np.int32)
         self._kdone = np.zeros(n, dtype=np.uint8)
@@ -877,91 +875,28 @@ class _DistanceFieldOracle:
         self._ktouched = np.empty(n, dtype=np.int32)
         self._kout = np.empty(3, dtype=np.int64)
         self._nt_prev = 0
-        # Exact result cache: (sy, sx, ty, tx) -> mutable entry
-        # [path, expansions, s, y0, y1, x0, x1, epoch, over_snapshot].
-        # An entry stays valid while the overflow flags inside its
-        # (y, x) bounding box — the search's finalized set plus a
-        # one-cell halo (see route()) — match the snapshot taken when
-        # it was solved; the epoch skips the comparison entirely when
-        # the flags have not changed since the entry was last seen.
-        self._results: Dict[Tuple[int, int, int, int], list] = {}
-        self._epoch = 0
         self.fields_built = 0
-        self.fields_patched = 0
-
-    def _over_now(self) -> np.ndarray:
-        """Over-capacity flags in (y, l, x) state order, read fresh."""
-        g = self.grid
-        return (g.occupancy >= g.capacity).transpose(1, 0, 2) \
-            .reshape(-1)
-
-    def _refresh_congestion(self) -> None:
-        """Re-read the overflow flags; any change starts a new epoch."""
-        over_now = self._over_now()
-        if not np.array_equal(over_now, self.over):
-            self.over = over_now
-            self._epoch += 1
 
     def route(self, src: Tuple[int, int], dst: Tuple[int, int],
               max_nodes: int
               ) -> Tuple[Optional[List[Tuple[int, int, int]]], int]:
         """Exact maze result: (path or None, A* expansion count).
 
-        Results are cached per (src, dst) pair and reused across the
-        maze calls of one RRR round: a fresh sweep records the bounding
-        box of its finalized set plus a one-cell halo and a snapshot of
-        the overflow flags inside it, and the cached (path, expansions)
-        stays exact while the box's current flags match the snapshot.
-        Soundness: the optimal path and every popped state lie in the
-        finalized set F, whose distances depend only on overflow flags
-        inside F ∪ N⁺(F) ⊆ box; and any path leaving F crosses the
-        frontier through in-box cells at cost > s, so no overflow state
-        outside the box can create a cheaper path or pull a new state
-        into the pop set.  Unreachable results (s = -1) never
-        invalidate — overflow changes weights, not connectivity.  The
-        node budget only limits *work*, never the result, so it is
-        applied to the cached numbers on every hit.
+        Every call runs one sweep over the current overflow flags.  An
+        unreachable goal gives ``(None, 0)``; a search whose predicted
+        expansion count exceeds ``max_nodes`` gives ``(None, count)``
+        without reconstructing the path.
         """
         sy, sx = src
         ty, tx = dst
-        self._refresh_congestion()
-        key = (sy, sx, ty, tx)
-        ent = self._results.get(key)
-        if ent is not None and self._entry_fresh(ent):
-            self.fields_patched += 1
-        else:
-            ent = self._solve(sy, sx, ty, tx)
-            self._results[key] = ent
-            self.fields_built += 1
-        path, expansions, s = ent[0], ent[1], ent[2]
+        g = self.grid
+        # Over-capacity flags in (y, l, x) state order.
+        over = (g.occupancy >= g.capacity).transpose(1, 0, 2).reshape(-1)
+        self.fields_built += 1
+        L, nx = self.L, self.nx
+        s, nfin = self._kernel_sweep(over, (sy * L) * nx + sx, ty, tx)
         if s < 0:
             return None, 0
-        if expansions > max_nodes:
-            return None, expansions
-        return list(path), expansions
-
-    def _entry_fresh(self, ent: list) -> bool:
-        """Compare the entry's box snapshot against current overflow."""
-        if ent[7] != self._epoch:
-            if ent[2] < 0:
-                ent[7] = self._epoch  # unreachable: immune to reweights
-                return True
-            y0, y1, x0, x1 = ent[3], ent[4], ent[5], ent[6]
-            cur = self.over.reshape(self.ny, self.L, self.nx)[
-                y0:y1 + 1, :, x0:x1 + 1]
-            if not np.array_equal(cur, ent[8]):
-                return False
-            ent[7] = self._epoch
-        return True
-
-    def _solve(self, sy: int, sx: int, ty: int, tx: int) -> list:
-        """Run one exact sweep and package it as a cache entry."""
-        nx, L, ny = self.nx, self.L, self.ny
-        nxL = nx * L
-        epoch = self._epoch
-        s, nfin = self._kernel_sweep((sy * L) * nx + sx, ty, tx)
-        if s < 0:
-            return [None, 0, -1, 0, 0, 0, 0, epoch, None]
         Dp = self._kdist
         # Expansions = finalized states popped up to and including the
         # goal.  The goal's zero-heuristic column ((l, ty, tx) states)
@@ -969,31 +904,17 @@ class _DistanceFieldOracle:
         # The dial drains the goal's whole distance level before
         # stopping, so the finalized set is exactly {Dp <= s} and nfin
         # already equals count(Dp < s) + count(Dp == s).
-        goal_col = Dp[ty * nxL + tx::nx][:L]
+        goal_col = Dp[ty * nx * L + tx::nx][:L]
         expansions = nfin - int(np.count_nonzero(goal_col == s)) + 1
-        path = self._reconstruct(Dp, sy, sx, ty, tx)
-        # Touched = finalized ∪ frontier = F ∪ N⁺(F): exactly the
-        # sensitivity region (the ±1 halo is belt and braces).
-        t = self._ktouched[:self._nt_prev]
-        ys = t // nxL
-        xs = t % nx
-        return self._entry(path, expansions, int(s),
-                           max(int(ys.min()) - 1, 0),
-                           min(int(ys.max()) + 1, ny - 1),
-                           max(int(xs.min()) - 1, 0),
-                           min(int(xs.max()) + 1, nx - 1), epoch)
+        if expansions > max_nodes:
+            return None, expansions
+        return self._reconstruct(over, Dp, sy, sx, ty, tx), expansions
 
-    def _entry(self, path, expansions, s, y0, y1, x0, x1, epoch) -> list:
-        """Package a solved sweep with its box's overflow snapshot."""
-        snap = self.over.reshape(self.ny, self.L, self.nx)[
-            y0:y1 + 1, :, x0:x1 + 1].copy()
-        return [path, expansions, s, y0, y1, x0, x1, epoch, snap]
-
-    def _kernel_sweep(self, start: int, ty: int, tx: int
-                      ) -> Tuple[int, int]:
+    def _kernel_sweep(self, over: np.ndarray, start: int, ty: int,
+                      tx: int) -> Tuple[int, int]:
         """One dial-Dijkstra sweep; returns (goal distance, finalized)."""
         self._kernel.dial(
-            self.over.ctypes.data, self._kdist.ctypes.data,
+            over.ctypes.data, self._kdist.ctypes.data,
             self._kdone.ctypes.data, self._knxt.ctypes.data,
             self._kprv.ctypes.data, self._ktouched.ctypes.data,
             self._nt_prev, self.n, self.L, self.ny, self.nx,
@@ -1002,8 +923,9 @@ class _DistanceFieldOracle:
         self._nt_prev = int(self._kout[2])
         return int(self._kout[0]), int(self._kout[1])
 
-    def _reconstruct(self, Dp: np.ndarray, sy: int, sx: int, ty: int,
-                     tx: int) -> List[Tuple[int, int, int]]:
+    def _reconstruct(self, over: np.ndarray, Dp: np.ndarray, sy: int,
+                     sx: int, ty: int, tx: int
+                     ) -> List[Tuple[int, int, int]]:
         """Walk the distance field backwards along scalar-A* prev links.
 
         At each step the parent is the neighbor ``p`` with
@@ -1015,7 +937,6 @@ class _DistanceFieldOracle:
         L, nx, ny = self.L, self.nx, self.ny
         plane = ny * nx
         nxL = nx * L
-        over = self.over
         oc = float(self.over_cost)
         via = float(self.via)
         cur = (ty * L) * nx + tx
@@ -1290,10 +1211,8 @@ def _route_with_grid(placement: InterposerPlacement, grid: RoutingGrid,
             np.percentile(maze_node_counts, 50))
         stats.maze_nodes_per_call_p99 = float(
             np.percentile(maze_node_counts, 99))
-    oracle = grid._oracle
-    if oracle is not None:
-        stats.fields_built = oracle.fields_built
-        stats.fields_patched = oracle.fields_patched
+    if grid._oracle is not None:
+        stats.fields_built = grid._oracle.fields_built
     if stats.maze_fallbacks:
         _LOG.warning(
             "interposer %s: %d of %d maze reroutes failed (node budget "

@@ -49,11 +49,6 @@ class SParameterData:
         return 20.0 * np.log10(np.maximum(np.abs(self.s[:, 1, 0]),
                                           1e-30))
 
-    def return_loss_db(self) -> np.ndarray:
-        """|S11| in dB per frequency."""
-        return 20.0 * np.log10(np.maximum(np.abs(self.s[:, 0, 0]),
-                                          1e-30))
-
     def is_passive(self, tolerance: float = 1e-6) -> bool:
         """Largest singular value of every sample ≤ 1."""
         for k in range(len(self.frequencies_hz)):

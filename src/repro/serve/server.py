@@ -167,7 +167,8 @@ class EvalServer:
         self._workers: List[asyncio.Task] = []
         self._stopped = asyncio.Event()
         self._started_s = time.monotonic()
-        # Traffic counters (in-memory; the store also persists its own).
+        # Traffic counters, in memory for the life of the server (the
+        # store counts only entries and bytes).
         self.cache_hits = 0
         self.cache_misses = 0
         self.dedupe_joins = 0
@@ -440,8 +441,6 @@ class EvalServer:
                          if store_stats.root else None),
                 "entries": store_stats.entries,
                 "total_bytes": store_stats.total_bytes,
-                "hits": store_stats.hits,
-                "misses": store_stats.misses,
             }
             return 200, view
         if path == "/v1/tasks" and method == "POST":
@@ -591,12 +590,15 @@ class ServerHandle:
         """Drain the server and join its thread (idempotent)."""
         if not self._thread.is_alive():
             return
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.drain(), self._loop)
-        try:
-            future.result(timeout=timeout)
-        except Exception:  # noqa: BLE001 — join below is the backstop
-            pass
+        # A server already draining stops by itself, and its loop may
+        # be closing: a drain scheduled on it would never run.
+        if not self.server._draining:
+            future = asyncio.run_coroutine_threadsafe(
+                self.server.drain(), self._loop)
+            try:
+                future.result(timeout=timeout)
+            except Exception:  # noqa: BLE001 — join below is the backstop
+                pass
         self._thread.join(timeout=timeout)
 
     def __enter__(self) -> "ServerHandle":

@@ -9,15 +9,13 @@ the sampling phase — are extracted.
 The paper simulates at 0.7 Gbps with two aggressors on the worst-case
 victim; those are the defaults here.
 
-The channels this flow builds are linear, so one cached pulse-response
-bank per (topology, timestep) determines the received waveform for
-*every* bit pattern by shifted superposition (see
-:func:`repro.circuit.transient.pulse_response_bank`); no per-pattern
-re-stepping.  A circuit the bank cannot carry (an empty one, or a
-singular DC system) automatically falls back to full trapezoidal
-stepping.  The
-test suite pins the superposition result to a forced-stepping reference
-at ≤1e-9 on every design's channels.
+The channels this flow builds are linear, so one pulse-response bank
+determines the received waveform for *every* bit pattern by shifted
+superposition (see :func:`repro.circuit.transient.pulse_response_bank`);
+no per-pattern re-stepping.  A circuit the bank cannot carry (an empty
+one, or a singular DC system) automatically falls back to full
+trapezoidal stepping.  The test suite pins the superposition result to
+a forced-stepping reference at ≤1e-9 on every design's channels.
 """
 
 from __future__ import annotations
@@ -251,9 +249,8 @@ def simulate_eye(line: Optional[RlgcLine] = None,
     victim runs inside a coupled bundle with ``aggressors`` neighbours
     carrying independent PRBS streams; lumped channels couple a fraction
     of each aggressor's swing capacitively (adjacent via/bump coupling).
-    The waveform is synthesized from the circuit's cached
-    pulse-response bank; a circuit the bank cannot carry is stepped in
-    full instead.
+    The waveform is synthesized from the circuit's pulse-response bank;
+    a circuit the bank cannot carry is stepped in full instead.
 
     Args:
         line: Distributed line parameters.
@@ -278,7 +275,7 @@ def simulate_eye(line: Optional[RlgcLine] = None,
     steps = int(round(t_stop / dt)) + 1
 
     bank = pulse_response_bank(ckt, dt, steps, record=("vrx",))
-    if bank is not None and (bank.settled or bank.length >= steps):
+    if bank is not None:
         stamps = CircuitStamps.of(ckt)
         time = np.arange(steps) * dt
         samples = stamps.sample_waveforms(

@@ -172,5 +172,3 @@ def test_a_stored_netlist_with_a_pin_out_of_range_is_a_miss(tmp_path):
     store.path_for(request.cache_token()).write_bytes(
         canonical_dumps(bad.canonical()))
     assert store.get(request) is None
-    stats = store.stats()
-    assert (stats.hits, stats.misses) == (1, 1)

@@ -6,8 +6,7 @@ many solves).  These tests pin:
 
 * numerical equivalence of the block path against per-point dense
   solves to 1e-9 relative on the PDN circuits of all six designs;
-* the factor cache — one factorization per (topology, frequency grid),
-  reused across repeated sweeps;
+* the counters — one factorization per sweep, one solve per point;
 * the counted, warned-about fallback path for singular systems (the
   pre-PR ``_robust_solve`` swallowed them silently).
 """
@@ -23,8 +22,8 @@ import repro.circuit.mna as mna
 from repro.chiplet.bumps import plan_for_design
 from repro.circuit.ac import driving_point_impedance, log_frequencies
 from repro.circuit.elements import Circuit
-from repro.circuit.mna import (ac_block_factor, assemble_ac,
-                               reset_solver_counters, solver_counters)
+from repro.circuit.mna import (assemble_ac, reset_solver_counters,
+                               solver_counters)
 from repro.circuit.waveforms import dc
 from repro.interposer.pdn import build_pdn
 from repro.interposer.placement import place_dies
@@ -83,10 +82,10 @@ class TestFactorCacheCounters:
         assert c1["mna_factorizations"] == 1
         assert c1["mna_solves"] == len(freqs)
         assert c1["robust_fallbacks"] == 0
-        # Same circuit object, same grid: the cached factor is reused.
+        # Same circuit object, same grid: every sweep factors anew.
         driving_point_impedance(ckt, "bump", freqs)
         c2 = solver_counters()
-        assert c2["mna_factorizations"] == 1
+        assert c2["mna_factorizations"] == 2
         assert c2["mna_solves"] == 2 * len(freqs)
 
     def test_new_grid_factors_once_more(self):
@@ -95,9 +94,6 @@ class TestFactorCacheCounters:
         driving_point_impedance(ckt, "bump", log_frequencies(1e6, 1e9, 4))
         driving_point_impedance(ckt, "bump", log_frequencies(1e6, 1e8, 4))
         assert solver_counters()["mna_factorizations"] == 2
-
-    def test_block_factor_none_for_empty_circuit(self):
-        assert ac_block_factor(Circuit("empty"), np.array([1e6])) is None
 
 
 class TestRobustFallbackAccounting:

@@ -1,4 +1,4 @@
-"""The cached transient factor and pulse-response banks."""
+"""The transient companion-matrix factor and pulse-response banks."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.circuit.elements import Circuit
 from repro.circuit.mna import (SOLVER_COUNTERS, CircuitStamps,
                                reset_solver_counters)
-from repro.circuit.transient import (pulse_response_bank, simulate,
-                                     transient_block_factor)
+from repro.circuit.transient import pulse_response_bank, simulate
 from repro.circuit.waveforms import dc, pulse, step
 
 
@@ -40,26 +39,17 @@ def isrc_circuit():
 
 
 class TestBlockFactorCache:
-    def test_factor_cached_per_dt(self):
-        ckt = rc_circuit()
-        f1 = transient_block_factor(ckt, 1e-9)
-        f2 = transient_block_factor(ckt, 1e-9)
-        f3 = transient_block_factor(ckt, 2e-9)
-        assert f1 is f2
-        assert f1 is not f3
+    """Nothing is cached between runs: each run factors its own
+    companion matrix once."""
 
     def test_repeated_runs_factor_once(self):
         ckt = rc_circuit()
         reset_solver_counters()
         simulate(ckt, 1e-6, 1e-9)
         simulate(ckt, 2e-6, 1e-9)
-        assert SOLVER_COUNTERS["transient_factorizations"] == 1
+        assert SOLVER_COUNTERS["transient_factorizations"] == 2
         # One back-substitution per step after t=0.
         assert SOLVER_COUNTERS["transient_solves"] == 1000 + 2000
-
-    def test_empty_factor_rejected(self):
-        with pytest.raises(ValueError, match="empty circuit"):
-            transient_block_factor(Circuit(), 1e-9)
 
 
 class TestSimulateBatch:
@@ -126,29 +116,13 @@ class TestPulseResponseBank:
         assert wave[0] == pytest.approx(1.0)
         assert np.allclose(wave, 1.0, atol=1e-9)
 
-    def test_bank_cached_and_keyed(self):
+    def test_unsettled_bank_covers_the_horizon(self):
+        # A tolerance of 0 can never settle, so the bank runs to the
+        # requested horizon, which is all an eye ever synthesizes.
         ckt = rc_circuit()
-        b1 = pulse_response_bank(ckt, 1e-9, 500, ("out",))
-        b2 = pulse_response_bank(ckt, 1e-9, 500, ("out",))
-        b3 = pulse_response_bank(ckt, 2e-9, 500, ("out",))
-        b4 = pulse_response_bank(ckt, 1e-9, 500, ("in", "out"))
-        assert b1 is b2
-        assert b3 is not b1
-        assert b4 is not b1
-
-    def test_unsettled_bank_rebuilt_for_longer_horizon(self):
-        # A tolerance of 0 can never settle, so the bank length tracks
-        # the requested horizon and longer requests force a rebuild.
-        ckt = rc_circuit()
-        short = pulse_response_bank(ckt, 1e-9, 50, ("out",),
-                                    settle_tol=0.0)
-        assert not short.settled and short.length == 50
-        longer = pulse_response_bank(ckt, 1e-9, 120, ("out",),
-                                     settle_tol=0.0)
-        assert longer.length == 120
-        again = pulse_response_bank(ckt, 1e-9, 80, ("out",),
-                                    settle_tol=0.0)
-        assert again is longer  # still long enough — cache hit
+        bank = pulse_response_bank(ckt, 1e-9, 50, ("out",),
+                                   settle_tol=0.0)
+        assert not bank.settled and bank.length == 50
 
     def test_unsettled_synthesis_overrun_rejected(self):
         ckt = rc_circuit()
@@ -164,8 +138,8 @@ class TestPulseResponseBank:
             bank.synthesize(np.ones((3, 100)))
 
     def test_counters_taxonomy(self):
-        # The bank does one DC factorization (mna) plus the shared
-        # transient factor and a handful of multi-column solves — far
+        # The bank does one DC factorization (mna) plus one transient
+        # factorization and a handful of multi-column solves — far
         # fewer transient solves than stepping the same horizon.
         ckt = rlc_circuit()
         reset_solver_counters()

@@ -1,15 +1,15 @@
-"""Maze engines: dial kernel, field cache, compiled A*, compile gate.
+"""Maze engines: dial kernel, field scratch, compiled A*, compile gate.
 
-Property tests for the PR that retired the maze-routing hot spot:
+Property tests for the maze-routing engines:
 
 * the compiled dial-Dijkstra kernel must match ``maze_route_scalar``
   bit-for-bit on random congested grids, including sequences of calls
   with occupancy flips in between (the kernel reuses scratch arrays
   across calls via a touched-list reset protocol — exactly the pattern
   a stale reset would corrupt);
-* the per-(src, dst) distance-field result cache must answer repeat
-  calls without a fresh sweep (``fields_patched``), and must invalidate
-  when overflow flags inside the cached bounding box change;
+* the distance field's scratch persists across calls, but no result
+  does: every returned path is the caller's own, and an occupancy flip
+  is seen by the next call;
 * the compiled A* must serve every diagonal grid and match the scalar
   search exactly — path, expansion count and node-budget exhaustion —
   across calls that reuse its scratch arrays;
@@ -88,7 +88,7 @@ class TestDialKernel:
 
         This is the RRR access pattern: every call must see the current
         occupancy even though the kernel's distance/done scratch arrays
-        and the oracle's result cache persist across calls.
+        persist across calls.
         """
         rng = random.Random(77)
         for _ in range(6):
@@ -119,22 +119,12 @@ class TestDialKernel:
 
 @pytest.mark.usefixtures("need_kernel")
 class TestFieldCache:
-    """The per-(src, dst) result cache behind ``fields_patched``."""
-
-    def test_repeat_call_is_served_from_cache(self):
-        g = RoutingGrid(0.5, 0.5, layers=2, wire_pitch_um=4.0)
-        src, dst = (3, 3), (20, 20)
-        first = g.maze_route(src, dst)
-        second = g.maze_route(src, dst)
-        assert first == second
-        oracle = g._oracle
-        assert oracle is not None
-        assert oracle.fields_built == 1
-        assert oracle.fields_patched == 1
+    """The distance field's scratch buffers persist across calls;
+    nothing computed from them may."""
 
     def test_cached_paths_are_independent_copies(self):
-        """Callers mutate returned paths (rip-up bookkeeping); the
-        cache must hand out fresh lists."""
+        """Callers mutate returned paths (rip-up bookkeeping); every
+        call must hand out a fresh list."""
         g = RoutingGrid(0.5, 0.5, layers=2, wire_pitch_um=4.0)
         src, dst = (3, 3), (20, 20)
         first = g.maze_route(src, dst)
@@ -147,40 +137,9 @@ class TestFieldCache:
         before = g.maze_route(src, dst)
         g.occupancy[:, 2, :] = g.capacity[:, 2, :] + 1  # block the row
         after = g.maze_route(src, dst)
-        oracle = g._oracle
-        assert oracle.fields_built == 2
-        assert oracle.fields_patched == 0
+        assert g._oracle.fields_built == 2  # one sweep per call
         assert before != after
         assert after == g.maze_route_scalar(src, dst)
-
-    def test_far_away_flip_keeps_entry(self):
-        """An overflow flip outside the cached bounding box cannot
-        affect the result, so the entry must survive."""
-        g = RoutingGrid(1.0, 1.0, layers=2, wire_pitch_um=4.0)
-        src, dst = (2, 2), (2, 8)
-        g.maze_route(src, dst)
-        oracle = g._oracle
-        y1 = oracle._results[(2, 2, 2, 8)][4]
-        far_row = g.ny - 1
-        assert far_row > y1 + 1  # genuinely outside the box + halo
-        g.occupancy[:, far_row, :] = g.capacity[:, far_row, :] + 1
-        g.maze_route(src, dst)
-        assert oracle.fields_built == 1
-        assert oracle.fields_patched == 1
-
-    def test_flip_then_flip_back_keeps_entry(self):
-        """Snapshot (not event-log) freshness: net zero change between
-        calls must count as a cache hit even though flips occurred."""
-        g = RoutingGrid(0.5, 0.5, layers=2, wire_pitch_um=4.0)
-        src, dst = (2, 2), (2, 20)
-        path = g.maze_route(src, dst)
-        saved = g.occupancy[:, 2, :].copy()
-        g.occupancy[:, 2, :] = g.capacity[:, 2, :] + 1
-        g.occupancy[:, 2, :] = saved
-        assert g.maze_route(src, dst) == path
-        oracle = g._oracle
-        assert oracle.fields_built == 1
-        assert oracle.fields_patched == 1
 
 
 @pytest.mark.usefixtures("need_kernel")

@@ -8,8 +8,10 @@ directory.
 """
 
 import asyncio
+import gc
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -109,3 +111,24 @@ class TestDrainRace:
         drain.result(10)
         assert server.evaluations_run == 1
         assert server.store.get_bytes(other.cache_token()) is None
+
+    def test_stop_after_a_completed_drain_returns_at_once(
+            self, tmp_path, monkeypatch):
+        """Once a drain has completed, the server thread is finishing
+        ``asyncio.run``: ``stop()`` must only join it.  A second drain
+        scheduled on the closing loop would never run, and ``stop()``
+        would wait out its whole timeout."""
+        monkeypatch.setenv("REPRO_FLOW_CACHE", str(tmp_path / "cache"))
+        for _ in range(5):
+            handle = start_in_thread(ServerConfig(port=0, workers=1))
+            asyncio.run_coroutine_threadsafe(
+                handle.server.drain(), handle._loop).result(10)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                t0 = time.monotonic()
+                handle.stop()
+                elapsed = time.monotonic() - t0
+                gc.collect()
+            assert elapsed < 1.0
+            assert not [w for w in caught
+                        if issubclass(w.category, RuntimeWarning)]

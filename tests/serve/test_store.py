@@ -1,5 +1,5 @@
 """Content-addressed store tests: round trips, the store as the flow's
-one persistent tier, counters, and LRU garbage collection."""
+one persistent tier, and LRU garbage collection."""
 
 import os
 import time
@@ -74,26 +74,9 @@ class TestOneTier:
         assert store.get_bytes(req.cache_token()) == canonical_dumps(
             execute_request(req).canonical())
         assert sorted(p.name for p in store.root.iterdir()) == [
-            f"cas-{req.cache_token()}.pkl", "cas-stats.json"]
+            f"cas-{req.cache_token()}.pkl"]
         assert store.gc(0)[0] == 1
         assert store.get(req) is None
-
-
-class TestCounters:
-    def test_hits_and_misses_persist(self, store):
-        req = EvalRequest(kind="geometry")
-        store.get(req)  # miss
-        store.put(req, execute_request(req))
-        store.get(req)  # hit
-        store.get(req)  # hit
-        stats = store.stats()
-        assert stats.hits == 2 and stats.misses == 1
-        assert stats.hit_rate == pytest.approx(2 / 3)
-        # A fresh instance over the same root sees the same counters.
-        assert ContentStore(store.root).stats().hits == 2
-
-    def test_hit_rate_none_before_traffic(self, store):
-        assert store.stats().hit_rate is None
 
 
 class TestGc:
