@@ -1,7 +1,7 @@
-"""Runtime-compiled C kernels: the maze router's searches, the FM passes
-and the transient stepping loop.
+"""Runtime-compiled C kernels: the maze router's searches and path walk,
+the FM passes, the transient stepping loop and the STA pass.
 
-One C source holds four entry points, compiled together into one shared
+One C source holds six entry points, compiled together into one shared
 object and loaded through :mod:`ctypes`.  This module imports nothing
 from :mod:`repro`, so every package can use the kernel without an
 import cycle.
@@ -19,6 +19,28 @@ import cycle.
     with ``dist <= dist(goal)`` are finalized, which is precisely the
     set the oracle's expansion-count and path-reconstruction formulas
     need.
+
+``maze_walk``
+    The scalar A*'s path, walked back from the goal over the int32 field
+    ``maze_dial`` leaves, equal to the Python walk ``tests/oracles/``
+    ``routing.py`` keeps because it uses integer arithmetic only and
+    these rules:
+
+    * at state ``cur`` (oracle index ``(y * L + l) * nx + x``), ``enter``
+      is ``over_cost`` if ``over[cur]``, else 0; a lateral step weighs
+      ``1 + enter`` and a via ``via + enter``;
+    * candidates come in the scalar search's order: x-moves on even
+      layers, y-moves on odd ones (both on one-layer grids), via down,
+      via up; unreached ones (``Dp[p] < 0``) are skipped, and ``p`` is
+      an optimal parent when ``Dp[p] - h(p) + w == Dp[cur] - h(cur)``;
+    * the parent has the least key ``(Dp[p], Dp[p] - h(p), l * ny * nx
+      + y * nx + x)``, the A* pop key ``(f, g, flat index)`` shifted by
+      a constant: the layer-major index, not the oracle's ``(y, l, x)``;
+    * no optimal parent, or a path longer than ``L * ny * nx``, returns
+      a negative code, and the caller raises.
+
+    The caller decodes the layer-major path with ``np.divmod`` and
+    ``.tolist()``, as it does the A*'s, so coordinates are Python ints.
 
 ``maze_astar``
     A binary-heap A*, ported line for line from
@@ -79,22 +101,42 @@ import cycle.
     for circuits with mutual inductors, whose ``mut_g @ ind_i`` goes
     through numpy's BLAS.
 
+``sta_pass``
+    The FIFO Kahn pass and output-port scan of
+    :func:`repro.chiplet.timing.analyze_timing`, after its numpy prelude
+    computed the stage delays, the combinational fanout (CSR) and the
+    end points at a sequential sink.  It equals the Python pass because:
+
+    * a sink's candidate ``node_arr + delay[sink]`` is one double add,
+      kept only when strictly greater (``>``), and an end point's total
+      is ``node_arr + setup``;
+    * the FIFO queue is seeded with the sequential instances, then the
+      fanin-free combinational ones, each in instance order; no
+      instance enters it twice, so n entries suffice;
+    * ``order`` grows on an instance's first arrival, and the port-end
+      scan walks it with a strict ``>``;
+    * ``arrival``, ``pred`` and the in-degrees are written back, since
+      the caller's cycle check reads the in-degrees; the caller makes
+      the end arrival a Python ``float``, as ``canonical_dumps`` records
+      types.
+
 The source is compiled once per toolchain with the system C compiler
 (``$CC``, default ``cc``) into ``<repo>/.build_cache/``; the object's
 name hashes the source, the compiler and the flags, so an object built
 differently is never reused.  ``-ffp-contract=off`` keeps the compiler
 from fusing a multiply and an add (the A* heuristic, the transient
 loop's products and sums), which would change their rounding on
-targets with FMA; FM's float work is additions and comparisons, in the
-reference's order.  When the kernel cannot be built or loaded,
-:func:`load_kernel` logs one warning and returns ``None``; every maze
-search then runs the scalar A*
+targets with FMA; FM's and the STA's float work is additions and
+comparisons, in the reference's order.  When the kernel cannot be built
+or loaded, :func:`load_kernel` logs one warning and returns ``None``;
+every maze search then runs the scalar A*
 (:meth:`~repro.interposer.routing.RoutingGrid.maze_route_scalar`),
 several times slower, FM runs its portable pass
 (``repro.partition.fm._passes_portable``), the same loop in Python,
-and transients step in numpy.  Set ``REPRO_NO_CCOMPILE=1`` to disable
-the kernel on purpose (no warning; tests use this to pin the
-fallbacks).
+transients step in numpy and the STA runs its Python pass
+(``repro.chiplet.timing._sta_pass_portable``).  Set
+``REPRO_NO_CCOMPILE=1`` to disable the kernel on purpose (no warning;
+tests use this to pin the fallbacks).
 """
 
 from __future__ import annotations
@@ -133,11 +175,11 @@ _SOURCE = r"""
  *     via:     via + over_cost * over[u]
  * (the +-1 term is the Manhattan-heuristic reweighting, telescoped).
  *
- * dist/done/nxt/prv/touched are caller-owned scratch arrays of length
- * n; dist must be -1 and done 0 on the first call, and the kernel
- * resets the states it touched at the START of the next call (the
- * caller reads the dist field between calls), passing the previous
- * touched count back in via n_touched_prev.
+ * dist/done/nxt/prv/touched are caller-owned scratch arrays of
+ * L * ny * nx entries; dist must be -1 and done 0 on the first call,
+ * and the kernel resets the states it touched at the START of the next
+ * call (the caller reads the dist field between calls), passing the
+ * previous touched count back in via n_touched_prev.
  *
  * Outputs: out[0] = goal distance (-1 if unreachable),
  *          out[1] = number of finalized states (all with dist <= s),
@@ -148,7 +190,7 @@ int64_t maze_dial(const uint8_t *over,
                   int32_t *dist, uint8_t *done,
                   int32_t *nxt, int32_t *prv, int32_t *touched,
                   int64_t n_touched_prev,
-                  int64_t n, int32_t L, int32_t ny, int32_t nx,
+                  int32_t L, int32_t ny, int32_t nx,
                   int32_t start, int32_t ty, int32_t tx,
                   int32_t via, int32_t over_cost,
                   int64_t *out)
@@ -273,6 +315,71 @@ int64_t maze_dial(const uint8_t *over,
     out[1] = finalized;
     out[2] = nt;
     return 0;
+}
+
+/* The scalar A*'s path over a maze_dial field (the module docstring
+ * gives the rules).  dp (-1 where unreached) and over are in the
+ * oracle's (y * L + l) * nx + x order; path[] (L * ny * nx entries)
+ * receives the layer-major indices (l * ny + y) * nx + x from the start
+ * (layer 0 at (sy, sx)) to the goal (layer 0 at (ty, tx)).  Returns the
+ * path length, -1 when a state has no optimal parent and -2 when the
+ * path would be longer than L * ny * nx.
+ */
+int64_t maze_walk(const uint8_t *over, const int32_t *dp,
+                  int32_t L, int32_t ny, int32_t nx,
+                  int32_t sy, int32_t sx, int32_t ty, int32_t tx,
+                  int32_t via, int32_t over_cost, int32_t *path)
+{
+    static const int32_t DL[6] = {0, 0, 0, 0, -1, 1};
+    static const int32_t DY[6] = {0, 0, -1, 1, 0, 0};
+    static const int32_t DX[6] = {-1, 1, 0, 0, 0, 0};
+    const int64_t n = (int64_t)L * ny * nx;
+    const int32_t start = (sy * L) * nx + sx;
+    int32_t cur = (ty * L) * nx + tx, cl = 0, cy = ty, cx = tx, k;
+    int64_t len = 0, a, b;
+
+    path[len++] = ty * nx + tx;
+    while (cur != start) {
+        const int64_t enter = over[cur] ? over_cost : 0;
+        const int64_t target = dp[cur] - (abs(cy - ty) + abs(cx - tx));
+        const int lat_x = L == 1 || cl % 2 == 0, lat_y = L == 1 || cl % 2;
+        const int ok[6] = {lat_x && cx > 0, lat_x && cx < nx - 1,
+                           lat_y && cy > 0, lat_y && cy < ny - 1,
+                           cl > 0, cl < L - 1};
+        int64_t best_d = 0, best_dh = 0, best_idx = -1;
+        int32_t best = -1;
+        for (k = 0; k < 6; k++) {
+            const int32_t l = cl + DL[k], y = cy + DY[k], x = cx + DX[k];
+            const int32_t p = (y * L + l) * nx + x;
+            int64_t d, dh, idx;
+            if (!ok[k] || dp[p] < 0)
+                continue;
+            d = dp[p];
+            dh = d - (abs(y - ty) + abs(x - tx));
+            if (dh + (k < 4 ? 1 : via) + enter != target)
+                continue;
+            idx = ((int64_t)l * ny + y) * nx + x;
+            if (best >= 0 && (d > best_d || (d == best_d && (dh > best_dh
+                    || (dh == best_dh && idx > best_idx)))))
+                continue;
+            best_d = d; best_dh = dh; best_idx = idx; best = p;
+        }
+        if (best < 0)
+            return -1;
+        if (len >= n)
+            return -2;
+        path[len++] = (int32_t)best_idx;
+        cur = best;
+        cx = cur % nx;
+        cl = (cur / nx) % L;
+        cy = cur / nx / L;
+    }
+    for (a = 0, b = len - 1; a < b; a++, b--) {
+        const int32_t t = path[a];
+        path[a] = path[b];
+        path[b] = t;
+    }
+    return len;
 }
 
 /* Binary-heap A*, a line-for-line port of RoutingGrid.maze_route_scalar.
@@ -841,16 +948,81 @@ int64_t transient_run(void *dgetrs, double *lu, int32_t *piv,
     }
     return 0;
 }
+
+/* The STA's FIFO Kahn pass and output-port scan (the module docstring
+ * gives the rules).  seq[i] marks sequential instances, delay[i] is the
+ * stage delay, fanout[ptr[i] .. ptr[i + 1]) the combinational fanout in
+ * arc order, and ends_at_seq[i] marks a path end at a sequential sink.
+ * indeg[] is counted down in place; arrival[] and pred[] are written
+ * for every instance (pred -1 starts a path, -2 marks no arrival);
+ * order and queue are n entries of scratch.  Returns the critical
+ * path's end node (-1 if none), with its arrival in end_arrival[0].
+ */
+int64_t sta_pass(int64_t n, const uint8_t *seq, const double *delay,
+                 const int64_t *ptr, const int32_t *fanout,
+                 const uint8_t *ends_at_seq, double setup,
+                 int64_t *indeg, double *arrival, int64_t *pred,
+                 int64_t *order, int64_t *queue, double *end_arrival)
+{
+    int64_t head = 0, tail = 0, n_order = 0, end_node = -1, i, k;
+    double end = -1.0;
+
+    for (i = 0; i < n; i++) {
+        const int start = seq[i] || indeg[i] == 0;
+        arrival[i] = start ? delay[i] : -1.0;
+        pred[i] = start ? -1 : -2;
+        if (start)
+            order[n_order++] = i;
+    }
+    for (i = 0; i < n; i++)
+        if (seq[i])
+            queue[tail++] = i;
+    for (i = 0; i < n; i++)
+        if (!seq[i] && indeg[i] == 0)
+            queue[tail++] = i;
+    while (head < tail) {
+        const int64_t node = queue[head++];
+        const double node_arr = arrival[node];
+        if (ends_at_seq[node]) {
+            const double total = node_arr + setup;
+            if (total > end) {
+                end = total;
+                end_node = node;
+            }
+        }
+        for (k = ptr[node]; k < ptr[node + 1]; k++) {
+            const int32_t sink = fanout[k];
+            const double cand = node_arr + delay[sink];
+            if (cand > arrival[sink]) {
+                if (pred[sink] == -2)
+                    order[n_order++] = sink;
+                arrival[sink] = cand;
+                pred[sink] = node;
+            }
+            if (--indeg[sink] == 0)
+                queue[tail++] = sink;
+        }
+    }
+    for (k = 0; k < n_order; k++)
+        if (arrival[order[k]] > end) {
+            end = arrival[order[k]];
+            end_node = order[k];
+        }
+    end_arrival[0] = end;
+    return end_node;
+}
 """
 
 
 class Kernel(NamedTuple):
-    """The four loaded entry points of the compiled source."""
+    """The six loaded entry points of the compiled source."""
 
     dial: Callable[..., int]
+    walk: Callable[..., int]
     astar: Callable[..., int]
     fm: Callable[..., int]
     transient: Callable[..., int]
+    sta: Callable[..., int]
 
 
 _kernel: Optional[Kernel] = None
@@ -907,10 +1079,19 @@ def _bind(lib: ctypes.CDLL) -> Kernel:
         ptr, ptr,                 # dist, done
         ptr, ptr, ptr,            # nxt, prv, touched
         i64,                      # n_touched_prev
-        i64, i32, i32, i32,       # n, L, ny, nx
+        i32, i32, i32,            # L, ny, nx
         i32, i32, i32,            # start, ty, tx
         i32, i32,                 # via, over_cost
         ptr,                      # out
+    ]
+    walk = lib.maze_walk
+    walk.restype = i64
+    walk.argtypes = [
+        ptr, ptr,                 # over, dp
+        i32, i32, i32,            # L, ny, nx
+        i32, i32, i32, i32,       # sy, sx, ty, tx
+        i32, i32,                 # via, over_cost
+        ptr,                      # path
     ]
     astar = lib.maze_astar
     astar.restype = i64
@@ -953,18 +1134,30 @@ def _bind(lib: ctypes.CDLL) -> Kernel:
         i64, ptr, ptr,            # n_cur, cur_idx, i_out
         ptr, ptr,                 # x, hist
     ]
-    return Kernel(dial, astar, fm, transient)
+    sta = lib.sta_pass
+    sta.restype = i64
+    sta.argtypes = [
+        i64, ptr, ptr,            # n, seq, delay
+        ptr, ptr, ptr,            # ptr, fanout, ends_at_seq
+        ctypes.c_double,          # setup
+        ptr, ptr, ptr,            # indeg, arrival, pred
+        ptr, ptr, ptr,            # order, queue, end_arrival
+    ]
+    return Kernel(dial, walk, astar, fm, transient, sta)
 
 
 def load_kernel() -> Optional[Kernel]:
-    """The compiled entry points (``maze_dial``, ``maze_astar``,
-    ``fm_run``, ``transient_run``), or ``None``.
+    """The compiled entry points (``maze_dial``, ``maze_walk``,
+    ``maze_astar``, ``fm_run``, ``transient_run``, ``sta_pass``), or
+    ``None``.
 
     Compiles on first use (cached under ``<repo>/.build_cache/``),
     memoizes the result for the process, and returns ``None`` — never
     raises — when the kernel is unavailable.  Unless
     ``REPRO_NO_CCOMPILE`` disabled it, an unavailable kernel logs one
-    warning per process, since the fallback is much slower.
+    warning per process, since the fallbacks are much slower: the
+    router's scalar A*, FM's portable pass, the numpy transient loop
+    and the STA's Python pass.
     """
     global _kernel, _kernel_tried
     if _kernel_tried:
@@ -985,7 +1178,8 @@ def load_kernel() -> Optional[Kernel]:
     if reason is not None:
         _LOG.warning("compiled kernel unavailable (%s with %s): %s; the "
                      "router falls back to its much slower scalar A*, "
-                     "FM to its portable pass and transients to numpy",
+                     "FM to its portable pass, transients to numpy and "
+                     "the STA to its Python pass",
                      compiler, " ".join(_FLAGS), reason)
     return _kernel
 

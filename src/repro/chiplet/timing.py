@@ -9,6 +9,11 @@ ports) and end at flip-flop D pins (plus setup) or output ports.
 The synthetic netlists are combinationally acyclic by construction, so a
 Kahn traversal visits every node; the engine still detects and reports
 cycles defensively.
+
+numpy computes the delays, fanout and end points; the FIFO Kahn pass and
+the output-port scan run in :mod:`repro._kernel`'s ``sta_pass`` when the
+kernel loads, else in :func:`_sta_pass_portable`, the same loop in
+Python.  Both equal ``tests/oracles/signoff.py`` bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import List
 
 import numpy as np
 
+from .._kernel import load_kernel
 from ..tech.stdcell import CellKind
 from .route import GlobalRoute
 
@@ -98,7 +104,7 @@ def analyze_timing(route: GlobalRoute,
     dst = view.pins[arc_pin]
     to_comb = ~seq[dst]
     comb_src, comb_dst = src[to_comb], dst[to_comb]
-    indeg = np.bincount(comb_dst, minlength=n)
+    indeg = np.bincount(comb_dst, minlength=n).astype(np.int64, copy=False)
     # Stage delay per instance: intrinsic + drive resistance x load,
     # with the sizing emulation on heavy loads.
     drive = view.cell_attr("drive_res_ohm")
@@ -106,23 +112,73 @@ def analyze_timing(route: GlobalRoute,
     upsized = np.maximum(SIZING_THRESHOLD_PS,
                          drive / MAX_UPSIZE * out_load * 1e-3)
     delay = (view.cell_attr("intrinsic_delay_ps")
-             + np.where(rc > SIZING_THRESHOLD_PS, upsized, rc)).tolist()
+             + np.where(rc > SIZING_THRESHOLD_PS, upsized, rc))
     # Each instance's combinational fanout in arc order (CSR), and
     # whether a combinational instance drives a sequential sink (a path
     # end point).
-    fanout = comb_dst[np.argsort(comb_src, kind="stable")].tolist()
+    fanout = comb_dst[np.argsort(comb_src, kind="stable")].astype(
+        np.int32, copy=False)
     ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(comb_src, minlength=n), out=ptr[1:])
-    ptr = ptr.tolist()
     ends_at_seq = np.zeros(n, dtype=bool)
     ends_at_seq[src[~to_comb]] = True
-    ends_at_seq = (ends_at_seq & ~seq).tolist()
+    ends_at_seq &= ~seq
 
-    # FIFO Kahn traversal: flops launch paths at clock-to-Q (plus their
-    # net RC), then combinational nodes join the queue in instance
-    # order, and the rest as their last input arrives.  A tie keeps the
-    # first strictly greater arrival.  pred -1 starts a path, -2 marks
-    # no arrival yet; ``order`` lists nodes as they first got one.
+    kernel = load_kernel()
+    if kernel is None:
+        end_arrival, end_node, pred, indeg = _sta_pass_portable(
+            seq, delay, fanout, ptr, ends_at_seq, indeg)
+    else:
+        arrival = np.empty(n)
+        pred = np.empty(n, dtype=np.int64)
+        scratch = np.empty(2 * n, dtype=np.int64)
+        end = np.empty(1)
+        end_node = kernel.sta(
+            n, seq.ctypes.data, delay.ctypes.data, ptr.ctypes.data,
+            fanout.ctypes.data, ends_at_seq.ctypes.data, SETUP_PS,
+            indeg.ctypes.data, arrival.ctypes.data, pred.ctypes.data,
+            scratch.ctypes.data, scratch[n:].ctypes.data, end.ctypes.data)
+        end_arrival = float(end[0])
+
+    names = list(route.placement.netlist.instances)
+    stuck = np.flatnonzero(~seq & (np.asarray(indeg) > 0)).tolist()
+    if stuck:
+        raise ValueError(f"combinational cycle detected involving "
+                         f"{len(stuck)} nodes, e.g. "
+                         f"{[names[i] for i in stuck[:3]]}")
+
+    path: List[str] = []
+    node = end_node
+    while node >= 0:
+        path.append(names[node])
+        node = pred[node]
+    path.reverse()
+
+    target_period = 1e6 / target_frequency_mhz
+    cp = max(end_arrival, 1e-3)
+    fmax = 1e6 / (cp + CLOCK_MARGIN_PS)
+    return TimingReport(critical_path_ps=cp, fmax_mhz=fmax,
+                        critical_path=path,
+                        slack_ps=target_period - (cp + CLOCK_MARGIN_PS),
+                        target_period_ps=target_period,
+                        levels=len(path))
+
+
+def _sta_pass_portable(seq: np.ndarray, delay: np.ndarray,
+                       fanout: np.ndarray, ptr: np.ndarray,
+                       ends_at_seq: np.ndarray, indeg: np.ndarray):
+    """The STA pass without the kernel: (end arrival, end node, each
+    instance's predecessor, the in-degrees left), as ``sta_pass``."""
+    n = len(delay)
+    delay = delay.tolist()
+    fanout = fanout.tolist()
+    ptr = ptr.tolist()
+    ends_at_seq = ends_at_seq.tolist()
+    # Flops launch paths at clock-to-Q (plus their net RC), then
+    # combinational nodes join the queue in instance order, and the
+    # rest as their last input arrives.  A tie keeps the first strictly
+    # greater arrival.  pred -1 starts a path, -2 marks no arrival yet;
+    # ``order`` lists nodes as they first got one.
     arrival = [-1.0] * n
     pred = [-2] * n
     starts = np.flatnonzero(seq | (indeg == 0)).tolist()
@@ -154,32 +210,10 @@ def analyze_timing(route: GlobalRoute,
             if indeg[sink] == 0:
                 ready.append(sink)
 
-    names = list(route.placement.netlist.instances)
-    stuck = np.flatnonzero(~seq & (np.array(indeg) > 0)).tolist()
-    if stuck:
-        raise ValueError(f"combinational cycle detected involving "
-                         f"{len(stuck)} nodes, e.g. "
-                         f"{[names[i] for i in stuck[:3]]}")
-
     # Nodes that end at output ports (no flop sink) also end paths;
     # they are scanned in the order they first got an arrival time.
     for node in order:
         if arrival[node] > end_arrival:
             end_arrival = arrival[node]
             end_node = node
-
-    path: List[str] = []
-    node = end_node
-    while node >= 0:
-        path.append(names[node])
-        node = pred[node]
-    path.reverse()
-
-    target_period = 1e6 / target_frequency_mhz
-    cp = max(end_arrival, 1e-3)
-    fmax = 1e6 / (cp + CLOCK_MARGIN_PS)
-    return TimingReport(critical_path_ps=cp, fmax_mhz=fmax,
-                        critical_path=path,
-                        slack_ps=target_period - (cp + CLOCK_MARGIN_PS),
-                        target_period_ps=target_period,
-                        levels=len(path))
+    return end_arrival, end_node, pred, indeg

@@ -36,10 +36,11 @@ scans, the scalar heap A*):
   field*: one Dijkstra sweep over the A*-reweighted edge graph (edge
   ``w' = w + h(v) - h(u)``, non-negative because the Manhattan
   heuristic is consistent), run by the compiled dial kernel of
-  :mod:`repro._kernel`.  The A* path *and* its
-  expansion count are reconstructed exactly from the distance field
-  (see :class:`_DistanceFieldOracle`), so results — including
-  node-budget exhaustion — are bit-identical to the scalar A*.
+  :mod:`repro._kernel`.  The A* path *and* its expansion count are
+  reconstructed exactly from the distance field, the path by the
+  kernel's compiled walk (see :class:`_DistanceFieldOracle`), so
+  results — including node-budget exhaustion — are bit-identical to the
+  scalar A*.
 * Every other maze search — on diagonal (organic) grids — runs the
   scalar A* ported to C (``maze_astar`` in the same kernel), which pops
   the same states in the same order and so returns the same path and
@@ -262,10 +263,11 @@ class RoutingGrid:
         self.occupancy = np.zeros_like(self.capacity)
         self._oracle: Optional[_DistanceFieldOracle] = None
         # Scratch arrays of the compiled A* and their addresses, made
-        # on its first call (see _maze_astar); a kernel failure is
-        # logged once per grid.
+        # on its first call (see _maze_astar); a failure of either
+        # compiled engine is logged once per grid.
         self._astar_buf: Optional[Tuple[tuple, List[int]]] = None
         self._astar_failure_logged = False
+        self._oracle_failure_logged = False
 
     # ------------------------------------------------------------------ #
     # Setup.
@@ -525,11 +527,12 @@ class RoutingGrid:
         """Congestion-aware A* from src to dst (both enter on layer 0).
 
         On Manhattan grids the search is solved by the distance-field
-        engine (:class:`_DistanceFieldOracle`); on diagonal grids it runs
-        the compiled port of the scalar A*.  Without a C compiler, or if
-        the compiled A* fails, the scalar A* itself runs.  The result (path,
-        or ``None`` on node-budget exhaustion) is bit-identical to
-        :meth:`maze_route_scalar` on every engine.
+        engine (:class:`_DistanceFieldOracle`); on diagonal grids, or if
+        the oracle fails, it runs the compiled port of the scalar A*.
+        Without a C compiler, or if the compiled A* fails, the scalar A*
+        itself runs; each compiled engine's failure is logged once per
+        grid.  The result (path, or ``None`` on node-budget exhaustion)
+        is bit-identical to :meth:`maze_route_scalar` on every engine.
         """
         path, _nodes, _engine = self._maze_route_info(src, dst, max_nodes)
         return path
@@ -543,6 +546,10 @@ class RoutingGrid:
         The engine is ``"oracle"``, ``"astar"`` (the compiled A*) or
         ``"scalar"``; the scalar A* reports 0 nodes.
         """
+        if not (0 <= src[0] < self.ny and 0 <= src[1] < self.nx
+                and 0 <= dst[0] < self.ny and 0 <= dst[1] < self.nx):
+            raise ValueError(f"maze endpoints {src}, {dst} lie outside "
+                             f"the {self.ny}x{self.nx} grid")
         kernel = _load_maze_kernel()
         if kernel is None:
             return self.maze_route_scalar(src, dst, max_nodes), 0, "scalar"
@@ -553,9 +560,10 @@ class RoutingGrid:
             try:
                 path, nodes = oracle.route(src, dst, max_nodes)
                 return path, nodes, "oracle"
-            except Exception:  # pragma: no cover — safety fallback
-                _LOG.exception("distance-field maze engine failed; "
-                               "falling back to the compiled A*")
+            except RuntimeError as exc:
+                if not self._oracle_failure_logged:
+                    self._oracle_failure_logged = True
+                    _LOG.warning("%s; falling back to the compiled A*", exc)
         try:
             path, nodes = self._maze_astar(kernel, src, dst, max_nodes)
             return path, nodes, "astar"
@@ -572,15 +580,12 @@ class RoutingGrid:
 
         Returns (path or ``None``, expansions); raises ``RuntimeError``
         when the kernel reports a failure.  The kernel's scratch arrays
-        live on the grid and come back reset from every call.
+        live on the grid and come back reset from every call; the
+        caller has checked the endpoints.
         """
         sy, sx = src
         ty, tx = dst
         ny, nx = self.ny, self.nx
-        if not (0 <= sy < ny and 0 <= sx < nx
-                and 0 <= ty < ny and 0 <= tx < nx):
-            raise ValueError(f"maze endpoints {src}, {dst} lie outside "
-                             f"the {ny}x{nx} grid")
         if self._astar_buf is None:
             n = self.layers * ny * nx
             arrays = (np.empty(self.capacity.shape, dtype=bool),  # over
@@ -840,9 +845,11 @@ class _DistanceFieldOracle:
     earliest.  That makes the whole search a *function of the distance
     field* ``D``:
 
-    * the returned path is reconstructed backwards from the goal by
-      picking, among parents ``p`` with ``D[p] + w(p, cur) == D[cur]``,
-      the one with the smallest pop key;
+    * the returned path is walked backwards from the goal by picking,
+      among parents ``p`` with ``D[p] + w(p, cur) == D[cur]``, the one
+      with the smallest pop key; the compiled ``maze_walk`` does this
+      in integer arithmetic (its rules are in :mod:`repro._kernel`, and
+      ``tests/oracles/routing.py`` keeps the Python walk it replaced);
     * the expansion count equals ``|{s : key(s) < key(goal)}| + 1``,
       which reduces to ``|{f < F}| + |{f == F, g < F}| + 1`` because the
       goal (layer 0) has the smallest flat index of its zero-heuristic
@@ -866,13 +873,13 @@ class _DistanceFieldOracle:
         L, ny, nx = grid.layers, grid.ny, grid.nx
         self.L, self.ny, self.nx = L, ny, nx
         n = L * ny * nx
-        self.n = n
         self._kernel = kernel
         self._kdist = np.full(n, -1, dtype=np.int32)
         self._kdone = np.zeros(n, dtype=np.uint8)
         self._knxt = np.empty(n, dtype=np.int32)
         self._kprv = np.empty(n, dtype=np.int32)
         self._ktouched = np.empty(n, dtype=np.int32)
+        self._kpath = np.empty(n, dtype=np.int32)
         self._kout = np.empty(3, dtype=np.int64)
         self._nt_prev = 0
         self.fields_built = 0
@@ -885,7 +892,8 @@ class _DistanceFieldOracle:
         Every call runs one sweep over the current overflow flags.  An
         unreachable goal gives ``(None, 0)``; a search whose predicted
         expansion count exceeds ``max_nodes`` gives ``(None, count)``
-        without reconstructing the path.
+        without walking the path.  Raises ``RuntimeError`` when the walk
+        fails (no optimal parent, or a path longer than the grid).
         """
         sy, sx = src
         ty, tx = dst
@@ -908,7 +916,16 @@ class _DistanceFieldOracle:
         expansions = nfin - int(np.count_nonzero(goal_col == s)) + 1
         if expansions > max_nodes:
             return None, expansions
-        return self._reconstruct(over, Dp, sy, sx, ty, tx), expansions
+        length = self._kernel.walk(
+            over.ctypes.data, Dp.ctypes.data, L, self.ny, nx,
+            sy, sx, ty, tx, self.via, self.over_cost,
+            self._kpath.ctypes.data)
+        if length < 0:
+            raise RuntimeError(f"distance-field walk failed (code "
+                               f"{length})")
+        l, rem = np.divmod(self._kpath[:length], self.ny * nx)
+        y, x = np.divmod(rem, nx)
+        return list(zip(l.tolist(), y.tolist(), x.tolist())), expansions
 
     def _kernel_sweep(self, over: np.ndarray, start: int, ty: int,
                       tx: int) -> Tuple[int, int]:
@@ -917,71 +934,11 @@ class _DistanceFieldOracle:
             over.ctypes.data, self._kdist.ctypes.data,
             self._kdone.ctypes.data, self._knxt.ctypes.data,
             self._kprv.ctypes.data, self._ktouched.ctypes.data,
-            self._nt_prev, self.n, self.L, self.ny, self.nx,
+            self._nt_prev, self.L, self.ny, self.nx,
             start, ty, tx, self.via, self.over_cost,
             self._kout.ctypes.data)
         self._nt_prev = int(self._kout[2])
         return int(self._kout[0]), int(self._kout[1])
-
-    def _reconstruct(self, over: np.ndarray, Dp: np.ndarray, sy: int,
-                     sx: int, ty: int, tx: int
-                     ) -> List[Tuple[int, int, int]]:
-        """Walk the distance field backwards along scalar-A* prev links.
-
-        At each step the parent is the neighbor ``p`` with
-        ``D[p] + w(p, cur) == D[cur]`` (exact float compare — every
-        quantity is an integer-valued float) minimizing the pop key
-        ``(f, g, flat index)``; ``Dp = D + h - h0`` shifts f and g by
-        the same constant, leaving the order unchanged.
-        """
-        L, nx, ny = self.L, self.nx, self.ny
-        plane = ny * nx
-        nxL = nx * L
-        oc = float(self.over_cost)
-        via = float(self.via)
-        cur = (ty * L) * nx + tx
-        start = (sy * L) * nx + sx
-        cl, cy, cx = 0, ty, tx  # coordinates of cur
-        rev = [(0, ty, tx)]
-        while cur != start:
-            enter = oc if over[cur] else 0.0
-            w_lat = 1.0 + enter
-            w_via = via + enter
-            target = Dp[cur] - (abs(cy - ty) + abs(cx - tx))
-            cand = []
-            if L == 1 or cl % 2 == 0:
-                if cx > 0:
-                    cand.append((cur - 1, w_lat, cl, cy, cx - 1))
-                if cx < nx - 1:
-                    cand.append((cur + 1, w_lat, cl, cy, cx + 1))
-            if L == 1 or cl % 2 == 1:
-                if cy > 0:
-                    cand.append((cur - nxL, w_lat, cl, cy - 1, cx))
-                if cy < ny - 1:
-                    cand.append((cur + nxL, w_lat, cl, cy + 1, cx))
-            if cl > 0:
-                cand.append((cur - nx, w_via, cl - 1, cy, cx))
-            if cl < L - 1:
-                cand.append((cur + nx, w_via, cl + 1, cy, cx))
-            best_key = None
-            best = None
-            for p, w, pl, py, px in cand:
-                if Dp[p] < 0:  # int32 fields mark unreached as -1
-                    continue
-                hp = abs(py - ty) + abs(px - tx)
-                if Dp[p] - hp + w == target:
-                    key = (Dp[p], Dp[p] - hp,
-                           pl * plane + py * nx + px)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (p, pl, py, px)
-            if best is None:
-                raise RuntimeError("distance-field reconstruction found "
-                                   "no optimal parent")
-            cur, cl, cy, cx = best
-            rev.append((cl, cy, cx))
-        rev.reverse()
-        return rev
 
 
 def _die_escape_capacity(spec: InterposerSpec,

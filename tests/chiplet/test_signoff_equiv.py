@@ -13,6 +13,13 @@ run on a placement that stacks every instance on one point: every net
 then has zero wire length, so equal cells give exactly equal arrival
 times and the tie-breaks decide the critical path.
 
+The STA runs on two engines: the compiled ``sta_pass`` when the kernel
+loads, and the Python pass without it.  Every timing comparison below
+checks both against the reference, the second with the kernel refused
+as on a machine without a C compiler (``REPRO_NO_CCOMPILE``), so each
+test keeps one name and covers both; a spy checks that a chiplet built
+with the kernel loaded never enters the Python pass.
+
 Before sign-off the flow calls ``total_cell_area_um2``; these tests do
 the same.  Pickling leaves out a placement's ``index_of`` and a route's
 ``net_names``, which unpickling rebuilds from the netlist, so those are
@@ -25,6 +32,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import repro._kernel as kernel
+import repro.chiplet.timing as timing
 from repro.arch.generate import generate_monolithic_netlist
 from repro.arch.netlist import Netlist
 from repro.chiplet.design import build_chiplet, build_chiplet_from_netlist
@@ -64,9 +73,20 @@ def _outcome(fn, *args):
 
 def _signoff(engine, route):
     """Timing, power and power map of a route (or their errors)."""
-    timing = _outcome(engine.analyze_timing, route)
+    report = _outcome(engine.analyze_timing, route)
     power = engine.analyze_power(route)
-    return timing, power, engine.power_density_map(route, power)
+    return report, power, engine.power_density_map(route, power)
+
+
+def _portable_timing(route):
+    """The STA outcome with the compiled kernel refused."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(kernel.ENV_DISABLE, "1")
+        kernel._reset_for_tests()
+        try:
+            return _outcome(analyze_timing, route)
+        finally:
+            kernel._reset_for_tests()  # the next call loads it again
 
 
 def _check_tail(route, old_route):
@@ -76,6 +96,7 @@ def _check_tail(route, old_route):
     old = _signoff(oracle, old_route)
     for stage, a, b in zip(("timing", "power", "power map"), new, old):
         _same(stage, a, b)
+    _same("portable timing", _portable_timing(route), old[0])
     return new[0]
 
 
@@ -92,6 +113,7 @@ def _check_chiplet(chip):
     _same("route", chip.route, route)
     old = _signoff(oracle, route)
     _same("timing", chip.timing, old[0])
+    _same("portable timing", _portable_timing(chip.route), old[0])
     _same("power", chip.power, old[1])
     _same("power map", power_density_map(chip.route, chip.power), old[2])
 
@@ -165,6 +187,19 @@ def test_nine_die_parts(nine_die_system, part):
     _check_chiplet(chip)
 
 
+def test_built_chiplets_never_run_the_python_sta_pass(monkeypatch):
+    if kernel.load_kernel() is None:
+        pytest.skip("no C compiler available")
+
+    def _refuse(*_args):
+        raise AssertionError("the STA ran its Python pass")
+
+    monkeypatch.setattr(timing, "_sta_pass_portable", _refuse)
+    for kind in ("logic", "memory"):
+        chip = build_chiplet(kind, GLASS_25D, scale=0.012, seed=7)
+        assert chip.timing.levels > 1
+
+
 # ---------------------------------------------------------------------- #
 # Hand-built netlists.
 # ---------------------------------------------------------------------- #
@@ -199,6 +234,22 @@ def test_sta_tie_between_two_flop_fanins():
                    ("n3", "c", ["f3"])])
     _, stacked = _check(nl)
     assert stacked.critical_path == ["f1", "c"]
+
+
+def test_flops_leave_the_queue_before_fanin_free_cells():
+    # c comes first in instance order but is queued after the flops, so
+    # f's arc makes x ready only after y, c's other sink, when the queue
+    # is seeded in instance order.  x and y end at equal arrival times,
+    # and the one that leaves the queue first ends the critical path.
+    loads = [(f"i{k}", "INV_X1") for k in range(5)]
+    nl = _netlist([("c", "FA_X1"), ("f", "DFF_X1"), ("x", "INV_X1"),
+                   ("y", "INV_X1"), ("g1", "DFF_X1"), ("g2", "DFF_X1")]
+                  + loads,
+                  [("n1", "c", ["x", "y"] + [name for name, _ in loads]),
+                   ("n2", "f", ["x"]), ("n3", "x", ["g1"]),
+                   ("n4", "y", ["g2"])])
+    _, stacked = _check(nl)
+    assert stacked.critical_path == ["c", "x"]
 
 
 def test_two_end_points_with_equal_arrival():

@@ -25,6 +25,9 @@ Nothing is imported; each guard scans the parsed sources.
   in ``repro.core``, not through the service.  Nothing under
   ``repro/serve`` imports ``SweepSpec`` or ``Axis``: the service runs
   requests, and building sweeps is the client's business.
+* The C source in ``repro/_kernel.py`` (its ``_SOURCE`` string, read
+  from the syntax tree) compiles with ``-Wall -Wextra -Werror``; the
+  guard skips when ``$CC`` (default ``cc``) is not installed.
 * No module under ``src/repro`` is reachable only from tests.  Imports
   are followed, inside functions too, from ``repro/__main__.py`` and
   every ``.py`` under ``benchmarks``, ``examples`` and ``perfbench``; a
@@ -33,7 +36,12 @@ Nothing is imported; each guard scans the parsed sources.
 """
 
 import ast
+import os
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 SRC = ROOT / "src" / "repro"
@@ -157,6 +165,23 @@ def test_kernel_loader_imports_no_repro_module():
            for line, name, _scope in _imports(SRC / "_kernel.py")
            if _within(name, "repro")]
     assert not bad, "the kernel loader must stay a leaf: " + ", ".join(bad)
+
+
+def test_kernel_source_compiles_warning_free(tmp_path):
+    compiler = os.environ.get("CC", "cc")
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler})")
+    tree = ast.parse((SRC / "_kernel.py").read_text())
+    source, = [ast.literal_eval(node.value) for node in tree.body
+               if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets]
+               == ["_SOURCE"]]
+    path = tmp_path / "kernel.c"
+    path.write_text(source)
+    proc = subprocess.run(
+        [compiler, "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
+         str(path)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_circuit_and_partition_do_not_import_the_interposer():

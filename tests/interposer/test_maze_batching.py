@@ -10,6 +10,11 @@ Property tests for the maze-routing engines:
 * the distance field's scratch persists across calls, but no result
   does: every returned path is the caller's own, and an occupancy flip
   is seen by the next call;
+* the compiled walk over the field (``maze_walk``) must equal the
+  Python walk in ``tests/oracles/routing.py`` on the fields of real
+  sweeps and on hand-built fields whose tie-breaks, unreached
+  neighbours and failures the sweeps seldom produce; a walk that fails
+  is logged once per grid and the search reruns on the compiled A*;
 * the compiled A* must serve every diagonal grid and match the scalar
   search exactly — path, expansion count and node-budget exhaustion —
   across calls that reuse its scratch arrays;
@@ -28,6 +33,7 @@ import pytest
 import repro._kernel as mazekernel
 import repro.interposer.routing as routing
 from repro.interposer.routing import RoutingGrid
+from tests.oracles.routing import walk_field
 
 
 def _random_grid(rng, diagonal=False, layers=None):
@@ -142,6 +148,142 @@ class TestFieldCache:
         assert after == g.maze_route_scalar(src, dst)
 
 
+def _field(L, ny, nx, values, over_cells=()):
+    """A hand-built (over, Dp) pair in the oracle's (y, l, x) order:
+    ``values`` maps (l, y, x) to Dp, every other state is unreached
+    (-1), and the ``over_cells`` are over capacity."""
+    dp = np.full(L * ny * nx, -1, dtype=np.int32)
+    over = np.zeros(L * ny * nx, dtype=bool)
+    for (l, y, x), value in values.items():
+        dp[(y * L + l) * nx + x] = value
+    for l, y, x in over_cells:
+        over[(y * L + l) * nx + x] = True
+    return over, dp
+
+
+def _walk(over, dp, L, ny, nx, src, dst, via=3, over_cost=12):
+    """The compiled walk: the path as (l, y, x) tuples of Python ints,
+    or the kernel's error code."""
+    path = np.empty(L * ny * nx, dtype=np.int32)
+    length = mazekernel.load_kernel().walk(
+        over.ctypes.data, dp.ctypes.data, L, ny, nx, *src, *dst, via,
+        over_cost, path.ctypes.data)
+    if length < 0:
+        return length
+    return [(int(i) // (ny * nx), int(i) % (ny * nx) // nx, int(i) % nx)
+            for i in path[:length]]
+
+
+@pytest.mark.usefixtures("need_kernel")
+class TestPathWalk:
+    """``maze_walk`` against the Python walk it replaced."""
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 5])
+    def test_real_fields_match_the_reference(self, layers):
+        rng = random.Random(1000 + layers)
+        walked = 0
+        for _ in range(12):
+            g = _random_grid(rng, layers=layers)
+            for _ in range(4):
+                src, dst = _random_pair(rng, g)
+                path, _nodes, engine = g._maze_route_info(
+                    src, dst, routing.MAZE_NODE_BUDGET)
+                assert engine == "oracle"
+                if path is None:
+                    continue
+                over = (g.occupancy >= g.capacity).transpose(
+                    1, 0, 2).reshape(-1)
+                ref = walk_field(over, g._oracle._kdist, g.layers, g.ny,
+                                 g.nx, src, dst)
+                assert path == ref
+                assert all(type(c) is int for cell in path for c in cell)
+                walked += 1
+                _flip_cells(rng, g, 20)
+        assert walked > 30
+
+    def _check(self, over, dp, shape, src, dst, expected, via=3):
+        assert _walk(over, dp, *shape, src, dst, via=via) == expected
+        assert walk_field(over, dp, *shape, src, dst, via=via) == expected
+
+    def test_three_tied_parents_on_one_layer(self):
+        # The goal's three reached neighbours tie on Dp and Dp - h; the
+        # least layer-major index, (0, 0, 1), wins.
+        over, dp = _field(1, 3, 3, {(0, 1, 1): 2, (0, 0, 1): 2,
+                                    (0, 1, 0): 2, (0, 1, 2): 2,
+                                    (0, 0, 0): 2})
+        self._check(over, dp, (1, 3, 3), (0, 0), (1, 1),
+                    [(0, 0, 0), (0, 0, 1), (0, 1, 1)])
+
+    def test_tied_vias_take_the_lower_layer(self):
+        # At (1, 1, 0) the via down and the via up tie on Dp and Dp - h.
+        over, dp = _field(3, 2, 2, {(0, 0, 0): 7, (1, 0, 0): 4,
+                                    (1, 1, 0): 4, (0, 1, 0): 1,
+                                    (2, 1, 0): 1})
+        self._check(over, dp, (3, 2, 2), (1, 0), (0, 0),
+                    [(0, 1, 0), (1, 1, 0), (1, 0, 0), (0, 0, 0)])
+
+    def test_dp_minus_h_decides_between_a_via_and_a_lateral_parent(self):
+        # With a free via (via = 0), every state below has Dp = 3.  At
+        # (1, 1, 1) the via down (0, 1, 1) and the lateral (1, 2, 1) tie
+        # on Dp; the lateral has the smaller Dp - h, though the via has
+        # the smaller index.  So does (1, 1, 1) against (0, 0, 1) at
+        # (1, 0, 1).
+        cells = [(0, 0, 0), (0, 0, 1), (1, 0, 1), (1, 1, 1), (1, 2, 1),
+                 (0, 2, 1), (0, 1, 1)]
+        over, dp = _field(2, 3, 2, {cell: 3 for cell in cells})
+        self._check(over, dp, (2, 3, 2), (2, 1), (0, 0),
+                    [(0, 2, 1), (1, 2, 1), (1, 1, 1), (1, 0, 1),
+                     (0, 0, 1), (0, 0, 0)], via=0)
+
+    def test_unreached_neighbours_are_skipped(self):
+        # At the over-capacity (0, 1, 1), the unreached (0, 1, 0) meets
+        # the parent equation with its -1 and would win on Dp.
+        over, dp = _field(1, 3, 3, {(0, 0, 0): 13, (0, 0, 1): 13,
+                                    (0, 1, 1): 13, (0, 1, 2): 1},
+                          over_cells=[(0, 1, 1)])
+        assert -1 - 1 + 13 == dp[4] - 2  # the trap is live
+        self._check(over, dp, (1, 3, 3), (1, 2), (0, 0),
+                    [(0, 1, 2), (0, 1, 1), (0, 0, 1), (0, 0, 0)])
+
+    def test_start_is_the_goal(self):
+        over, dp = _field(2, 2, 2, {})
+        self._check(over, dp, (2, 2, 2), (1, 1), (1, 1), [(0, 1, 1)])
+
+    def test_no_optimal_parent(self):
+        over, dp = _field(2, 2, 2, {(0, 0, 0): 5, (0, 1, 1): 0,
+                                    (0, 0, 1): 5})
+        assert _walk(over, dp, 2, 2, 2, (1, 1), (0, 0)) == -1
+        with pytest.raises(RuntimeError, match="no optimal parent"):
+            walk_field(over, dp, 2, 2, 2, (1, 1), (0, 0))
+
+    def test_a_cycle_is_cut_at_the_grid_size(self):
+        # A free via makes the goal and the state above it each other's
+        # parent; the walk gives up after L * ny * nx steps (the Python
+        # walk would loop forever).
+        over, dp = _field(2, 2, 2, {(0, 0, 0): 0, (1, 0, 0): 0})
+        assert _walk(over, dp, 2, 2, 2, (1, 1), (0, 0), via=0) == -2
+
+    def test_walk_failure_falls_back_to_the_compiled_astar(
+            self, monkeypatch, caplog):
+        """An error code from the walk is logged once per grid and the
+        search reruns on the compiled A*, with the scalar A*'s path."""
+        failing = mazekernel.load_kernel()._replace(walk=lambda *args: -1)
+        monkeypatch.setattr(routing, "_load_maze_kernel", lambda: failing)
+        rng = random.Random(506)
+        g = _random_grid(rng, layers=2)
+        with caplog.at_level(logging.WARNING,
+                             logger="repro.interposer.routing"):
+            for _ in range(4):
+                src, dst = _random_pair(rng, g)
+                path, _nodes, engine = g._maze_route_info(
+                    src, dst, routing.MAZE_NODE_BUDGET)
+                assert engine == "astar"
+                assert path == g.maze_route_scalar(src, dst)
+        assert g._oracle.fields_built == 4
+        assert len(caplog.records) == 1
+        assert "walk failed (code -1)" in caplog.records[0].getMessage()
+
+
 @pytest.mark.usefixtures("need_kernel")
 class TestAstarKernel:
     """The compiled port of the scalar A* vs the scalar reference."""
@@ -249,6 +391,22 @@ def _set_kernel(monkeypatch, enabled):
     mazekernel._reset_for_tests()
     if enabled and mazekernel.load_kernel() is None:
         pytest.skip("no C compiler available")
+
+
+@pytest.mark.parametrize("enabled", [True, False],
+                         ids=["kernel", "no-kernel"])
+@pytest.mark.parametrize("diagonal", [False, True])
+def test_endpoints_outside_the_grid_are_refused(monkeypatch, enabled,
+                                                diagonal):
+    """Every engine refuses them before an index reaches a search (the
+    scalar A* raised IndexError on a negative one)."""
+    _set_kernel(monkeypatch, enabled)
+    g = RoutingGrid(0.3, 0.3, layers=2, wire_pitch_um=4.0,
+                    diagonal=diagonal)
+    for src, dst in (((0, 0), (g.ny, 0)), ((-1, 0), (1, 1))):
+        with pytest.raises(ValueError, match="outside"):
+            g.maze_route(src, dst)
+    mazekernel._reset_for_tests()  # let later tests load the kernel
 
 
 def _grid_cases(rng, per_kind):

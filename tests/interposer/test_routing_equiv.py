@@ -17,8 +17,10 @@ import repro.interposer._mazekernel as mazekernel
 import repro.interposer.routing as routing
 from repro.chiplet.bumps import plan_for_design
 from repro.interposer.placement import place_dies
-from repro.interposer.routing import RoutingGrid, route_interposer
+from repro.interposer.routing import (RoutingGrid, route_interposer,
+                                      route_interposer_pins)
 from repro.tech.interposer import get_spec
+from tests.interposer.test_pins_equiv import _problem as _pin_problem
 from tests.oracles import path_cost_scalar, route_interposer_scalar
 from tests.oracles.routing import pattern_candidates
 
@@ -100,6 +102,30 @@ class TestRouteEquivalence:
                                l2m_signals=L2M, l2l_signals=L2L)
         assert vec.stats.maze_calls > 0
         assert vec.stats.maze_nodes > 0
+
+    @pytest.mark.parametrize("design", ["glass_25d", "glass_3d",
+                                        "glass_25d-n9-hexagonal"])
+    def test_manhattan_designs_never_leave_the_oracle(self, design,
+                                                      monkeypatch):
+        """Every maze call on a Manhattan grid is answered by the
+        distance-field oracle: a failed walk would fall back to the A*
+        and still return the same paths, so only this shows it."""
+        if mazekernel.load_kernel() is None:
+            pytest.skip("no C compiler available")
+
+        def _refuse(*_args, **_kwargs):
+            raise AssertionError("a maze call left the oracle")
+
+        monkeypatch.setattr(RoutingGrid, "_maze_astar", _refuse)
+        monkeypatch.setattr(RoutingGrid, "maze_route_scalar", _refuse)
+        if design.endswith("hexagonal"):
+            vec = route_interposer_pins(*_pin_problem("glass_25d", 9,
+                                                      "hexagonal"))
+        else:
+            placement, lb, mb = _problem(design)
+            vec = route_interposer(placement, lb, mb,
+                                   l2m_signals=L2M, l2l_signals=L2L)
+        assert vec.stats.maze_calls == vec.stats.fields_built > 0
 
     @pytest.mark.parametrize("pair", ["glass_25d", "shinko"],
                              indirect=True)

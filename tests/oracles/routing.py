@@ -4,13 +4,15 @@ The original per-cell implementation: every pattern candidate is
 materialized (:func:`pattern_candidates`) and costed cell by cell,
 every rip-up round scans each net's cells for overflow, and every
 reroute runs the scalar heap A* (``RoutingGrid.maze_route_scalar``).
+:func:`walk_field` is the Python walk over the distance-field oracle's
+int32 field that the compiled ``maze_walk`` replaced.
 The cost constants and budgets are read from
 :mod:`repro.interposer.routing` at call time, so tests that
 monkeypatch them there steer these references too.
 """
 
 import math
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -196,3 +198,69 @@ def route_interposer_pins_scalar(placement: InterposerPlacement,
     """Scalar twin of :func:`repro.interposer.routing.route_interposer_pins`."""
     grid, stacked, todo = routing._pin_problem(placement, pin_map, links)
     return _route_with_grid_scalar(placement, grid, stacked, todo)
+
+
+def walk_field(over: np.ndarray, Dp: np.ndarray, L: int, ny: int, nx: int,
+               src: Tuple[int, int], dst: Tuple[int, int],
+               via: Optional[int] = None, over_cost: Optional[int] = None
+               ) -> List[Tuple[int, int, int]]:
+    """Walk the distance field backwards along scalar-A* prev links.
+
+    ``over`` and ``Dp`` are in the oracle's ``(y * L + l) * nx + x``
+    state order.  At each step the parent is the neighbor ``p`` with
+    ``D[p] + w(p, cur) == D[cur]`` (exact float compare — every
+    quantity is an integer-valued float) minimizing the pop key
+    ``(f, g, flat index)``; ``Dp = D + h - h0`` shifts f and g by the
+    same constant, leaving the order unchanged.  ``via`` and
+    ``over_cost`` default to the router's constants.  Raises
+    ``RuntimeError`` when a state has no optimal parent.
+    """
+    sy, sx = src
+    ty, tx = dst
+    plane = ny * nx
+    nxL = nx * L
+    oc = float(routing.OVERFLOW_COST if over_cost is None else over_cost)
+    via = float(routing.VIA_COST if via is None else via)
+    cur = (ty * L) * nx + tx
+    start = (sy * L) * nx + sx
+    cl, cy, cx = 0, ty, tx  # coordinates of cur
+    rev = [(0, ty, tx)]
+    while cur != start:
+        enter = oc if over[cur] else 0.0
+        w_lat = 1.0 + enter
+        w_via = via + enter
+        target = Dp[cur] - (abs(cy - ty) + abs(cx - tx))
+        cand = []
+        if L == 1 or cl % 2 == 0:
+            if cx > 0:
+                cand.append((cur - 1, w_lat, cl, cy, cx - 1))
+            if cx < nx - 1:
+                cand.append((cur + 1, w_lat, cl, cy, cx + 1))
+        if L == 1 or cl % 2 == 1:
+            if cy > 0:
+                cand.append((cur - nxL, w_lat, cl, cy - 1, cx))
+            if cy < ny - 1:
+                cand.append((cur + nxL, w_lat, cl, cy + 1, cx))
+        if cl > 0:
+            cand.append((cur - nx, w_via, cl - 1, cy, cx))
+        if cl < L - 1:
+            cand.append((cur + nx, w_via, cl + 1, cy, cx))
+        best_key = None
+        best = None
+        for p, w, pl, py, px in cand:
+            if Dp[p] < 0:  # int32 fields mark unreached as -1
+                continue
+            hp = abs(py - ty) + abs(px - tx)
+            if Dp[p] - hp + w == target:
+                key = (Dp[p], Dp[p] - hp,
+                       pl * plane + py * nx + px)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (p, pl, py, px)
+        if best is None:
+            raise RuntimeError("distance-field reconstruction found "
+                               "no optimal parent")
+        cur, cl, cy, cx = best
+        rev.append((cl, cy, cx))
+    rev.reverse()
+    return rev
